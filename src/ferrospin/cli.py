@@ -7,17 +7,13 @@ saw (walk-tree marginals), region (neighbourhood construction), verify
 Exit codes: 0 success, 1 input error, 2 capacity error, 3 at least one
 verification row failed (the report is still written).  All randomness flows
 from --seed, so identical invocations produce byte-identical output.
-FERROSPIN_THREADS caps the workers used for center sweeps; results are
-emitted in vertex order regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import constants
@@ -68,17 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("FERROSPIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"FERROSPIN_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"FERROSPIN_THREADS must be positive, got {value}")
-    return value
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -268,9 +253,7 @@ def cmd_region(args) -> int:
             raise InputError(f"--center must name a vertex below {system.n}, "
                              f"got {center}")
         centers = [center]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        records = list(pool.map(
-            lambda c: _region_record(system, c, params), centers))
+    records = [_region_record(system, c, params) for c in centers]
     text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     _write_out(text, args.out)
     all_ok = all(rec["verification"]["ok"] for rec in records)
@@ -409,11 +392,16 @@ def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
         raise InputError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
+    for key, value in doc.items():
+        if value is None or isinstance(value, (dict, list)):
+            raise InputError(f"config option {key!r} needs a number or a "
+                             f"string, got {value!r}")
     known = set()
     for sub in registry.values():
         dests = {a.dest for a in sub._actions}
         known |= dests
-        sub.set_defaults(**{k: v for k, v in doc.items() if k in dests})
+        # string defaults go through each option's own type conversion
+        sub.set_defaults(**{k: str(v) for k, v in doc.items() if k in dests})
     unknown = set(doc) - known
     if unknown:
         raise InputError(f"config file mentions unknown options: "

@@ -1,10 +1,15 @@
 """Exact desk-scale ground truth.
 
 Dense 2^n enumeration: Gibbs tables, conditional marginals, influences,
-transition matrices for single-site and block heat-bath chains, spectral
-reports, and exact total-variation mixing times.  Everything here is an
-oracle for the stochastic modules, so clarity and exactness win over
-asymptotic cleverness; n is capped accordingly.
+transition matrices, spectral reports, and exact total-variation mixing
+times.  Everything here is an oracle for the stochastic modules, so clarity
+and exactness win over asymptotic cleverness; n is capped accordingly.
+
+Every transition matrix is built from one operator, the heat bath on a
+block B (resample the spins of B from their conditional given the rest;
+the empty block is the identity).  Glauber, heat-bath, censored, pinned and
+field kernels are mixtures of these operators with constant or per-row
+weights, accumulated into one output matrix; scans are their products.
 
 Configuration indexing: bit v of the integer index is sigma_v.
 """
@@ -20,7 +25,7 @@ from scipy.special import logsumexp
 
 from . import constants
 from .errors import CapacityError, InputError, NonconvergenceError, NumericError
-from .model import Pinning, TwoSpinSystem
+from .model import Pinning, TwoSpinSystem, apply_pinning, tilt
 
 
 @dataclass(frozen=True)
@@ -73,11 +78,10 @@ def _check_capacity(n: int, limit: int, what: str) -> None:
         raise CapacityError(f"{what} needs n <= {limit}, got n = {n}")
 
 
-def log_weights(system: TwoSpinSystem, limit: int | None = None) -> np.ndarray:
+def log_weights(system: TwoSpinSystem) -> np.ndarray:
     """Vector of log configuration weights, index bit v = sigma_v."""
     n = system.n
-    _check_capacity(n, constants.VECTOR_LIMIT if limit is None else limit,
-                    "weight enumeration")
+    _check_capacity(n, constants.VECTOR_LIMIT, "weight enumeration")
     idx = np.arange(2 ** n, dtype=np.int64)
     logw = np.zeros(2 ** n)
     for v in range(n):
@@ -96,10 +100,9 @@ def _weights(system: TwoSpinSystem) -> np.ndarray:
     return np.exp(logw - logw.max())
 
 
-def gibbs_distribution(system: TwoSpinSystem,
-                       limit: int | None = None) -> DistributionTable:
+def gibbs_distribution(system: TwoSpinSystem) -> DistributionTable:
     """probs[sigma] = weight(sigma) / Z via log-sum-exp."""
-    logw = log_weights(system, limit)
+    logw = log_weights(system)
     log_z = float(logsumexp(logw))
     return DistributionTable(n=system.n, probs=np.exp(logw - log_z), log_z=log_z)
 
@@ -155,76 +158,127 @@ def all_to_one_influence(system: TwoSpinSystem, v: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# transition matrices
+# transition matrices: mixtures and products of block heat-bath operators
 
-def glauber_matrix(system: TwoSpinSystem,
-                   limit: int | None = None) -> TransitionMatrix:
-    """Single-site heat bath: pick v uniformly, resample from its conditional.
-    Non-lazy; the diagonal only collects resamples that keep the old value."""
-    n = system.n
-    _check_capacity(n, constants.MATRIX_LIMIT if limit is None else limit,
-                    "Glauber matrix")
-    size = 2 ** n
-    w = _weights(system)
-    idx = np.arange(size, dtype=np.int64)
-    P = np.zeros((size, size))
-    for v in range(n):
-        i0 = idx[((idx >> v) & 1) == 0]
-        i1 = i0 | (1 << v)
-        s = w[i0] + w[i1]
-        p1 = w[i1] / s
-        p0 = w[i0] / s  # not 1 - p1: that cancels badly when p1 ~ 1
-        P[i0, i1] += p1 / n
-        P[i1, i0] += p0 / n
-        P[i0, i0] += p0 / n
-        P[i1, i1] += p1 / n
-    return TransitionMatrix(n=n, entries=P)
+def _add_heatbath(out: np.ndarray, w: np.ndarray, block: Iterable[int],
+                  scale: float | np.ndarray) -> None:
+    """out[s] += scale[s] * (heat bath on `block` from s), in place.
 
-
-def block_heatbath_matrix(system: TwoSpinSystem, block: Iterable[int],
-                          limit: int | None = None) -> TransitionMatrix:
-    """Resample one block from its exact conditional given the rest."""
-    n = system.n
-    _check_capacity(n, constants.MATRIX_LIMIT if limit is None else limit,
-                    "block matrix")
-    block = sorted(set(block))
-    for v in block:
+    `w` holds the configuration weights; `scale` is a scalar or a per-row
+    vector.  The empty block is the identity."""
+    size = w.shape[0]
+    n = size.bit_length() - 1
+    bm = 0
+    for v in set(block):
         if not (0 <= v < n):
             raise InputError(f"block vertex {v} out of range")
-    size = 2 ** n
-    if not block:
-        return TransitionMatrix(n=n, entries=np.eye(size))
-    bm = 0
-    for v in block:
         bm |= 1 << v
-    w = _weights(system)
     idx = np.arange(size, dtype=np.int64)
+    if bm == 0:
+        out[idx, idx] += scale
+        return
     rest = idx & ~bm
-    group = np.zeros(size)
-    np.add.at(group, rest, w)
-    col = w / group[rest]  # P(. -> tau) within tau's off-block sector
-    P = np.zeros((size, size))
+    # P(s -> tau) = w[tau] / (weight of the off-block sector s and tau share)
+    col = w / np.bincount(rest, weights=w, minlength=size)[rest]
     sub = bm
     while True:
         tau = rest | sub
-        P[idx, tau] = col[tau]
+        out[idx, tau] += scale * col[tau]
         if sub == 0:
             break
         sub = (sub - 1) & bm
-    return TransitionMatrix(n=n, entries=P)
 
 
-def heatbath_matrix(system: TwoSpinSystem, blocks: Sequence[Iterable[int]],
-                    limit: int | None = None) -> TransitionMatrix:
+def _mixture(system: TwoSpinSystem,
+             terms: Iterable[tuple[Iterable[int], float | np.ndarray]],
+             what: str) -> TransitionMatrix:
+    """sum of scale * (heat bath on block) over the (block, scale) terms,
+    accumulated into one output matrix."""
+    _check_capacity(system.n, constants.MATRIX_LIMIT, what)
+    w = _weights(system)
+    out = np.zeros((w.size, w.size))
+    for block, scale in terms:
+        _add_heatbath(out, w, block, scale)
+    return TransitionMatrix(n=system.n, entries=out)
+
+
+def block_heatbath_matrix(system: TwoSpinSystem,
+                          block: Iterable[int]) -> TransitionMatrix:
+    """Resample one block from its exact conditional given the rest."""
+    return _mixture(system, [(block, 1.0)], "block matrix")
+
+
+def glauber_matrix(system: TwoSpinSystem) -> TransitionMatrix:
+    """Single-site heat bath: pick v uniformly, resample from its conditional.
+    Non-lazy; the diagonal only collects resamples that keep the old value."""
+    n = system.n
+    return _mixture(system, [((v,), 1.0 / n) for v in range(n)],
+                    "Glauber matrix")
+
+
+def heatbath_matrix(system: TwoSpinSystem,
+                    blocks: Sequence[Iterable[int]]) -> TransitionMatrix:
     """Uniform-random-block heat bath: average of the per-block operators."""
     if not blocks:
         raise InputError("need at least one block")
-    mats = [block_heatbath_matrix(system, b, limit).entries for b in blocks]
-    return TransitionMatrix(n=system.n, entries=sum(mats) / len(mats))
+    return _mixture(system, [(b, 1.0 / len(blocks)) for b in blocks],
+                    "block matrix")
 
 
-def scan_matrix(system: TwoSpinSystem, blocks: Sequence[Iterable[int]],
-                limit: int | None = None) -> TransitionMatrix:
+def censored_glauber_matrix(system: TwoSpinSystem,
+                            subset: Iterable[int]) -> TransitionMatrix:
+    """One-step single-site kernel censored to S: picking a vertex outside S
+    leaves the state unchanged."""
+    n = system.n
+    S = set(int(v) for v in subset)
+    if any(v < 0 or v >= n for v in S):
+        raise InputError("censored set mentions unknown vertices")
+    terms = [((v,), 1.0 / n) for v in sorted(S)] + [((), (n - len(S)) / n)]
+    return _mixture(system, terms, "censored Glauber matrix")
+
+
+def pinned_glauber_matrix(system: TwoSpinSystem, pin: Pinning
+                          ) -> tuple[TransitionMatrix, DistributionTable]:
+    """Glauber on the full vertex set with `pin` frozen, restricted to its
+    support: picking a pinned vertex resamples it to its pinned value, so on
+    the reduced state space each free vertex has weight 1/n and the stay
+    has weight k/n."""
+    n, k = system.n, len(pin)
+    if k >= n:
+        raise InputError("pinning must leave at least one free vertex")
+    reduced = apply_pinning(system, pin)
+    terms = [((v,), 1.0 / n) for v in range(reduced.n)] + [((), k / n)]
+    return (_mixture(reduced, terms, "pinned Glauber matrix"),
+            gibbs_distribution(reduced))
+
+
+def field_kernel_matrix(system: TwoSpinSystem,
+                        theta: float) -> TransitionMatrix:
+    """Exact field-dynamics kernel.  From sigma the resample set S holds
+    every 1-vertex and each 0-vertex with probability theta, so
+    P = sum_S w_S * (heat bath on S under the tilted measure), with row
+    weight w_S(sigma) = theta^|S - sigma| (1-theta)^|V - S| when sigma's
+    1-vertices lie in S, and 0 otherwise."""
+    if not (0.0 < theta <= 1.0):
+        raise InputError(f"theta must lie in (0,1], got {theta}")
+    n = system.n
+    _check_capacity(n, constants.FIELD_KERNEL_LIMIT, "field kernel")
+    idx = np.arange(2 ** n, dtype=np.int64)
+    ones = sum((idx >> v) & 1 for v in range(n))
+
+    def terms():
+        for smask in range(2 ** n):
+            k = bin(smask).count("1")
+            scale = np.where((idx & ~smask) == 0,
+                             theta ** (k - ones) * (1.0 - theta) ** (n - k),
+                             0.0)
+            yield [v for v in range(n) if (smask >> v) & 1], scale
+
+    return _mixture(tilt(system, theta), terms(), "field kernel")
+
+
+def scan_matrix(system: TwoSpinSystem,
+                blocks: Sequence[Iterable[int]]) -> TransitionMatrix:
     """Systematic scan: blocks resampled in list order, blocks[0] first.
 
     The kernel is the matrix product of per-block operators in that order
@@ -235,7 +289,7 @@ def scan_matrix(system: TwoSpinSystem, blocks: Sequence[Iterable[int]],
         raise InputError("need at least one block")
     out = None
     for b in blocks:
-        m = block_heatbath_matrix(system, b, limit).entries
+        m = block_heatbath_matrix(system, b).entries
         out = m if out is None else out @ m
     return TransitionMatrix(n=system.n, entries=out)
 
@@ -254,30 +308,11 @@ def check_bipartition(system: TwoSpinSystem,
 
 
 def alternating_scan_matrix(system: TwoSpinSystem,
-                            bipartition: tuple[Sequence[int], Sequence[int]],
-                            limit: int | None = None) -> TransitionMatrix:
+                            bipartition: tuple[Sequence[int], Sequence[int]]
+                            ) -> TransitionMatrix:
     """Full scan of a bipartition: resample all of V0, then all of V1."""
     check_bipartition(system, bipartition)
-    return scan_matrix(system, [bipartition[0], bipartition[1]], limit)
-
-
-def pinned_glauber_matrix(system: TwoSpinSystem, pin: Pinning,
-                          limit: int | None = None
-                          ) -> tuple[TransitionMatrix, DistributionTable]:
-    """Glauber on the full vertex set with `pin` frozen, restricted to its
-    support: picking a pinned vertex resamples it to its pinned value, so on
-    the reduced state space the kernel is (k/n) I + ((n-k)/n) P_reduced."""
-    from .model import apply_pinning
-
-    k = len(pin)
-    if k >= system.n:
-        raise InputError("pinning must leave at least one free vertex")
-    reduced = apply_pinning(system, pin)
-    inner = glauber_matrix(reduced, limit).entries
-    n = system.n
-    padded = (k / n) * np.eye(inner.shape[0]) + ((n - k) / n) * inner
-    return (TransitionMatrix(n=reduced.n, entries=padded),
-            gibbs_distribution(reduced))
+    return scan_matrix(system, [bipartition[0], bipartition[1]])
 
 
 def multiplicative_reversiblization(Q: TransitionMatrix,

@@ -23,9 +23,10 @@ from .errors import InputError, NumericError
 from .exact import (
     TransitionMatrix,
     alternating_scan_matrix,
-    block_heatbath_matrix,
+    censored_glauber_matrix,
     conditional_marginal,
     exact_mixing_time,
+    field_kernel_matrix,
     gibbs_distribution,
     glauber_matrix,
     all_to_one_influence,
@@ -45,7 +46,7 @@ from .model import (
     tilt,
 )
 from .regions import RegionParams, construct_region, verify_region
-from .samplers import UpdateSchedule, coupling_time, field_kernel_matrix
+from .samplers import UpdateSchedule, coupling_time
 from .sawtree import Phi, decay_factor, derive_potential, g_value, phi, saw_marginal
 
 SCHEMA_VERSION = 1
@@ -602,25 +603,6 @@ def decay_probe(beta: float, gamma: float, lam: float,
         f"r_squared={r2!r} min_r_squared={min_r_squared!r}"))
     return DecayProbeResult(tuple(rows), tuple(lens), tuple(disc),
                             float(slope), float(intercept), float(r2))
-
-
-# ---------------------------------------------------------------------------
-# censored kernel helper (used by the stationarity suite)
-
-
-def censored_glauber_matrix(system: TwoSpinSystem,
-                            subset: Iterable[int]) -> TransitionMatrix:
-    """One-step single-site kernel censored to S: picking a vertex outside S
-    leaves the state unchanged."""
-    n = system.n
-    S = sorted(set(int(v) for v in subset))
-    if any(v < 0 or v >= n for v in S):
-        raise InputError("censored set mentions unknown vertices")
-    size = 2 ** n
-    M = np.eye(size) * ((n - len(S)) / n)
-    for v in S:
-        M += block_heatbath_matrix(system, [v]).entries / n
-    return TransitionMatrix(n=n, entries=M)
 
 
 # ---------------------------------------------------------------------------

@@ -492,14 +492,16 @@ def load_instance(path: str) -> TwoSpinSystem:
         n = int(doc["n"])
         lam = [float(x) for x in doc["lambda"]]
         raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"instance document malformed: {exc}") from exc
+    if not isinstance(raw_edges, list):
+        raise InputError("instance edges must be a list of edge records")
     edges = []
     for i, rec in enumerate(raw_edges):
         try:
             edges.append((int(rec["u"]), int(rec["v"]),
                           float(rec["beta"]), float(rec["gamma"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"edge record {i} malformed: {exc}") from exc
     return TwoSpinSystem.from_params(n, lam, edges)
 
@@ -517,7 +519,7 @@ def load_rbm(path: str) -> RbmParams:
         n0, n1 = int(doc["n0"]), int(doc["n1"])
         w = tuple(tuple(float(x) for x in row) for row in doc["W"])
         theta = tuple(float(x) for x in doc["theta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"RBM document malformed: {exc}") from exc
     return RbmParams(n0=n0, n1=n1, interaction=w, theta=theta)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constants
 from .errors import (CapacityError, CouplingInvariantError, InputError)
-from .exact import TransitionMatrix, block_heatbath_matrix, check_bipartition
+from .exact import check_bipartition
 from .model import TwoSpinSystem, tilt
 
 SCHEDULE_KINDS = ("single-site-glauber", "heat-bath-block",
@@ -48,6 +48,8 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if not (0 <= self.seed < 2 ** 128):
+            raise InputError(f"seed must lie in [0, 2^128), got {self.seed}")
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
         self.position = 0
 
@@ -245,42 +247,6 @@ def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
     return ChainState(config=config, step=state.step + 1)
 
 
-def glauber_step(system: TwoSpinSystem, state: ChainState,
-                 rng: RandomSource) -> ChainState:
-    return schedule_step(system, UpdateSchedule(kind="single-site-glauber"),
-                         state, rng)
-
-
-def block_resample(system: TwoSpinSystem, state: ChainState,
-                   block: Iterable[int], rng: RandomSource) -> ChainState:
-    """Resample one explicit block from its exact conditional law."""
-    block = sorted(set(block))
-    thresholds = rng.uniforms(len(block))
-    config = _apply_block(system, state.config, block, thresholds)
-    return ChainState(config=config, step=state.step + 1)
-
-
-def alternating_scan_step(system: TwoSpinSystem,
-                          bipartition: tuple[Sequence[int], Sequence[int]],
-                          state: ChainState, rng: RandomSource) -> ChainState:
-    """One half-scan: resamples part (step mod 2); part 0 goes first."""
-    schedule = UpdateSchedule(kind="alternating-scan",
-                              blocks=(tuple(bipartition[0]),
-                                      tuple(bipartition[1])))
-    return schedule_step(system, schedule, state, rng)
-
-
-def censored_step(system: TwoSpinSystem, censor: Iterable[int],
-                  schedule: UpdateSchedule, state: ChainState,
-                  rng: RandomSource) -> ChainState:
-    """The base schedule with every block intersected with the censor set;
-    spins outside it never move."""
-    censored = UpdateSchedule(kind=schedule.kind, blocks=schedule.blocks,
-                              theta=schedule.theta,
-                              censor=frozenset(censor))
-    return schedule_step(system, censored, state, rng)
-
-
 def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
                           schedule: UpdateSchedule,
                           r: Sequence[float]) -> CoupledPair:
@@ -323,33 +289,6 @@ def field_dynamics_step(system: TwoSpinSystem, theta: float,
     thresholds = rng.uniforms(len(S))
     config = _apply_block(tilted, state.config, S, thresholds)
     return ChainState(config=config, step=state.step + 1)
-
-
-def field_kernel_matrix(system: TwoSpinSystem, theta: float,
-                        limit: int | None = None) -> TransitionMatrix:
-    """Exact field-dynamics kernel by enumerating every resample set S:
-    P = sum_S Pr[S | row] * (heat bath on S under the tilted measure)."""
-    if not (0.0 < theta <= 1.0):
-        raise InputError(f"theta must lie in (0,1], got {theta}")
-    n = system.n
-    cap = constants.FIELD_KERNEL_LIMIT if limit is None else limit
-    if n > cap:
-        raise CapacityError(f"field kernel needs n <= {cap}, got n = {n}")
-    tilted = tilt(system, theta)
-    size = 2 ** n
-    P = np.zeros((size, size))
-    for smask in range(size):
-        S = [v for v in range(n) if (smask >> v) & 1]
-        block = block_heatbath_matrix(tilted, S).entries
-        for row in range(size):
-            if row & ~smask:  # some 1-vertex left out of S: impossible
-                continue
-            extras = bin(smask & ~row).count("1")
-            zeros = n - bin(row).count("1")
-            weight = theta ** extras * (1.0 - theta) ** (zeros - extras)
-            if weight > 0.0:
-                P[row] += weight * block[row]
-    return TransitionMatrix(n=n, entries=P)
 
 
 def run_chain(system: TwoSpinSystem, schedule: UpdateSchedule, steps: int,

@@ -19,15 +19,16 @@ import _oracles as ora
 from ferrospin.exact import (
     alternating_scan_matrix,
     all_to_one_influence,
+    censored_glauber_matrix,
     conditional_marginal,
     detailed_balance_residual,
+    field_kernel_matrix,
     gibbs_distribution,
     glauber_matrix,
     influence_pair,
     stationarity_residual,
 )
 from ferrospin.harness import (
-    censored_glauber_matrix,
     class_instance,
     coupling_dominance_row,
     decay_probe,
@@ -63,7 +64,6 @@ from ferrospin.samplers import (
     CoupledPair,
     UpdateSchedule,
     dominates,
-    field_kernel_matrix,
     monotone_coupled_step,
 )
 from ferrospin.sawtree import (

@@ -16,6 +16,7 @@ from ferrospin.exact import (
     all_to_one_influence,
     alternating_scan_matrix,
     block_heatbath_matrix,
+    censored_glauber_matrix,
     conditional_marginal,
     detailed_balance_residual,
     exact_mixing_time,
@@ -25,6 +26,7 @@ from ferrospin.exact import (
     influence_pair,
     log_weights,
     multiplicative_reversiblization,
+    pinned_glauber_matrix,
     scan_matrix,
     spectral_report,
     stationarity_residual,
@@ -233,6 +235,46 @@ def test_glauber_capacity():
     big = TwoSpinSystem.from_params(n, [1.0] * n, [])
     with pytest.raises(CapacityError):
         glauber_matrix(big)
+
+
+def test_censored_glauber_capacity():
+    # checked before the 2^n x 2^n output is allocated
+    n = constants.MATRIX_LIMIT + 1
+    big = TwoSpinSystem.from_params(n, [1.0] * n, [])
+    with pytest.raises(CapacityError):
+        censored_glauber_matrix(big, [0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 5))
+def test_pinned_glauber_matrix_matches_oracle(seed, n):
+    # rows on the reduced space: each free vertex resampled with weight 1/n
+    # on the full instance, and a stay with weight k/n
+    rng = random.Random(seed)
+    inst = ora.random_instance(rng, n)
+    pin = {v: rng.randint(0, 1) for v in rng.sample(range(n), rng.randrange(n))}
+    free = [v for v in range(n) if v not in pin]
+    P, mu = pinned_glauber_matrix(to_system(inst), Pinning(pin))
+    m = len(free)
+    assert P.n == mu.n == m
+
+    def full(r):
+        sigma = [0] * n
+        for v, s in pin.items():
+            sigma[v] = s
+        for i, v in enumerate(free):
+            sigma[v] = (r >> i) & 1
+        return tuple(sigma)
+
+    weights = np.array([ora.weight(*inst, full(r)) for r in range(2 ** m)])
+    assert np.abs(mu.probs - weights / weights.sum()).max() < 1e-12
+    for r in range(2 ** m):
+        row = np.zeros(2 ** m)
+        row[r] += len(pin) / n
+        for v in free:
+            for tau, p in ora.block_row(*inst, full(r), [v]).items():
+                row[config_to_index([tau[u] for u in free])] += p / n
+        assert np.abs(P.entries[r] - row).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,6 +13,7 @@ import _oracles as ora
 from ferrospin import constants
 from ferrospin.errors import InputError, NumericError
 from ferrospin.exact import (
+    censored_glauber_matrix,
     exact_mixing_time,
     gibbs_distribution,
     glauber_matrix,
@@ -23,7 +24,6 @@ from ferrospin.harness import (
     ExperimentConfig,
     ReportRow,
     SUITE_NAMES,
-    censored_glauber_matrix,
     class_instance,
     coupling_dominance_row,
     coupling_failure_fraction,

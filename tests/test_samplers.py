@@ -15,6 +15,7 @@ from ferrospin.exact import (
     alternating_scan_matrix,
     block_heatbath_matrix,
     conditional_marginal,
+    field_kernel_matrix,
     gibbs_distribution,
     glauber_matrix,
     heatbath_matrix,
@@ -26,14 +27,9 @@ from ferrospin.samplers import (
     CoupledPair,
     RandomSource,
     UpdateSchedule,
-    alternating_scan_step,
-    block_resample,
-    censored_step,
     coupling_time,
     dominates,
     field_dynamics_step,
-    field_kernel_matrix,
-    glauber_step,
     monotone_coupled_step,
     run_chain,
     schedule_step,
@@ -62,6 +58,19 @@ def chi2_accepts(counts, probs, trials, level=0.999):
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp) if e > 0)
     dof = max(len(exp) - 1, 1)
     return stat <= chi2.ppf(level, dof)
+
+
+GLAUBER = UpdateSchedule(kind="single-site-glauber")
+
+
+def one_block(block):
+    """Schedule whose every step resamples `block` (a one-block heat bath)."""
+    return UpdateSchedule(kind="heat-bath-block", blocks=(tuple(block),))
+
+
+def censored(schedule, censor):
+    return UpdateSchedule(kind=schedule.kind, blocks=schedule.blocks,
+                          theta=schedule.theta, censor=frozenset(censor))
 
 
 def one_step_counts(step_fn, n, trials, seed=0):
@@ -174,7 +183,7 @@ def test_glauber_fair_coin():
     ones = 0
     steps = 10 ** 5
     for _ in range(steps):
-        state = glauber_step(solo, state, rng)
+        state = schedule_step(solo, GLAUBER, state, rng)
         ones += state.config[0]
     sigma = math.sqrt(0.25 / steps)
     assert abs(ones / steps - 0.5) <= 3 * sigma + 0.002
@@ -188,7 +197,7 @@ def test_glauber_determinism():
         state = ChainState((1,) * 5)
         traj = []
         for _ in range(50):
-            state = glauber_step(system, state, rng)
+            state = schedule_step(system, GLAUBER, state, rng)
             traj.append(state.config)
         runs.append(traj)
     assert runs[0] == runs[1]
@@ -201,7 +210,8 @@ def test_glauber_empirical_kernel_matches_matrix():
     start = ChainState((1, 0, 1, 0))
     trials = 10 ** 5
     counts = one_step_counts(
-        lambda r: glauber_step(system, start, r), 4, trials, seed=5)
+        lambda r: schedule_step(system, GLAUBER, start, r), 4, trials,
+        seed=5)
     row = glauber_matrix(system).entries[config_to_index(start.config)]
     assert chi2_accepts(counts, row, trials)
 
@@ -212,11 +222,13 @@ def test_glauber_empirical_kernel_matches_matrix():
 def test_block_resample_empty_and_oversized():
     system = to_system(ora.random_instance(random.Random(1), 4))
     state = ChainState((1, 0, 1, 0))
-    assert block_resample(system, state, [], RandomSource(0)).config == state.config
+    out = schedule_step(system, one_block([]), state, RandomSource(0))
+    assert out.config == state.config
     chain = to_system((22, [1.0] * 22,
                        [(i, i + 1, 1.0, 2.0) for i in range(21)]))
     with pytest.raises(CapacityError):
-        block_resample(chain, ChainState((1,) * 22), range(21), RandomSource(0))
+        schedule_step(chain, one_block(range(21)), ChainState((1,) * 22),
+                      RandomSource(0))
 
 
 def test_block_resample_independent_block_factorizes():
@@ -225,7 +237,8 @@ def test_block_resample_independent_block_factorizes():
     start = ChainState((0, 0))
     trials = 4 * 10 ** 4
     counts = one_step_counts(
-        lambda r: block_resample(system, start, [0, 1], r), 2, trials, seed=3)
+        lambda r: schedule_step(system, one_block([0, 1]), start, r), 2,
+        trials, seed=3)
     p0, p1 = 1 / (1 + 0.5), 1 / (1 + 2.0)  # per-site p(1)
     probs = np.array([(1 - p0) * (1 - p1), p0 * (1 - p1),
                       (1 - p0) * p1, p0 * p1])
@@ -239,7 +252,8 @@ def test_block_resample_dependent_block_matches_matrix():
     start = ChainState((0, 1, 1, 0))
     trials = 6 * 10 ** 4
     counts = one_step_counts(
-        lambda r: block_resample(system, start, [0, 1, 3], r), 4, trials, seed=2)
+        lambda r: schedule_step(system, one_block([0, 1, 3]), start, r), 4,
+        trials, seed=2)
     row = block_heatbath_matrix(system, [0, 1, 3]).entries[
         config_to_index(start.config)]
     assert chi2_accepts(counts, row, trials)
@@ -265,12 +279,12 @@ def test_heat_bath_block_schedule_matches_average_kernel():
 def test_alternating_scan_part_rule():
     path = to_system((4, [1.0] * 4,
                       [(0, 1, 0.9, 2.0), (1, 2, 0.8, 3.0), (2, 3, 1.0, 1.5)]))
-    bip = ((0, 2), (1, 3))
+    sched = UpdateSchedule(kind="alternating-scan", blocks=((0, 2), (1, 3)))
     rng = RandomSource(1)
     s0 = ChainState((1, 1, 1, 1))
-    s1 = alternating_scan_step(path, bip, s0, rng)
+    s1 = schedule_step(path, sched, s0, rng)
     assert (s1.config[1], s1.config[3]) == (1, 1)  # part 1 untouched at t=0
-    s2 = alternating_scan_step(path, bip, s1, rng)
+    s2 = schedule_step(path, sched, s1, rng)
     assert (s2.config[0], s2.config[2]) == (s1.config[0], s1.config[2])
 
 
@@ -278,8 +292,9 @@ def test_alternating_scan_requires_independent_parts():
     tri = to_system((3, [1.0] * 3, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0),
                                     (0, 2, 1.0, 2.0)]))
     with pytest.raises(InputError):
-        alternating_scan_step(tri, ((0, 2), (1,)), ChainState((1, 1, 1)),
-                              RandomSource(0))
+        schedule_step(tri, UpdateSchedule(kind="alternating-scan",
+                                          blocks=((0, 2), (1,))),
+                      ChainState((1, 1, 1)), RandomSource(0))
 
 
 def test_full_scan_matches_scan_kernel():
@@ -288,10 +303,11 @@ def test_full_scan_matches_scan_kernel():
     bip = ((0, 2), (1,))
     start = ChainState((1, 1, 1))
     trials = 6 * 10 ** 4
+    sched = UpdateSchedule(kind="alternating-scan", blocks=bip)
 
     def full_scan(r):
-        mid = alternating_scan_step(system, bip, start, r)
-        return alternating_scan_step(system, bip, mid, r)
+        mid = schedule_step(system, sched, start, r)
+        return schedule_step(system, sched, mid, r)
 
     counts = one_step_counts(full_scan, 3, trials, seed=13)
     row = alternating_scan_matrix(system, bip).entries[
@@ -304,10 +320,11 @@ def test_full_scan_on_edgeless_graph_is_exact_sample():
     bip = ((0, 2), (1,))
     start = ChainState((0, 0, 0))
     trials = 4 * 10 ** 4
+    sched = UpdateSchedule(kind="alternating-scan", blocks=bip)
 
     def full_scan(r):
-        mid = alternating_scan_step(system, bip, start, r)
-        return alternating_scan_step(system, bip, mid, r)
+        mid = schedule_step(system, sched, start, r)
+        return schedule_step(system, sched, mid, r)
 
     counts = one_step_counts(full_scan, 3, trials, seed=17)
     mu = gibbs_distribution(system)
@@ -325,7 +342,7 @@ def test_censored_full_set_reproduces_base_trajectory():
     sa = sb = ChainState((1,) * 5)
     for _ in range(200):
         sa = schedule_step(system, sched, sa, a)
-        sb = censored_step(system, range(5), sched, sb, b)
+        sb = schedule_step(system, censored(sched, range(5)), sb, b)
         assert sa.config == sb.config
 
 
@@ -336,7 +353,7 @@ def test_censored_empty_set_freezes():
     state = ChainState((1, 0, 1, 0))
     rng = RandomSource(2)
     for _ in range(50):
-        state = censored_step(system, [], sched, state, rng)
+        state = schedule_step(system, censored(sched, []), state, rng)
         assert state.config == (1, 0, 1, 0)
     # the dropped updates still consumed randomness (no-op coupling)
     assert rng.position == 50 * 5
@@ -345,12 +362,11 @@ def test_censored_empty_set_freezes():
 def test_censored_never_touches_outside():
     inst = ora.random_instance(random.Random(37), 5)
     system = to_system(inst)
-    sched = UpdateSchedule(kind="single-site-glauber")
-    censor = [0, 2]
+    sched = censored(GLAUBER, [0, 2])
     state = ChainState((1, 1, 1, 1, 1))
     rng = RandomSource(4)
     for _ in range(300):
-        state = censored_step(system, censor, sched, state, rng)
+        state = schedule_step(system, sched, state, rng)
         assert state.config[1] == state.config[3] == state.config[4] == 1
 
 
@@ -513,12 +529,14 @@ def test_field_step_matches_exact_kernel():
     assert chi2_accepts(counts, row, trials)
 
 
-def test_field_kernel_against_independent_enumeration():
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 4),
+       st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+def test_field_kernel_against_independent_enumeration(seed, n, theta):
     # independent oracle: enumerate selection sets and tilted conditionals
     # directly on the (n, lam, edges) tuples
-    inst = (3, [0.8, 1.4, 0.5], [(0, 1, 0.9, 2.0), (1, 2, 0.7, 3.1)])
-    n, lam, edges = inst
-    theta = 0.6
+    inst = ora.random_instance(random.Random(seed), n)
+    _, lam, edges = inst
     tilted = (n, [l * theta for l in lam], edges)
     size = 2 ** n
     want = np.zeros((size, size))
