@@ -2,14 +2,24 @@
 
 Dense 2^n enumeration: Gibbs tables, conditional marginals, influences,
 transition matrices, spectral reports, and exact total-variation mixing
-times.  Everything here is an oracle for the stochastic modules, so clarity
-and exactness win over asymptotic cleverness; n is capped accordingly.
+times.  Everything here is an oracle for the stochastic modules, so every
+result is exact up to floating-point rounding: a faster route stands in for
+a slower one only where it computes the same quantity, and its test checks
+it against the dense route.  n is capped accordingly.
 
 Every transition matrix is built from one operator, the heat bath on a
 block B (resample the spins of B from their conditional given the rest;
 the empty block is the identity).  Glauber, heat-bath, censored, pinned and
 field kernels are mixtures of these operators with constant or per-row
-weights, accumulated into one output matrix; scans are their products.
+weights, accumulated into one output matrix.  A scan starts from its first
+block's operator and right-multiplies each later one in O(4^n): sum each
+row over the block's off-block sectors, then scale by the column weights.
+
+Mixing times square the kernel until the worst-start distance falls below
+eps, then bisect over the stored powers (the distance is non-increasing in
+t), so they cost about 2 log2(t) dense products.  The spectrum of a scan's
+multiplicative reversiblization Q Q* is taken on the quotient by identical
+rows of Q, a 2^|V1| x 2^|V1| matrix for an alternating scan.
 
 Configuration indexing: bit v of the integer index is sigma_v.
 """
@@ -160,26 +170,37 @@ def all_to_one_influence(system: TwoSpinSystem, v: int) -> float:
 # ---------------------------------------------------------------------------
 # transition matrices: mixtures and products of block heat-bath operators
 
+def _block_mask(w: np.ndarray, block: Iterable[int]) -> int:
+    """Bit mask of `block` over the states indexed by `w`."""
+    n = w.shape[0].bit_length() - 1
+    bm = 0
+    for v in set(block):
+        if not (0 <= v < n):
+            raise InputError(f"block vertex {v} out of range")
+        bm |= 1 << v
+    return bm
+
+
+def _heatbath_columns(w: np.ndarray, bm: int) -> tuple[np.ndarray, np.ndarray]:
+    """(off-block sector rest[s] of every state, column weights col[tau] =
+    w[tau] / Z_B(rest[tau])) for the nonempty block with mask `bm`: its heat
+    bath moves s to tau with probability col[tau] when rest[s] == rest[tau]."""
+    rest = np.arange(w.shape[0], dtype=np.int64) & ~bm
+    return rest, w / np.bincount(rest, weights=w, minlength=w.shape[0])[rest]
+
+
 def _add_heatbath(out: np.ndarray, w: np.ndarray, block: Iterable[int],
                   scale: float | np.ndarray) -> None:
     """out[s] += scale[s] * (heat bath on `block` from s), in place.
 
     `w` holds the configuration weights; `scale` is a scalar or a per-row
     vector.  The empty block is the identity."""
-    size = w.shape[0]
-    n = size.bit_length() - 1
-    bm = 0
-    for v in set(block):
-        if not (0 <= v < n):
-            raise InputError(f"block vertex {v} out of range")
-        bm |= 1 << v
-    idx = np.arange(size, dtype=np.int64)
+    bm = _block_mask(w, block)
+    idx = np.arange(w.shape[0], dtype=np.int64)
     if bm == 0:
         out[idx, idx] += scale
         return
-    rest = idx & ~bm
-    # P(s -> tau) = w[tau] / (weight of the off-block sector s and tau share)
-    col = w / np.bincount(rest, weights=w, minlength=size)[rest]
+    rest, col = _heatbath_columns(w, bm)
     sub = bm
     while True:
         tau = rest | sub
@@ -187,6 +208,22 @@ def _add_heatbath(out: np.ndarray, w: np.ndarray, block: Iterable[int],
         if sub == 0:
             break
         sub = (sub - 1) & bm
+
+
+def _then_heatbath(A: np.ndarray, w: np.ndarray,
+                   block: Iterable[int]) -> np.ndarray:
+    """A @ (heat bath on `block`) in O(4^n): sum each row of A over the
+    off-block sectors, then scale by the column weights."""
+    bm = _block_mask(w, block)
+    if bm == 0:
+        return A
+    rest, col = _heatbath_columns(w, bm)
+    order = np.argsort(rest, kind="stable")  # columns grouped by sector
+    k = 1 << bm.bit_count()  # states per sector
+    sums = np.take(A, order, axis=1).reshape(A.shape[0], -1, k).sum(axis=2)
+    out = np.take(sums, np.searchsorted(rest[order][::k], rest), axis=1)
+    out *= col
+    return out
 
 
 def _mixture(system: TwoSpinSystem,
@@ -281,16 +318,19 @@ def scan_matrix(system: TwoSpinSystem,
                 blocks: Sequence[Iterable[int]]) -> TransitionMatrix:
     """Systematic scan: blocks resampled in list order, blocks[0] first.
 
-    The kernel is the matrix product of per-block operators in that order
-    (rows = source states), so applying it to a row distribution performs
-    blocks[0], then blocks[1], ...
+    The kernel is the product of the per-block operators in that order (rows
+    = source states), so applying it to a row distribution performs
+    blocks[0], then blocks[1], ...  The first block's operator is built
+    directly; each later one right-multiplies it in O(4^n).
     """
     if not blocks:
         raise InputError("need at least one block")
-    out = None
-    for b in blocks:
-        m = block_heatbath_matrix(system, b).entries
-        out = m if out is None else out @ m
+    _check_capacity(system.n, constants.MATRIX_LIMIT, "block matrix")
+    w = _weights(system)
+    out = np.zeros((w.size, w.size))
+    _add_heatbath(out, w, blocks[0], 1.0)
+    for b in blocks[1:]:
+        out = _then_heatbath(out, w, b)
     return TransitionMatrix(n=system.n, entries=out)
 
 
@@ -315,22 +355,25 @@ def alternating_scan_matrix(system: TwoSpinSystem,
     return scan_matrix(system, [bipartition[0], bipartition[1]])
 
 
+def _positive_measure(Q: TransitionMatrix, mu: DistributionTable) -> np.ndarray:
+    if Q.n != mu.n:
+        raise InputError("size mismatch")
+    if np.any(mu.probs <= 0.0):
+        raise InputError("reversiblization needs a strictly positive measure")
+    return mu.probs
+
+
 def multiplicative_reversiblization(Q: TransitionMatrix,
                                     mu: DistributionTable) -> TransitionMatrix:
     """R(Q) = Q Q*, with Q*(s,t) = mu(t) Q(t,s) / mu(s); reversible wrt mu."""
-    if Q.n != mu.n:
-        raise InputError("size mismatch")
-    p = mu.probs
-    if np.any(p <= 0.0):
-        raise InputError("reversiblization needs a strictly positive measure")
+    p = _positive_measure(Q, mu)
     qstar = (Q.entries.T * p[None, :]) / p[:, None]
     return TransitionMatrix(n=Q.n, entries=Q.entries @ qstar)
 
 
-def _symmetrized_eigs(P: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
-    """Eigenvalues of a mu-reversible chain via D^(1/2) P D^(-1/2)."""
-    d = np.sqrt(p)
-    S = (d[:, None] * P) / d[None, :]
+def _checked_eigvalsh(S: np.ndarray, what: str) -> np.ndarray:
+    """Ascending eigenvalues of a symmetrized chain (D^(1/2) P D^(-1/2) or
+    its quotient), checked to be symmetric with top eigenvalue 1."""
     asym = float(np.abs(S - S.T).max())
     if asym > 1e-8:
         raise NumericError(f"{what}: not reversible (symmetrization residual {asym:.3e})")
@@ -340,29 +383,56 @@ def _symmetrized_eigs(P: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
     return eigs
 
 
+def _reversiblization_eigs(Q: TransitionMatrix,
+                           mu: DistributionTable) -> np.ndarray:
+    """Nonzero spectrum of R(Q) = Q Q* on the quotient by identical rows.
+
+    D^(1/2) R D^(-1/2) = U K U^T with K = Qr D^-1 Qr^T over the k distinct
+    rows Qr of Q and U[s, c] = sqrt(mu(s)) [row s is in class c], so its
+    nonzero eigenvalues are those of the k x k matrix G^(1/2) K G^(1/2),
+    G = diag(mu-mass of each class); the other 2^n - k eigenvalues are 0.
+    An alternating scan's rows depend only on the second block's spins."""
+    p = _positive_measure(Q, mu)
+    drift = stationarity_residual(Q, mu)
+    if not drift <= constants.STATIONARITY_TOL:
+        raise NumericError(
+            f"reversiblization: mu is not stationary (residual {drift:.3e})")
+    classes: dict[bytes, int] = {}
+    label = np.fromiter(
+        (classes.setdefault(row.tobytes(), len(classes)) for row in Q.entries),
+        dtype=np.int64, count=p.size)
+    _, first = np.unique(label, return_index=True)
+    B = Q.entries[first] / np.sqrt(p)[None, :]
+    g = np.sqrt(np.bincount(label, weights=p))
+    return _checked_eigvalsh(g[:, None] * (B @ B.T) * g[None, :],
+                             "reversiblization")
+
+
 def spectral_report(P: TransitionMatrix, mu: DistributionTable,
                     kind: str) -> SpectralReport:
     """Spectral gap and relaxation time.
 
     kind="glauber": reversible chain; gap = 1 - lambda_2(P), relaxation = 1/gap.
-    kind="alternating_scan": P is the (non-reversible) scan kernel Q; the gap
-    is computed on R(Q) = Q Q* and the relaxation time is
+    kind="alternating_scan": P is the (non-reversible) scan kernel Q, with mu
+    stationary; the gap is computed on R(Q) = Q Q*, through its quotient by
+    identical rows of Q, and the relaxation time is
     1 / (1 - sqrt(lambda_2(R))).
     """
     if kind == "glauber":
-        eigs = _symmetrized_eigs(P.entries, mu.probs, "glauber chain")
+        d = np.sqrt(mu.probs)
+        eigs = _checked_eigvalsh((d[:, None] * P.entries) / d[None, :],
+                                 "glauber chain")
         lam2 = float(eigs[-2])
         gap = 1.0 - lam2
         relax = math.inf if gap <= 0.0 else 1.0 / gap
         return SpectralReport(kind=kind, gap=gap,
                               second_eigenvalue=lam2, relaxation_time=relax)
     if kind == "alternating_scan":
-        R = multiplicative_reversiblization(P, mu)
-        eigs = _symmetrized_eigs(R.entries, mu.probs, "reversiblization")
+        eigs = _reversiblization_eigs(P, mu)
         if eigs[0] < -1e-9:
             raise NumericError(
                 f"reversiblization has negative eigenvalue {eigs[0]!r}")
-        lam2 = min(max(float(eigs[-2]), 0.0), 1.0)
+        lam2 = min(max(float(eigs[-2]) if eigs.size > 1 else 0.0, 0.0), 1.0)
         gap = 1.0 - lam2
         root = math.sqrt(lam2)
         relax = math.inf if root >= 1.0 else 1.0 / (1.0 - root)
@@ -403,17 +473,47 @@ def tv_from_start(P: TransitionMatrix, mu: DistributionTable,
 
 def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
                       cap: int = constants.MIXING_STEP_CAP) -> int:
-    """min t with max-over-starts TV(P^t(s,.), mu) < eps, by repeated matrix
-    application from all 2^n starts."""
+    """min t <= cap with max-over-starts TV(P^t(s,.), mu) < eps.
+
+    The worst-start TV d(t) is non-increasing in t, because P^(t+1)(s,.) - mu
+    = sum_y P(s,y) (P^t(y,.) - mu).  So P is squared until d(2^k) < eps or
+    2^(k+1) would pass the cap, and t is then found by bisection over the
+    stored powers P^(2^j): about 2 log2(t) products instead of t."""
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
-    M = P.entries.copy()
-    last = math.inf
-    for t in range(1, cap + 1):
-        last = 0.5 * float(np.abs(M - mu.probs[None, :]).sum(axis=1).max())
-        if last < eps:
-            return t
-        M = M @ P.entries
-    raise NonconvergenceError(
-        f"mixing time exceeded cap {cap} (last TV {last:.3e})",
-        steps=cap, residual=last)
+
+    def worst_tv(M: np.ndarray) -> float:
+        dev = M - mu.probs[None, :]
+        np.abs(dev, out=dev)
+        return 0.5 * float(dev.sum(axis=1).max())
+
+    def capped(residual: float) -> NonconvergenceError:
+        return NonconvergenceError(
+            f"mixing time exceeded cap {cap} (last TV {residual:.3e})",
+            steps=cap, residual=residual)
+
+    if cap < 1:
+        raise capped(math.inf)
+    powers = [P.entries]  # powers[j] = P^(2^j)
+    tv = worst_tv(P.entries)
+    while tv >= eps and 2 ** len(powers) <= cap:
+        powers.append(powers[-1] @ powers[-1])
+        tv = worst_tv(powers[-1])
+    if tv < eps:
+        if len(powers) == 1:
+            return 1
+        powers.pop()
+    # d(lo) >= eps, and d(2 lo) < eps or 2 lo > cap: add lo's lower bits
+    # from the top down, keeping lo the last step with d >= eps
+    lo = 2 ** (len(powers) - 1)
+    low = powers.pop()
+    for j in range(len(powers) - 1, -1, -1):
+        step = powers.pop()
+        if lo + 2 ** j <= cap:
+            M = low @ step
+            if worst_tv(M) >= eps:
+                low, lo = M, lo + 2 ** j
+            del M
+    if lo == cap:
+        raise capped(worst_tv(low))
+    return lo + 1

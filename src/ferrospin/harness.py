@@ -347,7 +347,8 @@ def verify_gap_mixing_relations(system: TwoSpinSystem,
             detail=f"gap={gap!r} eps={eps!r}"),
     ]
     eps_small = constants.DEFAULT_EPS / 8.0
-    t_ref = exact_mixing_time(P, mu, constants.DEFAULT_EPS, cap)
+    t_ref = (t_eps if eps == constants.DEFAULT_EPS
+             else exact_mixing_time(P, mu, constants.DEFAULT_EPS, cap))
     t_small = exact_mixing_time(P, mu, eps_small, cap)
     rows.append(inequality_row(
         "mixing-time-product-rule-from-reference-level", h,

@@ -537,5 +537,10 @@ def instance_dict(system: TwoSpinSystem) -> dict:
 
 
 def instance_hash(system: TwoSpinSystem) -> str:
-    blob = json.dumps(instance_dict(system), sort_keys=True).encode()
+    """Short digest of the repr-exact log parameters (the linear values of
+    `instance_dict` overflow for large RBM weights)."""
+    doc = {"n": system.n, "edges": system.edges,
+           "log_lambda": system.log_lambda, "log_beta": system.log_beta,
+           "log_gamma": system.log_gamma}
+    blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

@@ -250,16 +250,30 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
         if u in tree.pinned_spin:
             R[u] = math.inf if tree.pinned_spin[u] == 0 else 0.0
             continue
-        lam_u = fields.get(u, system.lam(tree.preimage[u]))
+        try:
+            lam_u = fields.get(u, system.lam(tree.preimage[u]))
+        except OverflowError:
+            v = tree.preimage[u]
+            raise NumericError(
+                f"vertex {v}: lambda = exp({system.log_lambda[v]!r}) "
+                f"overflows the linear-scale walk-tree recursion") from None
         if tree.is_leaf(u):
             R[u] = lam_u
             continue
         params = []
         ratios = []
-        for c in tree.children[u]:
-            e = tree.edge_to_parent[c]
-            params.append((system.beta(e), system.gamma(e)))
-            ratios.append(R[c])
+        try:
+            for c in tree.children[u]:
+                e = tree.edge_to_parent[c]
+                params.append((system.beta(e), system.gamma(e)))
+                ratios.append(R[c])
+        except OverflowError:
+            a, b = system.edges[e]
+            name, x = max(("beta", system.log_beta[e]),
+                          ("gamma", system.log_gamma[e]), key=lambda t: t[1])
+            raise NumericError(
+                f"edge {e} ({a},{b}): {name} = exp({x!r}) overflows the "
+                f"linear-scale walk-tree recursion") from None
         R[u] = tree_recursion_step(lam_u, params, ratios)
     return R
 

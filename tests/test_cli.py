@@ -4,6 +4,7 @@ command-line front end."""
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -261,6 +262,33 @@ def test_rbm_input_path(tmp_path):
     assert doc["n"] == 4
 
 
+# exp(800) overflows a float: log-space routes must still answer, and the
+# linear-scale walk-tree recursion must fail with an error line
+LARGE_WEIGHT_RBM = {"n0": 1, "n1": 1, "W": [[0, 800], [800, 0]],
+                    "theta": [0.1, 0.2]}
+
+
+def test_exact_rbm_with_overflowing_weight(tmp_path):
+    path = tmp_path / "rbm.json"
+    path.write_text(json.dumps(LARGE_WEIGHT_RBM))
+    out = tmp_path / "exact.json"
+    code, err = run_main(["exact", "--rbm", str(path), "--out", str(out)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out.read_text())
+    assert len(doc["marginal_p1"]) == 2
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0
+               for p in doc["marginal_p1"])
+
+
+def test_saw_rbm_with_overflowing_weight_is_an_error_line(tmp_path):
+    path = tmp_path / "rbm.json"
+    path.write_text(json.dumps(LARGE_WEIGHT_RBM))
+    code, err = run_main(["saw", "--rbm", str(path), "--center", "0"])
+    assert code == 1
+    assert_contract(code, err)
+    assert "edge 0 (0,1)" in err
+
+
 # ---------------------------------------------------------------------------
 # malformed input documents
 
@@ -269,9 +297,8 @@ VALID_INSTANCE = {"n": 3, "lambda": [0.7, 0.4, 0.9],
                             {"u": 1, "v": 2, "beta": 0.9, "gamma": 2.5}]}
 VALID_RBM = {"n0": 1, "n1": 2, "W": [[0, 0.5, 0.2], [0.5, 0, 0], [0.2, 0, 0]],
              "theta": [0.1, -0.3, 0.2]}
-# Numbers stay small so that a fuzzed `steps` runs quickly.  This keeps RBM
-# weights below exp() overflow, where `exact --rbm` still crashes (an open
-# defect: the instance hash reads linear parameters).
+# Numbers stay small so that a fuzzed `steps` runs quickly; overflowing RBM
+# weights have their own tests above.
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 60)
                | st.floats(-2.0, 4.0) | st.sampled_from([1e400, -1e400])
                | st.sampled_from(["", "x", "0,1", "glauber", "field", "1:0"]))

@@ -491,6 +491,126 @@ def test_mixing_time_cap():
         exact_mixing_time(P, mu, 1e-3, cap=50)
 
 
+# ---------------------------------------------------------------------------
+# fast paths against their dense routes
+
+MIXING_EPS = (1.0 / (4.0 * math.e), 1.0 / (32.0 * math.e), 0.01)
+LINEAR_CAP = 400
+
+
+def linear_scan_tvs(P, mu, eps, cap):
+    """Worst-start TV d(1), d(2), ... by one dense product per step, up to
+    the first d(t) < eps or t = cap."""
+    tvs = []
+    M = P.entries.copy()
+    for _ in range(cap):
+        tvs.append(0.5 * float(np.abs(M - mu.probs[None, :]).sum(axis=1).max()))
+        if tvs[-1] < eps:
+            break
+        M = M @ P.entries
+    return tvs
+
+
+def random_bipartite_system(rng, n, edgeless=False):
+    """Random ferromagnetic system on a random bipartite graph, with its
+    bipartition."""
+    side = [rng.randrange(2) for _ in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if side[u] != side[v] and not edgeless and rng.random() < 0.6]
+    lam = [rng.uniform(1e-3, 1.5) for _ in range(n)]
+    system = to_system((n, lam, ora.random_ferro_params(rng, pairs)))
+    return system, tuple([v for v in range(n) if side[v] == k] for k in (0, 1))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mixing_time_matches_linear_scan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    system = to_system(ora.random_instance(rng, n))
+    censor = rng.sample(range(n), rng.randint(1, n))
+    scanned, parts = random_bipartite_system(rng, n)
+    kernels = [(glauber_matrix(system), gibbs_distribution(system)),
+               (censored_glauber_matrix(system, censor),
+                gibbs_distribution(system)),
+               (alternating_scan_matrix(scanned, parts),
+                gibbs_distribution(scanned))]
+    for P, mu in kernels:
+        tvs = linear_scan_tvs(P, mu, min(MIXING_EPS), LINEAR_CAP)
+        for eps in MIXING_EPS:
+            want = next((t for t, d in enumerate(tvs, 1) if d < eps), None)
+            if want is None:
+                # not mixed within the reference's cap (a censored kernel
+                # with S != V never mixes): the search must stop there too
+                with pytest.raises(NonconvergenceError) as err:
+                    exact_mixing_time(P, mu, eps, cap=LINEAR_CAP)
+                assert err.value.steps == LINEAR_CAP
+                assert err.value.residual == pytest.approx(tvs[-1], abs=1e-12)
+                continue
+            assert exact_mixing_time(P, mu, eps) == want
+            assert exact_mixing_time(P, mu, eps, cap=want) == want
+            if want > 1:
+                with pytest.raises(NonconvergenceError) as err:
+                    exact_mixing_time(P, mu, eps, cap=want - 1)
+                assert err.value.steps == want - 1
+                assert err.value.residual == pytest.approx(tvs[want - 2],
+                                                           abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_alternating_scan_is_the_product_of_its_block_factors(seed):
+    rng = random.Random(seed)
+    system, parts = random_bipartite_system(rng, rng.randint(1, 8))
+    Q = alternating_scan_matrix(system, parts).entries
+    P0 = block_heatbath_matrix(system, parts[0]).entries
+    P1 = block_heatbath_matrix(system, parts[1]).entries
+    assert np.array_equal(Q, P0 @ P1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scan_matrix_matches_dense_product(seed):
+    # blocks may be empty, overlap, or repeat
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    system = to_system(ora.random_instance(rng, n))
+    blocks = [rng.sample(range(n), rng.randint(0, n))
+              for _ in range(rng.randint(1, 4))]
+    if len(blocks) > 1 and rng.random() < 0.3:
+        blocks[-1] = blocks[0]
+    want = block_heatbath_matrix(system, blocks[0]).entries
+    for b in blocks[1:]:
+        want = want @ block_heatbath_matrix(system, b).entries
+    assert np.abs(scan_matrix(system, blocks).entries - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_scan_gap_matches_dense_reversiblization(seed):
+    rng = random.Random(seed)
+    system, parts = random_bipartite_system(rng, rng.randint(1, 7),
+                                            edgeless=seed % 5 == 0)
+    mu = gibbs_distribution(system)
+    Q = alternating_scan_matrix(system, parts)
+    R = multiplicative_reversiblization(Q, mu).entries
+    d = np.sqrt(mu.probs)
+    S = (d[:, None] * R) / d[None, :]
+    eigs = np.linalg.eigvalsh((S + S.T) / 2)
+    want = min(max(float(eigs[-2]), 0.0), 1.0)
+    rep = spectral_report(Q, mu, "alternating_scan")
+    assert abs(rep.second_eigenvalue - want) <= 1e-12
+    if seed % 5 == 0:
+        # edgeless: one scan resamples every spin, so Q has rank one
+        assert rep.second_eigenvalue <= 1e-12
+
+
+def test_scan_spectrum_rejects_non_stationary_kernel():
+    path = to_system((3, [0.5, 1.2, 0.8],
+                      [(0, 1, 0.9, 2.0), (1, 2, 0.8, 3.0)]))
+    other = to_system((3, [1.5, 0.2, 0.8],
+                       [(0, 1, 0.9, 2.0), (1, 2, 0.8, 3.0)]))
+    Q = alternating_scan_matrix(path, ([0, 2], [1]))
+    with pytest.raises(NumericError, match="stationary"):
+        spectral_report(Q, gibbs_distribution(other), "alternating_scan")
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 4), st.integers(1, 6))
 def test_tv_from_start_matches_matrix_power(seed, n, steps):
