@@ -215,7 +215,7 @@ def cmd_saw(args) -> int:
 def _region_record(system: TwoSpinSystem, center: int,
                    params: RegionParams) -> dict:
     region = construct_region(system, center, params)
-    ver = verify_region(system, center, region, params)
+    ver = verify_region(system, region, params)
     return {
         "region": json.loads(region_json(region)),
         "verification": {

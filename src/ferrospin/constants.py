@@ -21,8 +21,8 @@ VECTOR_LIMIT = 20            # 2^n probability vectors
 MATRIX_LIMIT = 12            # dense 2^n x 2^n transition matrices
 BLOCK_ENUM_LIMIT = 20        # exact conditional resampling of one block
 FIELD_KERNEL_LIMIT = 6       # exact field-dynamics kernel (3^n subset work)
-SAW_DEPTH_CAP = 30           # lazy probe builds
-REGION_NODE_CAP = 10**6      # verification walks over SAW trees
+SAW_DEPTH_CAP = 30           # verify_region: deeper walks mark it partial
+REGION_NODE_CAP = 10**6      # walk-tree nodes per tree, growth or verification
 MIXING_STEP_CAP = 10**6      # exact mixing-time iteration cap
 
 # defaults

@@ -779,7 +779,7 @@ def _suite_region(cfg: ExperimentConfig) -> list[ReportRow]:
         center = int(rng.integers(0, n))
         label = f"gnp-n{n}-i{i}"
         region = construct_region(adj, center, params)
-        ver = verify_region(adj, center, region, params)
+        ver = verify_region(adj, region, params)
         rows.append(inequality_row(
             "region-size-within-exponential-bound", label,
             len(region.members), math.exp(params.d1) * params.d2,

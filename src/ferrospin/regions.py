@@ -5,9 +5,11 @@ self-avoiding-walk tree of the graph (with cycle-closing copies removed).
 The walk stops early once the accumulated branching along the path reaches
 d1, flushing all children of the stopping node when there are fewer than d2
 of them.  The resulting boundary admits two per-leaf path conditions that
-this module can re-check independently, a notion of "good" boundary
-configuration, and an exact aggregate-influence computation over all good
-configurations at desk scale.
+this module re-checks on a second pass over the walks, a notion of "good"
+boundary configuration, and an exact aggregate-influence computation over
+all good configurations at desk scale.  Growth and verification both run on
+`sawtree._walks`, the one self-avoiding-walk enumerator, as callbacks that
+list each walk's extensions (last neighbour first).
 
 Pinnings on walk-tree leaves below are *ratio* pinnings: value inf stands
 for spin 0 and value 0.0 for spin 1.
@@ -24,7 +26,7 @@ from . import constants
 from .errors import CapacityError, FerrospinError, InputError
 from .exact import conditional_marginal
 from .model import Pinning, TwoSpinSystem, ParamClass, induced_subsystem, lambda0
-from .sawtree import SawTree, evaluate_ratios
+from .sawtree import SawTree, _walks, evaluate_ratios
 
 __all__ = [
     "RegionParams",
@@ -48,7 +50,6 @@ __all__ = [
     "level_mixture_pinning",
     "ratio_dominance_slack",
     "monotone_potential_slack",
-    "verify_monotone_potential",
     "one_step_ratio_factor",
     "check_one_step_relation",
 ]
@@ -133,27 +134,28 @@ def construct_region(graph, center: int, params: RegionParams,
         raise InputError(f"vertex {center} is not in the graph")
     members: set[int] = {center}
     work = 0
-    # (endpoint, vertices on the walk, branching sum strictly above endpoint)
-    stack: list[tuple[int, frozenset[int], int]] = [
-        (center, frozenset((center,)), 0)]
-    while stack:
-        u, walk, prefix = stack.pop()
+
+    def expand(walk, pos, prefix):
+        # prefix: branching sum strictly above the walk's endpoint
+        nonlocal work
         work += 1
         if work > node_cap:
             raise CapacityError(
                 f"region growth exceeded {node_cap} walk-tree nodes")
+        u = walk[-1]
         members.add(u)
-        cld = [x for x in adj[u] if x not in walk]
+        cld = [x for x in adj[u] if x not in pos]
         if not cld:
-            continue
+            return ()
         degsum = prefix + len(cld)
         if degsum >= params.d1:
             if len(cld) < params.d2:
                 members.update(cld)
                 work += len(cld)
-            continue
-        for x in cld:
-            stack.append((x, walk | {x}, degsum))
+            return ()
+        return [(x, degsum) for x in reversed(cld)]
+
+    _walks(center, 0, expand)
     boundary = {w for u in members for w in adj[u] if w not in members}
     return Region(center=center, members=frozenset(members),
                   boundary=frozenset(boundary), d1=params.d1, d2=params.d2)
@@ -173,10 +175,11 @@ class RegionVerification:
         return self.ok and self.size_ok and self.boundary_ok
 
 
-def verify_region(graph, center: int, region: Region, params: RegionParams,
+def verify_region(graph, region: Region, params: RegionParams,
                   depth_cap: int = constants.SAW_DEPTH_CAP,
                   node_cap: int = constants.REGION_NODE_CAP) -> RegionVerification:
-    """Re-check the region's promises on the walk tree with the boundary cut.
+    """Re-check the region's promises on the walk tree from `region.center`
+    with the boundary cut.
 
     Every leaf that is a copy of a boundary vertex must satisfy at least one
     of: (1) the branching into region copies summed over its strict ancestors,
@@ -185,6 +188,9 @@ def verify_region(graph, center: int, region: Region, params: RegionParams,
     """
     adj = adjacency_map(graph)
     S, B = region.members, region.boundary
+    for v in sorted(S | B):
+        if v not in adj:
+            raise InputError(f"region vertex {v} is not in the graph")
     recomputed = {w for u in S for w in adj[u] if w not in S}
     boundary_ok = recomputed == B
     size_ok = len(S) <= math.exp(params.d1) * params.d2
@@ -196,35 +202,33 @@ def verify_region(graph, center: int, region: Region, params: RegionParams,
     leaves = 0
     partial = False
     witness: tuple[int, ...] | None = None
-    # (endpoint, walk tuple, walk set, F-sum over strict ancestors,
-    #  max non-cycle-closing child count over strict ancestors)
-    stack: list[tuple[int, tuple[int, ...], frozenset[int], int, int]] = [
-        (center, (center,), frozenset((center,)), 0, 0)]
-    while stack:
-        u, walk, walkset, fsum, maxcc = stack.pop()
+
+    def expand(walk, pos, state):
+        # state: (F-sum, max non-cycle-closing child count), strict ancestors
+        nonlocal nodes, leaves, partial, witness
         nodes += 1
         if nodes > node_cap:
             partial = True
-            break
-        cld = [x for x in adj[u] if x not in walkset]
+            return None
+        fsum, maxcc = state
+        cld = [x for x in adj[walk[-1]] if x not in pos]
         f_u = sum(1 for x in cld if x in S)
         cc = len(cld)
+        child_state = (fsum + f_u, max(maxcc, cc))
+        descend = []
         for x in cld:
             if x in B:
                 leaves += 1
-                cond1 = fsum >= params.d1
-                cond2 = max(maxcc, cc) >= params.d2
-                if not (cond1 or cond2):
-                    witness = walk + (x,)
-                    break
+                if not (fsum >= params.d1 or child_state[1] >= params.d2):
+                    witness = tuple(walk) + (x,)
+                    return None
+            elif len(walk) > depth_cap:
+                partial = True
             else:
-                if len(walk) > depth_cap:
-                    partial = True
-                    continue
-                stack.append((x, walk + (x,), walkset | {x},
-                              fsum + f_u, max(maxcc, cc)))
-        if witness is not None:
-            break
+                descend.append((x, child_state))
+        return descend[::-1]
+
+    _walks(region.center, (0, 0), expand)
     return RegionVerification(ok=witness is None, size_ok=size_ok,
                               boundary_ok=True, partial=partial,
                               nodes_visited=nodes, leaves_checked=leaves,
@@ -506,15 +510,6 @@ def monotone_potential_slack(tree: SawTree, system: TwoSpinSystem,
         r_hi = evaluate_ratios(tree, system, ratio_pin=hi)[0]
         sides[name] = abs(r_hi - r_lo)
     return sides["sigma"] - sides["rho"]
-
-
-def verify_monotone_potential(tree: SawTree, system: TwoSpinSystem,
-                              pc: ParamClass, w: int,
-                              rho_w: Mapping[int, float], params: RegionParams,
-                              n: int,
-                              tol: float = constants.POTENTIAL_SLACK) -> bool:
-    return monotone_potential_slack(tree, system, pc, w, rho_w, params,
-                                    n) >= -tol
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@
 A node of the walk tree is a self-avoiding walk from the root vertex; its
 preimage is the walk's endpoint.  Walks stop at boundary vertices (boundary
 copies), at revisits of an earlier walk vertex (cycle-closing copies), or at
-dead ends.  Marginals of the root are computed by the ratio recursion
+dead ends.  The module's one self-avoiding-walk enumerator, `_walks`, is a
+depth-first pass over one shared walk; the walk tree here and region growth
+and region verification in `regions` are each a callback that lists a
+walk's extensions.
+
+Marginals of the root are computed by the ratio recursion
 
     R_u = lambda_u * prod_i (beta_i x_i + 1) / (x_i + gamma_i)
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from scipy.optimize import minimize_scalar
 
@@ -57,15 +62,45 @@ class SawTree:
         return not self.children[node]
 
 
+def _walks(root: int, state: Any,
+           expand: Callable[..., Iterable[tuple[int, Any]] | None]) -> None:
+    """Depth-first pass over the self-avoiding walks from `root`.
+
+    `walk` (vertices in walk order) and `pos` (vertex -> index in `walk`) are
+    one pair, pushed on descent, popped on return and only read by `expand`.
+    On each walk, `expand(walk, pos, state)` returns the walk's extensions,
+    `(vertex off the walk, child_state)` pairs in visiting order, or None to
+    end the whole pass.  Every walk-tree and region routine is a callback.
+    """
+    walk: list[int] = []
+    pos: dict[int, int] = {}
+    # pending[0] holds the root; pending[i + 1], walk[i]'s unvisited extensions
+    pending = [iter([(root, state)])]
+    while pending:
+        for v, child_state in pending[-1]:
+            pos[v] = len(walk)
+            walk.append(v)
+            exts = expand(walk, pos, child_state)
+            if exts:
+                pending.append(iter(exts))
+                break
+            if exts is None:
+                return
+            del pos[walk.pop()]
+        else:
+            pending.pop()
+            if walk:
+                del pos[walk.pop()]
+
+
 def build_saw_tree(system: TwoSpinSystem, root: int,
                    boundary: Sequence[int] | frozenset[int] = (),
-                   depth_cap: int | None = None,
                    node_cap: int = constants.REGION_NODE_CAP) -> SawTree:
     """Enumerate all self-avoiding walks from `root`.
 
     Walks stop on reaching a boundary vertex or revisiting a walk vertex.
-    `depth_cap`/`node_cap` are guards: exceeding either raises CapacityError
-    rather than silently truncating.
+    Exceeding `node_cap` raises CapacityError rather than silently
+    truncating.
     """
     bset = frozenset(boundary)
     for b in bset:
@@ -96,42 +131,29 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
         tree.children[par].append(nid)
         return nid
 
-    # iterative DFS; walk[i] = preimage at depth i along the current path
-    ENTER, EXIT = 0, 1
-    walk: list[int] = []
-    walk_pos: dict[int, int] = {}
-    stack: list[tuple[int, int]] = [(EXIT, 0), (ENTER, 0)]
-    while stack:
-        action, node = stack.pop()
-        if action == EXIT:
-            walk_pos.pop(walk.pop())
-            continue
-        p = tree.preimage[node]
-        d = tree.depth[node]
-        walk_pos[p] = d
-        walk.append(p)
-        parent_pre = walk[d - 1] if d > 0 else None
+    def expand(walk, pos, node):
+        # all children of `node` get ids now; only plain walk steps descend
+        p = walk[-1]
+        d = len(walk)
+        parent_pre = walk[-2] if d > 1 else None
         descend = []
         for (w, eidx) in system.neighbors(p):  # increasing vertex order
             if w == parent_pre:
                 continue
             if w in bset:
-                new_node(w, node, d + 1, True, False, None, eidx)
-            elif w in walk_pos:
+                new_node(w, node, d, True, False, None, eidx)
+            elif w in pos:
                 # closing a cycle at w: compare the neighbour the walk used
                 # to leave w on its first visit with the neighbour it now
                 # returns through (the current endpoint p)
-                exit_nbr = walk[walk_pos[w] + 1]
-                spin = 0 if exit_nbr > p else 1
-                new_node(w, node, d + 1, False, True, spin, eidx)
+                spin = 0 if walk[pos[w] + 1] > p else 1
+                new_node(w, node, d, False, True, spin, eidx)
             else:
-                if depth_cap is not None and d + 1 > depth_cap:
-                    raise CapacityError(
-                        f"saw tree exceeds depth cap {depth_cap}")
-                descend.append(new_node(w, node, d + 1, False, False, None, eidx))
-        for child in reversed(descend):
-            stack.append((EXIT, child))
-            stack.append((ENTER, child))
+                descend.append((w, new_node(w, node, d, False, False, None,
+                                            eidx)))
+        return descend
+
+    _walks(root, 0, expand)
     return tree
 
 
@@ -292,13 +314,12 @@ def ratio_to_marginal(ratio: float) -> tuple[float, float]:
 
 
 def saw_marginal(system: TwoSpinSystem, v: int,
-                 spin_pin: Pinning = Pinning(),
-                 node_cap: int = constants.REGION_NODE_CAP) -> tuple[float, float]:
+                 spin_pin: Pinning = Pinning()) -> tuple[float, float]:
     """Exact (p0, p1) of vertex v given the pinning, via the walk tree with
     boundary = pin domain."""
     if v in spin_pin:
         raise InputError(f"vertex {v} is pinned")
-    tree = build_saw_tree(system, v, spin_pin.domain, node_cap=node_cap)
+    tree = build_saw_tree(system, v, spin_pin.domain)
     pinned = pin_saw_tree(tree, spin_pin)
     reduced, fields = prune_pinned_leaves(pinned, system)
     return ratio_to_marginal(root_ratio(reduced, system, fields=fields))
@@ -500,22 +521,3 @@ def trivial_term_bound(lambda_u: float, d: int, pp: PotentialParams,
     beta, gamma, lam = pc.beta, pc.gamma, pc.lambda_bound
     c_trl = (pp.c_max / pp.c_min) * (beta * gamma - 1.0) / gamma ** 2
     return c_trl * lambda_u * ((beta * lam + 1.0) / (lam + gamma)) ** (d - 1)
-
-
-def tree_dump(tree: SawTree) -> str:
-    """Indented debug rendering (no stability guarantee)."""
-    lines = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        flags = []
-        if tree.boundary_copy[u]:
-            flags.append("boundary")
-        if tree.cycle_closing[u]:
-            flags.append(f"cycle->spin {tree.cycle_spin[u]}")
-        if u in tree.pinned_spin:
-            flags.append(f"pinned {tree.pinned_spin[u]}")
-        tag = f" [{', '.join(flags)}]" if flags else ""
-        lines.append(f"{'  ' * tree.depth[u]}{u}: v{tree.preimage[u]}{tag}")
-        stack.extend(reversed(tree.children[u]))
-    return "\n".join(lines)

@@ -198,3 +198,97 @@ def random_uniform_instance(rng: random.Random, n, beta, gamma, lambda_bound, p=
     edges = [(u, v, beta, gamma) for (u, v) in pairs]
     lam = [rng.uniform(1e-3, lambda_bound * (1 - 1e-9)) for _ in range(n)]
     return n, lam, edges
+
+
+# ---------------------------------------------------------------------------
+# self-avoiding walks (adj: {vertex: iterable of neighbours})
+
+def self_avoiding_walks(adj, root, stop=(), max_edges=None):
+    """Every self-avoiding walk from `root` as a vertex tuple.  A walk is not
+    extended past a vertex of `stop` (other than the root) or beyond
+    `max_edges` edges."""
+    walks = []
+
+    def extend(walk):
+        walks.append(walk)
+        if len(walk) > 1 and walk[-1] in stop:
+            return
+        if max_edges is not None and len(walk) > max_edges:
+            return
+        for w in adj[walk[-1]]:
+            if w not in walk:
+                extend(walk + (w,))
+
+    extend((root,))
+    return walks
+
+
+def saw_tree_nodes(adj, root, boundary=()):
+    """Walk-tree nodes keyed by their walk:
+    {walk: (boundary_copy, cycle_closing, cycle_spin, is_leaf)}.
+
+    A cycle-closing copy extends a walk ending at u by an earlier walk vertex
+    w other than u's predecessor; its spin is 0 when the walk first left w
+    towards a larger vertex than u, else 1.
+    """
+    flags = {}
+    for walk in self_avoiding_walks(adj, root, stop=boundary):
+        u = walk[-1]
+        on_boundary = len(walk) > 1 and u in boundary
+        flags[walk] = (on_boundary, False, None)
+        if on_boundary:
+            continue
+        for w in adj[u]:
+            if w in walk[:-2]:
+                spin = 0 if walk[walk.index(w) + 1] > u else 1
+                flags[walk + (w,)] = (False, True, spin)
+    inner = {walk[:-1] for walk in flags}
+    return {walk: f + (walk not in inner,) for walk, f in flags.items()}
+
+
+def _off_walk(adj, walk, j):
+    """Neighbours of walk[j] that are not among walk[0..j]."""
+    return [w for w in adj[walk[j]] if w not in walk[:j + 1]]
+
+
+def grown_region(adj, center, d1, d2):
+    """Members of the region grown from `center`.
+
+    With b_j the number of neighbours of a walk's j-th vertex off its first
+    j+1 vertices and B_j = b_0 + ... + b_j, growth extends a walk past its
+    j-th vertex while B_j < d1; stopping there with b_j < d2 it takes all b_j
+    of them.  So a walk's endpoint joins iff B_{k-2} < d1 and (B_{k-1} < d1
+    or b_{k-1} < d2), k its edge count.  Every extension adds at least 1 to
+    B, so no reached walk has more than d1 edges.
+    """
+    members = set()
+    for walk in self_avoiding_walks(adj, center, max_edges=d1):
+        k = len(walk) - 1
+        b = [len(_off_walk(adj, walk, j)) for j in range(k)]
+        B = [sum(b[:j + 1]) for j in range(k)]
+        if k >= 2 and B[k - 2] >= d1:
+            continue
+        if k == 0 or B[k - 1] < d1 or b[k - 1] < d2:
+            members.add(walk[-1])
+    return members
+
+
+def region_boundary_walks(adj, center, members, d1, d2):
+    """{walk: passes} over the walks from `center` through `members` that
+    end on their first vertex outside `members`.
+
+    With f_j (c_j) the member (all) neighbours of a walk's j-th vertex off
+    its first j+1 vertices, a walk of k edges passes when
+    f_0 + ... + f_{k-2} >= d1 or max(c_0, ..., c_{k-1}) >= d2.
+    """
+    outside = set(adj) - set(members)
+    out = {}
+    for walk in self_avoiding_walks(adj, center, stop=outside):
+        if walk[-1] in members:
+            continue
+        k = len(walk) - 1
+        off = [_off_walk(adj, walk, j) for j in range(k)]
+        fsum = sum(1 for j in range(k - 1) for w in off[j] if w in members)
+        maxcc = max(len(o) for o in off)
+        out[walk] = fsum >= d1 or maxcc >= d2
+    return out

@@ -441,7 +441,7 @@ def test_gate_08_region_size_and_walk_conditions():
         cap = math.exp(params.d1) * params.d2
         assert len(region.members) <= cap
         worst_fill = max(worst_fill, len(region.members) / cap)
-        ver = verify_region(adj, center, region, params)
+        ver = verify_region(adj, region, params)
         assert bool(ver)  # every walk checked within the node cap passed
         partial += int(ver.partial)
     # exact fixtures: a five-leaf star flushes or stops at the hub

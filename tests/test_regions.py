@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as ora
 from ferrospin import constants
 from ferrospin.errors import CapacityError, FerrospinError, InputError
+from ferrospin.harness import _rng, random_connected_graph
 from ferrospin.model import ParamClass, Pinning, TwoSpinSystem, lambda0
 from ferrospin.regions import (
     GoodBoundarySpec,
@@ -33,7 +34,6 @@ from ferrospin.regions import (
     shortest_path_closure_check,
     universal_pinning,
     unsatisfiable_vertices,
-    verify_monotone_potential,
     verify_region,
 )
 from ferrospin.samplers import ChainState, RandomSource, UpdateSchedule, run_chain
@@ -151,7 +151,7 @@ def test_size_bound_and_verification(seed, n, d1, d2_extra):
     params = RegionParams(d1=d1, d2=d1 + d2_extra)
     region = construct_region(adj, rng.randrange(n), params)
     assert len(region.members) <= math.exp(params.d1) * params.d2
-    report = verify_region(adj, region.center, region, params)
+    report = verify_region(adj, region, params)
     assert report.ok and report.size_ok and report.boundary_ok
     assert bool(report)
     assert report.witness is None
@@ -160,10 +160,10 @@ def test_size_bound_and_verification(seed, n, d1, d2_extra):
 def test_verify_star_traces():
     params = RegionParams(d1=3, d2=10)
     region = construct_region(star(5), 0, params)
-    assert bool(verify_region(star(5), 0, region, params))
+    assert bool(verify_region(star(5), region, params))
     params2 = RegionParams(d1=3, d2=4)
     region2 = construct_region(star(5), 0, params2)
-    report2 = verify_region(star(5), 0, region2, params2)
+    report2 = verify_region(star(5), region2, params2)
     assert bool(report2) and report2.leaves_checked == 5
 
 
@@ -171,7 +171,7 @@ def test_verify_corrupted_region_yields_witness():
     params = RegionParams(d1=3, d2=10)
     corrupted = Region(center=0, members=frozenset(range(5)),  # leaf 5 dropped
                        boundary=frozenset({5}), d1=3, d2=10)
-    report = verify_region(star(5), 0, corrupted, params)
+    report = verify_region(star(5), corrupted, params)
     assert not report.ok
     assert report.witness == (0, 5)
     assert not bool(report)
@@ -181,7 +181,7 @@ def test_verify_detects_boundary_mismatch():
     params = RegionParams(d1=3, d2=10)
     bad = Region(center=0, members=frozenset({0}), boundary=frozenset({1}),
                  d1=3, d2=10)
-    report = verify_region(star(5), 0, bad, params)
+    report = verify_region(star(5), bad, params)
     assert not report.boundary_ok and not bool(report)
 
 
@@ -191,48 +191,96 @@ def test_verify_partial_on_caps():
     params = RegionParams(d1=1, d2=3)
     region = Region(center=0, members=frozenset({0, 1, 2, 3}),
                     boundary=frozenset({4, 5, 6, 7}), d1=1, d2=3)
-    report = verify_region(complete, 0, region, params, node_cap=10)
+    report = verify_region(complete, region, params, node_cap=10)
     assert report.partial and report.nodes_visited == 11
     # a 21-deep member chain against a depth cap of 3
     deep = path_graph(40)
     r2 = Region(center=0, members=frozenset(range(21)),
                 boundary=frozenset({21}), d1=1, d2=2)
-    rep2 = verify_region(deep, 0, r2, RegionParams(d1=1, d2=2), depth_cap=3)
+    rep2 = verify_region(deep, r2, RegionParams(d1=1, d2=2), depth_cap=3)
     assert rep2.partial and rep2.leaves_checked == 0 and rep2.ok
 
 
+def oracle_adjacency(inst):
+    n, _, edges = inst
+    adj = {v: [] for v in range(n)}
+    for (a, b, _, _) in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def test_construct_region_against_walk_oracle():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 11)
+        adj = oracle_adjacency(ora.random_instance(rng, n))
+        params = RegionParams(d1=rng.randint(1, 4), d2=rng.randint(4, 9))
+        center = rng.randrange(n)
+        region = construct_region(adj, center, params)
+        assert region.members == ora.grown_region(adj, center, params.d1,
+                                                  params.d2)
+
+
 def test_verify_region_against_tree_oracle():
-    # independent route: materialize the walk tree and recheck per leaf
+    # independent route: a plain recursive walk enumeration, rechecked per
+    # boundary walk; grown regions and random member sets
     rng = random.Random(5)
-    for _ in range(15):
+    failures = 0
+    for i in range(60):
         n = rng.randint(3, 11)
-        inst = ora.random_instance(rng, n)
-        system = TwoSpinSystem.from_params(*inst)
-        adj = adjacency_map(system)
+        adj = oracle_adjacency(ora.random_instance(rng, n))
         params = RegionParams(d1=rng.randint(1, 3), d2=rng.randint(3, 8))
-        region = construct_region(adj, rng.randrange(n), params)
-        report = verify_region(adj, region.center, region, params)
-        tree = build_saw_tree(system, region.center, region.boundary)
-        ok = True
-        for w in range(len(tree)):
-            if not (tree.boundary_copy[w] and tree.is_leaf(w)):
-                continue
-            chain = []
-            u = tree.parent[w]
-            while u != -1:
-                chain.append(u)
-                u = tree.parent[u]
-            fsum = sum(
-                sum(1 for c in tree.children[a]
-                    if not tree.cycle_closing[c]
-                    and tree.preimage[c] in region.members)
-                for a in chain[1:])  # parent of w excluded
-            maxcc = max(sum(1 for c in tree.children[a]
-                            if not tree.cycle_closing[c]) for a in chain)
-            if not (fsum >= params.d1 or maxcc >= params.d2):
-                ok = False
-        assert report.ok == ok
-        assert ok  # grown regions must verify
+        center = rng.randrange(n)
+        if i % 2:
+            members = frozenset({center} | {v for v in range(n)
+                                            if rng.random() < 0.6})
+            region = Region(center=center, members=members,
+                            boundary=frozenset(w for u in members
+                                               for w in adj[u]
+                                               if w not in members),
+                            d1=params.d1, d2=params.d2)
+        else:
+            region = construct_region(adj, center, params)
+        report = verify_region(adj, region, params)
+        walks = ora.region_boundary_walks(adj, center, region.members,
+                                          params.d1, params.d2)
+        assert report.ok == all(walks.values())
+        assert report.boundary_ok and not report.partial
+        if report.ok:
+            assert report.leaves_checked == len(walks)
+            assert report.witness is None
+        else:
+            failures += 1
+            assert walks[report.witness] is False
+            assert report.leaves_checked <= len(walks)
+        if i % 2 == 0:
+            assert report.ok  # grown regions must verify
+    assert failures > 0
+
+
+def test_capped_verification_keeps_its_walk_order():
+    # a capped verification reports how far its walk got, so the walk order
+    # is part of the result
+    n = 100
+    adj = {v: [] for v in range(n)}
+    for u, v in random_connected_graph(_rng(5), n, (math.log(n) + 1.0) / n):
+        adj[u].append(v)
+        adj[v].append(u)
+    params = RegionParams.from_n(n)
+    region = construct_region(adj, 14, params)
+    report = verify_region(adj, region, params, node_cap=5000)
+    assert report.partial and report.ok
+    assert report.nodes_visited == 5001
+    assert report.leaves_checked == 15425
+
+
+def test_verify_region_rejects_a_region_outside_the_graph():
+    params = RegionParams(d1=3, d2=10)
+    region = Region(center=9, members=frozenset({9}), boundary=frozenset(),
+                    d1=3, d2=10)
+    with pytest.raises(InputError):
+        verify_region(star(5), region, params)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +590,8 @@ def test_monotone_potential_trivia_and_regime():
     params = RegionParams(d1=1, d2=9)
     assert monotone_potential_slack(tree, system, pc, w, {}, params,
                                     n=21) == 0.0
-    assert verify_monotone_potential(tree, system, pc, w, {}, params, n=21)
+    assert (monotone_potential_slack(tree, system, pc, w, {}, params, n=21)
+            >= -constants.POTENTIAL_SLACK)
     hot = ParamClass(1.0, 4.0, 2.5)  # lambda above sqrt(gamma/beta) = 2
     with pytest.raises(InputError):
         monotone_potential_slack(tree, system, hot, w, {}, params, n=21)

@@ -26,7 +26,6 @@ from ferrospin.sawtree import (
     ratio_to_marginal,
     root_ratio,
     saw_marginal,
-    tree_dump,
     tree_recursion_step,
     verify_tree_invariants,
 )
@@ -102,13 +101,38 @@ def test_structural_invariants_random(seed, n):
     verify_tree_invariants(build_saw_tree(system, rng.randrange(n)), system)
 
 
+def test_walk_tree_against_recursive_walk_oracle():
+    # every node's walk and leaf flags, against a plain recursive enumeration
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 11)
+        inst = ora.random_instance(rng, n, p=rng.uniform(0.1, 0.5))
+        adj = {v: [] for v in range(n)}
+        for (a, b, _, _) in inst[2]:
+            adj[a].append(b)
+            adj[b].append(a)
+        root = rng.randrange(n)
+        boundary = {v for v in range(n) if v != root and rng.random() < 0.3}
+        tree = build_saw_tree(to_system(inst), root, boundary)
+        seen = {}
+        for u in range(len(tree)):
+            walk = []
+            a = u
+            while a != -1:
+                walk.append(tree.preimage[a])
+                a = tree.parent[a]
+            seen[tuple(reversed(walk))] = (
+                tree.boundary_copy[u], tree.cycle_closing[u],
+                tree.cycle_spin[u], tree.is_leaf(u))
+        assert len(seen) == len(tree)
+        assert seen == ora.saw_tree_nodes(adj, root, boundary)
+
+
 def test_build_rejects_bad_root_and_caps():
     with pytest.raises(InputError):
         build_saw_tree(PATH3, 3)
     with pytest.raises(InputError):
         build_saw_tree(PATH3, 0, boundary=[0])
-    with pytest.raises(CapacityError):
-        build_saw_tree(PATH3, 0, depth_cap=1)
     k5 = to_system((5, [1.0] * 5,
                     [(u, v, 1.0, 2.0) for u in range(5) for v in range(u + 1, 5)]))
     with pytest.raises(CapacityError):
@@ -265,11 +289,6 @@ def test_saw_marginal_matches_oracle(seed, n):
 def test_saw_marginal_rejects_pinned_root():
     with pytest.raises(InputError):
         saw_marginal(PATH3, 0, Pinning({0: 1}))
-
-
-def test_tree_dump_runs():
-    out = tree_dump(pin_saw_tree(build_saw_tree(TRIANGLE, 0), Pinning({})))
-    assert "v0" in out and "cycle" in out
 
 
 # ---------------------------------------------------------------------------
