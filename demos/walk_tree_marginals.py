@@ -12,7 +12,6 @@ ways, then pins two spins and does it again.
 from ferrospin import (
     Pinning,
     TwoSpinSystem,
-    build_saw_tree,
     conditional_marginal,
     gibbs_distribution,
     saw_marginal,
@@ -31,8 +30,7 @@ edges = [
 lam = [0.7, 0.4, 0.9, 0.5, 0.6]
 system = TwoSpinSystem.from_params(5, lam, edges)
 
-tree = build_saw_tree(system, 0)
-print(f"walk tree rooted at 0: {len(tree)} nodes "
+print(f"walk tree rooted at 0: {saw_marginal(system, 0).tree_nodes} nodes "
       f"(the graph has {system.n} vertices)")
 
 print("\nvertex  enumeration Pr[spin=1]   walk tree Pr[spin=1]   |diff|")
@@ -40,7 +38,7 @@ table = gibbs_distribution(system)
 for v in range(system.n):
     # enumeration route: sum the exact table over configurations with v at 1
     p1_enum = sum(p for idx, p in enumerate(table.probs) if (idx >> v) & 1)
-    _, p1_tree = saw_marginal(system, v)
+    p1_tree = saw_marginal(system, v).p1
     print(f"  {v}       {p1_enum:.12f}        {p1_tree:.12f}"
           f"      {abs(p1_enum - p1_tree):.2e}")
 
@@ -50,6 +48,6 @@ pin = Pinning({2: 1, 4: 0})
 print("\nwith spins pinned (vertex 2 at 1, vertex 4 at 0):")
 for v in (0, 1, 3):
     _, p1_cond = conditional_marginal(system, pin, v)
-    _, p1_tree = saw_marginal(system, v, pin)
+    p1_tree = saw_marginal(system, v, pin).p1
     print(f"  vertex {v}: conditional {p1_cond:.12f}   "
           f"walk tree {p1_tree:.12f}   |diff| {abs(p1_cond - p1_tree):.2e}")

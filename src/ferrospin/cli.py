@@ -197,12 +197,13 @@ def cmd_saw(args) -> int:
                 raise InputError(f"--pin entries look like v:s, got {tok!r}")
             assignments[v] = s
         pin = Pinning(assignments)
-    p0, p1 = saw_marginal(system, args.center, pin)
+    p0, p1, tree_nodes = saw_marginal(system, args.center, pin)
     payload = {
         "instance": instance_hash(system),
         "center": args.center,
         "p0": p0,
         "p1": p1,
+        "tree_nodes": tree_nodes,
     }
     if system.n <= constants.VECTOR_LIMIT:
         _, exact_p1 = conditional_marginal(system, pin, args.center)

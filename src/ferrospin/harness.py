@@ -622,7 +622,7 @@ def _suite_saw_oracle(cfg: ExperimentConfig) -> list[ReportRow]:
         if n >= 3 and i % 2 == 1:
             u = (v + 1 + int(rng.integers(0, n - 1))) % n
             pin = Pinning({u: int(rng.integers(0, 2))})
-        _, p1_walk = saw_marginal(sys_i, v, pin)
+        p1_walk = saw_marginal(sys_i, v, pin).p1
         _, p1_exact = conditional_marginal(sys_i, pin, v)
         rows.append(equality_row(
             "walk-tree-marginal-matches-enumeration", instance_hash(sys_i),

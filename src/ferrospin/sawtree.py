@@ -8,12 +8,16 @@ depth-first pass over one shared walk; the walk tree here and region growth
 and region verification in `regions` are each a callback that lists a
 walk's extensions.
 
-Marginals of the root are computed by the ratio recursion
+Marginals of the root come from the ratio recursion
 
     R_u = lambda_u * prod_i (beta_i x_i + 1) / (x_i + gamma_i)
 
-over the children, with an explicit infinity: x = inf contributes the exact
-factor beta_i, x = 0 contributes 1/gamma_i.
+over the children.  `saw_marginal` folds it on log R in one pass of `_walks`
+and stores no tree: a spin-0 leaf (x = inf) adds exactly log beta_i, a
+spin-1 leaf (x = 0) exactly -log gamma_i.  `evaluate_ratios` runs it in
+linear scale on a tree `build_saw_tree` stored, with ratio pins, or with the
+spins `pin_saw_tree` attaches, which `prune_pinned_leaves` can fold into
+their parents' fields.
 
 The second half of the module builds the contraction potential for a
 parameter class: the edge functions g, the threshold x0, the exponent alpha,
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from scipy.optimize import minimize_scalar
 
@@ -93,6 +97,23 @@ def _walks(root: int, state: Any,
                 del pos[walk.pop()]
 
 
+def _closing_spin(walk: list[int], i: int) -> int:
+    """Spin forced on the copy of walk[i] that closes a cycle from the
+    walk's endpoint: 0 if the walk left walk[i] through a larger vertex than
+    the endpoint it now returns through, else 1."""
+    return 0 if walk[i + 1] > walk[-1] else 1
+
+
+def _check_root(system: TwoSpinSystem, root: int, boundary) -> None:
+    for b in boundary:
+        if not (0 <= b < system.n):
+            raise InputError(f"boundary vertex {b} out of range")
+    if not (0 <= root < system.n):
+        raise InputError(f"root vertex {root} out of range")
+    if root in boundary:
+        raise InputError(f"root vertex {root} lies on the boundary")
+
+
 def build_saw_tree(system: TwoSpinSystem, root: int,
                    boundary: Sequence[int] | frozenset[int] = (),
                    node_cap: int = constants.REGION_NODE_CAP) -> SawTree:
@@ -103,13 +124,7 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
     truncating.
     """
     bset = frozenset(boundary)
-    for b in bset:
-        if not (0 <= b < system.n):
-            raise InputError(f"boundary vertex {b} out of range")
-    if not (0 <= root < system.n):
-        raise InputError(f"root vertex {root} out of range")
-    if root in bset:
-        raise InputError(f"root vertex {root} lies on the boundary")
+    _check_root(system, root, bset)
 
     tree = SawTree(root_vertex=root, boundary=bset, preimage=[root],
                    parent=[-1], children=[[]], depth=[0],
@@ -143,11 +158,8 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
             if w in bset:
                 new_node(w, node, d, True, False, None, eidx)
             elif w in pos:
-                # closing a cycle at w: compare the neighbour the walk used
-                # to leave w on its first visit with the neighbour it now
-                # returns through (the current endpoint p)
-                spin = 0 if walk[pos[w] + 1] > p else 1
-                new_node(w, node, d, False, True, spin, eidx)
+                new_node(w, node, d, False, True, _closing_spin(walk, pos[w]),
+                         eidx)
             else:
                 descend.append((w, new_node(w, node, d, False, False, None,
                                             eidx)))
@@ -300,29 +312,82 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
     return R
 
 
-def root_ratio(tree: SawTree, system: TwoSpinSystem,
-               ratio_pin: dict[int, float] | None = None,
-               fields: dict[int, float] | None = None) -> float:
-    return evaluate_ratios(tree, system, ratio_pin, fields)[0]
+def _log_edge_factor(log_x: float, log_beta: float, log_gamma: float) -> float:
+    """log((beta x + 1)/(x + gamma)) from log x, as a difference of two
+    log-sum-exps; log x = inf gives log beta and -inf gives -log gamma."""
+    if log_x > 0.0:  # log(beta + 1/x) - log(1 + gamma/x)
+        a, b, c, d = log_beta, -log_x, 0.0, log_gamma - log_x
+    else:            # log(1 + beta x) - log(x + gamma)
+        a, b, c, d = 0.0, log_beta + log_x, log_x, log_gamma
+    return (max(a, b) + math.log1p(math.exp(-abs(a - b)))
+            - max(c, d) - math.log1p(math.exp(-abs(c - d))))
 
 
-def ratio_to_marginal(ratio: float) -> tuple[float, float]:
-    """(p0, p1) from R = p0/p1."""
-    if math.isinf(ratio):
-        return 1.0, 0.0
-    return ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+class SawMarginal(NamedTuple):
+    p0: float
+    p1: float
+    tree_nodes: int
 
 
 def saw_marginal(system: TwoSpinSystem, v: int,
-                 spin_pin: Pinning = Pinning()) -> tuple[float, float]:
-    """Exact (p0, p1) of vertex v given the pinning, via the walk tree with
-    boundary = pin domain."""
+                 spin_pin: Pinning = Pinning()) -> SawMarginal:
+    """Exact (p0, p1) of vertex v given the pinning, and the node count of
+    its walk tree (boundary = pin domain), in one pass of `_walks`.
+
+    `acc[i]` is log R of walk[:i + 1] so far, started at log lambda of its
+    endpoint; each boundary or cycle-closing copy adds its spin's factor.  A
+    walk of length d shows that the frames from depth d - 1 on are finished,
+    and each folds into its parent.  Over `REGION_NODE_CAP` nodes raise
+    CapacityError.
+    """
     if v in spin_pin:
         raise InputError(f"vertex {v} is pinned")
-    tree = build_saw_tree(system, v, spin_pin.domain)
-    pinned = pin_saw_tree(tree, spin_pin)
-    reduced, fields = prune_pinned_leaves(pinned, system)
-    return ratio_to_marginal(root_ratio(reduced, system, fields=fields))
+    pins = dict(spin_pin.items())
+    _check_root(system, v, pins)
+    lb, lg, adj = system.log_beta, system.log_gamma, system.adjacency
+    node_cap = constants.REGION_NODE_CAP
+    acc: list[float] = []
+    via: list[int] = []  # via[i]: edge from walk[i - 1] to walk[i]
+    nodes = 1
+
+    def fold(depth):
+        while len(acc) > depth:
+            f = via.pop()
+            x = acc.pop()
+            acc[-1] += _log_edge_factor(x, lb[f], lg[f])
+
+    def expand(walk, pos, e):
+        nonlocal nodes
+        d = len(walk)
+        fold(d - 1)
+        p = walk[-1]
+        nodes += len(adj[p]) - (d > 1)
+        if nodes > node_cap:
+            raise CapacityError(f"saw tree exceeds node cap {node_cap}")
+        prev = walk[-2] if d > 1 else -1
+        log_r = system.log_lambda[p]
+        descend = []
+        for w, f in adj[p]:
+            if w == prev:
+                continue
+            s = pins.get(w)
+            if s is None:
+                i = pos.get(w)
+                if i is None:
+                    descend.append((w, f))
+                    continue
+                s = _closing_spin(walk, i)
+            log_r += lb[f] if s == 0 else -lg[f]
+        acc.append(log_r)
+        via.append(e)
+        return descend
+
+    _walks(v, -1, expand)
+    fold(1)
+    # p0 = R/(1 + R) and p1 = 1/(1 + R) without forming R = exp(acc[0])
+    t = math.exp(-abs(acc[0]))
+    pair = (1.0 / (1.0 + t), t / (1.0 + t))
+    return SawMarginal(*(pair if acc[0] > 0.0 else pair[::-1]), nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately primitive: pure-Python linear-space products
-over explicit configuration tuples, no numpy, no imports from the package
-under test.  Slow past n ~ 12, which is the point — these are ground truth,
+over explicit configuration tuples (log-space sums where the products would
+overflow), no numpy, no imports from the package under test.  Slow past n ~ 12, which is the point — these are ground truth,
 not production code.
 
 Conventions: a system is (n, lam, edges) with lam a list of per-vertex
@@ -59,6 +59,51 @@ def conditional(n, lam, edges, pin, v):
 
 def marginal(n, lam, edges, v):
     return conditional(n, lam, edges, {}, v)
+
+
+def log_conditional(n, log_weight, pin, v):
+    """(p0, p1) for vertex v given `pin` (dict), where `log_weight(sigma)` is
+    a configuration's log weight: for parameters whose linear products
+    overflow.  Sums are shifted by the largest log weight of each spin."""
+    assert v not in pin
+    logs = {0: [], 1: []}
+    for s in all_configs(n):
+        if all(s[u] == x for u, x in pin.items()):
+            logs[s[v]].append(log_weight(s))
+    m0, m1 = max(logs[0]), max(logs[1])
+    # log of the weight sums of v = 0 and v = 1
+    l0 = m0 + math.log(sum(math.exp(x - m0) for x in logs[0]))
+    l1 = m1 + math.log(sum(math.exp(x - m1) for x in logs[1]))
+    t = math.exp(-abs(l1 - l0))
+    if l1 >= l0:
+        return t / (1.0 + t), 1.0 / (1.0 + t)
+    return 1.0 / (1.0 + t), t / (1.0 + t)
+
+
+def log_weight_fn(n, log_lam, log_edges):
+    """sigma -> log weight, with log_edges as (u, v, log beta, log gamma)."""
+    def log_weight(sigma):
+        total = sum(log_lam[u] for u in range(n) if sigma[u] == 0)
+        for (u, v, lb, lg) in log_edges:
+            if sigma[u] == sigma[v]:
+                total += lb if sigma[u] == 0 else lg
+        return total
+    return log_weight
+
+
+def rbm_log_weight_fn(w, theta):
+    """sigma -> energy sum_{u<v} w_uv s_u s_v + sum_v theta_v s_v, the log
+    weight of an RBM configuration."""
+    n = len(theta)
+
+    def log_weight(sigma):
+        total = sum(theta[u] for u in range(n) if sigma[u])
+        for u in range(n):
+            for v in range(u + 1, n):
+                if sigma[u] and sigma[v]:
+                    total += w[u][v]
+        return total
+    return log_weight
 
 
 def tv(p, q):

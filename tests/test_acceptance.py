@@ -144,7 +144,7 @@ def test_gate_01_walk_tree_matches_enumeration_on_all_small_graphs():
             lam = [rnd.uniform(0.05, 1.4) for _ in range(n)]
             system = TwoSpinSystem.from_params(n, lam, edges)
             v = t % n
-            _, p1 = saw_marginal(system, v)
+            p1 = saw_marginal(system, v).p1
             worst = max(worst, abs(p1 - _np_marginal_p1(n, lam, edges, v)))
             checked += 1
         if gi % 97 == 0:  # keep the two enumeration routes honest

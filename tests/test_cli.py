@@ -9,9 +9,10 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ferrospin import harness
+from ferrospin import constants, harness
 from ferrospin.cli import main
 from ferrospin.model import TwoSpinSystem, instance_dict
+from ferrospin.sawtree import build_saw_tree
 
 
 def write_instance(tmp_path, name, n, lam, edges):
@@ -190,6 +191,20 @@ def test_saw_reports_zero_discrepancy_at_desk_scale(path5, tmp_path):
     assert doc["discrepancy"] <= 1e-9
 
 
+def test_saw_reports_its_walk_tree_size(tmp_path):
+    # a 5-cycle with a chord, pinned at vertex 2 or not
+    edges = [(0, 1, 1.0, 2.0), (1, 2, 0.9, 2.5), (2, 3, 1.0, 3.0),
+             (3, 4, 0.8, 2.2), (0, 4, 1.0, 1.8), (1, 3, 0.95, 2.7)]
+    path = write_instance(tmp_path, "chord.json", 5, [0.7] * 5, edges)
+    system = TwoSpinSystem.from_params(5, [0.7] * 5, edges)
+    for center, pin, boundary in ((0, [], ()), (4, ["--pin", "2:1"], (2,))):
+        out = tmp_path / f"saw{center}.json"
+        assert main(["saw", "--instance", str(path), "--center", str(center),
+                     "--out", str(out)] + pin) == 0
+        doc = json.loads(out.read_text())
+        assert doc["tree_nodes"] == len(build_saw_tree(system, center, boundary))
+
+
 def test_saw_rejects_malformed_pin_and_center(path5):
     assert main(["saw", "--instance", str(path5), "--center", "9"]) == 1
     assert main(["saw", "--instance", str(path5), "--center", "1",
@@ -262,8 +277,7 @@ def test_rbm_input_path(tmp_path):
     assert doc["n"] == 4
 
 
-# exp(800) overflows a float: log-space routes must still answer, and the
-# linear-scale walk-tree recursion must fail with an error line
+# exp(800) overflows a float: the log-space routes must still answer
 LARGE_WEIGHT_RBM = {"n0": 1, "n1": 1, "W": [[0, 800], [800, 0]],
                     "theta": [0.1, 0.2]}
 
@@ -280,13 +294,20 @@ def test_exact_rbm_with_overflowing_weight(tmp_path):
                for p in doc["marginal_p1"])
 
 
-def test_saw_rbm_with_overflowing_weight_is_an_error_line(tmp_path):
+def test_saw_rbm_with_overflowing_weight(tmp_path):
     path = tmp_path / "rbm.json"
     path.write_text(json.dumps(LARGE_WEIGHT_RBM))
-    code, err = run_main(["saw", "--rbm", str(path), "--center", "0"])
-    assert code == 1
-    assert_contract(code, err)
-    assert "edge 0 (0,1)" in err
+    assert main(["exact", "--rbm", str(path),
+                 "--out", str(tmp_path / "exact.json")]) == 0
+    exact_p1 = json.loads((tmp_path / "exact.json").read_text())["marginal_p1"]
+    for center in (0, 1):
+        out = tmp_path / f"saw{center}.json"
+        code, err = run_main(["saw", "--rbm", str(path), "--center",
+                              str(center), "--out", str(out)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert abs(doc["p1"] - exact_p1[center]) <= constants.SAW_ORACLE_TOL
+        assert doc["discrepancy"] <= constants.SAW_ORACLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +318,12 @@ VALID_INSTANCE = {"n": 3, "lambda": [0.7, 0.4, 0.9],
                             {"u": 1, "v": 2, "beta": 0.9, "gamma": 2.5}]}
 VALID_RBM = {"n0": 1, "n1": 2, "W": [[0, 0.5, 0.2], [0.5, 0, 0], [0.2, 0, 0]],
              "theta": [0.1, -0.3, 0.2]}
-# Numbers stay small so that a fuzzed `steps` runs quickly; overflowing RBM
-# weights have their own tests above.
+# Integers stay small so that a fuzzed `steps` runs quickly; floats reach
+# weights and fields whose exponentials overflow or underflow a float.
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 60)
-               | st.floats(-2.0, 4.0) | st.sampled_from([1e400, -1e400])
+               | st.floats(-2.0, 4.0)
+               | st.sampled_from([1000.0, -1000.0, 1e300, -1e300, 1e-300,
+                                  -1e-300, 1e400, -1e400])
                | st.sampled_from(["", "x", "0,1", "glauber", "field", "1:0"]))
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
@@ -365,9 +388,17 @@ def fuzz_dir(tmp_path_factory):
 def test_malformed_documents_keep_the_exit_contract(fuzz_dir, inst, rbm):
     (fuzz_dir / "inst.json").write_text(json.dumps(inst))
     (fuzz_dir / "rbm.json").write_text(json.dumps(rbm))
-    assert_contract(*run_main(["exact", "--instance",
-                               str(fuzz_dir / "inst.json")]))
-    assert_contract(*run_main(["exact", "--rbm", str(fuzz_dir / "rbm.json")]))
+    for flag, name in (("--instance", "inst.json"), ("--rbm", "rbm.json")):
+        path = str(fuzz_dir / name)
+        assert_contract(*run_main(["exact", flag, path]))
+        out = fuzz_dir / "saw.json"
+        code, err = run_main(["saw", flag, path, "--center", "0",
+                              "--out", str(out)])
+        assert_contract(code, err)
+        if code == 0:
+            doc = json.loads(out.read_text())
+            assert 0.0 <= doc["p1"] <= 1.0
+            assert doc["p0"] + doc["p1"] == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,9 @@
-"""Walk-tree construction, pinning, recursion, and the potential apparatus."""
+"""Walk-tree construction, the log-space marginal pass against the stored
+tree and brute force, the ratio recursion, and the potential apparatus."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,15 @@ from hypothesis import given, settings, strategies as st
 import _oracles as ora
 from ferrospin import constants
 from ferrospin.errors import CapacityError, InputError
-from ferrospin.model import ParamClass, Pinning, TwoSpinSystem, lambda0, lambda_c
+from ferrospin.model import (
+    ParamClass,
+    Pinning,
+    RbmParams,
+    TwoSpinSystem,
+    lambda0,
+    lambda_c,
+    rbm_to_two_spin,
+)
 from ferrospin.sawtree import (
     Phi,
     PotentialParams,
@@ -23,8 +33,7 @@ from ferrospin.sawtree import (
     phi,
     pin_saw_tree,
     prune_pinned_leaves,
-    ratio_to_marginal,
-    root_ratio,
+    _log_edge_factor,
     saw_marginal,
     tree_recursion_step,
     verify_tree_invariants,
@@ -66,6 +75,8 @@ def test_triangle_tree_shape():
     # one walk returns 0-1-2-0, the other 0-2-1-0: the copy reached through
     # the larger neighbour pins 1, through the smaller pins 0
     assert sorted(tree.cycle_spin[u] for u in closers) == [0, 1]
+    pinned = pin_saw_tree(tree, Pinning({}))
+    assert pinned.pinned_spin == {u: tree.cycle_spin[u] for u in closers}
     verify_tree_invariants(tree, TRIANGLE)
 
 
@@ -74,6 +85,10 @@ def test_square_with_boundary_stops_at_copies():
     assert not any(tree.cycle_closing)
     copies = [u for u in range(len(tree)) if tree.boundary_copy[u]]
     assert len(copies) == 2
+    pinned = pin_saw_tree(tree, Pinning({2: 1}))
+    assert pinned.pinned_spin == {u: 1 for u in copies}
+    with pytest.raises(InputError, match="missing"):
+        pin_saw_tree(tree, Pinning({}))
     assert all(tree.preimage[u] == 2 and tree.is_leaf(u) for u in copies)
     verify_tree_invariants(tree, SQUARE)
 
@@ -144,48 +159,205 @@ def test_single_vertex_tree():
     tree = build_saw_tree(solo, 0)
     assert len(tree) == 1 and tree.is_leaf(0)
     verify_tree_invariants(tree, solo)
-    assert saw_marginal(solo, 0) == pytest.approx((2 / 3, 1 / 3))
+    assert saw_marginal(solo, 0) == pytest.approx((2 / 3, 1 / 3, 1))
 
 
 # ---------------------------------------------------------------------------
-# pinning and pruning
+# the log-space pass against the stored tree and the linear recursion
+
+def reference_marginal(system, root, pin=Pinning()):
+    """(p0, p1, nodes) from the stored tree: `build_saw_tree`, then
+    `evaluate_ratios` with every spin leaf pinned to ratio inf (spin 0) or 0
+    (spin 1): boundary copies by `pin`, cycle-closing copies by their
+    `cycle_spin`."""
+    tree = build_saw_tree(system, root, pin.domain)
+    spins = dict(pin.items())
+    ratio_pin = {}
+    for u in range(len(tree)):
+        if tree.boundary_copy[u]:
+            ratio_pin[u] = math.inf if spins[tree.preimage[u]] == 0 else 0.0
+        elif tree.cycle_closing[u]:
+            ratio_pin[u] = math.inf if tree.cycle_spin[u] == 0 else 0.0
+    r = evaluate_ratios(tree, system, ratio_pin)[0]
+    return r / (1.0 + r), 1.0 / (1.0 + r), len(tree)
+
 
 def test_pin_boundary_copies():
+    # the square's boundary tree at vertex 2 has two boundary copies and no
+    # other leaves: spin 1 there is ratio 0, spin 0 ratio inf
     tree = build_saw_tree(SQUARE, 0, boundary=[2])
-    pinned = pin_saw_tree(tree, Pinning({2: 1}))
     copies = [u for u in range(len(tree)) if tree.boundary_copy[u]]
-    assert all(pinned.pinned_spin[u] == 1 for u in copies)
-    with pytest.raises(InputError, match="missing"):
-        pin_saw_tree(tree, Pinning({}))
+    assert len(copies) == 2
+    for s, x in ((1, 0.0), (0, math.inf)):
+        r = evaluate_ratios(tree, SQUARE, {u: x for u in copies})[0]
+        got = saw_marginal(SQUARE, 0, Pinning({2: s}))
+        assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-15)
+        assert got.tree_nodes == len(tree)
 
 
 def test_pin_cycle_closers_triangle():
-    tree = build_saw_tree(TRIANGLE, 0)
-    pinned = pin_saw_tree(tree, Pinning({}))
-    spins = sorted(pinned.pinned_spin[u] for u in range(len(tree))
-                   if tree.cycle_closing[u])
-    assert spins == [0, 1]
+    # the two cycle-closing copies take spins 0 and 1 by the successor rule,
+    # and the pass must follow it: both at spin 0 gives another marginal
+    tri_inst = (3, [1.0, 0.5, 2.0],
+                [(0, 1, 1.0, 2.0), (0, 2, 0.7, 3.0), (1, 2, 0.9, 1.5)])
+    tri = to_system(tri_inst)
+    tree = build_saw_tree(tri, 0)
+    closers = [u for u in range(len(tree)) if tree.cycle_closing[u]]
+    assert sorted(tree.cycle_spin[u] for u in closers) == [0, 1]
+    p1 = saw_marginal(tri, 0).p1
+    assert p1 == pytest.approx(reference_marginal(tri, 0)[1], rel=1e-15)
+    assert p1 == pytest.approx(ora.marginal(*tri_inst, 0)[1], abs=1e-15)
+    r = evaluate_ratios(tree, tri, {u: math.inf for u in closers})[0]
+    assert abs(p1 - 1.0 / (1.0 + r)) > 1e-3
 
 
 def test_prune_field_updates():
-    # parent lambda 1, pinned-1 child through a gamma=2 edge -> lambda' = 1/2
-    sys2 = to_system((2, [1.0, 1.0], [(0, 1, 1.0, 2.0)]))
+    # a pinned-1 leaf through gamma = 2 halves the root ratio, a pinned-0 leaf
+    # through beta = 0.5 halves it too, from lambda = 1
+    sys2 = to_system((2, [1.0, 1.0], [(0, 1, 0.5, 2.0)]))
     tree = build_saw_tree(sys2, 0, boundary=[1])
-    reduced, fields = prune_pinned_leaves(pin_saw_tree(tree, Pinning({1: 1})), sys2)
-    assert fields[0] == pytest.approx(0.5)
-    assert reduced.children[0] == []
-    # pinned-0 child through beta=1 leaves the field unchanged
-    _, fields0 = prune_pinned_leaves(pin_saw_tree(tree, Pinning({1: 0})), sys2)
-    assert fields0[0] == pytest.approx(1.0)
+    for s in (0, 1):
+        assert saw_marginal(sys2, 0, Pinning({1: s})) == pytest.approx(
+            (1 / 3, 2 / 3, 2), rel=1e-15)
+        reduced, fields = prune_pinned_leaves(
+            pin_saw_tree(tree, Pinning({1: s})), sys2)
+        assert fields == {0: pytest.approx(0.5, rel=1e-15)}
+        assert reduced.children[0] == [] and reduced.pinned_spin == {}
+    with pytest.raises(InputError, match="not a leaf"):
+        prune_pinned_leaves(replace(tree, pinned_spin={0: 0}), sys2)
 
 
 def test_prune_preserves_root_ratio():
-    # evaluating with pinned leaves in place must equal the pruned evaluation
-    tree = pin_saw_tree(build_saw_tree(TRIANGLE, 0), Pinning({}))
-    direct = root_ratio(tree, TRIANGLE)
-    reduced, fields = prune_pinned_leaves(tree, TRIANGLE)
-    assert direct == pytest.approx(root_ratio(reduced, TRIANGLE, fields=fields),
-                                   abs=1e-12)
+    # the spin leaves evaluated in place, folded into fields, and as ratio
+    # pins all give the pass's marginal
+    for system in (TRIANGLE, SQUARE, PATH3):
+        for v in range(system.n):
+            got = saw_marginal(system, v)
+            want = reference_marginal(system, v)
+            assert got[:2] == pytest.approx(want[:2], rel=1e-14)
+            assert got.tree_nodes == want[2]
+            pinned = pin_saw_tree(build_saw_tree(system, v), Pinning({}))
+            direct = evaluate_ratios(pinned, system)[0]
+            reduced, fields = prune_pinned_leaves(pinned, system)
+            pruned = evaluate_ratios(reduced, system, fields=fields)[0]
+            for r in (direct, pruned):
+                assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-14)
+
+
+def test_saw_marginal_matches_the_stored_tree_recursion():
+    # n 1-11, sparse G(n, p) with isolated roots and dead ends, random pins
+    rng = random.Random(29)
+    kinds = set()
+    for trial in range(48):
+        n, p = rng.randint(1, 11), rng.uniform(0.1, 0.4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        root = rng.randrange(n)
+        if trial % 8 == 0:
+            pairs = [e for e in pairs if root not in e]
+        edges = [(u, v, rng.uniform(0.2, 3.0), rng.uniform(0.2, 5.0))
+                 for u, v in pairs]
+        system = to_system((n, [rng.uniform(0.05, 3.0) for _ in range(n)],
+                            edges))
+        pin = Pinning({u: rng.randint(0, 1) for u in range(n)
+                       if u != root and rng.random() < 0.3})
+        got = saw_marginal(system, root, pin)
+        want = reference_marginal(system, root, pin)
+        assert got == pytest.approx(want, rel=1e-12)
+        tree = build_saw_tree(system, root, pin.domain)
+        reduced, fields = prune_pinned_leaves(pin_saw_tree(tree, pin), system)
+        r = evaluate_ratios(reduced, system, fields=fields)[0]
+        assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-12)
+        for u in range(len(tree)):
+            if tree.is_leaf(u):
+                kinds.add("boundary" if tree.boundary_copy[u] else
+                          "cycle" if tree.cycle_closing[u] else
+                          "dead end" if u else "isolated root")
+    assert kinds == {"boundary", "cycle", "dead end", "isolated root"}
+
+
+def _random_pin(rng, n, v):
+    return {u: rng.randint(0, 1) for u in range(n)
+            if u != v and rng.random() < 0.3}
+
+
+def test_saw_marginal_at_extreme_rbm_weights():
+    # |w| and |theta| up to 1000: the linear weights overflow a float
+    rng = random.Random(31)
+    for _ in range(40):
+        n0, n1 = rng.randint(1, 3), rng.randint(1, 3)
+        n = n0 + n1
+        w = [[0.0] * n for _ in range(n)]
+        for u in range(n0):
+            for v in range(n0, n):
+                if rng.random() < 0.7:
+                    w[u][v] = w[v][u] = rng.choice(
+                        [1000.0, -1000.0, rng.uniform(-1000.0, 1000.0)])
+        theta = [rng.choice([1000.0, -1000.0, rng.uniform(-1000.0, 1000.0)])
+                 for _ in range(n)]
+        system = rbm_to_two_spin(RbmParams(
+            n0=n0, n1=n1, interaction=tuple(map(tuple, w)), theta=tuple(theta)))
+        v = rng.randrange(n)
+        pin = _random_pin(rng, n, v)
+        p0, p1, _ = saw_marginal(system, v, Pinning(pin))
+        o0, o1 = ora.log_conditional(n, ora.rbm_log_weight_fn(w, theta), pin, v)
+        assert abs(p0 - o0) <= constants.SAW_ORACLE_TOL
+        assert abs(p1 - o1) <= constants.SAW_ORACLE_TOL
+
+
+def test_saw_marginal_at_extreme_linear_parameters():
+    # lambda, beta and gamma from 1e-300 to 1e300
+    rng = random.Random(37)
+
+    def draw():
+        return rng.choice([1e300, 1e-300, 10.0 ** rng.uniform(-300, 300)])
+
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        pairs = ora.random_connected_graph(rng, n, p=0.4)
+        lam = [draw() for _ in range(n)]
+        edges = [(u, v, draw(), draw()) for u, v in pairs]
+        system = to_system((n, lam, edges))
+        v = rng.randrange(n)
+        pin = _random_pin(rng, n, v)
+        p0, p1, _ = saw_marginal(system, v, Pinning(pin))
+        log_weight = ora.log_weight_fn(
+            n, [math.log(x) for x in lam],
+            [(a, b, math.log(be), math.log(ga)) for a, b, be, ga in edges])
+        o0, o1 = ora.log_conditional(n, log_weight, pin, v)
+        assert abs(p0 - o0) <= constants.SAW_ORACLE_TOL
+        assert abs(p1 - o1) <= constants.SAW_ORACLE_TOL
+
+
+def test_saw_marginal_node_cap_fires_where_the_tree_build_does(monkeypatch):
+    rng = random.Random(41)
+    for _ in range(12):
+        n = rng.randint(2, 8)
+        system = to_system(ora.random_instance(rng, n))
+        v = rng.randrange(n)
+        pin = Pinning(_random_pin(rng, n, v))
+        size = len(build_saw_tree(system, v, pin.domain))
+        with pytest.raises(CapacityError):
+            build_saw_tree(system, v, pin.domain, node_cap=size - 1)
+        monkeypatch.setattr(constants, "REGION_NODE_CAP", size)
+        assert saw_marginal(system, v, pin).tree_nodes == size
+        monkeypatch.setattr(constants, "REGION_NODE_CAP", size - 1)
+        with pytest.raises(CapacityError, match=f"node cap {size - 1}$"):
+            saw_marginal(system, v, pin)
+
+
+def test_log_edge_factor_limits_and_values():
+    for lb, lg in ((0.0, 0.7), (-0.3, 2.0), (800.0, -800.0), (-1000.0, 1000.0)):
+        # x = inf is a spin-0 leaf (beta), x = 0 a spin-1 leaf (1/gamma)
+        assert _log_edge_factor(math.inf, lb, lg) == lb
+        assert _log_edge_factor(-math.inf, lb, lg) == -lg
+        for log_x in (-1e4, -700.0, -1.0, 0.0, 1.0, 700.0, 1e4):
+            assert math.isfinite(_log_edge_factor(log_x, lb, lg))
+    for log_x in (-30.0, -2.0, -0.5, 0.0, 0.5, 2.0, 30.0):
+        x = math.exp(log_x)
+        assert _log_edge_factor(log_x, math.log(0.6), math.log(3.0)) == \
+            pytest.approx(math.log((0.6 * x + 1.0) / (x + 3.0)), rel=1e-13,
+                          abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +375,26 @@ def test_recursion_step_values():
 def test_root_ratio_single_node_and_result_range():
     solo = TwoSpinSystem.from_params(1, [0.8], [])
     tree = build_saw_tree(solo, 0)
-    assert root_ratio(tree, solo) == 0.8
-    assert ratio_to_marginal(math.inf) == (1.0, 0.0)
-    assert ratio_to_marginal(0.0) == (0.0, 1.0)
+    assert evaluate_ratios(tree, solo)[0] == 0.8
+    # ratios far outside the float range still give marginals in [0, 1]
+    for lam, want in ((1e300, (1.0, 1e-300)), (1e-300, (1e-300, 1.0))):
+        got = saw_marginal(TwoSpinSystem.from_params(1, [lam], []), 0)
+        assert got[:2] == pytest.approx(want, rel=1e-13)
+    w, theta = ((0.0, 800.0), (800.0, 0.0)), (-900.0, 0.1)
+    rbm = rbm_to_two_spin(RbmParams(n0=1, n1=1, interaction=w, theta=theta))
+    want = ora.log_conditional(2, ora.rbm_log_weight_fn(w, theta), {}, 0)
+    assert saw_marginal(rbm, 0)[:2] == pytest.approx(want, rel=1e-12)
 
 
 def test_ratio_pin_infinity_equals_spin_zero():
     # pinning every leaf ratio to infinity is the all-0 spin boundary
     tree = build_saw_tree(SQUARE, 0, boundary=[2])
     leaves = [u for u in range(len(tree)) if tree.is_leaf(u)]
-    via_ratio = root_ratio(tree, SQUARE, ratio_pin={u: math.inf for u in leaves})
-    spinned = pin_saw_tree(tree, Pinning({2: 0}))
+    via_ratio = evaluate_ratios(tree, SQUARE, {u: math.inf for u in leaves})[0]
     # the square's boundary tree has only boundary-copy leaves
-    assert set(leaves) == set(spinned.pinned_spin)
-    assert via_ratio == pytest.approx(root_ratio(spinned, SQUARE), abs=1e-15)
+    assert all(tree.boundary_copy[u] for u in leaves)
+    p1 = saw_marginal(SQUARE, 0, Pinning({2: 0})).p1
+    assert p1 == pytest.approx(1.0 / (1.0 + via_ratio), rel=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -229,12 +407,12 @@ def test_root_ratio_monotone_in_pinned_ratios(seed):
     tree = build_saw_tree(system, 0)
     leaves = [u for u in range(len(tree)) if tree.is_leaf(u)]
     base_pin = {u: rng.choice([0.0, 0.2, 1.0, 5.0, math.inf]) for u in leaves}
-    base = root_ratio(tree, system, ratio_pin=base_pin)
+    base = evaluate_ratios(tree, system, ratio_pin=base_pin)[0]
     target = rng.choice(leaves)
     bumped = dict(base_pin)
     x = bumped[target]
     bumped[target] = 2.0 * x + 0.5 if not math.isinf(x) else x
-    assert root_ratio(tree, system, ratio_pin=bumped) >= base - 1e-12
+    assert evaluate_ratios(tree, system, ratio_pin=bumped)[0] >= base - 1e-12
 
 
 def test_evaluate_ratios_skips_pinned_subtrees():
@@ -247,7 +425,7 @@ def test_evaluate_ratios_skips_pinned_subtrees():
 def test_rejects_negative_ratio_pin():
     tree = build_saw_tree(PATH3, 0)
     with pytest.raises(InputError):
-        root_ratio(tree, PATH3, ratio_pin={1: -0.5})
+        evaluate_ratios(tree, PATH3, ratio_pin={1: -0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +436,13 @@ def test_saw_marginal_on_tree_graph_is_exact():
     inst = ora.random_instance(rng, 6, p=0.0)  # spanning tree only
     system = to_system(inst)
     for v in range(6):
-        p0, p1 = saw_marginal(system, v)
+        p0, p1, _ = saw_marginal(system, v)
         o0, o1 = ora.marginal(*inst, v)
         assert p0 == pytest.approx(o0, abs=1e-12)
 
 
 def test_saw_marginal_triangle():
-    p0, p1 = saw_marginal(TRIANGLE, 0)
+    p0, p1, _ = saw_marginal(TRIANGLE, 0)
     assert p0 == pytest.approx(5 / 18, abs=1e-15)
     assert p1 == pytest.approx(13 / 18, abs=1e-15)
 
@@ -281,7 +459,7 @@ def test_saw_marginal_matches_oracle(seed, n):
         pinned.pop(next(iter(pinned)))
         free = [v for v in range(n) if v not in pinned]
     v = rng.choice(free)
-    p0, _ = saw_marginal(system, v, Pinning(pinned))
+    p0 = saw_marginal(system, v, Pinning(pinned)).p0
     o0, _ = ora.conditional(*inst, pinned, v)
     assert abs(p0 - o0) <= constants.SAW_ORACLE_TOL
 
@@ -524,7 +702,7 @@ def test_ssm_probe_on_paths():
         system = TwoSpinSystem.from_params(n, [lam] * n, edges)
         r = {}
         for s in (0, 1):
-            p0, p1 = saw_marginal(system, 0, Pinning({ell: s}))
+            p0, p1, _ = saw_marginal(system, 0, Pinning({ell: s}))
             r[s] = p0 / p1
         disc.append(abs(r[0] - r[1]))
     assert all(b < a for a, b in zip(disc, disc[1:]))
