@@ -142,7 +142,8 @@ def _schedule_from_args(system: TwoSpinSystem, args) -> UpdateSchedule:
                               blocks=_depth_parity_parts(system),
                               censor=censor)
     if name == "field":
-        return UpdateSchedule(kind="field-dynamics", theta=args.theta)
+        return UpdateSchedule(kind="field-dynamics", theta=args.theta,
+                              censor=censor)
     raise InputError(f"unknown schedule {name!r}; choose from "
                      f"{', '.join(SCHEDULE_NAMES)}")
 
@@ -322,7 +323,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=0.5,
                    help="field-dynamics parameter in (0, 1]")
-    p.add_argument("--censor", help="comma-separated vertices kept active")
+    p.add_argument("--censor", help="comma-separated vertices kept active "
+                   "(block schedules only)")
     p.set_defaults(func=cmd_sample)
 
     p = registry["exact"] = sub.add_parser(

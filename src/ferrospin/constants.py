@@ -28,6 +28,4 @@ MIXING_STEP_CAP = 10**6      # exact mixing-time iteration cap
 # defaults
 DEFAULT_EPS = 1.0 / (4.0 * math.e)
 DEFAULT_C_D = 4.0
-DEFAULT_BURNIN_MULTIPLIER = 10
-ASSM_TARGET = 1.0 / 20.0
 WILSON_Z = 2.5758293035489004  # two-sided 99% normal quantile

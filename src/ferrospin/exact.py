@@ -88,33 +88,53 @@ def _check_capacity(n: int, limit: int, what: str) -> None:
         raise CapacityError(f"{what} needs n <= {limit}, got n = {n}")
 
 
-def log_weights(system: TwoSpinSystem) -> np.ndarray:
-    """Vector of log configuration weights, index bit v = sigma_v."""
+def log_weights(system: TwoSpinSystem) -> tuple[np.ndarray, float]:
+    """(log configuration weights less a shift, the shift), bit v = sigma_v;
+    the largest entry is 0.
+
+    Each factor is shifted by its largest option before summing, so it adds
+    0 where it is largest: a parameter of huge magnitude cannot absorb the
+    small terms of the configurations that carry the mass.  The table over
+    vertices 0..v-1 doubles to 0..v with vertex v's factor and those of its
+    edges to lower vertices, so each edge costs O(2^v), not O(2^n)."""
     n = system.n
     _check_capacity(n, constants.VECTOR_LIMIT, "weight enumeration")
-    idx = np.arange(2 ** n, dtype=np.int64)
-    logw = np.zeros(2 ** n)
-    for v in range(n):
-        logw[((idx >> v) & 1) == 0] += system.log_lambda[v]
+    lower = [[] for _ in range(n)]  # (lower endpoint, edge) by upper one
     for e, (u, v) in enumerate(system.edges):
-        bu = (idx >> u) & 1
-        bv = (idx >> v) & 1
-        logw[(bu == 0) & (bv == 0)] += system.log_beta[e]
-        logw[(bu == 1) & (bv == 1)] += system.log_gamma[e]
-    return logw
+        lower[max(u, v)].append((min(u, v), e))
+    logw = np.zeros(1)
+    shift = 0.0
+    for v in range(n):
+        ll = system.log_lambda[v]
+        top = max(ll, 0.0)
+        shift += top
+        half0 = np.full(logw.size, ll - top)  # sigma_v = 0
+        half1 = np.full(logw.size, -top)      # sigma_v = 1
+        idx = np.arange(logw.size)
+        for u, e in lower[v]:
+            lb, lg = system.log_beta[e], system.log_gamma[e]
+            top = max(lb, lg, 0.0)
+            shift += top
+            bu = (idx >> u) & 1  # (sigma_u, sigma_v): (0,0) beta, (1,1) gamma
+            half0 += np.array([lb - top, -top])[bu]
+            half1 += np.array([-top, lg - top])[bu]
+        logw = np.concatenate((logw + half0, logw + half1))
+    # the factors' largest options need not meet in one configuration
+    top = float(logw.max())
+    return logw - top, shift + top
 
 
 def _weights(system: TwoSpinSystem) -> np.ndarray:
     """Unnormalized weights rescaled so the max is 1 (safe against overflow)."""
-    logw = log_weights(system)
-    return np.exp(logw - logw.max())
+    return np.exp(log_weights(system)[0])
 
 
 def gibbs_distribution(system: TwoSpinSystem) -> DistributionTable:
     """probs[sigma] = weight(sigma) / Z via log-sum-exp."""
-    logw = log_weights(system)
+    logw, shift = log_weights(system)
     log_z = float(logsumexp(logw))
-    return DistributionTable(n=system.n, probs=np.exp(logw - log_z), log_z=log_z)
+    return DistributionTable(n=system.n, probs=np.exp(logw - log_z),
+                             log_z=log_z + shift)
 
 
 def conditional_marginal(system: TwoSpinSystem, pin: Pinning,
@@ -125,7 +145,7 @@ def conditional_marginal(system: TwoSpinSystem, pin: Pinning,
         raise InputError(f"vertex {v} is pinned")
     if not (0 <= v < system.n):
         raise InputError(f"vertex {v} out of range")
-    logw = log_weights(system)
+    logw, _ = log_weights(system)
     idx = np.arange(2 ** system.n, dtype=np.int64)
     mask = np.ones(idx.shape, dtype=bool)
     for u, s in pin.items():

@@ -61,16 +61,13 @@ class ExperimentConfig:
     """Knobs shared by every suite.
 
     trials scales the number of instances / simulation repetitions, max_n the
-    largest exactly-enumerated system, step_cap the mixing-time iteration
-    budget, burnin_multiplier the c in c * n * log(n) warm-up steps.
+    largest exactly-enumerated system.
     """
 
     seed: int = 0
     eps: float = constants.DEFAULT_EPS
     trials: int = 40
     max_n: int = 6
-    step_cap: int = constants.MIXING_STEP_CAP
-    burnin_multiplier: int = constants.DEFAULT_BURNIN_MULTIPLIER
     lambda_frac: float = 0.9  # field level as a fraction of the threshold
 
     def __post_init__(self):
@@ -80,10 +77,6 @@ class ExperimentConfig:
             raise InputError("trials must be positive")
         if self.max_n < 2:
             raise InputError("max_n must be at least 2")
-        if self.step_cap < 1:
-            raise InputError("step_cap must be positive")
-        if self.burnin_multiplier < 1:
-            raise InputError("burnin_multiplier must be positive")
         if not (0.0 < self.lambda_frac < 1.0):
             raise InputError(
                 f"lambda_frac must lie in (0, 1), got {self.lambda_frac}")
@@ -676,7 +669,7 @@ def _suite_relaxation(cfg: ExperimentConfig) -> list[ReportRow]:
         rows.append(verify_relaxation_inequality(tree, parts))
         start = tuple(int(b) for b in rng.integers(0, 2, n))
         rows.append(verify_scan_mixing_bound(tree, parts, start, cfg.eps))
-        rows.extend(verify_gap_mixing_relations(tree, cfg.eps, cfg.step_cap))
+        rows.extend(verify_gap_mixing_relations(tree, cfg.eps))
     return rows
 
 
@@ -691,12 +684,11 @@ def _suite_coupling(cfg: ExperimentConfig) -> list[ReportRow]:
         seed_i = cfg.seed + 7919 * (i + 1)
         est_row, _ = coupling_mixing_estimate(
             sys_i, schedule, cfg.eps, trials=max(120, cfg.trials),
-            seed=seed_i, cap=min(cfg.step_cap, 10 ** 5))
+            seed=seed_i, cap=10 ** 5)
         rows.append(est_row)
         rows.append(coupling_dominance_row(
             sys_i, schedule, glauber_matrix(sys_i), cfg.eps,
-            trials=max(100, cfg.trials), seed=seed_i + 1,
-            cap=cfg.step_cap))
+            trials=max(100, cfg.trials), seed=seed_i + 1))
     return rows
 
 

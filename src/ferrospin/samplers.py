@@ -10,12 +10,17 @@ conditional pins everything already decided and marginalizes the undecided
 remainder of the block.  Two chains fed the same vectors therefore couple
 monotonically, and a censored chain with S = V reproduces the uncensored
 trajectory bit for bit.
+
+One step path serves every chain: the schedule is compiled once per run
+(`_compile`), one update resamples a block in one chain or a coupled pair
+(`_update`), and one loop (`_run`), which checks a pair's order once per
+step, drives `coupling_time`, `trajectory_csv` and the one-step wrappers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,8 +72,8 @@ class UpdateSchedule:
     """What one chain step does.
 
     blocks: required for the block kinds; for alternating-scan it is the
-    bipartition (exactly two blocks).  censor: optional vertex set S; every
-    chosen block is replaced by its intersection with S.
+    bipartition (exactly two blocks).  censor: optional vertex set S for the
+    block kinds; every chosen block is replaced by its intersection with S.
     """
 
     kind: str
@@ -87,6 +92,9 @@ class UpdateSchedule:
         if self.kind == "field-dynamics":
             if self.theta is None or not (0.0 < self.theta <= 1.0):
                 raise InputError("field-dynamics needs theta in (0, 1]")
+            if self.censor is not None:
+                raise InputError("field-dynamics chooses its own block; it "
+                                 "takes no censor")
         if self.censor is not None:
             object.__setattr__(self, "censor", frozenset(self.censor))
 
@@ -180,55 +188,92 @@ def _is_independent(system: TwoSpinSystem, block: Sequence[int]) -> bool:
     return not any(w in bset for u in block for (w, _) in system.neighbors(u))
 
 
-def _apply_block(system: TwoSpinSystem, config: tuple[int, ...],
-                 block: Sequence[int],
-                 thresholds: Sequence[float]) -> tuple[int, ...]:
-    """Exact heat-bath resample of `block`, one threshold per vertex in
-    increasing vertex order (inverse-CDF chain rule)."""
-    block = sorted(set(block))
-    if len(thresholds) < len(block):
-        raise InputError("not enough thresholds for the block")
-    if not block:
-        return config
-    out = list(config)
-    if _is_independent(system, block):
-        # conditionals depend only on the (unchanged) outside configuration
+def _compile(system: TwoSpinSystem, schedule: UpdateSchedule):
+    """Check a block schedule against `system` once per run.
+
+    Returns select(step, selector) -> (block, independent): the censored
+    block that step updates, in increasing vertex order, and whether it is an
+    independent set.  Cyclic kinds take block step mod b; the others choose
+    uniformly, selector in [(i-1)/b, i/b) picking block i."""
+    if schedule.kind == "field-dynamics":
+        raise InputError("field dynamics has no block list")
+    if schedule.kind == "single-site-glauber":
+        blocks = [(v,) for v in range(system.n)]
+    elif not schedule.blocks:
+        raise InputError(f"{schedule.kind} needs an explicit block list")
+    else:
+        blocks = list(schedule.blocks)
+        for b in blocks:
+            for v in b:
+                if not (0 <= v < system.n):
+                    raise InputError(f"block vertex {v} out of range")
+        if schedule.kind == "alternating-scan":
+            check_bipartition(system, blocks)
+    if schedule.censor is not None:
+        blocks = [tuple(v for v in b if v in schedule.censor) for b in blocks]
+    compiled = [(b, _is_independent(system, b)) for b in blocks]
+    k = len(compiled)
+    if schedule.kind in ("systematic-scan-block", "alternating-scan"):
+        return lambda step, selector: compiled[step % k]
+    return lambda step, selector: compiled[min(int(selector * k), k - 1)]
+
+
+def _update(system: TwoSpinSystem, configs: tuple[tuple[int, ...], ...],
+            block: tuple[int, ...], independent: bool,
+            thresholds: Sequence[float]) -> tuple[tuple[int, ...], ...]:
+    """Exact heat-bath resample of `block` in each of one or two
+    configurations on the same thresholds, one per vertex in increasing
+    vertex order (inverse-CDF chain rule)."""
+    out = []
+    for config in configs:
+        new = list(config)
         for k, v in enumerate(block):
-            out[v] = 1 if thresholds[k] <= site_conditional(system, config, v) else 0
-        return tuple(out)
-    if len(block) > constants.BLOCK_ENUM_LIMIT:
-        raise CapacityError(
-            f"dependent block of size {len(block)} exceeds "
-            f"{constants.BLOCK_ENUM_LIMIT}")
-    for k, v in enumerate(block):
-        p1 = _marginalized_conditional(system, out, v, block[k + 1:])
-        out[v] = 1 if thresholds[k] <= p1 else 0
+            if independent:
+                # depends only on the (unchanged) outside configuration
+                p1 = site_conditional(system, config, v)
+            else:
+                p1 = _marginalized_conditional(system, new, v, block[k + 1:])
+            new[v] = 1 if thresholds[k] <= p1 else 0
+        out.append(tuple(new))
     return tuple(out)
 
 
-def _resolve_blocks(system: TwoSpinSystem,
-                    schedule: UpdateSchedule) -> list[tuple[int, ...]]:
-    if schedule.kind == "single-site-glauber":
-        return [(v,) for v in range(system.n)]
+def _run(system: TwoSpinSystem, schedule: UpdateSchedule,
+         starts: tuple[tuple[int, ...], ...], rng: RandomSource,
+         step: int = 0):
+    """Advance one chain, or a coupled pair on shared vectors, from `starts`
+    and yield the configurations after each step.  The schedule is compiled,
+    and a field-dynamics system tilted, once per run; a pair's order is
+    checked once per step."""
+    n = system.n
     if schedule.kind == "field-dynamics":
-        raise InputError("field dynamics has no block list")
-    if schedule.blocks is None:
-        raise InputError(f"{schedule.kind} needs an explicit block list")
-    for b in schedule.blocks:
-        for v in b:
-            if not (0 <= v < system.n):
-                raise InputError(f"block vertex {v} out of range")
-    if schedule.kind == "alternating-scan":
-        check_bipartition(system, schedule.blocks)
-    return list(schedule.blocks)
+        if len(starts) != 1:
+            raise InputError("field dynamics is not a shared-vector block kind")
+        theta = schedule.theta
+        target = tilt(system, theta)
 
+        def draw(step, config):
+            # S: every 1-vertex surely, each 0-vertex with probability theta
+            coins = rng.uniforms(n)  # one per vertex, in increasing order
+            block = tuple(v for v in range(n)
+                          if config[v] == 1 or coins[v] <= theta)
+            return (block, _is_independent(target, block),
+                    rng.uniforms(len(block)))
+    else:
+        target, select = system, _compile(system, schedule)
 
-def _select_block(schedule: UpdateSchedule, blocks: list[tuple[int, ...]],
-                  step: int, selector: float) -> tuple[int, ...]:
-    if schedule.kind in ("systematic-scan-block", "alternating-scan"):
-        return blocks[step % len(blocks)]
-    # uniform block choice: selector in [(i-1)/b, i/b) picks block i
-    return blocks[min(int(selector * len(blocks)), len(blocks) - 1)]
+        def draw(step, config):
+            r = rng.step_vector(n)
+            return (*select(step, r[0]), r[1:])
+    configs = starts
+    while True:
+        block, independent, thresholds = draw(step, configs[0])
+        configs = _update(target, configs, block, independent, thresholds)
+        if len(configs) == 2 and not dominates(*configs):
+            raise CouplingInvariantError(
+                f"order violated after updating block {block}")
+        step += 1
+        yield configs
 
 
 def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
@@ -236,14 +281,7 @@ def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
     """One step of the scheduled dynamics (one block for block kinds)."""
     if len(state.config) != system.n:
         raise InputError("state size mismatch")
-    if schedule.kind == "field-dynamics":
-        return field_dynamics_step(system, schedule.theta, state, rng)
-    blocks = _resolve_blocks(system, schedule)
-    r = rng.step_vector(system.n)
-    block = _select_block(schedule, blocks, state.step, r[0])
-    if schedule.censor is not None:
-        block = tuple(v for v in block if v in schedule.censor)
-    config = _apply_block(system, state.config, block, r[1:])
+    (config,) = next(_run(system, schedule, (state.config,), rng, state.step))
     return ChainState(config=config, step=state.step + 1)
 
 
@@ -255,22 +293,13 @@ def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
     Both chains update the same block, vertex by vertex in increasing order,
     each setting the vertex to 1 iff the shared threshold is <= its own
     conditional.  Ferromagnetic conditionals are monotone in the decided
-    spins, so the coordinatewise order survives; violation raises."""
-    if schedule.kind == "field-dynamics":
-        raise InputError("field dynamics is not a shared-vector block kind")
+    spins, so the coordinatewise order survives; violation raises (checked
+    once, by `CoupledPair`)."""
     if len(r) != system.n + 1:
         raise InputError(f"shared vector must have length {system.n + 1}")
-    if not dominates(pair.upper.config, pair.lower.config):
-        raise CouplingInvariantError("precondition: lower must precede upper")
-    blocks = _resolve_blocks(system, schedule)
-    block = _select_block(schedule, blocks, pair.upper.step, r[0])
-    if schedule.censor is not None:
-        block = tuple(v for v in block if v in schedule.censor)
-    up = _apply_block(system, pair.upper.config, block, r[1:])
-    low = _apply_block(system, pair.lower.config, block, r[1:])
-    if not dominates(up, low):
-        raise CouplingInvariantError(
-            f"order violated after updating block {tuple(block)}")
+    block, independent = _compile(system, schedule)(pair.upper.step, r[0])
+    up, low = _update(system, (pair.upper.config, pair.lower.config),
+                      block, independent, r[1:])
     return CoupledPair(upper=ChainState(up, pair.upper.step + 1),
                        lower=ChainState(low, pair.lower.step + 1))
 
@@ -279,41 +308,8 @@ def field_dynamics_step(system: TwoSpinSystem, theta: float,
                         state: ChainState, rng: RandomSource) -> ChainState:
     """Select S (every 1-vertex surely, each 0-vertex with probability
     theta), then resample X(S) exactly from the theta-tilted conditional."""
-    if not (0.0 < theta <= 1.0):
-        raise InputError(f"theta must lie in (0,1], got {theta}")
-    n = system.n
-    coins = rng.uniforms(n)  # one per vertex, in increasing order
-    S = [v for v in range(n)
-         if state.config[v] == 1 or coins[v] <= theta]
-    tilted = tilt(system, theta)
-    thresholds = rng.uniforms(len(S))
-    config = _apply_block(tilted, state.config, S, thresholds)
-    return ChainState(config=config, step=state.step + 1)
-
-
-def run_chain(system: TwoSpinSystem, schedule: UpdateSchedule, steps: int,
-              seed: int, start: Sequence[int] | None = None,
-              collect_occupation: bool = False):
-    """Run `steps` schedule steps from `start` (default all-ones).
-
-    Returns the final ChainState, or (state, per-vertex occupation counts)
-    when collect_occupation is set; counts tally the configuration after
-    each step."""
-    if steps < 0:
-        raise InputError("steps must be nonnegative")
-    config = tuple(1 for _ in range(system.n)) if start is None else tuple(start)
-    state = ChainState(config=config, step=0)
-    if len(state.config) != system.n:
-        raise InputError("start configuration has wrong length")
-    rng = RandomSource(seed)
-    counts = np.zeros(system.n, dtype=np.int64)
-    for _ in range(steps):
-        state = schedule_step(system, schedule, state, rng)
-        if collect_occupation:
-            counts += np.asarray(state.config)
-    if collect_occupation:
-        return state, counts
-    return state
+    return schedule_step(system, UpdateSchedule(kind="field-dynamics",
+                                                theta=theta), state, rng)
 
 
 def coupling_time(system: TwoSpinSystem, schedule: UpdateSchedule, seed: int,
@@ -321,13 +317,9 @@ def coupling_time(system: TwoSpinSystem, schedule: UpdateSchedule, seed: int,
     """First step at which the grand coupling from (all-one, all-zero)
     merges; None if the cap is hit first."""
     n = system.n
-    pair = CoupledPair(upper=ChainState(tuple(1 for _ in range(n))),
-                       lower=ChainState(tuple(0 for _ in range(n))))
-    rng = RandomSource(seed)
-    for t in range(1, cap + 1):
-        pair = monotone_coupled_step(system, pair, schedule,
-                                     rng.step_vector(n))
-        if pair.merged:
+    chains = _run(system, schedule, ((1,) * n, (0,) * n), RandomSource(seed))
+    for t, (up, low) in zip(range(1, cap + 1), chains):
+        if up == low:
             return t
     return None
 
@@ -352,32 +344,20 @@ def warm_start_check(system: TwoSpinSystem, config: Sequence[int],
 
 
 def trajectory_csv(system: TwoSpinSystem, schedule: UpdateSchedule,
-                   steps: int, seed: int,
-                   start: Sequence[int] | None = None) -> str:
+                   steps: int, seed: int) -> str:
     """Reproducible trajectory dump: header with the full run recipe, then
-    one (step, hamming_weight, coupled_flag) row per step.  The coupled flag
-    tracks the grand coupling from (all-one, all-zero) on the same seed and
-    is empty for field dynamics."""
+    one (step, hamming_weight, coupled_flag) row per step of the chain from
+    all-ones.  The coupled flag tracks the grand coupling from (all-one,
+    all-zero) on the same seed and is empty for field dynamics."""
     lines = [f"# seed={seed}", f"# kind={schedule.kind}",
              f"# blocks={schedule.blocks!r}", f"# theta={schedule.theta!r}",
              f"# censor={sorted(schedule.censor) if schedule.censor else None!r}",
              f"# steps={steps}", "step,hamming_weight,coupled_flag"]
+    n = system.n
     coupled = schedule.kind != "field-dynamics"
-    if coupled:
-        n = system.n
-        pair = CoupledPair(upper=ChainState(tuple(1 for _ in range(n))),
-                           lower=ChainState(tuple(0 for _ in range(n))))
-        rng = RandomSource(seed)
-        for t in range(1, steps + 1):
-            pair = monotone_coupled_step(system, pair, schedule,
-                                         rng.step_vector(n))
-            weight = sum(pair.upper.config)
-            lines.append(f"{t},{weight},{1 if pair.merged else 0}")
-    else:
-        rng = RandomSource(seed)
-        config = tuple(1 for _ in range(system.n)) if start is None else tuple(start)
-        state = ChainState(config=config)
-        for t in range(1, steps + 1):
-            state = schedule_step(system, schedule, state, rng)
-            lines.append(f"{t},{sum(state.config)},")
+    starts = ((1,) * n, (0,) * n) if coupled else ((1,) * n,)
+    chains = _run(system, schedule, starts, RandomSource(seed))
+    for t, configs in zip(range(1, steps + 1), chains):
+        flag = (1 if configs[0] == configs[1] else 0) if coupled else ""
+        lines.append(f"{t},{sum(configs[0])},{flag}")
     return "\n".join(lines) + "\n"

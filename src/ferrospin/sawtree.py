@@ -308,7 +308,15 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
             raise NumericError(
                 f"edge {e} ({a},{b}): {name} = exp({x!r}) overflows the "
                 f"linear-scale walk-tree recursion") from None
-        R[u] = tree_recursion_step(lam_u, params, ratios)
+        try:
+            R[u] = tree_recursion_step(lam_u, params, ratios)
+        except ZeroDivisionError:  # a ratio-0 child over an underflowed gamma
+            e = next(tree.edge_to_parent[c] for c, (_, g), x in
+                     zip(tree.children[u], params, ratios) if g == x == 0.0)
+            a, b = system.edges[e]
+            raise NumericError(
+                f"edge {e} ({a},{b}): gamma = exp({system.log_gamma[e]!r}) "
+                f"underflows the linear-scale walk-tree recursion") from None
     return R
 
 

@@ -262,6 +262,8 @@ def test_sample_field_schedule_and_censor(path5, tmp_path):
                  "--out", str(tmp_path / "c.csv")]) == 0
     assert main(["sample", "--instance", str(path5), "--censor", "0,9",
                  "--steps", "5"]) == 1
+    assert main(["sample", "--instance", str(path5), "--schedule", "field",
+                 "--censor", "0", "--steps", "5"]) == 1
     assert main(["sample", "--instance", str(path5), "--steps", "0"]) == 1
 
 

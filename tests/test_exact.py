@@ -33,7 +33,15 @@ from ferrospin.exact import (
     tv_distance,
     tv_from_start,
 )
-from ferrospin.model import Pinning, TwoSpinSystem, config_to_index, index_to_config
+from ferrospin.model import (
+    Pinning,
+    RbmParams,
+    TwoSpinSystem,
+    config_to_index,
+    index_to_config,
+    rbm_to_two_spin,
+)
+from ferrospin.sawtree import saw_marginal
 
 
 def to_system(inst):
@@ -634,8 +642,41 @@ def test_transition_matrix_validation():
 def test_log_weights_index_convention():
     # bit v of the index is sigma_v
     sys2 = TwoSpinSystem.from_params(2, [0.25, 4.0], [])
-    lw = log_weights(sys2)
+    lw, shift = log_weights(sys2)
+    lw = lw + shift
     assert lw[0] == pytest.approx(math.log(0.25) + math.log(4.0))
     assert lw[1] == pytest.approx(math.log(4.0))   # sigma = (1, 0)
     assert lw[2] == pytest.approx(math.log(0.25))  # sigma = (0, 1)
     assert lw[3] == pytest.approx(0.0)
+
+
+def test_log_weights_keep_small_terms_next_to_huge_ones():
+    # theta_1 = -1e300 adds log lambda_1 = 1e300 to every sigma_1 = 0 weight;
+    # summed unshifted it absorbed the other terms and gave p1(0) = 0.5
+    system = rbm_to_two_spin(RbmParams(
+        n0=1, n1=2, interaction=((0, 0.5, 0.2), (0.5, 0, 0), (0.2, 0, 0)),
+        theta=(0.1, -1e300, 0.2)))
+    for v in range(3):
+        _, p1 = conditional_marginal(system, Pinning(), v)
+        assert p1 == pytest.approx(saw_marginal(system, v, Pinning()).p1,
+                                   abs=constants.SAW_ORACLE_TOL)
+    mu = gibbs_distribution(system)
+    assert float(mu.probs.sum()) == pytest.approx(1.0, abs=constants.PROB_SUM_TOL)
+    assert mu.log_z == 1e300
+
+
+def test_log_weights_when_largest_options_conflict():
+    # sigma_0 = 0 and the edge (0,3) at (1,1) each add 1e300 but exclude
+    # each other, so the heaviest configurations sit far below 0 before the
+    # table is renormalized; three of them tie: (0,1,1,0), (0,1,1,1), (1,1,1,1)
+    system = rbm_to_two_spin(RbmParams(
+        n0=2, n1=2,
+        interaction=((0, 0, 0, 1e300), (0, 0, 1e300, 0),
+                     (0, 1e300, 0, 0), (1e300, 0, 0, 0)),
+        theta=(-1e300, 1e300, -0.3, 1e-300)))
+    probs = gibbs_distribution(system).probs
+    heavy = [config_to_index(c) for c in ((0, 1, 1, 0), (0, 1, 1, 1),
+                                          (1, 1, 1, 1))]
+    assert probs[heavy] == pytest.approx([1 / 3] * 3)
+    for v, p1 in enumerate((1 / 3, 1.0, 1.0, 2 / 3)):
+        assert conditional_marginal(system, Pinning(), v)[1] == pytest.approx(p1)

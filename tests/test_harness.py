@@ -510,10 +510,6 @@ def test_experiment_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(InputError):
         ExperimentConfig(max_n=1)
-    with pytest.raises(InputError):
-        ExperimentConfig(step_cap=0)
-    with pytest.raises(InputError):
-        ExperimentConfig(burnin_multiplier=0)
 
 
 def test_run_suite_rejects_unknown_name():

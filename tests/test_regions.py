@@ -36,7 +36,7 @@ from ferrospin.regions import (
     unsatisfiable_vertices,
     verify_region,
 )
-from ferrospin.samplers import ChainState, RandomSource, UpdateSchedule, run_chain
+from ferrospin.samplers import ChainState, RandomSource, UpdateSchedule, schedule_step
 from ferrospin.sawtree import build_saw_tree, evaluate_ratios
 
 
@@ -671,13 +671,15 @@ def test_boundary_goodness_after_burn_in():
                     boundary=frozenset(range(1, 10)), d1=1, d2=9)
     spec = GoodBoundarySpec.build(adj, region, 21)
     sched = UpdateSchedule(kind="single-site-glauber")
-    steps = constants.DEFAULT_BURNIN_MULTIPLIER * 10 * math.ceil(math.log(10))
+    steps = 10 * 10 * math.ceil(math.log(10))  # c n log n warm-up, c = 10
     good = 0
     runs = 300
     for seed in range(runs):
         start = tuple(RandomSource(seed ^ 0x5A5A).uniforms(10) < 0.5)
-        start = tuple(int(b) for b in start)
-        state = run_chain(system, sched, steps, seed=seed, start=start)
+        state = ChainState(tuple(int(b) for b in start))
+        rng = RandomSource(seed)
+        for _ in range(steps):
+            state = schedule_step(system, sched, state, rng)
         if is_good_boundary(spec, boundary_pinning(region, state.config)):
             good += 1
     assert good / runs >= 0.99

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import _oracles as ora
-from ferrospin import constants
+from ferrospin import constants, samplers
 from ferrospin.errors import CapacityError, CouplingInvariantError, InputError
 from ferrospin.exact import (
     alternating_scan_matrix,
@@ -31,7 +31,6 @@ from ferrospin.samplers import (
     dominates,
     field_dynamics_step,
     monotone_coupled_step,
-    run_chain,
     schedule_step,
     site_conditional,
     trajectory_csv,
@@ -71,6 +70,16 @@ def one_block(block):
 def censored(schedule, censor):
     return UpdateSchedule(kind=schedule.kind, blocks=schedule.blocks,
                           theta=schedule.theta, censor=frozenset(censor))
+
+
+def chain_states(system, schedule, start, steps, seed):
+    """The states after each of `steps` schedule steps from `start`."""
+    state, rng = ChainState(tuple(start)), RandomSource(seed)
+    states = []
+    for _ in range(steps):
+        state = schedule_step(system, schedule, state, rng)
+        states.append(state)
+    return states
 
 
 def one_step_counts(step_fn, n, trials, seed=0):
@@ -479,6 +488,17 @@ def test_coupled_step_rejects_bad_precondition():
             [0.1, 0.2, 0.3])
 
 
+def test_antiferromagnetic_coupling_breaks_order_and_raises():
+    # beta = gamma = 0.1: upper (1,1) and lower (0,0) pull a vertex the
+    # opposite ways, so a threshold between their conditionals flips order
+    system = TwoSpinSystem.from_params(2, [1.0, 1.0], [(0, 1, 0.1, 0.1)])
+    pair = CoupledPair(upper=ChainState((1, 1)), lower=ChainState((0, 0)))
+    with pytest.raises(CouplingInvariantError):
+        monotone_coupled_step(system, pair, GLAUBER, [0.0, 0.5, 0.5])
+    with pytest.raises(CouplingInvariantError, match="order violated"):
+        coupling_time(system, GLAUBER, seed=0)
+
+
 def test_coupling_works_for_block_schedules():
     inst = ora.random_instance(random.Random(67), 5)
     system = to_system(inst)
@@ -579,26 +599,28 @@ def test_field_kernel_capacity_and_domain():
 # ---------------------------------------------------------------------------
 # chains end to end
 
-def test_run_chain_basics():
+def test_schedule_step_chain_basics():
     inst = ora.random_instance(random.Random(83), 4)
     system = to_system(inst)
     sched = UpdateSchedule(kind="single-site-glauber")
-    s0 = run_chain(system, sched, 0, seed=1)
-    assert s0.config == (1, 1, 1, 1) and s0.step == 0
-    a = run_chain(system, sched, 500, seed=9)
-    b = run_chain(system, sched, 500, seed=9)
-    assert a.config == b.config and a.step == 500
-    c = run_chain(system, sched, 500, seed=10, start=(0, 0, 0, 0))
-    assert c.step == 500
+    a = chain_states(system, sched, (1, 1, 1, 1), 500, seed=9)
+    b = chain_states(system, sched, (1, 1, 1, 1), 500, seed=9)
+    assert a == b and a[-1].step == 500
+    c = chain_states(system, sched, (0, 0, 0, 0), 500, seed=10)
+    assert c[-1].step == 500
+    assert [s.step for s in c] == list(range(1, 501))
 
 
-def test_run_chain_occupation_matches_marginals():
+def test_schedule_step_occupation_matches_marginals():
     inst = ora.random_instance(random.Random(89), 5)
     system = to_system(inst)
     sched = UpdateSchedule(kind="single-site-glauber")
     steps = 2 * 10 ** 5
-    _, counts = run_chain(system, sched, steps, seed=12,
-                          collect_occupation=True)
+    counts = np.zeros(5, dtype=np.int64)
+    state, rng = ChainState((1,) * 5), RandomSource(12)
+    for _ in range(steps):
+        state = schedule_step(system, sched, state, rng)
+        counts += state.config
     mu = gibbs_distribution(system)
     idx = np.arange(2 ** 5)
     for v in range(5):
@@ -662,3 +684,73 @@ def test_trajectory_csv_deterministic():
     flags = [int(row.split(",")[2]) for row in lines[7:]]
     assert flags[-1] == 1
     assert all(b >= a_ for a_, b in zip(flags, flags[1:]))
+
+
+PATH5 = TwoSpinSystem.from_params(
+    5, [0.7, 1.3, 0.9, 1.1, 0.6],
+    [(0, 1, 1.2, 1.5), (1, 2, 0.8, 2.0), (2, 3, 1.0, 1.7), (3, 4, 1.4, 1.1)])
+PATH5_SCHEDULES = [
+    GLAUBER,
+    UpdateSchedule(kind="heat-bath-block",
+                   blocks=((0, 1, 2), (2, 3, 4), (0, 4))),
+    UpdateSchedule(kind="systematic-scan-block",
+                   blocks=((0, 1), (2,), (3, 4))),
+    UpdateSchedule(kind="alternating-scan", blocks=((0, 2, 4), (1, 3))),
+    censored(UpdateSchedule(kind="heat-bath-block",
+                            blocks=((0, 1, 2), (2, 3, 4), (0, 4))), {0, 2, 3}),
+    censored(GLAUBER, range(5)),
+]
+
+
+@pytest.mark.parametrize("sched", PATH5_SCHEDULES,
+                         ids=lambda s: s.kind + ("+censor" if s.censor else ""))
+def test_trajectory_upper_chain_is_the_schedule_step_chain(sched):
+    steps = 300
+    for seed in range(4):
+        rows = trajectory_csv(PATH5, sched, steps, seed).strip().split("\n")[7:]
+        chain = chain_states(PATH5, sched, (1,) * 5, steps, seed)
+        assert [int(r.split(",")[1]) for r in rows] == [
+            sum(s.config) for s in chain]
+        flags = [int(r.split(",")[2]) for r in rows]
+        first = flags.index(1) + 1 if 1 in flags else None
+        assert first == coupling_time(PATH5, sched, seed, cap=steps)
+
+
+def test_field_trajectory_is_the_schedule_step_chain():
+    sched = UpdateSchedule(kind="field-dynamics", theta=0.4)
+    rows = trajectory_csv(PATH5, sched, 200, 3).strip().split("\n")[7:]
+    chain = chain_states(PATH5, sched, (1,) * 5, 200, 3)
+    assert rows == [f"{t},{sum(s.config)}," for t, s in enumerate(chain, 1)]
+
+
+def counting(monkeypatch, name):
+    """Replace samplers.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(samplers, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(samplers, name, wrapper)
+    return calls
+
+
+def test_each_run_compiles_and_tilts_once(monkeypatch):
+    bipartitions = counting(monkeypatch, "check_bipartition")
+    tilts = counting(monkeypatch, "tilt")
+    scan = UpdateSchedule(kind="alternating-scan", blocks=((0, 2, 4), (1, 3)))
+    trajectory_csv(PATH5, scan, 1000, seed=5)
+    assert len(bipartitions) == 1
+    coupling_time(PATH5, scan, seed=5)
+    assert len(bipartitions) == 2
+    field = UpdateSchedule(kind="field-dynamics", theta=0.5)
+    trajectory_csv(PATH5, field, 1000, seed=5)
+    assert len(tilts) == 1
+
+
+def test_field_dynamics_takes_no_censor_and_no_coupling():
+    with pytest.raises(InputError):
+        UpdateSchedule(kind="field-dynamics", theta=0.5, censor={0})
+    with pytest.raises(InputError):
+        coupling_time(PATH5, UpdateSchedule(kind="field-dynamics", theta=0.5),
+                      seed=0)

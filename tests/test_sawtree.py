@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as ora
 from ferrospin import constants
-from ferrospin.errors import CapacityError, InputError
+from ferrospin.errors import CapacityError, InputError, NumericError
 from ferrospin.model import (
     ParamClass,
     Pinning,
@@ -426,6 +426,15 @@ def test_rejects_negative_ratio_pin():
     tree = build_saw_tree(PATH3, 0)
     with pytest.raises(InputError):
         evaluate_ratios(tree, PATH3, ratio_pin={1: -0.5})
+
+
+def test_underflowing_gamma_is_a_numeric_error():
+    # gamma = exp(-1000) underflows to 0, and a ratio-0 child divides by it
+    system = rbm_to_two_spin(RbmParams(
+        n0=1, n1=1, interaction=((0, -1000), (-1000, 0)), theta=(0.1, 0.2)))
+    tree = build_saw_tree(system, 0, {1})
+    with pytest.raises(NumericError, match=r"edge 0 \(0,1\): gamma"):
+        evaluate_ratios(tree, system, ratio_pin={1: 0.0})
 
 
 # ---------------------------------------------------------------------------
