@@ -12,6 +12,7 @@ from --seed, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -380,8 +381,6 @@ def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
                        argv: list[str]) -> None:
     """Config file values become parser defaults; explicit flags then
     override them during the real parse."""
-    if "--config" not in argv:
-        return
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise InputError("--config needs a path")
@@ -411,11 +410,22 @@ def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
                          f"{sorted(unknown)}")
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call without --config: parsing leaves no state
+    on it, so one tree serves the whole process."""
+    return build_parser()[0]
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
     try:
-        _apply_config_file(registry, argv)
+        if "--config" in argv:
+            # config values become defaults, so this call gets its own tree
+            parser, registry = build_parser()
+            _apply_config_file(registry, argv)
+        else:
+            parser = _shared_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:

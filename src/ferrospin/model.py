@@ -24,9 +24,12 @@ from typing import Iterable, Mapping, Sequence
 from .errors import InputError
 
 
-def _finite_log(value: float, what: str) -> float:
+def _finite_log(value: float, what: str, *labels) -> float:
+    """log(value) for a positive finite value; `what` is formatted with
+    `labels` only when the value is rejected."""
     if not (value > 0.0) or math.isinf(value):
-        raise InputError(f"{what} must be positive and finite, got {value!r}")
+        raise InputError(f"{what.format(*labels)} must be positive and "
+                         f"finite, got {value!r}")
     return math.log(value)
 
 
@@ -84,15 +87,15 @@ class TwoSpinSystem:
         for (u, v, beta, gamma) in edges:
             a, b = (u, v) if u <= v else (v, u)
             canon.append(((a, b),
-                          _finite_log(beta, f"beta of edge ({u},{v})"),
-                          _finite_log(gamma, f"gamma of edge ({u},{v})")))
+                          _finite_log(beta, "beta of edge ({},{})", u, v),
+                          _finite_log(gamma, "gamma of edge ({},{})", u, v)))
         canon.sort(key=lambda item: item[0])
         return cls(
             n=n,
             edges=tuple(pair for pair, _, _ in canon),
             log_beta=tuple(lb for _, lb, _ in canon),
             log_gamma=tuple(lg for _, _, lg in canon),
-            log_lambda=tuple(_finite_log(x, f"lambda of vertex {i}")
+            log_lambda=tuple(_finite_log(x, "lambda of vertex {}", i)
                              for i, x in enumerate(lam)),
         )
 

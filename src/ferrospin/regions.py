@@ -11,6 +11,14 @@ all good configurations at desk scale.  Growth and verification both run on
 `sawtree._walks`, the one self-avoiding-walk enumerator, as callbacks that
 list each walk's extensions (last neighbour first).
 
+Verification reads two tables built once per call over the region: each
+member's region neighbours in visiting order, and its number of boundary
+neighbours.  A walk stays inside the region, so no boundary vertex is ever
+on it, and the leaf conditions depend only on the walk's F-sum and largest
+child count: one comparison per walk decides all of its boundary leaves.
+Only a failing walk replays its neighbours in adjacency order, to name the
+first failing leaf as the witness.
+
 Pinnings on walk-tree leaves below are *ratio* pinnings: value inf stands
 for spin 0 and value 0.0 for spin 1.
 """
@@ -198,6 +206,10 @@ def verify_region(graph, region: Region, params: RegionParams,
         return RegionVerification(ok=False, size_ok=size_ok, boundary_ok=False,
                                   partial=False, nodes_visited=0,
                                   leaves_checked=0, witness=None)
+    # per member: region neighbours in visiting order, boundary count
+    inner = {u: tuple(x for x in reversed(adj[u]) if x in S) for u in S}
+    n_boundary = {u: len(adj[u]) - len(inner[u]) for u in S}
+    d1, d2 = params.d1, params.d2
     nodes = 0
     leaves = 0
     partial = False
@@ -211,22 +223,31 @@ def verify_region(graph, region: Region, params: RegionParams,
             partial = True
             return None
         fsum, maxcc = state
-        cld = [x for x in adj[walk[-1]] if x not in pos]
-        f_u = sum(1 for x in cld if x in S)
-        cc = len(cld)
-        child_state = (fsum + f_u, max(maxcc, cc))
-        descend = []
-        for x in cld:
-            if x in B:
-                leaves += 1
-                if not (fsum >= params.d1 or child_state[1] >= params.d2):
-                    witness = tuple(walk) + (x,)
-                    return None
-            elif len(walk) > depth_cap:
-                partial = True
-            else:
-                descend.append((x, child_state))
-        return descend[::-1]
+        u = walk[-1]
+        ext = [x for x in inner[u] if x not in pos]
+        f_u = len(ext)
+        nb = n_boundary[u]
+        if f_u + nb > maxcc:
+            maxcc = f_u + nb
+        if nb:
+            # one comparison decides every boundary leaf of this node
+            if fsum < d1 and maxcc < d2:
+                # replay in adjacency order up to the first boundary leaf
+                for x in adj[u]:
+                    if x in B:
+                        leaves += 1
+                        witness = tuple(walk) + (x,)
+                        return None
+                    if x not in pos and len(walk) > depth_cap:
+                        partial = True
+            leaves += nb
+        if not f_u:
+            return ()
+        if len(walk) > depth_cap:
+            partial = True
+            return ()
+        child_state = (fsum + f_u, maxcc)
+        return [(x, child_state) for x in ext]
 
     _walks(region.center, (0, 0), expand)
     return RegionVerification(ok=witness is None, size_ok=size_ok,

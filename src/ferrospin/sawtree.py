@@ -169,27 +169,6 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
     return tree
 
 
-def verify_tree_invariants(tree: SawTree, system: TwoSpinSystem) -> None:
-    """Structural checks: non-leaf tree degree equals preimage degree in G,
-    and every leaf is exactly one of boundary copy / cycle-closing copy /
-    dead-end (degree-1 preimage, or isolated root)."""
-    for u in range(len(tree)):
-        tree_deg = len(tree.children[u]) + (1 if tree.parent[u] >= 0 else 0)
-        g_deg = system.degree(tree.preimage[u])
-        if tree.boundary_copy[u] and tree.cycle_closing[u]:
-            raise NumericError(f"node {u}: both boundary and cycle-closing")
-        if not tree.is_leaf(u):
-            if tree.boundary_copy[u] or tree.cycle_closing[u]:
-                raise NumericError(f"node {u}: flagged copy is not a leaf")
-            if tree_deg != g_deg:
-                raise NumericError(
-                    f"node {u}: tree degree {tree_deg} != graph degree {g_deg}")
-        elif not (tree.boundary_copy[u] or tree.cycle_closing[u]):
-            # residual kind: a dead end, i.e. degree-1 preimage (or lone root)
-            if not ((g_deg == 1 and tree.parent[u] >= 0) or g_deg == 0):
-                raise NumericError(f"node {u}: unexplained leaf (degree {g_deg})")
-
-
 def pin_saw_tree(tree: SawTree, sigma: Pinning) -> SawTree:
     """Attach spins: boundary copies take sigma at their preimage; a
     cycle-closing copy takes the spin forced by the walk successor of its

@@ -337,3 +337,78 @@ def region_boundary_walks(adj, center, members, d1, d2):
         maxcc = max(len(o) for o in off)
         out[walk] = fsum >= d1 or maxcc >= d2
     return out
+
+
+class _StopWalk(Exception):
+    pass
+
+
+def region_verification(adj, center, members, boundary, d1, d2, depth_cap,
+                        node_cap):
+    """Reference for `verify_region`: (ok, size_ok, boundary_ok, partial,
+    nodes_visited, leaves_checked, witness).
+
+    A plain recursion over the walks from `center` through `members`,
+    children last neighbour first.  At each walk every neighbour off the walk
+    is a child: a `boundary` one is a leaf, checked in adjacency order, and
+    the first leaf that meets neither path condition is the witness and ends
+    the pass; a member child is walked into unless the walk has more than
+    `depth_cap` vertices, which marks the pass partial.  Visiting walk
+    `node_cap + 1` marks it partial and ends it.
+    """
+    size_ok = len(members) <= math.exp(d1) * d2
+    if {w for u in members for w in adj[u] if w not in members} != boundary:
+        return (False, size_ok, False, False, 0, 0, None)
+    out = {"nodes": 0, "leaves": 0, "partial": False, "witness": None}
+
+    def visit(walk, fsum, maxcc):
+        out["nodes"] += 1
+        if out["nodes"] > node_cap:
+            out["partial"] = True
+            raise _StopWalk
+        off = [w for w in adj[walk[-1]] if w not in walk]
+        maxcc = max(maxcc, len(off))
+        inner = []
+        for w in off:
+            if w in boundary:
+                out["leaves"] += 1
+                if fsum < d1 and maxcc < d2:
+                    out["witness"] = walk + (w,)
+                    raise _StopWalk
+            elif len(walk) > depth_cap:
+                out["partial"] = True
+            else:
+                inner.append(w)
+        f_u = sum(1 for w in off if w in members)
+        for w in reversed(inner):
+            visit(walk + (w,), fsum + f_u, maxcc)
+
+    try:
+        visit((center,), 0, 0)
+    except _StopWalk:
+        pass
+    return (out["witness"] is None, size_ok, True, out["partial"],
+            out["nodes"], out["leaves"], out["witness"])
+
+
+# ---------------------------------------------------------------------------
+# stored walk trees
+
+def verify_tree_invariants(tree, system):
+    """Structural checks on a stored walk tree: a non-leaf node's tree degree
+    equals its preimage's degree in the graph, and every leaf is exactly one
+    of boundary copy / cycle-closing copy / dead end (degree-1 preimage, or
+    an isolated root).  `tree` and `system` are read by attribute only."""
+    for u in range(len(tree)):
+        tree_deg = len(tree.children[u]) + (1 if tree.parent[u] >= 0 else 0)
+        g_deg = system.degree(tree.preimage[u])
+        assert not (tree.boundary_copy[u] and tree.cycle_closing[u]), (
+            f"node {u}: both boundary and cycle-closing")
+        if tree.children[u]:
+            assert not (tree.boundary_copy[u] or tree.cycle_closing[u]), (
+                f"node {u}: flagged copy is not a leaf")
+            assert tree_deg == g_deg, (
+                f"node {u}: tree degree {tree_deg} != graph degree {g_deg}")
+        elif not (tree.boundary_copy[u] or tree.cycle_closing[u]):
+            assert (g_deg == 1 and tree.parent[u] >= 0) or g_deg == 0, (
+                f"node {u}: unexplained leaf (degree {g_deg})")

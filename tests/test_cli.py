@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ferrospin import constants, harness
+from ferrospin import cli, constants, harness
 from ferrospin.cli import main
 from ferrospin.model import TwoSpinSystem, instance_dict
 from ferrospin.sawtree import build_saw_tree
@@ -167,6 +167,54 @@ def test_config_file_must_be_valid_json(path5, tmp_path):
     cfg.write_text("{not json")
     assert main(["sample", "--config", str(cfg),
                  "--instance", str(path5)]) == 1
+
+
+def test_config_defaults_do_not_leak_into_later_calls(path5, tmp_path,
+                                                     monkeypatch):
+    # a --config call builds its own parser; plain calls share one and see
+    # the built-in defaults
+    def plain(name):
+        out = tmp_path / name
+        assert main(["sample", "--instance", str(path5), "--out",
+                     str(out)]) == 0
+        return out.read_text()
+
+    before = plain("before.csv")
+    assert "# seed=0" in before and before.count("\n") == 7 + 1000
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real_build())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 3, "seed": 9}))
+    out = tmp_path / "config.csv"
+    assert main(["sample", "--config", str(cfg), "--instance", str(path5),
+                 "--out", str(out)]) == 0
+    assert "# seed=9" in out.read_text()
+    assert out.read_text().count("\n") == 7 + 3
+    assert plain("after.csv") == before
+    assert built == [1]
+
+
+def test_an_error_call_leaves_the_next_call_fresh(path5, tmp_path, capsys):
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    good = ["region", "--instance", str(path5), "--center", "all",
+            "--d1", "2", "--d2", "3"]
+    outs = []
+    for bad in (["region", "--instance", str(path5), "--d1", "x"],
+                ["sample", "--instance", str(path5), "--bogus"],
+                ["region", "--instance", str(path5), "--center", "1",
+                 "--d1", "0", "--d2", "3"]):
+        first = run(bad)
+        assert first[0] == 1 and first[1].startswith("error: ")
+        out = tmp_path / f"r{len(outs)}.jsonl"
+        assert run(good + ["--out", str(out)]) == (0, "")
+        outs.append(out.read_bytes())
+        assert run(bad) == first
+    assert outs[0] == outs[1] == outs[2]
 
 
 # ---------------------------------------------------------------------------

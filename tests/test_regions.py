@@ -1,5 +1,6 @@
 """Region growth, boundary goodness, and worst-pinning dominance checks."""
 
+import dataclasses
 import json
 import math
 import random
@@ -257,6 +258,57 @@ def test_verify_region_against_tree_oracle():
         if i % 2 == 0:
             assert report.ok  # grown regions must verify
     assert failures > 0
+
+
+def test_verify_region_against_recursive_reference():
+    # every RegionVerification field, against a plain recursion of the
+    # verification walk: grown and arbitrary regions, verification d1/d2 at
+    # or below the growth ones, small node and depth caps
+    # a failing leaf at the depth cap: the walk's own vertices that precede
+    # it in adjacency order do not make the pass partial
+    path = {0: [1], 1: [0, 2], 2: [1]}
+    short = Region(center=0, members=frozenset({0, 1}),
+                   boundary=frozenset({2}), d1=2, d2=3)
+    report = verify_region(path, short, RegionParams(d1=2, d2=3), depth_cap=1)
+    assert dataclasses.astuple(report) == ora.region_verification(
+        path, 0, short.members, short.boundary, 2, 3, 1, 10)
+    assert report.witness == (0, 1, 2) and not report.partial
+    rng = random.Random(17)
+    witnesses = partials = mismatches = 0
+    for i in range(2000):
+        n = rng.randint(2, 40)
+        adj = {v: [] for v in range(n)}
+        for u, v in ora.random_connected_graph(rng, n, rng.uniform(1, 4) / n):
+            adj[u].append(v)
+            adj[v].append(u)
+        grow = RegionParams(d1=rng.randint(1, 4), d2=rng.randint(4, 16))
+        center = rng.randrange(n)
+        if i % 2:
+            region = construct_region(adj, center, grow)
+        else:
+            members = frozenset({center} | {v for v in range(n)
+                                            if rng.random() < 0.5})
+            boundary = {w for u in members for w in adj[u] if w not in members}
+            if boundary and i % 10 == 0:
+                boundary.pop()
+            region = Region(center=center, members=members,
+                            boundary=frozenset(boundary), d1=grow.d1,
+                            d2=grow.d2)
+        params = grow
+        if rng.random() < 0.5:
+            d1 = rng.randint(1, grow.d1)
+            params = RegionParams(d1=d1, d2=rng.randint(d1, grow.d2))
+        depth_cap = rng.choice((constants.SAW_DEPTH_CAP, rng.randint(0, 6)))
+        node_cap = rng.choice((2000, rng.randint(1, 300)))
+        report = verify_region(adj, region, params, depth_cap=depth_cap,
+                               node_cap=node_cap)
+        assert dataclasses.astuple(report) == ora.region_verification(
+            adj, center, region.members, region.boundary, params.d1,
+            params.d2, depth_cap, node_cap)
+        witnesses += report.witness is not None
+        partials += report.partial
+        mismatches += not report.boundary_ok
+    assert witnesses > 100 and partials > 100 and mismatches > 10
 
 
 def test_capped_verification_keeps_its_walk_order():

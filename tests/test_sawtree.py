@@ -36,7 +36,6 @@ from ferrospin.sawtree import (
     _log_edge_factor,
     saw_marginal,
     tree_recursion_step,
-    verify_tree_invariants,
 )
 
 
@@ -62,7 +61,7 @@ def test_path_tree_is_the_path():
     assert tree.preimage == [0, 1, 2]
     assert tree.parent == [-1, 0, 1]
     assert not any(tree.cycle_closing) and not any(tree.boundary_copy)
-    verify_tree_invariants(tree, PATH3)
+    ora.verify_tree_invariants(tree, PATH3)
 
 
 def test_triangle_tree_shape():
@@ -77,7 +76,7 @@ def test_triangle_tree_shape():
     assert sorted(tree.cycle_spin[u] for u in closers) == [0, 1]
     pinned = pin_saw_tree(tree, Pinning({}))
     assert pinned.pinned_spin == {u: tree.cycle_spin[u] for u in closers}
-    verify_tree_invariants(tree, TRIANGLE)
+    ora.verify_tree_invariants(tree, TRIANGLE)
 
 
 def test_square_with_boundary_stops_at_copies():
@@ -90,7 +89,7 @@ def test_square_with_boundary_stops_at_copies():
     with pytest.raises(InputError, match="missing"):
         pin_saw_tree(tree, Pinning({}))
     assert all(tree.preimage[u] == 2 and tree.is_leaf(u) for u in copies)
-    verify_tree_invariants(tree, SQUARE)
+    ora.verify_tree_invariants(tree, SQUARE)
 
 
 def test_boundary_vertices_never_interior():
@@ -104,7 +103,7 @@ def test_boundary_vertices_never_interior():
         for u in range(len(tree)):
             if tree.preimage[u] in boundary:
                 assert tree.boundary_copy[u] and tree.is_leaf(u)
-        verify_tree_invariants(tree, system)
+        ora.verify_tree_invariants(tree, system)
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,7 +112,7 @@ def test_structural_invariants_random(seed, n):
     rng = random.Random(seed)
     inst = ora.random_instance(rng, n)
     system = to_system(inst)
-    verify_tree_invariants(build_saw_tree(system, rng.randrange(n)), system)
+    ora.verify_tree_invariants(build_saw_tree(system, rng.randrange(n)), system)
 
 
 def test_walk_tree_against_recursive_walk_oracle():
@@ -158,7 +157,7 @@ def test_single_vertex_tree():
     solo = TwoSpinSystem.from_params(1, [2.0], [])
     tree = build_saw_tree(solo, 0)
     assert len(tree) == 1 and tree.is_leaf(0)
-    verify_tree_invariants(tree, solo)
+    ora.verify_tree_invariants(tree, solo)
     assert saw_marginal(solo, 0) == pytest.approx((2 / 3, 1 / 3, 1))
 
 
