@@ -378,13 +378,9 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
 
 def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
-                       argv: list[str]) -> None:
+                       path: str) -> None:
     """Config file values become parser defaults; explicit flags then
     override them during the real parse."""
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise InputError("--config needs a path")
-    path = argv[idx + 1]
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -412,21 +408,23 @@ def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
 
 @functools.cache
 def _shared_parser() -> _Parser:
-    """The parser of every call without --config: parsing leaves no state
-    on it, so one tree serves the whole process."""
+    """The parser every call starts on: parsing leaves no state on it, so
+    one tree serves the whole process."""
     return build_parser()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--config" in argv:
-            # config values become defaults, so this call gets its own tree
+        args = _shared_parser().parse_args(argv)
+        # argparse has resolved every spelling of --config (--config=PATH,
+        # abbreviations); its values become defaults, so such a call parses
+        # again on a tree of its own
+        config = getattr(args, "config", None)
+        if config is not None:
             parser, registry = build_parser()
-            _apply_config_file(registry, argv)
-        else:
-            parser = _shared_parser()
-        args = parser.parse_args(argv)
+            _apply_config_file(registry, config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

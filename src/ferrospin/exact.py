@@ -499,13 +499,28 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
     = sum_y P(s,y) (P^t(y,.) - mu).  So P is squared until d(2^k) < eps or
     2^(k+1) would pass the cap, and t is then found by bisection over the
     stored powers P^(2^j): about 2 log2(t) products instead of t."""
+    return _mixing_search(P, mu, eps, cap)[0]
+
+
+def _mixing_time_and_distance(P: TransitionMatrix, mu: DistributionTable,
+                              eps: float, cap: int) -> tuple[int, float]:
+    """(t, d(t)) for t = exact_mixing_time(P, mu, eps, cap): one product
+    more than the search, on its last stored power."""
+    t, low = _mixing_search(P, mu, eps, cap)
+    return t, _worst_tv(P.entries if low is None else low @ P.entries, mu)
+
+
+def _worst_tv(M: np.ndarray, mu: DistributionTable) -> float:
+    dev = M - mu.probs[None, :]
+    np.abs(dev, out=dev)
+    return 0.5 * float(dev.sum(axis=1).max())
+
+
+def _mixing_search(P: TransitionMatrix, mu: DistributionTable, eps: float,
+                   cap: int) -> tuple[int, np.ndarray | None]:
+    """exact_mixing_time's search: t and P^(t-1) (None when t = 1)."""
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
-
-    def worst_tv(M: np.ndarray) -> float:
-        dev = M - mu.probs[None, :]
-        np.abs(dev, out=dev)
-        return 0.5 * float(dev.sum(axis=1).max())
 
     def capped(residual: float) -> NonconvergenceError:
         return NonconvergenceError(
@@ -515,13 +530,13 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
     if cap < 1:
         raise capped(math.inf)
     powers = [P.entries]  # powers[j] = P^(2^j)
-    tv = worst_tv(P.entries)
+    tv = _worst_tv(P.entries, mu)
     while tv >= eps and 2 ** len(powers) <= cap:
         powers.append(powers[-1] @ powers[-1])
-        tv = worst_tv(powers[-1])
+        tv = _worst_tv(powers[-1], mu)
     if tv < eps:
         if len(powers) == 1:
-            return 1
+            return 1, None
         powers.pop()
     # d(lo) >= eps, and d(2 lo) < eps or 2 lo > cap: add lo's lower bits
     # from the top down, keeping lo the last step with d >= eps
@@ -531,9 +546,9 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
         step = powers.pop()
         if lo + 2 ** j <= cap:
             M = low @ step
-            if worst_tv(M) >= eps:
+            if _worst_tv(M, mu) >= eps:
                 low, lo = M, lo + 2 ** j
             del M
     if lo == cap:
-        raise capped(worst_tv(low))
-    return lo + 1
+        raise capped(_worst_tv(low, mu))
+    return lo + 1, low

@@ -10,6 +10,7 @@ produces byte-identical reports.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -22,6 +23,7 @@ from . import constants
 from .errors import InputError, NumericError
 from .exact import (
     TransitionMatrix,
+    _mixing_time_and_distance,
     alternating_scan_matrix,
     censored_glauber_matrix,
     conditional_marginal,
@@ -46,7 +48,7 @@ from .model import (
     tilt,
 )
 from .regions import RegionParams, construct_region, verify_region
-from .samplers import UpdateSchedule, coupling_time
+from .samplers import UpdateSchedule, coupling_times
 from .sawtree import Phi, decay_factor, derive_potential, g_value, phi, saw_marginal
 
 SCHEMA_VERSION = 1
@@ -368,12 +370,14 @@ def coupling_mixing_estimate(system: TwoSpinSystem, schedule: UpdateSchedule,
         raise InputError("estimate needs at least one trial")
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
-    times = [coupling_time(system, schedule, seed + 1000003 * i, cap)
-             for i in range(trials)]
-    censored = sum(1 for t in times if t is None)
+    times = coupling_times(system, schedule,
+                           [seed + 1000003 * i for i in range(trials)], cap)
+    censored = times.count(None)
+    merged = sorted(t for t in times if t is not None)
     estimate: int | None = None
-    for t in sorted(t for t in times if t is not None):
-        not_merged = sum(1 for x in times if x is None or x > t)
+    for t in merged:
+        # runs not merged by t: the censored ones and those merging later
+        not_merged = trials - bisect.bisect_right(merged, t)
         if wilson_upper(not_merged, trials) < eps:
             estimate = t
             break
@@ -400,11 +404,9 @@ def coupling_failure_fraction(system: TwoSpinSystem,
         raise InputError("step count must be positive")
     if trials < 1:
         raise InputError("need at least one trial")
-    fails = 0
-    for i in range(trials):
-        if coupling_time(system, schedule, seed + 1000003 * i, cap=t) is None:
-            fails += 1
-    return fails / trials
+    times = coupling_times(system, schedule,
+                           [seed + 1000003 * i for i in range(trials)], t)
+    return times.count(None) / trials
 
 
 def coupling_dominance_row(system: TwoSpinSystem, schedule: UpdateSchedule,
@@ -416,9 +418,7 @@ def coupling_dominance_row(system: TwoSpinSystem, schedule: UpdateSchedule,
     probability plus three plug-in standard errors dominates the exact
     worst-start distance (any coupling upper-bounds total variation)."""
     mu = gibbs_distribution(system)
-    t_star = exact_mixing_time(kernel, mu, eps, cap)
-    M = np.linalg.matrix_power(kernel.entries, t_star)
-    tv = float(0.5 * np.abs(M - mu.probs[None, :]).sum(axis=1).max())
+    t_star, tv = _mixing_time_and_distance(kernel, mu, eps, cap)
     frac = coupling_failure_fraction(system, schedule, t_star, trials, seed)
     sigma = math.sqrt(frac * (1.0 - frac) / trials)
     return inequality_row(

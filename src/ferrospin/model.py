@@ -119,6 +119,18 @@ class TwoSpinSystem:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _site_terms(self) -> tuple[tuple[int, tuple], ...]:
+        """Per vertex v: (bitmask of v's neighbours, ((1 << w, log beta_e,
+        log gamma_e) for each neighbour w, in increasing order)), the inputs
+        of the samplers' site conditionals."""
+        lb, lg = self.log_beta, self.log_gamma
+        sites = []
+        for nbrs in self.adjacency:
+            terms = tuple([(1 << w, lb[e], lg[e]) for w, e in nbrs])
+            sites.append((sum([bit for bit, _, _ in terms]), terms))
+        return tuple(sites)
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {pair: e for e, pair in enumerate(self.edges)}
 

@@ -11,16 +11,36 @@ remainder of the block.  Two chains fed the same vectors therefore couple
 monotonically, and a censored chain with S = V reproduces the uncensored
 trajectory bit for bit.
 
-One step path serves every chain: the schedule is compiled once per run
-(`_compile`), one update resamples a block in one chain or a coupled pair
-(`_update`), and one loop (`_run`), which checks a pair's order once per
-step, drives `coupling_time`, `trajectory_csv` and the one-step wrappers.
+One compiled kernel serves every chain.  `_compile` checks the schedule
+once per run and returns a `_Kernel`: the block selector, and per vertex a
+neighbour bitmask, its (bit, log beta_e, log gamma_e) terms (computed once
+per system, `TwoSpinSystem._site_terms`) and a table of its conditionals,
+made on first use.  Chains carry configurations as int bitmasks (bit v is sigma_v),
+so a pair's order check is `low & ~up == 0`, the merge check `up == low`
+and the Hamming weight `bit_count()`.  A site conditional depends only on
+`config & mask[v]`; each vertex of degree at most `_MEMO_MAX_DEGREE` (8)
+memoises it by that pattern for the whole run, so its table never holds
+more than 2^8 entries, and higher-degree vertices compute it on every
+lookup.  Memo entries come from the one scalar formula of
+`site_conditional` (same addition order, `math.exp`), so a memoised chain
+is bit-identical to a direct one.  Dependent blocks enumerate their
+undecided suffix on 0/1 row tables cached per run by block size (up to
+`_ROWS_KEPT` vertices).  One
+update (`_Kernel.update`) resamples a block in one chain or a coupled pair,
+and one loop (`_run`) drives `trajectory_csv`, `coupling_times` (many seeds
+on one kernel; `coupling_time` is its one-seed form), `schedule_step` and
+`field_dynamics_step`; `monotone_coupled_step` runs one update on the
+vector it is given.  The one-step wrappers compile on every call.
+`RandomSource` draws its Philox stream in chunks and hands the uniforms out
+in order; concatenated draws equal one draw, so the chunking never changes
+a trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import lshift
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +49,17 @@ from . import constants
 from .errors import (CapacityError, CouplingInvariantError, InputError)
 from .exact import check_bipartition
 from .model import TwoSpinSystem, tilt
+
+# site tables memoise p(sigma_v = 1) only for vertices of at most this many
+# neighbours, so a table holds at most 2^8 entries however long the run
+_MEMO_MAX_DEGREE = 8
+# dependent-block row tables are kept for the run up to this block size (at
+# most 2^12 rows, about 2 MB for every size up to it); a larger block builds
+# its tables per call, so a run never holds a 2^20-row table it is not using
+_ROWS_KEPT = 12
+# uniforms drawn from the Philox stream per refill: the first, and the most
+_FIRST_CHUNK = 128
+_MAX_CHUNK = 2048
 
 SCHEDULE_KINDS = ("single-site-glauber", "heat-bath-block",
                   "systematic-scan-block", "alternating-scan",
@@ -49,18 +80,39 @@ class ChainState:
 
 class RandomSource:
     """Seeded counter-based uniform stream (identical seed => identical
-    trajectory, independent of platform)."""
+    trajectory, independent of platform).  Uniforms are drawn from the
+    Philox stream in growing chunks and handed out in order; `position`
+    counts those handed out."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         if not (0 <= self.seed < 2 ** 128):
             raise InputError(f"seed must lie in [0, 2^128), got {self.seed}")
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self.position = 0
+        self.position = 0  # uniforms handed out so far
+        self._buf: list[float] = []
+        self._off = 0
+        self._chunk = _FIRST_CHUNK
+
+    def _take(self, k: int) -> list[float]:
+        """The next k uniforms of the stream, as floats."""
+        end = self._off + k
+        if end > len(self._buf):
+            rest = self._buf[self._off:]
+            draw = max(k - len(rest), self._chunk)
+            self._chunk = min(2 * self._chunk, _MAX_CHUNK)
+            self._buf = rest + self._gen.random(draw).tolist()
+            self._off, end = 0, k
+        out = self._buf[self._off:end]
+        self._off = end
+        self.position += k
+        return out
 
     def uniforms(self, k: int) -> np.ndarray:
-        self.position += int(k)
-        return self._gen.random(int(k))
+        k = int(k)
+        if k < 0:
+            raise InputError(f"cannot draw {k} uniforms")
+        return np.array(self._take(k), dtype=np.float64)
 
     def step_vector(self, n: int) -> np.ndarray:
         """The shared r in [0,1]^(n+1): selector + per-vertex thresholds."""
@@ -122,81 +174,222 @@ def dominates(tau: Sequence[int], sigma: Sequence[int]) -> bool:
     return all(s <= t for s, t in zip(sigma, tau, strict=True))
 
 
-def site_conditional(system: TwoSpinSystem, config: Sequence[int],
-                     v: int) -> float:
-    """p(sigma_v = 1 | rest of config) from the local factor ratio, in log
-    space: log ratio0/1 = log lambda_v + sum_{nbr=0} log beta - sum_{nbr=1}
-    log gamma."""
-    if not (0 <= v < system.n):
-        raise InputError(f"vertex {v} out of range")
-    log_ratio = system.log_lambda[v]
-    for (w, e) in system.neighbors(v):
-        if config[w] == 0:
-            log_ratio += system.log_beta[e]
+def _to_bits(config: Sequence[int]) -> int:
+    """0/1 configuration -> bitmask (bit v is sigma_v)."""
+    return sum(map(lshift, config, range(len(config))))
+
+
+_SPINS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _to_config(bits: int, n: int) -> tuple[int, ...]:
+    """Bitmask -> configuration tuple: the binary digits below a sentinel
+    bit n, least significant first."""
+    return tuple(bin(bits | 1 << n)[:2:-1].encode().translate(_SPINS))
+
+
+def _site_p1(log_ratio: float, terms, pattern: int) -> float:
+    """p(sigma_v = 1) from log lambda_v, v's (bit, log beta, log gamma)
+    terms in neighbour order and the neighbours' spins as a bitmask: log
+    ratio0/1 = log lambda_v + sum_{nbr=0} log beta - sum_{nbr=1} log
+    gamma."""
+    for bit, lb, lg in terms:
+        if pattern & bit:
+            log_ratio -= lg
         else:
-            log_ratio -= system.log_gamma[e]
+            log_ratio += lb
     # p1 = 1/(1+ratio), stable for either sign of log_ratio
     if log_ratio >= 0.0:
         return math.exp(-log_ratio) / (1.0 + math.exp(-log_ratio))
     return 1.0 / (1.0 + math.exp(log_ratio))
 
 
-def _marginalized_conditional(system: TwoSpinSystem, config: Sequence[int],
-                              v: int, undecided: Iterable[int]) -> float:
-    """p(sigma_v = 1 | all decided spins), marginalizing the undecided set.
-
-    Enumerates local factors over U = {v} + undecided; factors not touching
-    U cancel in the ratio.
-    """
-    U = sorted(set(undecided) | {v})
-    m = len(U)
-    if m > constants.BLOCK_ENUM_LIMIT:
-        raise CapacityError(
-            f"conditional enumeration over {m} vertices exceeds "
-            f"{constants.BLOCK_ENUM_LIMIT}")
-    pos = {u: i for i, u in enumerate(U)}
-    inside = set(U)
-    c0 = np.array([system.log_lambda[u] for u in U])
-    c1 = np.zeros(m)
-    in_edges = []
-    for i, u in enumerate(U):
-        for (w, e) in system.neighbors(u):
-            if w in inside:
-                if w > u:  # count each internal edge once
-                    in_edges.append((i, pos[w], system.log_beta[e],
-                                     system.log_gamma[e]))
-            elif config[w] == 0:
-                c0[i] += system.log_beta[e]
-            else:
-                c1[i] += system.log_gamma[e]
-    size = 1 << m
-    bits = ((np.arange(size)[:, None] >> np.arange(m)) & 1).astype(np.float64)
-    logw = bits @ c1 + (1.0 - bits) @ c0
-    for (i, j, lb, lg) in in_edges:
-        bi, bj = bits[:, i], bits[:, j]
-        logw += np.where((bi == 0) & (bj == 0), lb, 0.0)
-        logw += np.where((bi == 1) & (bj == 1), lg, 0.0)
-    w = np.exp(logw - logw.max())
-    onemask = bits[:, pos[v]] == 1.0
-    s1 = float(w[onemask].sum())
-    s0 = float(w[~onemask].sum())
-    return s1 / (s0 + s1)
+def site_conditional(system: TwoSpinSystem, config: Sequence[int],
+                     v: int) -> float:
+    """p(sigma_v = 1 | rest of config) from the local factor ratio, in log
+    space."""
+    if not (0 <= v < system.n):
+        raise InputError(f"vertex {v} out of range")
+    pattern = sum([1 << w for w, _ in system.neighbors(v) if config[w]])
+    return _Sites(system)[v][1][pattern]
 
 
-def _is_independent(system: TwoSpinSystem, block: Sequence[int]) -> bool:
-    bset = set(block)
-    return not any(w in bset for u in block for (w, _) in system.neighbors(u))
+class _Memo(dict):
+    """p(sigma_v = 1) by neighbour pattern, each entry computed once."""
+
+    __slots__ = ("log_lambda", "terms")
+
+    def __init__(self, log_lambda: float, terms):
+        self.log_lambda, self.terms = log_lambda, terms
+
+    def __missing__(self, pattern: int) -> float:
+        p1 = self[pattern] = _site_p1(self.log_lambda, self.terms, pattern)
+        return p1
 
 
-def _compile(system: TwoSpinSystem, schedule: UpdateSchedule):
-    """Check a block schedule against `system` once per run.
+class _Direct:
+    """p(sigma_v = 1) by neighbour pattern, computed on every lookup."""
 
-    Returns select(step, selector) -> (block, independent): the censored
-    block that step updates, in increasing vertex order, and whether it is an
-    independent set.  Cyclic kinds take block step mod b; the others choose
-    uniformly, selector in [(i-1)/b, i/b) picking block i."""
+    __slots__ = ("log_lambda", "terms")
+
+    def __init__(self, log_lambda: float, terms):
+        self.log_lambda, self.terms = log_lambda, terms
+
+    def __getitem__(self, pattern: int) -> float:
+        return _site_p1(self.log_lambda, self.terms, pattern)
+
+
+class _Sites(dict):
+    """v -> (neighbour bitmask of v, table of p(sigma_v = 1) by neighbour
+    pattern), made on first use, so a one-step run pays only for the
+    vertices it touches.  The table memoises when v has at most
+    `_MEMO_MAX_DEGREE` neighbours."""
+
+    def __init__(self, system: TwoSpinSystem):
+        self.system = system
+
+    def __missing__(self, v: int):
+        mask, terms = self.system._site_terms[v]
+        table = _Memo if len(terms) <= _MEMO_MAX_DEGREE else _Direct
+        site = self[v] = (mask, table(self.system.log_lambda[v], terms))
+        return site
+
+
+class _Kernel:
+    """One schedule compiled against one system, shared by every chain of a
+    run: the block selector (None for field dynamics, which draws its block
+    from the state and runs on the tilted system), the per-vertex site
+    tables and the enumeration tables of dependent blocks by size."""
+
+    __slots__ = ("system", "select", "theta", "sites", "_rows")
+
+    def __init__(self, system: TwoSpinSystem, theta: float | None = None):
+        self.system = system
+        self.select = None  # set by _compile for the block kinds
+        self.theta = theta
+        self.sites = _Sites(system)
+        self._rows: dict[int, _Rows] = {}
+
+    def independent(self, block: Sequence[int]) -> bool:
+        if len(block) < 2:
+            return True
+        inside = 0
+        for v in block:
+            inside |= 1 << v
+        sites = self.sites
+        return not any(sites[v][0] & inside for v in block)
+
+    def update(self, configs: tuple[int, ...], block: tuple[int, ...],
+               independent: bool, thresholds: Sequence[float]
+               ) -> tuple[int, ...]:
+        """Exact heat-bath resample of `block` in each of one or two
+        bitmask configurations on the same thresholds, one per vertex in
+        increasing vertex order (inverse-CDF chain rule)."""
+        out = []
+        if independent:
+            # a vertex's conditional reads only spins outside the block
+            sites = self.sites
+            for config in configs:
+                for v, th in zip(block, thresholds):
+                    mask, table = sites[v]
+                    if th <= table[config & mask]:
+                        config |= 1 << v
+                    else:
+                        config &= ~(1 << v)
+                out.append(config)
+            return tuple(out)
+        for config in configs:
+            for k, v in enumerate(block):
+                if thresholds[k] <= self.marginal(config, block[k:], 0):
+                    config |= 1 << v
+                else:
+                    config &= ~(1 << v)
+            out.append(config)
+        return tuple(out)
+
+    def marginal(self, config: int, undecided: tuple[int, ...],
+                 i: int) -> float:
+        """p(sigma_v = 1 | the decided spins of `config`) for v =
+        undecided[i], marginalizing the rest of `undecided` (increasing
+        vertices).
+
+        Enumerates the local factors over U = undecided on 2^|U| rows;
+        factors not touching U cancel in the ratio."""
+        m = len(undecided)
+        if m > constants.BLOCK_ENUM_LIMIT:
+            raise CapacityError(
+                f"conditional enumeration over {m} vertices exceeds "
+                f"{constants.BLOCK_ENUM_LIMIT}")
+        sites = self.sites
+        inside = 0
+        for u in undecided:
+            inside |= 1 << u
+        c0, c1, in_edges = [], [], []
+        for a, u in enumerate(undecided):
+            table = sites[u][1]
+            x0, x1 = table.log_lambda, 0.0
+            for bit, lb, lg in table.terms:
+                if bit & inside:
+                    if bit >> u > 1:  # count each internal edge once
+                        in_edges.append(
+                            (a, (inside & (bit - 1)).bit_count(), lb, lg))
+                elif config & bit:
+                    x1 += lg
+                else:
+                    x0 += lb
+            c0.append(x0)
+            c1.append(x1)
+        rows = self._rows.get(m)
+        if rows is None:
+            rows = _Rows(m)
+            if m <= _ROWS_KEPT:
+                self._rows[m] = rows
+        logw = rows.bits @ np.array(c1) + rows.comp @ np.array(c0)
+        for (a, b, lb, lg) in in_edges:
+            both0, both1 = rows.edge(a, b)
+            logw[both0] += lb
+            logw[both1] += lg
+        w = np.exp(logw - logw.max())
+        s1 = float(w[rows.ones[:, i]].sum())
+        s0 = float(w[rows.zeros[:, i]].sum())
+        return s1 / (s0 + s1)
+
+
+class _Rows:
+    """The 2^m rows of a dependent-block enumeration over m vertices: the
+    0/1 bit table, its complement, its 1 and 0 masks, and per internal edge
+    (a, b) the indices of the rows with both ends 0 and with both ends 1."""
+
+    __slots__ = ("bits", "comp", "ones", "zeros", "_edges")
+
+    def __init__(self, m: int):
+        bits = ((np.arange(1 << m)[:, None] >> np.arange(m))
+                & 1).astype(np.float64)
+        self.bits, self.comp = bits, 1.0 - bits
+        self.ones = bits == 1.0
+        self.zeros = ~self.ones
+        self._edges: dict[tuple[int, int], tuple] = {}
+
+    def edge(self, a: int, b: int):
+        got = self._edges.get((a, b))
+        if got is None:
+            zeros, ones = self.zeros, self.ones
+            got = self._edges[(a, b)] = (
+                (zeros[:, a] & zeros[:, b]).nonzero()[0],
+                (ones[:, a] & ones[:, b]).nonzero()[0])
+        return got
+
+
+def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
+    """Compile `schedule` against `system` once per run.
+
+    For the block kinds the kernel's select(step, selector) -> (block,
+    independent) gives the censored block that step updates, in increasing
+    vertex order, and whether it is an independent set.  Cyclic kinds take
+    block step mod b; the others choose uniformly, selector in [(i-1)/b,
+    i/b) picking block i."""
     if schedule.kind == "field-dynamics":
-        raise InputError("field dynamics has no block list")
+        return _Kernel(tilt(system, schedule.theta), theta=schedule.theta)
     if schedule.kind == "single-site-glauber":
         blocks = [(v,) for v in range(system.n)]
     elif not schedule.blocks:
@@ -211,67 +404,57 @@ def _compile(system: TwoSpinSystem, schedule: UpdateSchedule):
             check_bipartition(system, blocks)
     if schedule.censor is not None:
         blocks = [tuple(v for v in b if v in schedule.censor) for b in blocks]
-    compiled = [(b, _is_independent(system, b)) for b in blocks]
+    kernel = _Kernel(system)
+    if schedule.kind in ("single-site-glauber", "alternating-scan"):
+        # singletons, and the parts of a checked bipartition, are
+        # independent sets
+        compiled = [(b, True) for b in blocks]
+    else:
+        compiled = [(b, kernel.independent(b)) for b in blocks]
     k = len(compiled)
     if schedule.kind in ("systematic-scan-block", "alternating-scan"):
-        return lambda step, selector: compiled[step % k]
-    return lambda step, selector: compiled[min(int(selector * k), k - 1)]
+        kernel.select = lambda step, selector: compiled[step % k]
+    else:
+        kernel.select = lambda step, selector: compiled[
+            min(int(selector * k), k - 1)]
+    return kernel
 
 
-def _update(system: TwoSpinSystem, configs: tuple[tuple[int, ...], ...],
-            block: tuple[int, ...], independent: bool,
-            thresholds: Sequence[float]) -> tuple[tuple[int, ...], ...]:
-    """Exact heat-bath resample of `block` in each of one or two
-    configurations on the same thresholds, one per vertex in increasing
-    vertex order (inverse-CDF chain rule)."""
-    out = []
-    for config in configs:
-        new = list(config)
-        for k, v in enumerate(block):
-            if independent:
-                # depends only on the (unchanged) outside configuration
-                p1 = site_conditional(system, config, v)
-            else:
-                p1 = _marginalized_conditional(system, new, v, block[k + 1:])
-            new[v] = 1 if thresholds[k] <= p1 else 0
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def _run(system: TwoSpinSystem, schedule: UpdateSchedule,
-         starts: tuple[tuple[int, ...], ...], rng: RandomSource,
+def _run(kernel: _Kernel, starts: tuple[int, ...], rng: RandomSource,
          step: int = 0):
-    """Advance one chain, or a coupled pair on shared vectors, from `starts`
-    and yield the configurations after each step.  The schedule is compiled,
-    and a field-dynamics system tilted, once per run; a pair's order is
-    checked once per step."""
-    n = system.n
-    if schedule.kind == "field-dynamics":
+    """Advance one chain, or a coupled pair on shared vectors, from the
+    bitmask configurations `starts` and yield the configurations after each
+    step.  A pair's order is checked once per step until the pair merges."""
+    n = kernel.system.n
+    take, update = rng._take, kernel.update
+    configs = starts
+    if kernel.select is None:
         if len(starts) != 1:
             raise InputError("field dynamics is not a shared-vector block kind")
-        theta = schedule.theta
-        target = tilt(system, theta)
-
-        def draw(step, config):
+        theta = kernel.theta
+        while True:
             # S: every 1-vertex surely, each 0-vertex with probability theta
-            coins = rng.uniforms(n)  # one per vertex, in increasing order
+            config = configs[0]
+            coins = take(n)  # one per vertex, in increasing order
             block = tuple(v for v in range(n)
-                          if config[v] == 1 or coins[v] <= theta)
-            return (block, _is_independent(target, block),
-                    rng.uniforms(len(block)))
-    else:
-        target, select = system, _compile(system, schedule)
-
-        def draw(step, config):
-            r = rng.step_vector(n)
-            return (*select(step, r[0]), r[1:])
-    configs = starts
+                          if config >> v & 1 or coins[v] <= theta)
+            configs = update(configs, block, kernel.independent(block),
+                             take(len(block)))
+            yield configs
+    select = kernel.select
     while True:
-        block, independent, thresholds = draw(step, configs[0])
-        configs = _update(target, configs, block, independent, thresholds)
-        if len(configs) == 2 and not dominates(*configs):
-            raise CouplingInvariantError(
-                f"order violated after updating block {block}")
+        r = take(n + 1)
+        block, independent = select(step, r[0])
+        thresholds = r[1:len(block) + 1]
+        if len(configs) == 2 and configs[0] == configs[1]:
+            # a merged pair stays merged: one update serves both chains
+            (config,) = update(configs[:1], block, independent, thresholds)
+            configs = (config, config)
+        else:
+            configs = update(configs, block, independent, thresholds)
+            if len(configs) == 2 and configs[1] & ~configs[0]:
+                raise CouplingInvariantError(
+                    f"order violated after updating block {block}")
         step += 1
         yield configs
 
@@ -281,8 +464,10 @@ def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
     """One step of the scheduled dynamics (one block for block kinds)."""
     if len(state.config) != system.n:
         raise InputError("state size mismatch")
-    (config,) = next(_run(system, schedule, (state.config,), rng, state.step))
-    return ChainState(config=config, step=state.step + 1)
+    (config,) = next(_run(_compile(system, schedule),
+                          (_to_bits(state.config),), rng, state.step))
+    return ChainState(config=_to_config(config, system.n),
+                      step=state.step + 1)
 
 
 def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
@@ -295,13 +480,19 @@ def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
     conditional.  Ferromagnetic conditionals are monotone in the decided
     spins, so the coordinatewise order survives; violation raises (checked
     once, by `CoupledPair`)."""
-    if len(r) != system.n + 1:
-        raise InputError(f"shared vector must have length {system.n + 1}")
-    block, independent = _compile(system, schedule)(pair.upper.step, r[0])
-    up, low = _update(system, (pair.upper.config, pair.lower.config),
-                      block, independent, r[1:])
-    return CoupledPair(upper=ChainState(up, pair.upper.step + 1),
-                       lower=ChainState(low, pair.lower.step + 1))
+    n = system.n
+    if len(r) != n + 1:
+        raise InputError(f"shared vector must have length {n + 1}")
+    if schedule.kind == "field-dynamics":
+        raise InputError("field dynamics has no block list")
+    kernel = _compile(system, schedule)
+    block, independent = kernel.select(pair.upper.step, r[0])
+    up, low = kernel.update(
+        (_to_bits(pair.upper.config), _to_bits(pair.lower.config)),
+        block, independent, r[1:])
+    return CoupledPair(upper=ChainState(_to_config(up, n), pair.upper.step + 1),
+                       lower=ChainState(_to_config(low, n),
+                                        pair.lower.step + 1))
 
 
 def field_dynamics_step(system: TwoSpinSystem, theta: float,
@@ -312,16 +503,30 @@ def field_dynamics_step(system: TwoSpinSystem, theta: float,
                                                 theta=theta), state, rng)
 
 
+def coupling_times(system: TwoSpinSystem, schedule: UpdateSchedule,
+                   seeds: Iterable[int],
+                   cap: int = constants.MIXING_STEP_CAP) -> list[int | None]:
+    """`coupling_time` for each seed, on one compiled kernel whose site
+    tables every seed shares."""
+    kernel = _compile(system, schedule)
+    top = (1 << system.n) - 1
+    times: list[int | None] = []
+    for seed in seeds:
+        chains = _run(kernel, (top, 0), RandomSource(seed))
+        for t, (up, low) in zip(range(1, cap + 1), chains):
+            if up == low:
+                times.append(t)
+                break
+        else:
+            times.append(None)
+    return times
+
+
 def coupling_time(system: TwoSpinSystem, schedule: UpdateSchedule, seed: int,
                   cap: int = constants.MIXING_STEP_CAP) -> int | None:
     """First step at which the grand coupling from (all-one, all-zero)
     merges; None if the cap is hit first."""
-    n = system.n
-    chains = _run(system, schedule, ((1,) * n, (0,) * n), RandomSource(seed))
-    for t, (up, low) in zip(range(1, cap + 1), chains):
-        if up == low:
-            return t
-    return None
+    return coupling_times(system, schedule, (seed,), cap)[0]
 
 
 def warm_start_check(system: TwoSpinSystem, config: Sequence[int],
@@ -353,11 +558,11 @@ def trajectory_csv(system: TwoSpinSystem, schedule: UpdateSchedule,
              f"# blocks={schedule.blocks!r}", f"# theta={schedule.theta!r}",
              f"# censor={sorted(schedule.censor) if schedule.censor else None!r}",
              f"# steps={steps}", "step,hamming_weight,coupled_flag"]
-    n = system.n
+    top = (1 << system.n) - 1
     coupled = schedule.kind != "field-dynamics"
-    starts = ((1,) * n, (0,) * n) if coupled else ((1,) * n,)
-    chains = _run(system, schedule, starts, RandomSource(seed))
+    starts = (top, 0) if coupled else (top,)
+    chains = _run(_compile(system, schedule), starts, RandomSource(seed))
     for t, configs in zip(range(1, steps + 1), chains):
         flag = (1 if configs[0] == configs[1] else 0) if coupled else ""
-        lines.append(f"{t},{sum(configs[0])},{flag}")
+        lines.append(f"{t},{configs[0].bit_count()},{flag}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,12 @@ not production code.
 Conventions: a system is (n, lam, edges) with lam a list of per-vertex
 fields and edges a list of (u, v, beta, gamma) tuples; a configuration is a
 tuple of n ints in {0, 1}.
+
+The one exception is the reference chain at the end: the samplers' step
+as it was before the compiled kernel, on configuration tuples with one
+conditional computed per call.  It reads the package's system object and
+keeps the samplers' own numpy enumeration for dependent blocks, so the
+compiled kernel has to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+
+import numpy as np
 
 
 def all_configs(n):
@@ -412,3 +420,130 @@ def verify_tree_invariants(tree, system):
         elif not (tree.boundary_copy[u] or tree.cycle_closing[u]):
             assert (g_deg == 1 and tree.parent[u] >= 0) or g_deg == 0, (
                 f"node {u}: unexplained leaf (degree {g_deg})")
+
+
+# ---------------------------------------------------------------------------
+# reference chain: `system` is a ferrospin TwoSpinSystem (read through n,
+# log_lambda, log_beta, log_gamma and neighbors), `schedule` anything with
+# kind / blocks / theta / censor; draws come straight from a Philox
+# generator, one call per use
+
+def chain_site_conditional(system, config, v):
+    """p(sigma_v = 1 | rest of config), neighbour terms in adjacency order."""
+    log_ratio = system.log_lambda[v]
+    for (w, e) in system.neighbors(v):
+        if config[w] == 0:
+            log_ratio += system.log_beta[e]
+        else:
+            log_ratio -= system.log_gamma[e]
+    if log_ratio >= 0.0:
+        return math.exp(-log_ratio) / (1.0 + math.exp(-log_ratio))
+    return 1.0 / (1.0 + math.exp(log_ratio))
+
+
+def chain_marginalized_conditional(system, config, v, undecided):
+    """p(sigma_v = 1 | decided spins), enumerating the local factors over
+    U = {v} + undecided with tables built afresh on every call."""
+    U = sorted(set(undecided) | {v})
+    m = len(U)
+    pos = {u: i for i, u in enumerate(U)}
+    inside = set(U)
+    c0 = np.array([system.log_lambda[u] for u in U])
+    c1 = np.zeros(m)
+    in_edges = []
+    for i, u in enumerate(U):
+        for (w, e) in system.neighbors(u):
+            if w in inside:
+                if w > u:
+                    in_edges.append((i, pos[w], system.log_beta[e],
+                                     system.log_gamma[e]))
+            elif config[w] == 0:
+                c0[i] += system.log_beta[e]
+            else:
+                c1[i] += system.log_gamma[e]
+    size = 1 << m
+    bits = ((np.arange(size)[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    logw = bits @ c1 + (1.0 - bits) @ c0
+    for (i, j, lb, lg) in in_edges:
+        bi, bj = bits[:, i], bits[:, j]
+        logw += np.where((bi == 0) & (bj == 0), lb, 0.0)
+        logw += np.where((bi == 1) & (bj == 1), lg, 0.0)
+    w = np.exp(logw - logw.max())
+    onemask = bits[:, pos[v]] == 1.0
+    s1 = float(w[onemask].sum())
+    s0 = float(w[~onemask].sum())
+    return s1 / (s0 + s1)
+
+
+def _chain_independent(system, block):
+    bset = set(block)
+    return not any(w in bset for u in block for (w, _) in system.neighbors(u))
+
+
+def chain_update(system, configs, block, independent, thresholds):
+    """Resample `block` in each configuration on the shared thresholds."""
+    out = []
+    for config in configs:
+        new = list(config)
+        for k, v in enumerate(block):
+            if independent:
+                p1 = chain_site_conditional(system, config, v)
+            else:
+                p1 = chain_marginalized_conditional(system, new, v,
+                                                    block[k + 1:])
+            new[v] = 1 if thresholds[k] <= p1 else 0
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def chain_run(system, schedule, starts, seed):
+    """Yield the configurations after each step from `starts` (one chain or
+    a pair on shared draws); a pair leaving the order raises
+    AssertionError."""
+    n = system.n
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    if schedule.kind == "field-dynamics":
+        lam = [ll + math.log(schedule.theta) for ll in system.log_lambda]
+        target = type(system)(n=n, edges=system.edges,
+                              log_beta=system.log_beta,
+                              log_gamma=system.log_gamma,
+                              log_lambda=tuple(lam))
+    else:
+        target = system
+        if schedule.kind == "single-site-glauber":
+            blocks = [(v,) for v in range(n)]
+        else:
+            blocks = [tuple(sorted(set(b))) for b in schedule.blocks]
+        if schedule.censor is not None:
+            blocks = [tuple(v for v in b if v in schedule.censor)
+                      for b in blocks]
+        cyclic = schedule.kind in ("systematic-scan-block", "alternating-scan")
+    configs, step = tuple(starts), 0
+    while True:
+        if schedule.kind == "field-dynamics":
+            coins = gen.random(n)
+            block = tuple(v for v in range(n)
+                          if configs[0][v] == 1 or coins[v] <= schedule.theta)
+            thresholds = gen.random(len(block))
+        else:
+            r = gen.random(n + 1)
+            k = len(blocks)
+            block = blocks[step % k if cyclic else min(int(r[0] * k), k - 1)]
+            thresholds = r[1:]
+        configs = chain_update(target, configs, block,
+                               _chain_independent(target, block), thresholds)
+        if len(configs) == 2:
+            assert all(a >= b for a, b in zip(*configs)), "order violated"
+        step += 1
+        yield configs
+
+
+def chain_coupling_time(system, schedule, seed, cap):
+    """First step at which the pair from (all-one, all-zero) merges, or
+    None within `cap` steps."""
+    n = system.n
+    runs = chain_run(system, schedule, ((1,) * n, (0,) * n), seed)
+    for t, (up, low) in zip(range(1, cap + 1), runs):
+        if up == low:
+            return t
+    return None

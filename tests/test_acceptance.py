@@ -663,9 +663,14 @@ def test_gate_13_cli_runs_are_byte_identical(tmp_path):
     for run in range(2):
         base = tmp_path / f"run{run}"
         base.mkdir()
+        for schedule in ("glauber", "heat-bath", "systematic-scan",
+                         "alternating-scan", "field"):
+            assert main(["sample", "--instance", str(inst), "--schedule",
+                         schedule, "--steps", "400", "--seed", "11",
+                         "--out", str(base / f"traj-{schedule}.csv")]) == 0
         assert main(["sample", "--instance", str(inst), "--schedule",
-                     "glauber", "--steps", "400", "--seed", "11",
-                     "--out", str(base / "traj.csv")]) == 0
+                     "heat-bath", "--censor", "0,2,3", "--steps", "400",
+                     "--seed", "11", "--out", str(base / "traj-censor.csv")]) == 0
         assert main(["verify", "--suite", "field", "--seed", "3",
                      "--trials", "3", "--max-n", "3",
                      "--out", str(base / "rep")]) == 0

@@ -169,6 +169,29 @@ def test_config_file_must_be_valid_json(path5, tmp_path):
                  "--instance", str(path5)]) == 1
 
 
+@pytest.mark.parametrize("spelling", ["equals", "abbreviated"])
+def test_config_file_is_read_in_every_spelling(path5, tmp_path, capsys,
+                                                spelling):
+    def config_flag(cfg):
+        if spelling == "equals":
+            return [f"--config={cfg}"]
+        return ["--conf", str(cfg)]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 3, "seed": 9}))
+    out = tmp_path / "c.csv"
+    assert main(["sample", "--instance", str(path5), *config_flag(cfg),
+                 "--out", str(out)]) == 0
+    assert "# seed=9" in out.read_text()
+    assert out.read_text().count("\n") == 7 + 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"stepz": 3}))
+    capsys.readouterr()
+    assert main(["sample", "--instance", str(path5), *config_flag(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown options" in err
+
+
 def test_config_defaults_do_not_leak_into_later_calls(path5, tmp_path,
                                                      monkeypatch):
     # a --config call builds its own parser; plain calls share one and see

@@ -13,6 +13,7 @@ import _oracles as ora
 from ferrospin import constants
 from ferrospin.errors import InputError, NumericError
 from ferrospin.exact import (
+    _mixing_time_and_distance,
     censored_glauber_matrix,
     exact_mixing_time,
     gibbs_distribution,
@@ -331,6 +332,23 @@ def test_coupling_dominance_rows_hold_on_small_instances():
         row = coupling_dominance_row(system, sched, glauber_matrix(system),
                                      trials=300, seed=100 + i)
         assert row.passed, row
+
+
+def test_coupling_dominance_distance_matches_the_matrix_power_route():
+    # gate 11's instances: the distance at the exact mixing time, read off
+    # the search's last stored power, is the worst-start TV of P^t
+    for i in range(40):
+        system = random_ferro_instance(rng_for(1100 + i), 3 + i % 4, p=0.6)
+        kernel = glauber_matrix(system)
+        mu = gibbs_distribution(system)
+        eps = constants.DEFAULT_EPS
+        t, tv = _mixing_time_and_distance(kernel, mu, eps,
+                                          constants.MIXING_STEP_CAP)
+        assert t == exact_mixing_time(kernel, mu, eps)
+        M = np.linalg.matrix_power(kernel.entries, t)
+        want = float(0.5 * np.abs(M - mu.probs[None, :]).sum(axis=1).max())
+        assert abs(tv - want) <= 1e-12
+        assert tv < eps
 
 
 # ---------------------------------------------------------------------------

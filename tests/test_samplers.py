@@ -28,6 +28,7 @@ from ferrospin.samplers import (
     RandomSource,
     UpdateSchedule,
     coupling_time,
+    coupling_times,
     dominates,
     field_dynamics_step,
     monotone_coupled_step,
@@ -36,7 +37,6 @@ from ferrospin.samplers import (
     trajectory_csv,
     warm_start_check,
 )
-from ferrospin.samplers import _marginalized_conditional
 
 
 def to_system(inst):
@@ -138,7 +138,9 @@ def test_marginalized_conditional_matches_exact(seed, n):
     suffix = verts[1:rng.randint(1, n - 1) + 1]
     decided = {u: config[u] for u in range(n) if u != v and u not in suffix}
     _, p1 = conditional_marginal(system, Pinning(decided), v)
-    got = _marginalized_conditional(system, config, v, suffix)
+    U = tuple(sorted(set(suffix) | {v}))
+    got = samplers._Kernel(system).marginal(samplers._to_bits(config), U,
+                                            U.index(v))
     assert got == pytest.approx(p1, abs=1e-12)
 
 
@@ -754,3 +756,193 @@ def test_field_dynamics_takes_no_censor_and_no_coupling():
     with pytest.raises(InputError):
         coupling_time(PATH5, UpdateSchedule(kind="field-dynamics", theta=0.5),
                       seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel against the reference chain of tests/_oracles.py
+
+def test_random_source_hands_out_one_stream():
+    # any split of the draws, across buffer refills, is one Philox draw
+    sizes = [1, 5, 0, 127, 300, 7, 9000, 2, 20000, 64]
+    src = RandomSource(2024)
+    got = np.concatenate([src.uniforms(k) if i % 2 else
+                          np.array(src._take(k)) for i, k in enumerate(sizes)])
+    want = np.random.Generator(np.random.Philox(key=2024)).random(sum(sizes))
+    assert np.array_equal(got, want)
+    assert src.position == sum(sizes)
+    with pytest.raises(InputError):
+        src.uniforms(-1)
+
+
+def _bipartite_instance(rng, n):
+    """A random tree (bipartite by depth parity) plus chords between the
+    parity classes; returns the instance and its two parts."""
+    parent = {v: rng.randrange(v) for v in range(1, n)}
+    depth = {0: 0}
+    for v in range(1, n):
+        depth[v] = depth[parent[v]] + 1
+    parts = tuple(tuple(v for v in range(n) if depth[v] % 2 == side)
+                  for side in (0, 1))
+    pairs = {(parent[v], v) for v in range(1, n)}
+    for u in parts[0]:
+        for w in parts[1]:
+            if rng.random() < 0.2:
+                pairs.add((min(u, w), max(u, w)))
+    edges = ora.random_ferro_params(rng, sorted(pairs))
+    lam = [rng.uniform(1e-3, 1.5) for _ in range(n)]
+    return (n, lam, edges), parts
+
+
+def _random_blocks(rng, n):
+    blocks = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
+              for _ in range(rng.randint(1, 4))]
+    covered = set().union(*blocks)
+    blocks += [(v,) for v in range(n) if v not in covered]
+    rng.shuffle(blocks)
+    return tuple(blocks)
+
+
+BLOCK_KINDS = ("single-site-glauber", "heat-bath-block",
+               "systematic-scan-block", "alternating-scan")
+
+
+def _reference_case(case):
+    """Seeded (system, schedule, cap): every block kind, censored or not,
+    n 2-12, some stars (centre degree above the memo bound)."""
+    rng = random.Random(7100 + case)
+    n = rng.randint(2, 12)
+    kind = BLOCK_KINDS[case % 4]
+    if kind == "alternating-scan":
+        inst, blocks = _bipartite_instance(rng, n)
+    elif case % 6 == 2:
+        n = max(n, 10)
+        inst = (n, [rng.uniform(0.2, 1.5) for _ in range(n)],
+                ora.random_ferro_params(rng, [(0, v) for v in range(1, n)]))
+        blocks = None if kind == "single-site-glauber" else _random_blocks(
+            rng, n)
+    else:
+        inst = ora.random_instance(rng, n, p=rng.uniform(0.1, 0.8))
+        blocks = None if kind == "single-site-glauber" else _random_blocks(
+            rng, n)
+    censor = (frozenset(rng.sample(range(n), rng.randint(0, n)))
+              if case % 8 >= 4 else None)
+    sched = UpdateSchedule(kind=kind, blocks=blocks, censor=censor)
+    return to_system(inst), sched, rng.choice((3, 12, 60)), rng
+
+
+def test_coupling_times_match_the_reference_chain():
+    seen = set()
+    merged = censored_runs = 0
+    for case in range(48):
+        system, sched, cap, rng = _reference_case(case)
+        seeds = [rng.randrange(2 ** 40) for _ in range(5)]
+        want = [ora.chain_coupling_time(system, sched, s, cap) for s in seeds]
+        assert coupling_times(system, sched, seeds, cap) == want, case
+        assert coupling_time(system, sched, seeds[0], cap) == want[0]
+        seen.add((sched.kind, sched.censor is not None))
+        merged += sum(t is not None for t in want)
+        censored_runs += want.count(None)
+    assert seen == {(k, c) for k in BLOCK_KINDS for c in (False, True)}
+    assert merged >= 40 and censored_runs >= 40
+
+
+def test_chains_match_the_reference_chain_step_by_step():
+    # both configurations of the pair after every step, and the one chain of
+    # field dynamics, bit for bit
+    for case in range(48):
+        system, sched, _, rng = _reference_case(case)
+        n = system.n
+        starts = ((1,) * n, (0,) * n)
+        if case % 4 == 3:
+            sched = UpdateSchedule(kind="field-dynamics",
+                                   theta=rng.uniform(0.05, 1.0))
+            starts = starts[:1]
+        seed = rng.randrange(2 ** 40)
+        kernel = samplers._compile(system, sched)
+        got = samplers._run(kernel, tuple(samplers._to_bits(c) for c in starts),
+                            RandomSource(seed))
+        want = ora.chain_run(system, sched, starts, seed)
+        for t, configs, ref in zip(range(80), got, want):
+            assert configs == tuple(samplers._to_bits(c) for c in ref), (
+                case, t)
+
+
+def test_trajectories_match_the_reference_chain():
+    # upper chain and coupled flag of every kind, field dynamics included
+    for case in range(16):
+        system, sched, _, rng = _reference_case(case)
+        if case % 4 == 3:
+            sched = UpdateSchedule(kind="field-dynamics",
+                                   theta=rng.uniform(0.05, 1.0))
+        n, seed = system.n, rng.randrange(2 ** 40)
+        coupled = sched.kind != "field-dynamics"
+        starts = ((1,) * n, (0,) * n) if coupled else ((1,) * n,)
+        rows = trajectory_csv(system, sched, 60, seed).split("\n")[7:-1]
+        ref = ora.chain_run(system, sched, starts, seed)
+        want = [f"{t},{sum(configs[0])},"
+                + (str(int(configs[0] == configs[1])) if coupled else "")
+                for t, configs in zip(range(1, 61), ref)]
+        assert rows == want, case
+
+
+def test_cached_marginal_matches_the_per_call_one_bit_for_bit():
+    rng = random.Random(7300)
+    kernel_of = {}
+    for trial in range(300):
+        n = rng.randint(2, 12)
+        key = (n, trial % 5)  # a few systems, so tables and sites get reused
+        if key not in kernel_of:
+            system = to_system(ora.random_instance(rng, n,
+                                                   p=rng.uniform(0.2, 1.0)))
+            kernel_of[key] = samplers._Kernel(system)
+        kernel = kernel_of[key]
+        system = kernel.system
+        U = tuple(sorted(rng.sample(range(n), rng.randint(1, min(10, n)))))
+        i = rng.randrange(len(U))
+        config = tuple(rng.randint(0, 1) for _ in range(n))
+        want = ora.chain_marginalized_conditional(
+            system, config, U[i], U[:i] + U[i + 1:])
+        got = kernel.marginal(samplers._to_bits(config), U, i)
+        assert got == want, (trial, U, i)
+    # blocks above the kept table size build their tables per call
+    system = to_system(ora.random_instance(rng, 14, p=0.3))
+    kernel = samplers._Kernel(system)
+    for m in (samplers._ROWS_KEPT + 1, 14, 14):
+        U = tuple(sorted(rng.sample(range(14), m)))
+        i = rng.randrange(m)
+        config = tuple(rng.randint(0, 1) for _ in range(14))
+        want = ora.chain_marginalized_conditional(
+            system, config, U[i], U[:i] + U[i + 1:])
+        assert kernel.marginal(samplers._to_bits(config), U, i) == want
+    assert not kernel._rows
+
+
+def test_coupling_times_raise_on_an_order_violation():
+    # beta = gamma = 0.1 is antiferromagnetic: the pair leaves the order
+    anti = TwoSpinSystem.from_params(3, [1.0] * 3,
+                                     [(0, 1, 0.1, 0.1), (1, 2, 0.1, 0.1)])
+    for sched in (GLAUBER,
+                  UpdateSchedule(kind="heat-bath-block",
+                                 blocks=((0, 1), (2,))),
+                  UpdateSchedule(kind="alternating-scan",
+                                 blocks=((0, 2), (1,)))):
+        with pytest.raises(AssertionError, match="order violated"):
+            ora.chain_coupling_time(anti, sched, 0, 50)
+        with pytest.raises(CouplingInvariantError, match="order violated"):
+            coupling_times(anti, sched, [0, 1], cap=50)
+
+
+def test_site_memo_stays_bounded():
+    # a star: the centre's 2^11 neighbour patterns exceed the memo bound and
+    # are computed on every lookup; each leaf memoises at most 2 patterns
+    n = 12
+    star = TwoSpinSystem.from_params(
+        n, [0.9] * n, [(0, v, 0.9, 1.6) for v in range(1, n)])
+    kernel = samplers._compile(star, GLAUBER)
+    chains = samplers._run(kernel, ((1 << n) - 1, 0), RandomSource(5))
+    for _, _ in zip(range(20000), chains):
+        pass
+    assert isinstance(kernel.sites[0][1], samplers._Direct)
+    for v in range(1, n):
+        table = kernel.sites[v][1]
+        assert isinstance(table, samplers._Memo) and 1 <= len(table) <= 2
