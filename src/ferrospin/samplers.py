@@ -11,29 +11,28 @@ remainder of the block.  Two chains fed the same vectors therefore couple
 monotonically, and a censored chain with S = V reproduces the uncensored
 trajectory bit for bit.
 
-One compiled kernel serves every chain.  `_compile` checks the schedule
-once per run and returns a `_Kernel`: the block selector, and per vertex a
+One compiled kernel serves every chain.  `_compile` checks the schedule once
+per run and returns a `_Kernel`: the block selector, and per vertex a
 neighbour bitmask, its (bit, log beta_e, log gamma_e) terms (computed once
 per system, `TwoSpinSystem._site_terms`) and a table of its conditionals,
-made on first use.  Chains carry configurations as int bitmasks (bit v is sigma_v),
-so a pair's order check is `low & ~up == 0`, the merge check `up == low`
-and the Hamming weight `bit_count()`.  A site conditional depends only on
-`config & mask[v]`; each vertex of degree at most `_MEMO_MAX_DEGREE` (8)
-memoises it by that pattern for the whole run, so its table never holds
+made on first use.  Chains carry configurations as int bitmasks (bit v is
+sigma_v), so a pair's order check is `low & ~up == 0`, the merge check
+`up == low` and the Hamming weight `bit_count()`.  A site conditional depends
+only on `config & mask[v]`; each vertex of degree at most `_MEMO_MAX_DEGREE`
+(8) memoises it by that pattern for the whole run, so its table never holds
 more than 2^8 entries, and higher-degree vertices compute it on every
-lookup.  Memo entries come from the one scalar formula of
-`site_conditional` (same addition order, `math.exp`), so a memoised chain
-is bit-identical to a direct one.  Dependent blocks enumerate their
-undecided suffix on 0/1 row tables cached per run by block size (up to
-`_ROWS_KEPT` vertices).  One
+lookup.  Memo entries come from the one scalar formula of `site_conditional`
+(same addition order, `math.exp`), so a memoised chain is bit-identical to a
+direct one.  Dependent blocks enumerate their undecided suffix on 0/1 row
+tables cached per run by block size (up to `_ROWS_KEPT` vertices).  One
 update (`_Kernel.update`) resamples a block in one chain or a coupled pair,
 and one loop (`_run`) drives `trajectory_csv`, `coupling_times` (many seeds
 on one kernel; `coupling_time` is its one-seed form), `schedule_step` and
-`field_dynamics_step`; `monotone_coupled_step` runs one update on the
-vector it is given.  The one-step wrappers compile on every call.
-`RandomSource` draws its Philox stream in chunks and hands the uniforms out
-in order; concatenated draws equal one draw, so the chunking never changes
-a trajectory.
+`field_dynamics_step`; `monotone_coupled_step` runs one update on the vector
+it is given.  The one-step wrappers compile on every call.  `RandomSource`
+draws its Philox stream in chunks and hands the uniforms out in order;
+concatenated draws equal one draw, so the chunking never changes a
+trajectory.
 """
 
 from __future__ import annotations
@@ -211,7 +210,7 @@ def site_conditional(system: TwoSpinSystem, config: Sequence[int],
     if not (0 <= v < system.n):
         raise InputError(f"vertex {v} out of range")
     pattern = sum([1 << w for w, _ in system.neighbors(v) if config[w]])
-    return _Sites(system)[v][1][pattern]
+    return _site_p1(system.log_lambda[v], system._site_terms[v][1], pattern)
 
 
 class _Memo(dict):
@@ -276,8 +275,8 @@ class _Kernel:
         inside = 0
         for v in block:
             inside |= 1 << v
-        sites = self.sites
-        return not any(sites[v][0] & inside for v in block)
+        site_terms = self.system._site_terms
+        return not any(site_terms[v][0] & inside for v in block)
 
     def update(self, configs: tuple[int, ...], block: tuple[int, ...],
                independent: bool, thresholds: Sequence[float]
@@ -320,15 +319,15 @@ class _Kernel:
             raise CapacityError(
                 f"conditional enumeration over {m} vertices exceeds "
                 f"{constants.BLOCK_ENUM_LIMIT}")
-        sites = self.sites
+        system = self.system
+        site_terms, log_lambda = system._site_terms, system.log_lambda
         inside = 0
         for u in undecided:
             inside |= 1 << u
         c0, c1, in_edges = [], [], []
         for a, u in enumerate(undecided):
-            table = sites[u][1]
-            x0, x1 = table.log_lambda, 0.0
-            for bit, lb, lg in table.terms:
+            x0, x1 = log_lambda[u], 0.0
+            for bit, lb, lg in site_terms[u][1]:
                 if bit & inside:
                     if bit >> u > 1:  # count each internal edge once
                         in_edges.append(
