@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import lshift
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -174,8 +173,9 @@ def dominates(tau: Sequence[int], sigma: Sequence[int]) -> bool:
 
 
 def _to_bits(config: Sequence[int]) -> int:
-    """0/1 configuration -> bitmask (bit v is sigma_v)."""
-    return sum(map(lshift, config, range(len(config))))
+    """0/1 configuration (Python or numpy ints) -> bitmask (bit v is
+    sigma_v)."""
+    return sum([1 << v for v, s in enumerate(config) if s])
 
 
 _SPINS = bytes.maketrans(b"01", b"\x00\x01")

@@ -932,6 +932,23 @@ def test_coupling_times_raise_on_an_order_violation():
             coupling_times(anti, sched, [0, 1], cap=50)
 
 
+def test_numpy_spins_past_bit_63_convert_exactly():
+    # numpy ints shift in 64 bits; the chain's bitmasks must not
+    n = 70
+    path = to_system((n, [1.0] * n, [(v, v + 1, 1.0, 2.0)
+                                     for v in range(n - 1)]))
+    spins = np.ones(n, dtype=np.int64)
+    spins[3] = 0
+    plain = ChainState(tuple(int(s) for s in spins))
+    assert samplers._to_bits(tuple(spins)) == samplers._to_bits(plain.config)
+    for step in range(5):
+        a = schedule_step(path, GLAUBER, ChainState(tuple(spins), step),
+                          RandomSource(step))
+        b = schedule_step(path, GLAUBER, ChainState(plain.config, step),
+                          RandomSource(step))
+        assert a == b
+
+
 def test_site_memo_stays_bounded():
     # a star: the centre's 2^11 neighbour patterns exceed the memo bound and
     # are computed on every lookup; each leaf memoises at most 2 patterns
