@@ -46,7 +46,7 @@ from .model import (
     load_rbm,
     rbm_to_two_spin,
 )
-from .regions import RegionParams, construct_region, region_json, verify_region
+from .regions import RegionParams, construct_region, verify_region
 from .samplers import UpdateSchedule, trajectory_csv
 from .sawtree import saw_marginal
 
@@ -77,14 +77,12 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _load_system(args) -> TwoSpinSystem:
-    instance = getattr(args, "instance", None)
-    rbm = getattr(args, "rbm", None)
-    if instance and rbm:
+    if args.instance and args.rbm:
         raise InputError("give either --instance or --rbm, not both")
-    if rbm:
-        return rbm_to_two_spin(load_rbm(rbm))
-    if instance:
-        return load_instance(instance)
+    if args.rbm:
+        return rbm_to_two_spin(load_rbm(args.rbm))
+    if args.instance:
+        return load_instance(args.instance)
     raise InputError("an --instance or --rbm file is required")
 
 
@@ -220,7 +218,13 @@ def _region_record(system: TwoSpinSystem, center: int,
     region = construct_region(system, center, params)
     ver = verify_region(system, region, params)
     return {
-        "region": json.loads(region_json(region)),
+        "region": {
+            "center": region.center,
+            "members": sorted(region.members),
+            "boundary": sorted(region.boundary),
+            "d1": region.d1,
+            "d2": region.d2,
+        },
         "verification": {
             "ok": bool(ver),
             "size_ok": ver.size_ok,
@@ -263,16 +267,21 @@ def cmd_region(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
+def _write_report(report: MixingReport, out: str | None) -> int:
+    """CSV to stdout, or the CSV + JSON pair at `out`; exit 3 if a row
+    failed."""
+    if out is None:
+        sys.stdout.write(report_csv_text(report))
+    else:
+        emit_report(report, out)
+    return EXIT_OK if report.all_passed else EXIT_VERIFY
+
+
 def cmd_verify(args) -> int:
     config = ExperimentConfig(seed=args.seed, eps=args.eps,
                               trials=args.trials, max_n=args.max_n,
                               lambda_frac=args.lambda_frac)
-    report = run_suite(args.suite, config)
-    if args.out is None:
-        sys.stdout.write(report_csv_text(report))
-    else:
-        emit_report(report, args.out)
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+    return _write_report(run_suite(args.suite, config), args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -289,13 +298,9 @@ def cmd_sweep(args) -> int:
     probe = decay_probe(args.beta, args.gamma, lam,
                         lengths=range(2, args.max_length + 1))
     rows.extend(probe.rows)
-    report = MixingReport(suite="sweep", seed=args.seed, eps=args.eps,
-                          rows=tuple(rows))
-    if args.out is None:
-        sys.stdout.write(report_csv_text(report))
-    else:
-        emit_report(report, args.out)
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+    return _write_report(MixingReport(suite="sweep", seed=args.seed,
+                                      eps=args.eps, rows=tuple(rows)),
+                         args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +314,16 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def add_instance_flags(p):
-        p.add_argument("--instance", help="instance JSON file")
-        p.add_argument("--rbm", help="RBM JSON file")
+    def add_common_flags(p):
         p.add_argument("--config",
                        help="JSON file of defaults; flags override it")
         p.add_argument("--out", help="output path (default: stdout)")
+
+    def add_instance_flags(p):
+        # only the subcommands that load a system take an instance
+        p.add_argument("--instance", help="instance JSON file")
+        p.add_argument("--rbm", help="RBM JSON file")
+        add_common_flags(p)
 
     p = registry["sample"] = sub.add_parser(
         "sample", help="run a chain, dump the trajectory")
@@ -351,7 +360,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = registry["verify"] = sub.add_parser(
         "verify", help="run a named verification suite")
-    add_instance_flags(p)
+    add_common_flags(p)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=constants.DEFAULT_EPS)
@@ -363,7 +372,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = registry["sweep"] = sub.add_parser(
         "sweep", help="influence + decay regime sweep")
-    add_instance_flags(p)
+    add_common_flags(p)
     p.add_argument("--family", default="path")
     p.add_argument("--sizes", default="4,8")
     p.add_argument("--beta", type=float, default=1.0)

@@ -27,5 +27,10 @@ MIXING_STEP_CAP = 10**6      # exact mixing-time iteration cap
 
 # defaults
 DEFAULT_EPS = 1.0 / (4.0 * math.e)
-DEFAULT_C_D = 4.0
+
+# fixed constants of the constructions and checks
+REGION_C_D = 4.0             # RegionParams.from_n: d1 = ceil(this * ln ln n)
 WILSON_Z = 2.5758293035489004  # two-sided 99% normal quantile
+INFLUENCE_GROWTH_FACTOR = 1.5  # sweep: influence at 2m <= this * at m
+INFLUENCE_STABILIZATION_TOL = 0.05  # sweep: top two sizes agree to this
+DECAY_MIN_R_SQUARED = 0.9    # decay probe: least r^2 of the log-linear fit

@@ -160,12 +160,6 @@ def conditional_marginal(system: TwoSpinSystem, pin: Pinning,
     return w0 / (w0 + w1), w1 / (w0 + w1)
 
 
-def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
-    if p.n != q.n:
-        raise InputError("distribution size mismatch")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
 def influence_pair(system: TwoSpinSystem, u: int, v: int) -> float:
     """Pr[X_v=1 | X_u=1] - Pr[X_v=1 | X_u=0]."""
     if u == v:
@@ -257,12 +251,6 @@ def _mixture(system: TwoSpinSystem,
     for block, scale in terms:
         _add_heatbath(out, w, block, scale)
     return TransitionMatrix(n=system.n, entries=out)
-
-
-def block_heatbath_matrix(system: TwoSpinSystem,
-                          block: Iterable[int]) -> TransitionMatrix:
-    """Resample one block from its exact conditional given the rest."""
-    return _mixture(system, [(block, 1.0)], "block matrix")
 
 
 def glauber_matrix(system: TwoSpinSystem) -> TransitionMatrix:
@@ -375,22 +363,6 @@ def alternating_scan_matrix(system: TwoSpinSystem,
     return scan_matrix(system, [bipartition[0], bipartition[1]])
 
 
-def _positive_measure(Q: TransitionMatrix, mu: DistributionTable) -> np.ndarray:
-    if Q.n != mu.n:
-        raise InputError("size mismatch")
-    if np.any(mu.probs <= 0.0):
-        raise InputError("reversiblization needs a strictly positive measure")
-    return mu.probs
-
-
-def multiplicative_reversiblization(Q: TransitionMatrix,
-                                    mu: DistributionTable) -> TransitionMatrix:
-    """R(Q) = Q Q*, with Q*(s,t) = mu(t) Q(t,s) / mu(s); reversible wrt mu."""
-    p = _positive_measure(Q, mu)
-    qstar = (Q.entries.T * p[None, :]) / p[:, None]
-    return TransitionMatrix(n=Q.n, entries=Q.entries @ qstar)
-
-
 def _checked_eigvalsh(S: np.ndarray, what: str) -> np.ndarray:
     """Ascending eigenvalues of a symmetrized chain (D^(1/2) P D^(-1/2) or
     its quotient), checked to be symmetric with top eigenvalue 1."""
@@ -412,8 +384,10 @@ def _reversiblization_eigs(Q: TransitionMatrix,
     nonzero eigenvalues are those of the k x k matrix G^(1/2) K G^(1/2),
     G = diag(mu-mass of each class); the other 2^n - k eigenvalues are 0.
     An alternating scan's rows depend only on the second block's spins."""
-    p = _positive_measure(Q, mu)
-    drift = stationarity_residual(Q, mu)
+    p = mu.probs
+    if np.any(p <= 0.0):
+        raise InputError("reversiblization needs a strictly positive measure")
+    drift = stationarity_residual(Q, mu)  # checks the sizes
     if not drift <= constants.STATIONARITY_TOL:
         raise NumericError(
             f"reversiblization: mu is not stationary (residual {drift:.3e})")

@@ -142,14 +142,15 @@ def value_row(claim: str, instance: str, value: float,
                      True, detail)
 
 
-def wilson_upper(failures: int, trials: int,
-                 z: float = constants.WILSON_Z) -> float:
-    """Upper end of the Wilson score interval for a binomial proportion."""
+def wilson_upper(failures: int, trials: int) -> float:
+    """Upper end of the Wilson score interval for a binomial proportion, at
+    z = `constants.WILSON_Z`."""
     if trials < 1:
         raise InputError("wilson interval needs at least one trial")
     if not 0 <= failures <= trials:
         raise InputError("failure count out of range")
     p_hat = failures / trials
+    z = constants.WILSON_Z
     z2 = z * z
     centre = p_hat + z2 / (2.0 * trials)
     radius = z * math.sqrt(p_hat * (1.0 - p_hat) / trials
@@ -431,13 +432,13 @@ def coupling_dominance_row(system: TwoSpinSystem, schedule: UpdateSchedule,
 # field-dynamics boost
 
 
-def gamma_min_pinned(tilted: TwoSpinSystem,
-                     limit: int = constants.FIELD_KERNEL_LIMIT) -> float:
+def gamma_min_pinned(tilted: TwoSpinSystem) -> float:
     """Smallest single-site gap over all proper pinnings of the tilted
     system: the chain still picks v uniformly from all of V and idles on
     pinned vertices.  Pinning everything gives the identity chain, so the
     full pinning is excluded."""
     n = tilted.n
+    limit = constants.FIELD_KERNEL_LIMIT
     if n > limit:
         raise InputError(f"pinned-gap sweep needs n <= {limit}, got {n}")
     best = math.inf
@@ -493,15 +494,15 @@ def max_all_to_one_influence(system: TwoSpinSystem) -> float:
 
 
 def influence_regime_sweep(family: str, sizes: Sequence[int], beta: float,
-                           gamma: float, lam_factors: Sequence[float],
-                           growth_factor: float = 1.5,
-                           stabilization_tol: float = 0.05
+                           gamma: float, lam_factors: Sequence[float]
                            ) -> list[ReportRow]:
     """All-to-one influence across sizes, one block per field level.
 
     lam_factors are multiples of the uniqueness-style threshold; below 1 the
-    sweep asserts boundedness (influence at 2m at most growth_factor times
-    influence at m) and stabilization at the top two sizes.  At or above 1
+    sweep asserts boundedness (influence at 2m at most
+    `constants.INFLUENCE_GROWTH_FACTOR` times influence at m) and
+    stabilization at the top two sizes (to
+    `constants.INFLUENCE_STABILIZATION_TOL`).  At or above 1
     the values and growth ratios are reported without assertion."""
     if len(sizes) < 2 or list(sizes) != sorted(set(sizes)):
         raise InputError("sizes must be strictly increasing, at least two")
@@ -526,7 +527,7 @@ def influence_regime_sweep(family: str, sizes: Sequence[int], beta: float,
                 rows.append(inequality_row(
                     "influence-bounded-under-size-doubling",
                     f"{family}-n{2 * m}", vals[2 * m],
-                    growth_factor * vals[m],
+                    constants.INFLUENCE_GROWTH_FACTOR * vals[m],
                     detail=f"factor={factor!r} base_size={m}"))
             else:
                 ratio = vals[2 * m] / vals[m] if vals[m] > 0.0 else math.inf
@@ -538,7 +539,7 @@ def influence_regime_sweep(family: str, sizes: Sequence[int], beta: float,
             a, b = sizes[-2], sizes[-1]
             rows.append(equality_row(
                 "influence-stabilizes-at-largest-sizes", f"{family}-n{b}",
-                vals[b], vals[a], stabilization_tol,
+                vals[b], vals[a], constants.INFLUENCE_STABILIZATION_TOL,
                 detail=f"factor={factor!r} smaller_size={a}"))
     return rows
 
@@ -565,11 +566,12 @@ def endpoint_influence_on_path(beta: float, gamma: float, lam: float,
 
 
 def decay_probe(beta: float, gamma: float, lam: float,
-                lengths: Sequence[int] = tuple(range(2, 13)),
-                min_r_squared: float = 0.9) -> DecayProbeResult:
+                lengths: Sequence[int] = tuple(range(2, 13))
+                ) -> DecayProbeResult:
     """Endpoint influence versus distance on uniform paths, with a
     log-linear fit.  Passing requires a negative slope with r^2 at least
-    min_r_squared; the adjacent case must dominate every longer distance."""
+    `constants.DECAY_MIN_R_SQUARED`; the adjacent case must dominate every
+    longer distance."""
     lens = [int(x) for x in lengths]
     if len(lens) < 2 or lens != sorted(set(lens)) or lens[0] < 2:
         raise InputError("lengths must be strictly increasing, all >= 2")
@@ -591,10 +593,11 @@ def decay_probe(beta: float, gamma: float, lam: float,
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    floor = constants.DECAY_MIN_R_SQUARED
     rows.append(ReportRow(
         "endpoint-influence-decays-log-linearly", h, float(slope), 0.0,
-        float(-slope), 0.0, bool(slope < 0.0 and r2 >= min_r_squared),
-        f"r_squared={r2!r} min_r_squared={min_r_squared!r}"))
+        float(-slope), 0.0, bool(slope < 0.0 and r2 >= floor),
+        f"r_squared={r2!r} min_r_squared={floor!r}"))
     return DecayProbeResult(tuple(rows), tuple(lens), tuple(disc),
                             float(slope), float(intercept), float(r2))
 

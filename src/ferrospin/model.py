@@ -130,59 +130,26 @@ class TwoSpinSystem:
             sites.append((sum([bit for bit, _, _ in terms]), terms))
         return tuple(sites)
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {pair: e for e, pair in enumerate(self.edges)}
-
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def edge_between(self, u: int, v: int) -> int | None:
-        return self.edge_index.get((min(u, v), max(u, v)))
 
 
 # ---------------------------------------------------------------------------
 # configurations
 
-def check_config(system: TwoSpinSystem, sigma: Sequence[int]) -> None:
-    if len(sigma) != system.n:
-        raise InputError(f"configuration has {len(sigma)} entries for n={system.n}")
-    for v, s in enumerate(sigma):
-        if s not in (0, 1):
-            raise InputError(f"configuration entry {v} is {s!r}, not a bit")
+_SPINS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def config_to_index(sigma: Sequence[int]) -> int:
-    """Bitmask index with bit v = sigma_v."""
-    idx = 0
-    for v, s in enumerate(sigma):
-        idx |= (int(s) & 1) << v
-    return idx
+    """Bitmask index with bit v = sigma_v, for 0/1 spins given as Python or
+    numpy ints (the shifts are Python ints, so exact past bit 63)."""
+    return sum([1 << v for v, s in enumerate(sigma) if s])
 
 
 def index_to_config(idx: int, n: int) -> tuple[int, ...]:
-    return tuple((idx >> v) & 1 for v in range(n))
-
-
-def log_weight(system: TwoSpinSystem, sigma: Sequence[int]) -> float:
-    check_config(system, sigma)
-    total = 0.0
-    for v in range(system.n):
-        if sigma[v] == 0:
-            total += system.log_lambda[v]
-    for e, (u, v) in enumerate(system.edges):
-        if sigma[u] == 0 and sigma[v] == 0:
-            total += system.log_beta[e]
-        elif sigma[u] == 1 and sigma[v] == 1:
-            total += system.log_gamma[e]
-    return total
-
-
-def weight(system: TwoSpinSystem, sigma: Sequence[int]) -> float:
-    return math.exp(log_weight(system, sigma))
+    """The configuration of index 0 <= idx < 2^n: the binary digits of idx
+    below a sentinel bit n, least significant first."""
+    return tuple(bin(idx | 1 << n)[:2:-1].encode().translate(_SPINS))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +314,6 @@ def induced_subsystem(system: TwoSpinSystem,
     return sub, remap
 
 
-def is_ferromagnetic(system: TwoSpinSystem) -> bool:
-    """beta_e * gamma_e >= 1 on every edge."""
-    return all(lb + lg >= 0.0
-               for lb, lg in zip(system.log_beta, system.log_gamma))
-
-
 # ---------------------------------------------------------------------------
 # parameter classes and thresholds
 
@@ -386,26 +347,6 @@ def lambda_c(pc: ParamClass) -> float:
     """Field threshold (gamma/beta)^(sqrt(beta*gamma)/(sqrt(beta*gamma)-1))."""
     root = math.sqrt(pc.beta * pc.gamma)
     return (pc.gamma / pc.beta) ** (root / (root - 1.0))
-
-
-def classify(system: TwoSpinSystem, pc: ParamClass) -> bool:
-    """True iff every lambda_v < lambda and every edge satisfies
-    beta_e <= beta <= 1 < gamma <= gamma_e with beta*gamma >= beta_e*gamma_e > 1.
-
-    Comparisons run in log space so huge gamma_e cannot overflow.
-    """
-    log_b, log_g = math.log(pc.beta), math.log(pc.gamma)
-    log_l = math.log(pc.lambda_bound)
-    for ll in system.log_lambda:
-        if not (ll < log_l):
-            return False
-    for lb, lg in zip(system.log_beta, system.log_gamma):
-        if lb > log_b or lg < log_g:
-            return False
-        prod = lb + lg
-        if not (prod > 0.0 and prod <= log_b + log_g):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +389,6 @@ class RbmParams:
     @property
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(range(self.n0)), tuple(range(self.n0, self.n))
-
-
-def energy(params: RbmParams, sigma: Sequence[int]) -> float:
-    """E(sigma) = sum_{u<v} w_uv sigma_u sigma_v + sum_v theta_v sigma_v."""
-    n = params.n
-    if len(sigma) != n:
-        raise InputError(f"configuration has {len(sigma)} entries for n={n}")
-    total = 0.0
-    for u in range(n):
-        if sigma[u]:
-            total += params.theta[u]
-            for v in range(u + 1, n):
-                if sigma[v]:
-                    total += params.interaction[u][v]
-    return total
 
 
 def rbm_to_two_spin(params: RbmParams) -> TwoSpinSystem:

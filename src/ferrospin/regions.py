@@ -25,7 +25,6 @@ for spin 0 and value 0.0 for spin 1.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -46,13 +45,9 @@ __all__ = [
     "verify_region",
     "is_good_boundary",
     "is_good_tree_boundary",
-    "unsatisfiable_vertices",
     "good_boundary_configs",
-    "boundary_pinning",
     "influence_a_u",
     "assm_sum",
-    "assm_report_csv",
-    "region_json",
     "shortest_path_closure_check",
     "universal_pinning",
     "level_mixture_pinning",
@@ -70,25 +65,22 @@ class RegionParams:
 
     d1: int
     d2: int
-    c_d: float = constants.DEFAULT_C_D
 
     def __post_init__(self) -> None:
         if not (isinstance(self.d1, int) and isinstance(self.d2, int)):
             raise InputError("d1 and d2 must be integers")
         if self.d1 < 1 or self.d2 < self.d1:
             raise InputError("need 1 <= d1 <= d2")
-        if not self.c_d > 0:
-            raise InputError("c_d must be positive")
 
     @classmethod
-    def from_n(cls, n: int, c_d: float = constants.DEFAULT_C_D) -> "RegionParams":
-        """d1 = ceil(c_d * ln ln n), d2 = ceil((ln n)^3), natural logs,
-        clamped so that 1 <= d1 <= d2 for tiny n."""
+    def from_n(cls, n: int) -> "RegionParams":
+        """d1 = ceil(REGION_C_D * ln ln n), d2 = ceil((ln n)^3), natural
+        logs, clamped so that 1 <= d1 <= d2 for tiny n."""
         if n < 2:
             raise InputError("need at least two vertices to derive parameters")
-        d1 = max(1, math.ceil(c_d * math.log(math.log(n))))
+        d1 = max(1, math.ceil(constants.REGION_C_D * math.log(math.log(n))))
         d2 = max(d1, math.ceil(math.log(n) ** 3))
-        return cls(d1=d1, d2=d2, c_d=c_d)
+        return cls(d1=d1, d2=d2)
 
 
 @dataclass(frozen=True)
@@ -297,16 +289,6 @@ def is_good_boundary(spec: GoodBoundarySpec, sigma: Pinning) -> bool:
     return True
 
 
-def unsatisfiable_vertices(spec: GoodBoundarySpec) -> list[int]:
-    """Region vertices whose one-count threshold exceeds their boundary
-    degree, making the goodness predicate unsatisfiable; reported, never
-    silently dropped."""
-    log_n = math.log(spec.n)
-    return [u for u, nbrs in spec.boundary_neighbors
-            if len(nbrs) > spec.region.d2 / 3
-            and len(nbrs) / log_n + 2 > len(nbrs)]
-
-
 def good_boundary_configs(spec: GoodBoundarySpec):
     """Yield every good boundary configuration, in lexicographic order."""
     bset = sorted(spec.region.boundary)
@@ -317,11 +299,6 @@ def good_boundary_configs(spec: GoodBoundarySpec):
         sigma = Pinning({v: (mask >> i) & 1 for i, v in enumerate(bset)})
         if is_good_boundary(spec, sigma):
             yield sigma
-
-
-def boundary_pinning(region: Region, config) -> Pinning:
-    """Restriction of a full spin configuration to the region boundary."""
-    return Pinning({v: config[v] for v in region.boundary})
 
 
 def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
@@ -381,28 +358,6 @@ def assm_sum(system: TwoSpinSystem, region: Region,
     scale."""
     return sum(influence_a_u(system, region, u, spec)
                for u in sorted(region.boundary))
-
-
-def assm_report_csv(system: TwoSpinSystem, region: Region,
-                    spec: GoodBoundarySpec) -> str:
-    lines = ["center,boundary_vertex,a_u"]
-    total = 0.0
-    for u in sorted(region.boundary):
-        a = influence_a_u(system, region, u, spec)
-        total += a
-        lines.append(f"{region.center},{u},{a!r}")
-    lines.append(f"{region.center},sum,{total!r}")
-    return "\n".join(lines) + "\n"
-
-
-def region_json(region: Region) -> str:
-    return json.dumps({
-        "center": region.center,
-        "members": sorted(region.members),
-        "boundary": sorted(region.boundary),
-        "d1": region.d1,
-        "d2": region.d2,
-    }, sort_keys=True)
 
 
 def shortest_path_closure_check(spec: GoodBoundarySpec, sigma: Pinning,

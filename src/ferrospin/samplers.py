@@ -15,8 +15,8 @@ One compiled kernel serves every chain.  `_compile` checks the schedule once
 per run and returns a `_Kernel`: the block selector, and per vertex a
 neighbour bitmask, its (bit, log beta_e, log gamma_e) terms (computed once
 per system, `TwoSpinSystem._site_terms`) and a table of its conditionals,
-made on first use.  Chains carry configurations as int bitmasks (bit v is
-sigma_v), so a pair's order check is `low & ~up == 0`, the merge check
+made on first use.  Chains carry configurations as int bitmasks
+(`model.config_to_index`: bit v is sigma_v), so a pair's order check is `low & ~up == 0`, the merge check
 `up == low` and the Hamming weight `bit_count()`.  A site conditional depends
 only on `config & mask[v]`; each vertex of degree at most `_MEMO_MAX_DEGREE`
 (8) memoises it by that pattern for the whole run, so its table never holds
@@ -46,7 +46,7 @@ import numpy as np
 from . import constants
 from .errors import (CapacityError, CouplingInvariantError, InputError)
 from .exact import check_bipartition
-from .model import TwoSpinSystem, tilt
+from .model import TwoSpinSystem, config_to_index, index_to_config, tilt
 
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
 # neighbours, so a table holds at most 2^8 entries however long the run
@@ -170,21 +170,6 @@ class CoupledPair:
 def dominates(tau: Sequence[int], sigma: Sequence[int]) -> bool:
     """sigma <= tau coordinatewise."""
     return all(s <= t for s, t in zip(sigma, tau, strict=True))
-
-
-def _to_bits(config: Sequence[int]) -> int:
-    """0/1 configuration (Python or numpy ints) -> bitmask (bit v is
-    sigma_v)."""
-    return sum([1 << v for v, s in enumerate(config) if s])
-
-
-_SPINS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _to_config(bits: int, n: int) -> tuple[int, ...]:
-    """Bitmask -> configuration tuple: the binary digits below a sentinel
-    bit n, least significant first."""
-    return tuple(bin(bits | 1 << n)[:2:-1].encode().translate(_SPINS))
 
 
 def _site_p1(log_ratio: float, terms, pattern: int) -> float:
@@ -464,8 +449,8 @@ def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
     if len(state.config) != system.n:
         raise InputError("state size mismatch")
     (config,) = next(_run(_compile(system, schedule),
-                          (_to_bits(state.config),), rng, state.step))
-    return ChainState(config=_to_config(config, system.n),
+                          (config_to_index(state.config),), rng, state.step))
+    return ChainState(config=index_to_config(config, system.n),
                       step=state.step + 1)
 
 
@@ -486,12 +471,12 @@ def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
         raise InputError("field dynamics has no block list")
     kernel = _compile(system, schedule)
     block, independent = kernel.select(pair.upper.step, r[0])
-    up, low = kernel.update(
-        (_to_bits(pair.upper.config), _to_bits(pair.lower.config)),
-        block, independent, r[1:])
-    return CoupledPair(upper=ChainState(_to_config(up, n), pair.upper.step + 1),
-                       lower=ChainState(_to_config(low, n),
-                                        pair.lower.step + 1))
+    up, low = kernel.update((config_to_index(pair.upper.config),
+                             config_to_index(pair.lower.config)),
+                            block, independent, r[1:])
+    return CoupledPair(
+        upper=ChainState(index_to_config(up, n), pair.upper.step + 1),
+        lower=ChainState(index_to_config(low, n), pair.lower.step + 1))
 
 
 def field_dynamics_step(system: TwoSpinSystem, theta: float,

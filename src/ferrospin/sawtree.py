@@ -513,9 +513,9 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return rec(a, b, fa, fm, fb, whole, tol, 60)
 
 
-def Phi(x: float, pp: PotentialParams, lam: float,
-        tol: float = constants.QUADRATURE_ABS_TOL) -> float:
-    """Integral of phi from 0 to x, split at the kinks where the min switches."""
+def Phi(x: float, pp: PotentialParams, lam: float) -> float:
+    """Integral of phi from 0 to x, split at the kinks where the min switches,
+    to absolute tolerance `constants.QUADRATURE_ABS_TOL`."""
     if not (0.0 <= x < lam):
         raise InputError(f"Phi needs x in [0, lambda), got {x}")
     f = lambda s: phi(s, pp, lam)
@@ -529,7 +529,9 @@ def Phi(x: float, pp: PotentialParams, lam: float,
     cuts = sorted(c for c in cuts if c < x) + [x]
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
-        total += _adaptive_simpson(f, a, b, tol * (b - a) / max(x, 1e-300))
+        total += _adaptive_simpson(
+            f, a, b,
+            constants.QUADRATURE_ABS_TOL * (b - a) / max(x, 1e-300))
     return total
 
 

@@ -9,9 +9,10 @@ Conventions: a system is (n, lam, edges) with lam a list of per-vertex
 fields and edges a list of (u, v, beta, gamma) tuples; a configuration is a
 tuple of n ints in {0, 1}.
 
-The one exception is the reference chain at the end: the samplers' step
-as it was before the compiled kernel, on configuration tuples with one
-conditional computed per call.  It reads the package's system object and
+One exception is the multiplicative reversiblization, a dense matrix
+product on numpy arrays.  The other is the reference chain at the end: the
+samplers' step as it was before the compiled kernel, on configuration
+tuples with one conditional computed per call.  It reads the package's system object and
 keeps the samplers' own numpy enumeration for dependent blocks, so the
 compiled kernel has to match it bit for bit.
 """
@@ -206,6 +207,14 @@ def mixing_time(n, lam, edges, row_fn, eps, cap=10000):
         if max(tv(d, mu) for d in dists.values()) < eps:
             return t
     raise RuntimeError("oracle mixing time exceeded cap")
+
+
+def multiplicative_reversiblization(Q, mu):
+    """R(Q) = Q Q* as a dense array, with Q*(s,t) = mu(t) Q(t,s) / mu(s), for
+    a kernel array Q and a strictly positive stationary vector mu; R is
+    reversible wrt mu."""
+    qstar = (Q.T * mu[None, :]) / mu[:, None]
+    return Q @ qstar
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +418,7 @@ def verify_tree_invariants(tree, system):
     an isolated root).  `tree` and `system` are read by attribute only."""
     for u in range(len(tree)):
         tree_deg = len(tree.children[u]) + (1 if tree.parent[u] >= 0 else 0)
-        g_deg = system.degree(tree.preimage[u])
+        g_deg = len(system.neighbors(tree.preimage[u]))
         assert not (tree.boundary_copy[u] and tree.cycle_closing[u]), (
             f"node {u}: both boundary and cycle-closing")
         if tree.children[u]:

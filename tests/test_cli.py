@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ferrospin import cli, constants, harness
 from ferrospin.cli import main
-from ferrospin.model import TwoSpinSystem, instance_dict
+from ferrospin.model import TwoSpinSystem, instance_dict, load_instance
+from ferrospin.regions import RegionParams, construct_region
 from ferrospin.sawtree import build_saw_tree
 
 
@@ -293,6 +294,21 @@ def test_region_single_center_record(path5, tmp_path):
     assert rec["verification"]["ok"] is True
 
 
+def test_region_record_lists_the_region(path5, tmp_path):
+    # on the path 0-1-2-3-4 the walk from 2 stops at branching 2 = d1 and
+    # flushes its two children (fewer than d2 = 3)
+    out = tmp_path / "region.jsonl"
+    assert main(["region", "--instance", str(path5), "--center", "2",
+                 "--d1", "2", "--d2", "3", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["region"] == {"center": 2, "members": [1, 2, 3],
+                             "boundary": [0, 4], "d1": 2, "d2": 3}
+    region = construct_region(load_instance(str(path5)), 2,
+                              RegionParams(d1=2, d2=3))
+    assert rec["region"]["members"] == sorted(region.members)
+    assert rec["region"]["boundary"] == sorted(region.boundary)
+
+
 def test_region_sweep_emits_one_record_per_center(path5, tmp_path):
     out = tmp_path / "sweep.jsonl"
     assert main(["region", "--instance", str(path5), "--center", "all",
@@ -313,6 +329,19 @@ def test_verify_stdout_mode_prints_csv(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# ferrospin report schema=1 suite=saw-oracle")
     assert "walk-tree-marginal-matches-enumeration" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "saw-oracle", "--trials", "2"],
+    ["sweep", "--sizes", "3,6", "--max-length", "6"],
+], ids=["verify", "sweep"])
+@pytest.mark.parametrize("flag", ["--instance", "--rbm"])
+def test_commands_without_a_system_reject_instance_flags(argv, flag, capsys):
+    # verify and sweep build their own instances; a system file given to
+    # them would be ignored, so argparse refuses it
+    assert main(argv + [flag, "/nonexistent.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
 
 
 def test_sweep_runs_and_writes_report(tmp_path):

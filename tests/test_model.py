@@ -1,31 +1,29 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ferrospin.errors import InputError
+from ferrospin.exact import gibbs_distribution, log_weights
 from ferrospin.model import (
     ParamClass,
     Pinning,
     RbmParams,
     TwoSpinSystem,
     apply_pinning,
-    classify,
-    energy,
+    config_to_index,
     index_to_config,
     induced_subsystem,
     instance_hash,
-    is_ferromagnetic,
     lambda0,
     lambda_c,
     load_instance,
     load_rbm,
-    log_weight,
     rbm_to_two_spin,
     surviving_vertices,
     tilt,
-    weight,
 )
 
 import _oracles as oracle
@@ -33,6 +31,20 @@ import _oracles as oracle
 
 def make(n, lam, edges):
     return TwoSpinSystem.from_params(n, lam, edges)
+
+
+def log_weight(system, sigma):
+    """sigma's log weight, read from the library's table `exact.log_weights`."""
+    logw, shift = log_weights(system)
+    return float(logw[config_to_index(sigma)]) + shift
+
+
+def weight(system, sigma):
+    return math.exp(log_weight(system, sigma))
+
+
+def gibbs_prob(system, sigma):
+    return float(gibbs_distribution(system).probs[config_to_index(sigma)])
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +73,27 @@ def test_rejects_nonpositive_params():
 
 def test_adjacency_structure():
     s = make(4, [1.0] * 4, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0), (1, 3, 1.0, 2.0)])
-    assert s.degree(1) == 3
     assert [w for w, _ in s.neighbors(1)] == [0, 2, 3]
-    assert s.edge_between(3, 1) == s.edge_index[(1, 3)]
-    assert s.edge_between(0, 3) is None
+    assert s.neighbors(3) == ((1, 2),)
 
 
 # ---------------------------------------------------------------------------
-# weight
+# configurations and weights
+
+@pytest.mark.parametrize("n", [1, 63, 64, 70])
+def test_config_index_round_trip(n):
+    rnd = __import__("random").Random(n)
+    configs = [[0] * n, [1] * n] + [[rnd.randint(0, 1) for _ in range(n)]
+                                    for _ in range(20)]
+    for c in configs:
+        idx = config_to_index(c)
+        assert idx == sum(s << v for v, s in enumerate(c))
+        assert index_to_config(idx, n) == tuple(c)
+        spins = np.array(c, dtype=np.int64)
+        assert config_to_index(spins) == idx
+        assert config_to_index(list(spins)) == idx  # numpy int scalars
+        assert index_to_config(config_to_index(spins), n) == tuple(c)
+
 
 def test_weight_single_vertex():
     s = make(1, [0.5], [])
@@ -139,9 +164,7 @@ def test_apply_pinning_triangle_conditional_matches_bruteforce():
     for s01 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         cond = table[s01 + (1,)] / sum(
             table[t + (1,)] for t in [(0, 0), (0, 1), (1, 0), (1, 1)])
-        w = weight(pinned, s01)
-        z = sum(weight(pinned, t) for t in [(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert w / z == pytest.approx(cond, rel=1e-12)
+        assert gibbs_prob(pinned, s01) == pytest.approx(cond, rel=1e-12)
 
 
 def test_apply_pinning_composition():
@@ -197,9 +220,7 @@ def test_tilt_matches_reweighting():
     rew = {c: p * theta ** sum(1 for x in c if x == 0) for c, p in base.items()}
     z = sum(rew.values())
     for c in rew:
-        got = weight(tilted, c)
-        ztil = sum(weight(tilted, d) for d in rew)
-        assert got / ztil == pytest.approx(rew[c] / z, rel=1e-10)
+        assert gibbs_prob(tilted, c) == pytest.approx(rew[c] / z, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -226,37 +247,6 @@ def test_lambda_c_at_least_lambda0(rnd):
     gamma = rnd.uniform(1.0 / beta + 0.05, 6.0)
     pc = ParamClass(beta=beta, gamma=gamma, lambda_bound=1.0)
     assert lambda_c(pc) >= lambda0(pc) - 1e-12
-
-
-def test_classify_basics():
-    pc = ParamClass(beta=0.8, gamma=2.0, lambda_bound=1.0)
-    ok = make(2, [0.5, 0.5], [(0, 1, 0.8, 2.0)])
-    assert classify(ok, pc)
-    # edge product equal to 1 fails the strict inequality
-    flat = make(2, [0.5, 0.5], [(0, 1, 0.5, 2.0)])
-    assert not classify(flat, pc)
-    # edge product above the class bound fails
-    hot = make(2, [0.5, 0.5], [(0, 1, 0.8, 2.5)])
-    assert not classify(hot, pc)
-    # field at the bound fails (strict)
-    border = make(1, [1.0], [])
-    assert not classify(border, pc)
-
-
-def test_classify_monotone_in_loosening():
-    s = make(2, [0.7, 0.9], [(0, 1, 0.9, 1.8)])
-    pc = ParamClass(beta=0.9, gamma=1.8, lambda_bound=1.0)
-    assert classify(s, pc)
-    looser = ParamClass(beta=0.95, gamma=1.7, lambda_bound=2.0)
-    # loosening lambda up never flips true -> false; beta up / gamma down only
-    # loosen when the product bound still covers the edges
-    assert classify(s, ParamClass(beta=0.9, gamma=1.8, lambda_bound=5.0))
-    assert classify(s, looser) == (0.9 <= 0.95 and 1.7 <= 1.8 and 0.95 * 1.7 >= 0.9 * 1.8)
-
-
-def test_is_ferromagnetic():
-    assert is_ferromagnetic(make(2, [1.0, 1.0], [(0, 1, 0.5, 2.0)]))
-    assert not is_ferromagnetic(make(2, [1.0, 1.0], [(0, 1, 0.5, 1.5)]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +283,13 @@ def test_rbm_zero_weight_no_edge():
 
 
 def test_energy_values():
+    # the energies 0, 0.3 and 1.8 of (0,0), (1,0) and (1,1) are the log
+    # weights of the reparameterized system, up to one constant
     p = RbmParams(n0=1, n1=1, interaction=((0.0, 1.5), (1.5, 0.0)), theta=(0.3, 0.0))
-    assert energy(p, (0, 0)) == 0.0
-    assert energy(p, (1, 0)) == pytest.approx(0.3)
-    assert energy(p, (1, 1)) == pytest.approx(1.8)
+    s = rbm_to_two_spin(p)
+    base = log_weight(s, (0, 0))
+    assert log_weight(s, (1, 0)) - base == pytest.approx(0.3)
+    assert log_weight(s, (1, 1)) - base == pytest.approx(1.8)
 
 
 def test_weight_proportional_to_exp_energy():
@@ -312,10 +305,9 @@ def test_weight_proportional_to_exp_energy():
     p = RbmParams(n0=n0, n1=n1,
                   interaction=tuple(tuple(r) for r in w), theta=theta)
     s = rbm_to_two_spin(p)
-    ratios = []
-    for i in range(2 ** n):
-        sigma = index_to_config(i, n)
-        ratios.append(log_weight(s, sigma) - energy(p, sigma))
+    energy = oracle.rbm_log_weight_fn(w, theta)
+    logw, _ = log_weights(s)
+    ratios = [logw[i] - energy(index_to_config(i, n)) for i in range(2 ** n)]
     spread = max(ratios) - min(ratios)
     assert spread <= 1e-10
 

@@ -1,7 +1,6 @@
 """Region growth, boundary goodness, and worst-pinning dominance checks."""
 
 import dataclasses
-import json
 import math
 import random
 
@@ -18,9 +17,7 @@ from ferrospin.regions import (
     Region,
     RegionParams,
     adjacency_map,
-    assm_report_csv,
     assm_sum,
-    boundary_pinning,
     check_one_step_relation,
     construct_region,
     good_boundary_configs,
@@ -31,10 +28,8 @@ from ferrospin.regions import (
     monotone_potential_slack,
     one_step_ratio_factor,
     ratio_dominance_slack,
-    region_json,
     shortest_path_closure_check,
     universal_pinning,
-    unsatisfiable_vertices,
     verify_region,
 )
 from ferrospin.samplers import ChainState, RandomSource, UpdateSchedule, schedule_step
@@ -359,7 +354,6 @@ def test_good_boundary_vacuous_when_degrees_small():
     _, region, spec = star_spec(leaves=3, d2=12)  # 3 <= 12/3
     zeros = Pinning({v: 0 for v in range(1, 4)})
     assert is_good_boundary(spec, zeros)
-    assert unsatisfiable_vertices(spec) == []
 
 
 def test_good_boundary_domain_mismatch():
@@ -371,7 +365,6 @@ def test_good_boundary_domain_mismatch():
 def test_unsatisfiable_thresholds_reported():
     adj, region, _ = star_spec(leaves=4, d2=9)
     spec = GoodBoundarySpec.build(adj, region, n=2)  # ln 2: 4/0.69 + 2 > 4
-    assert unsatisfiable_vertices(spec) == [0]
     assert not is_good_boundary(spec, Pinning({v: 1 for v in range(1, 5)}))
     assert list(good_boundary_configs(spec)) == []
 
@@ -387,12 +380,6 @@ def test_good_boundary_configs_capacity():
     adj, region, spec = star_spec(leaves=21, d2=100)
     with pytest.raises(CapacityError):
         list(good_boundary_configs(spec))
-
-
-def test_boundary_pinning_helper():
-    _, region, _ = star_spec(leaves=3, d2=12)
-    pin = boundary_pinning(region, (0, 1, 0, 1))
-    assert dict(pin.items()) == {1: 1, 2: 0, 3: 1}
 
 
 def test_tree_boundary_goodness():
@@ -485,26 +472,15 @@ def test_assm_sum_decreases_with_gamma():
     assert all(a > b for a, b in zip(sums, sums[1:]))
 
 
-def test_assm_report_csv():
+def test_assm_sum_on_one_edge():
+    # p1(centre | sigma_1 = 1) - p1(centre | sigma_1 = 0) = 2/3 - 1/2
     system = TwoSpinSystem.from_params(2, [1.0, 1.0], [(0, 1, 1.0, 2.0)])
     region = Region(center=0, members=frozenset({0}),
                     boundary=frozenset({1}), d1=1, d2=3)
     spec = GoodBoundarySpec.build(system, region, n=2)
-    report = assm_report_csv(system, region, spec)
-    lines = report.strip().split("\n")
-    assert lines[0] == "center,boundary_vertex,a_u"
-    assert len(lines) == 3
-    assert lines[2].startswith("0,sum,")
-    assert float(lines[2].split(",")[2]) == pytest.approx(1 / 6)
-    assert report == assm_report_csv(system, region, spec)
-
-
-def test_region_json_round_trip():
-    region = Region(center=2, members=frozenset({2, 4, 3}),
-                    boundary=frozenset({7, 1}), d1=2, d2=5)
-    data = json.loads(region_json(region))
-    assert data == {"center": 2, "members": [2, 3, 4], "boundary": [1, 7],
-                    "d1": 2, "d2": 5}
+    total = assm_sum(system, region, spec)
+    assert total == pytest.approx(1 / 6)
+    assert total == influence_a_u(system, region, 1, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +708,7 @@ def test_boundary_goodness_after_burn_in():
         rng = RandomSource(seed)
         for _ in range(steps):
             state = schedule_step(system, sched, state, rng)
-        if is_good_boundary(spec, boundary_pinning(region, state.config)):
+        boundary = Pinning({v: state.config[v] for v in region.boundary})
+        if is_good_boundary(spec, boundary):
             good += 1
     assert good / runs >= 0.99

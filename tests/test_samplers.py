@@ -13,12 +13,12 @@ from ferrospin import constants, samplers
 from ferrospin.errors import CapacityError, CouplingInvariantError, InputError
 from ferrospin.exact import (
     alternating_scan_matrix,
-    block_heatbath_matrix,
     conditional_marginal,
     field_kernel_matrix,
     gibbs_distribution,
     glauber_matrix,
     heatbath_matrix,
+    scan_matrix,
     stationarity_residual,
 )
 from ferrospin.model import Pinning, TwoSpinSystem, config_to_index, index_to_config
@@ -139,7 +139,7 @@ def test_marginalized_conditional_matches_exact(seed, n):
     decided = {u: config[u] for u in range(n) if u != v and u not in suffix}
     _, p1 = conditional_marginal(system, Pinning(decided), v)
     U = tuple(sorted(set(suffix) | {v}))
-    got = samplers._Kernel(system).marginal(samplers._to_bits(config), U,
+    got = samplers._Kernel(system).marginal(config_to_index(config), U,
                                             U.index(v))
     assert got == pytest.approx(p1, abs=1e-12)
 
@@ -265,7 +265,7 @@ def test_block_resample_dependent_block_matches_matrix():
     counts = one_step_counts(
         lambda r: schedule_step(system, one_block([0, 1, 3]), start, r), 4,
         trials, seed=2)
-    row = block_heatbath_matrix(system, [0, 1, 3]).entries[
+    row = scan_matrix(system, [[0, 1, 3]]).entries[
         config_to_index(start.config)]
     assert chi2_accepts(counts, row, trials)
 
@@ -859,11 +859,11 @@ def test_chains_match_the_reference_chain_step_by_step():
             starts = starts[:1]
         seed = rng.randrange(2 ** 40)
         kernel = samplers._compile(system, sched)
-        got = samplers._run(kernel, tuple(samplers._to_bits(c) for c in starts),
+        got = samplers._run(kernel, tuple(config_to_index(c) for c in starts),
                             RandomSource(seed))
         want = ora.chain_run(system, sched, starts, seed)
         for t, configs, ref in zip(range(80), got, want):
-            assert configs == tuple(samplers._to_bits(c) for c in ref), (
+            assert configs == tuple(config_to_index(c) for c in ref), (
                 case, t)
 
 
@@ -902,7 +902,7 @@ def test_cached_marginal_matches_the_per_call_one_bit_for_bit():
         config = tuple(rng.randint(0, 1) for _ in range(n))
         want = ora.chain_marginalized_conditional(
             system, config, U[i], U[:i] + U[i + 1:])
-        got = kernel.marginal(samplers._to_bits(config), U, i)
+        got = kernel.marginal(config_to_index(config), U, i)
         assert got == want, (trial, U, i)
     # blocks above the kept table size build their tables per call
     system = to_system(ora.random_instance(rng, 14, p=0.3))
@@ -913,7 +913,7 @@ def test_cached_marginal_matches_the_per_call_one_bit_for_bit():
         config = tuple(rng.randint(0, 1) for _ in range(14))
         want = ora.chain_marginalized_conditional(
             system, config, U[i], U[:i] + U[i + 1:])
-        assert kernel.marginal(samplers._to_bits(config), U, i) == want
+        assert kernel.marginal(config_to_index(config), U, i) == want
     assert not kernel._rows
 
 
@@ -940,7 +940,7 @@ def test_numpy_spins_past_bit_63_convert_exactly():
     spins = np.ones(n, dtype=np.int64)
     spins[3] = 0
     plain = ChainState(tuple(int(s) for s in spins))
-    assert samplers._to_bits(tuple(spins)) == samplers._to_bits(plain.config)
+    assert config_to_index(tuple(spins)) == config_to_index(plain.config)
     for step in range(5):
         a = schedule_step(path, GLAUBER, ChainState(tuple(spins), step),
                           RandomSource(step))
