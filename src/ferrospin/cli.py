@@ -386,10 +386,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, registry
 
 
-def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
-                       path: str) -> None:
-    """Config file values become parser defaults; explicit flags then
-    override them during the real parse."""
+def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
+    """Config file values become defaults of the subcommand being run;
+    explicit flags then override them during the real parse.  A key that
+    subcommand does not take is an error, even where another one takes it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -403,16 +403,13 @@ def _apply_config_file(registry: dict[str, argparse.ArgumentParser],
         if value is None or isinstance(value, (dict, list)):
             raise InputError(f"config option {key!r} needs a number or a "
                              f"string, got {value!r}")
-    known = set()
-    for sub in registry.values():
-        dests = {a.dest for a in sub._actions}
-        known |= dests
-        # string defaults go through each option's own type conversion
-        sub.set_defaults(**{k: str(v) for k, v in doc.items() if k in dests})
-    unknown = set(doc) - known
+    dests = {a.dest for a in sub._actions if a.option_strings} - {"help"}
+    unknown = set(doc) - dests
     if unknown:
-        raise InputError(f"config file mentions unknown options: "
-                         f"{sorted(unknown)}")
+        raise InputError(f"config file mentions unknown options for "
+                         f"{sub.prog}: {sorted(unknown)}")
+    # string defaults go through each option's own type conversion
+    sub.set_defaults(**{k: str(v) for k, v in doc.items()})
 
 
 @functools.cache
@@ -432,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         config = getattr(args, "config", None)
         if config is not None:
             parser, registry = build_parser()
-            _apply_config_file(registry, config)
+            _apply_config_file(registry[args.subcommand], config)
             args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:

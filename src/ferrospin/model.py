@@ -119,6 +119,13 @@ class TwoSpinSystem:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _neighbor_map(self) -> dict[int, tuple[int, ...]]:
+        """{vertex: neighbours increasing}, the graph as `regions` reads it;
+        `regions.adjacency_map` hands it out behind a read-only view."""
+        return {v: tuple([w for w, _ in nbrs])
+                for v, nbrs in enumerate(self.adjacency)}
+
+    @cached_property
     def _site_terms(self) -> tuple[tuple[int, tuple], ...]:
         """Per vertex v: (bitmask of v's neighbours, ((1 << w, log beta_e,
         log gamma_e) for each neighbour w, in increasing order)), the inputs

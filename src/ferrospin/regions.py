@@ -9,7 +9,8 @@ this module re-checks on a second pass over the walks, a notion of "good"
 boundary configuration, and an exact aggregate-influence computation over
 all good configurations at desk scale.  Growth and verification both run on
 `sawtree._walks`, the one self-avoiding-walk enumerator, as callbacks that
-list each walk's extensions (last neighbour first).
+list each walk's extensions (last neighbour first).  A system's adjacency
+map is built once per system and shared, read-only, by every call.
 
 Verification reads two tables built once per call over the region: each
 member's region neighbours in visiting order, and its number of boundary
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import constants
 from .errors import CapacityError, FerrospinError, InputError
@@ -100,14 +102,15 @@ class Region:
             raise InputError("need 1 <= d1 <= d2")
 
 
-def adjacency_map(graph) -> dict[int, tuple[int, ...]]:
+def adjacency_map(graph) -> Mapping[int, tuple[int, ...]]:
     """Normalize a graph argument to {vertex: sorted neighbor tuple}.
 
-    Accepts a TwoSpinSystem or a mapping vertex -> iterable of neighbors.
+    Accepts a TwoSpinSystem, whose map is built once per system and shared
+    as a read-only view, or a mapping vertex -> iterable of neighbors,
+    checked and normalized on every call.
     """
     if isinstance(graph, TwoSpinSystem):
-        return {v: tuple(w for w, _ in graph.neighbors(v))
-                for v in range(graph.n)}
+        return MappingProxyType(graph._neighbor_map)
     if isinstance(graph, Mapping):
         adj = {v: tuple(sorted(set(ws))) for v, ws in graph.items()}
         for v, ws in adj.items():
@@ -141,10 +144,14 @@ def construct_region(graph, center: int, params: RegionParams,
         work += 1
         if work > node_cap:
             raise CapacityError(
-                f"region growth exceeded {node_cap} walk-tree nodes")
+                f"region growth from vertex {center} reached {work} "
+                f"walk-tree nodes, over node cap {node_cap}")
         u = walk[-1]
         members.add(u)
-        cld = [x for x in adj[u] if x not in pos]
+        cld = []
+        for x in adj[u]:
+            if x not in pos:
+                cld.append(x)
         if not cld:
             return ()
         degsum = prefix + len(cld)
@@ -153,7 +160,10 @@ def construct_region(graph, center: int, params: RegionParams,
                 members.update(cld)
                 work += len(cld)
             return ()
-        return [(x, degsum) for x in reversed(cld)]
+        exts = []
+        for x in reversed(cld):
+            exts.append((x, degsum))
+        return exts
 
     _walks(center, 0, expand)
     boundary = {w for u in members for w in adj[u] if w not in members}
@@ -216,7 +226,10 @@ def verify_region(graph, region: Region, params: RegionParams,
             return None
         fsum, maxcc = state
         u = walk[-1]
-        ext = [x for x in inner[u] if x not in pos]
+        ext = []
+        for x in inner[u]:
+            if x not in pos:
+                ext.append(x)
         f_u = len(ext)
         nb = n_boundary[u]
         if f_u + nb > maxcc:
@@ -239,7 +252,10 @@ def verify_region(graph, region: Region, params: RegionParams,
             partial = True
             return ()
         child_state = (fsum + f_u, maxcc)
-        return [(x, child_state) for x in ext]
+        exts = []
+        for x in ext:
+            exts.append((x, child_state))
+        return exts
 
     _walks(region.center, (0, 0), expand)
     return RegionVerification(ok=witness is None, size_ok=size_ok,

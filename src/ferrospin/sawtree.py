@@ -14,7 +14,11 @@ Marginals of the root come from the ratio recursion
 
 over the children.  `saw_marginal` folds it on log R in one pass of `_walks`
 and stores no tree: a spin-0 leaf (x = inf) adds exactly log beta_i, a
-spin-1 leaf (x = 0) exactly -log gamma_i.  `evaluate_ratios` runs it in
+spin-1 leaf (x = 0) exactly -log gamma_i.  A per-vertex table, built once
+per call, holds each neighbour's edge, its pinned leaf term (or None), log
+beta_e and -log gamma_e, so a walk reads its leaf terms without a lookup
+per neighbour, and `_fold`, the module's one log-space edge factor, folds
+every finished subtree into its parent.  `evaluate_ratios` runs it in
 linear scale on a tree `build_saw_tree` stored, with ratio pins, or with the
 spins `pin_saw_tree` attaches, which `prune_pinned_leaves` can fold into
 their parents' fields.
@@ -134,7 +138,8 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
     def new_node(pre, par, dep, bc, cc, spin, eidx):
         nid = len(tree.preimage)
         if nid >= node_cap:
-            raise CapacityError(f"saw tree exceeds node cap {node_cap}")
+            raise CapacityError(f"saw tree of vertex {root} reached "
+                                f"{nid + 1} nodes, over node cap {node_cap}")
         tree.preimage.append(pre)
         tree.parent.append(par)
         tree.children.append([])
@@ -299,15 +304,25 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
     return R
 
 
-def _log_edge_factor(log_x: float, log_beta: float, log_gamma: float) -> float:
-    """log((beta x + 1)/(x + gamma)) from log x, as a difference of two
-    log-sum-exps; log x = inf gives log beta and -inf gives -log gamma."""
-    if log_x > 0.0:  # log(beta + 1/x) - log(1 + gamma/x)
-        a, b, c, d = log_beta, -log_x, 0.0, log_gamma - log_x
-    else:            # log(1 + beta x) - log(x + gamma)
-        a, b, c, d = 0.0, log_beta + log_x, log_x, log_gamma
-    return (max(a, b) + math.log1p(math.exp(-abs(a - b)))
-            - max(c, d) - math.log1p(math.exp(-abs(c - d))))
+def _fold(acc: list[float], via: list[int], depth: int,
+          log_beta: Sequence[float], log_gamma: Sequence[float]) -> None:
+    """Fold the frames of `acc` deeper than `depth` into their parents.
+
+    A frame holds log x = log R of a finished subtree and `via` its edge; the
+    parent gains log((beta x + 1)/(x + gamma)), a difference of two
+    log-sum-exps, so log x = inf adds exactly log beta and -inf exactly
+    -log gamma.
+    """
+    exp, log1p = math.exp, math.log1p
+    while len(acc) > depth:
+        x = acc.pop()
+        f = via.pop()
+        if x > 0.0:  # log(beta + 1/x) - log(1 + gamma/x)
+            a, b, c, d = log_beta[f], -x, 0.0, log_gamma[f] - x
+        else:        # log(1 + beta x) - log(x + gamma)
+            a, b, c, d = 0.0, log_beta[f] + x, x, log_gamma[f]
+        acc[-1] += ((b if b > a else a) + log1p(exp(-abs(a - b)))
+                    - (d if d > c else c) - log1p(exp(-abs(c - d))))
 
 
 class SawMarginal(NamedTuple):
@@ -322,55 +337,57 @@ def saw_marginal(system: TwoSpinSystem, v: int,
     its walk tree (boundary = pin domain), in one pass of `_walks`.
 
     `acc[i]` is log R of walk[:i + 1] so far, started at log lambda of its
-    endpoint; each boundary or cycle-closing copy adds its spin's factor.  A
-    walk of length d shows that the frames from depth d - 1 on are finished,
-    and each folds into its parent.  Over `REGION_NODE_CAP` nodes raise
+    endpoint; each boundary or cycle-closing copy adds its spin's factor,
+    read from a per-vertex table built once per call.  A walk of length d
+    shows that the frames from depth d - 1 on are finished, and `_fold`
+    folds each into its parent.  Over `REGION_NODE_CAP` nodes raise
     CapacityError.
     """
     if v in spin_pin:
         raise InputError(f"vertex {v} is pinned")
     pins = dict(spin_pin.items())
     _check_root(system, v, pins)
-    lb, lg, adj = system.log_beta, system.log_gamma, system.adjacency
+    lb, lg, log_lam = system.log_beta, system.log_gamma, system.log_lambda
+    # per vertex, per neighbour w over edge e: (w, e, the pinned leaf's
+    # term or None, log beta_e, -log gamma_e), neighbours increasing
+    table = [tuple([(w, e, None if w not in pins
+                     else lb[e] if pins[w] == 0 else -lg[e], lb[e], -lg[e])
+                    for w, e in nbrs]) for nbrs in system.adjacency]
+    # children of a walk ending at u: every neighbour but the one it came from
+    children = [len(nbrs) - (u != v) for u, nbrs in enumerate(system.adjacency)]
     node_cap = constants.REGION_NODE_CAP
     acc: list[float] = []
     via: list[int] = []  # via[i]: edge from walk[i - 1] to walk[i]
     nodes = 1
 
-    def fold(depth):
-        while len(acc) > depth:
-            f = via.pop()
-            x = acc.pop()
-            acc[-1] += _log_edge_factor(x, lb[f], lg[f])
-
     def expand(walk, pos, e):
         nonlocal nodes
         d = len(walk)
-        fold(d - 1)
+        if len(acc) >= d:
+            _fold(acc, via, d - 1, lb, lg)
         p = walk[-1]
-        nodes += len(adj[p]) - (d > 1)
+        nodes += children[p]
         if nodes > node_cap:
-            raise CapacityError(f"saw tree exceeds node cap {node_cap}")
+            raise CapacityError(f"saw tree of vertex {v} reached {nodes} "
+                                f"nodes, over node cap {node_cap}")
         prev = walk[-2] if d > 1 else -1
-        log_r = system.log_lambda[p]
+        log_r = log_lam[p]
         descend = []
-        for w, f in adj[p]:
-            if w == prev:
-                continue
-            s = pins.get(w)
-            if s is None:
+        for w, f, pinned, lb_f, mlg_f in table[p]:
+            if pinned is not None:
+                log_r += pinned
+            elif w != prev:
                 i = pos.get(w)
                 if i is None:
                     descend.append((w, f))
-                    continue
-                s = _closing_spin(walk, i)
-            log_r += lb[f] if s == 0 else -lg[f]
+                else:  # the spin `_closing_spin` names
+                    log_r += lb_f if walk[i + 1] > p else mlg_f
         acc.append(log_r)
         via.append(e)
         return descend
 
     _walks(v, -1, expand)
-    fold(1)
+    _fold(acc, via, 1, lb, lg)
     # p0 = R/(1 + R) and p1 = 1/(1 + R) without forming R = exp(acc[0])
     t = math.exp(-abs(acc[0]))
     pair = (1.0 / (1.0 + t), t / (1.0 + t))

@@ -163,6 +163,29 @@ def test_config_file_rejects_unknown_keys(path5, tmp_path, capsys):
     assert "unknown options" in capsys.readouterr().err
 
 
+def test_config_file_rejects_keys_of_other_subcommands(tmp_path, capsys):
+    # `instance` belongs to sample, exact, saw and region, `steps` to sample
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(tmp_path / "nothere.json"),
+                               "steps": 5}))
+    assert main(["verify", "--suite", "saw-oracle", "--trials", "2",
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'instance'" in err[0] and "'steps'" in err[0]
+
+
+def test_config_keys_of_the_subcommand_stay_defaults(path5, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(path5), "d1": 2, "d2": 3}))
+    assert main(["region", "--config", str(cfg), "--center", "1"]) == 0
+    record = json.loads(capsys.readouterr().out)["region"]
+    assert (record["center"], record["d1"], record["d2"]) == (1, 2, 3)
+    assert main(["region", "--config", str(cfg), "--center", "1",
+                 "--d2", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["region"]["d2"] == 4
+
+
 def test_config_file_must_be_valid_json(path5, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -275,6 +298,17 @@ def test_saw_reports_its_walk_tree_size(tmp_path):
                      "--out", str(out)] + pin) == 0
         doc = json.loads(out.read_text())
         assert doc["tree_nodes"] == len(build_saw_tree(system, center, boundary))
+
+
+def test_saw_capacity_error_names_the_count_and_the_cap(path5, monkeypatch,
+                                                        capsys):
+    # the walk tree of the path from vertex 2 has 5 nodes; the walk 2-1
+    # brings the count to 4, past a cap of 3
+    monkeypatch.setattr(constants, "REGION_NODE_CAP", 3)
+    assert main(["saw", "--instance", str(path5), "--center", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: saw tree of vertex 2 reached 4 nodes, "
+                   "over node cap 3"]
 
 
 def test_saw_rejects_malformed_pin_and_center(path5):

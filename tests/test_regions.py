@@ -129,9 +129,40 @@ def test_isolated_center():
 
 
 def test_region_node_cap():
-    with pytest.raises(CapacityError):
-        complete = {v: tuple(w for w in range(9) if w != v) for v in range(9)}
-        construct_region(complete, 0, RegionParams(d1=30, d2=30), node_cap=200)
+    # the error names the root, the count reached (flushed children count
+    # too, so it can pass the cap by more than one) and the cap
+    complete = {v: tuple(w for w in range(9) if w != v) for v in range(9)}
+    with pytest.raises(CapacityError, match="^region growth from vertex 3 "
+                       "reached 203 walk-tree nodes, over node cap 200$"):
+        construct_region(complete, 3, RegionParams(d1=30, d2=30), node_cap=200)
+
+
+def test_a_system_builds_its_adjacency_map_once_and_shares_it_read_only(
+        monkeypatch):
+    system = TwoSpinSystem.from_params(
+        4, [1.0] * 4, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0), (2, 3, 0.9, 2.5),
+                       (0, 3, 1.0, 1.5)])
+    want = adjacency_map(
+        {v: [w for w, _ in system.neighbors(v)] for v in range(4)})
+    params = RegionParams(d1=2, d2=3)
+    region = construct_region(system, 0, params)
+    calls = []
+    real = TwoSpinSystem.neighbors
+    monkeypatch.setattr(TwoSpinSystem, "neighbors",
+                        lambda self, v: calls.append(v) or real(self, v))
+    # growth built it; verification and the good-boundary spec reuse it
+    verify_region(system, region, params)
+    GoodBoundarySpec.build(system, region, 4)
+    assert calls == [] and adjacency_map(system) == want
+    shared = adjacency_map(system)
+    with pytest.raises(TypeError):
+        shared[0] = (2,)
+    with pytest.raises(TypeError):
+        del shared[1]
+    assert adjacency_map(system) == want
+    # a mapping is checked again on every call
+    with pytest.raises(InputError):
+        construct_region({0: [1], 1: []}, 0, params)
 
 
 @settings(max_examples=40, deadline=None)

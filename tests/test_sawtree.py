@@ -33,7 +33,7 @@ from ferrospin.sawtree import (
     phi,
     pin_saw_tree,
     prune_pinned_leaves,
-    _log_edge_factor,
+    _fold,
     saw_marginal,
     tree_recursion_step,
 )
@@ -345,6 +345,14 @@ def test_saw_marginal_node_cap_fires_where_the_tree_build_does(monkeypatch):
             saw_marginal(system, v, pin)
 
 
+def _log_edge_factor(log_x, lb, lg):
+    """The log edge factor `_fold` adds to a parent frame of log R = 0."""
+    acc = [0.0, log_x]
+    _fold(acc, [-1, 0], 1, (lb,), (lg,))
+    assert len(acc) == 1
+    return acc[0]
+
+
 def test_log_edge_factor_limits_and_values():
     for lb, lg in ((0.0, 0.7), (-0.3, 2.0), (800.0, -800.0), (-1000.0, 1000.0)):
         # x = inf is a spin-0 leaf (beta), x = 0 a spin-1 leaf (1/gamma)
@@ -357,6 +365,18 @@ def test_log_edge_factor_limits_and_values():
         assert _log_edge_factor(log_x, math.log(0.6), math.log(3.0)) == \
             pytest.approx(math.log((0.6 * x + 1.0) / (x + 3.0)), rel=1e-13,
                           abs=1e-15)
+
+
+def test_fold_folds_every_finished_frame_into_its_parent():
+    # a root with one child that has one child: the two folds nest
+    lb, lg = (0.1, -0.2), (0.9, 1.4)
+    acc, via = [0.3, -0.4, 1.7], [-1, 1, 0]
+    _fold(acc, via, 1, lb, lg)
+    assert acc == [0.3 + _log_edge_factor(-0.4 + _log_edge_factor(1.7, 0.1, 0.9),
+                                          -0.2, 1.4)]
+    assert via == [-1]
+    _fold(acc, via, 1, lb, lg)  # nothing deeper than depth 1 is left
+    assert len(acc) == 1
 
 
 # ---------------------------------------------------------------------------
