@@ -57,6 +57,10 @@ EXIT_VERIFY = 3
 
 SCHEDULE_NAMES = ("glauber", "heat-bath", "systematic-scan",
                   "alternating-scan", "field")
+# flags a subcommand cannot run without; argparse does not enforce them,
+# because a config file may supply them and is applied after the first parse
+_REQUIRED_FLAGS = {"saw": ("--center",), "region": ("--center",),
+                  "verify": ("--suite",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -345,15 +349,16 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p = registry["saw"] = sub.add_parser(
         "saw", help="walk-tree marginal of one vertex")
     add_instance_flags(p)
-    p.add_argument("--center", type=int, required=True)
+    p.add_argument("--center", type=int,
+                   help="the vertex (required; --config may give it)")
     p.add_argument("--pin", help="comma-separated v:s assignments")
     p.set_defaults(func=cmd_saw)
 
     p = registry["region"] = sub.add_parser(
         "region", help="construct + verify a neighbourhood")
     add_instance_flags(p)
-    p.add_argument("--center", required=True,
-                   help="a vertex, or 'all' for a sweep")
+    p.add_argument("--center", help="a vertex, or 'all' for a sweep "
+                   "(required; --config may give it)")
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
     p.set_defaults(func=cmd_region)
@@ -361,7 +366,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p = registry["verify"] = sub.add_parser(
         "verify", help="run a named verification suite")
     add_common_flags(p)
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    p.add_argument("--suite", choices=SUITE_NAMES,
+                   help="(required; --config may give it)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=constants.DEFAULT_EPS)
     p.add_argument("--trials", type=int, default=40)
@@ -431,6 +437,11 @@ def main(argv: list[str] | None = None) -> int:
             parser, registry = build_parser()
             _apply_config_file(registry[args.subcommand], config)
             args = parser.parse_args(argv)
+        missing = [flag for flag in _REQUIRED_FLAGS.get(args.subcommand, ())
+                   if getattr(args, flag[2:]) is None]
+        if missing:
+            raise InputError("the following arguments are required: "
+                             + ", ".join(missing))
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

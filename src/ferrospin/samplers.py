@@ -23,10 +23,10 @@ only on `config & mask[v]`; each vertex of degree at most `_MEMO_MAX_DEGREE`
 more than 2^8 entries, and higher-degree vertices compute it on every
 lookup.  Memo entries come from the one scalar formula of `site_conditional`
 (same addition order, `math.exp`), so a memoised chain is bit-identical to a
-direct one.  Dependent blocks enumerate their undecided suffix on 0/1 row
-tables cached per run by block size (up to `_ROWS_KEPT` vertices).  One
-update (`_Kernel.update`) resamples a block in one chain or a coupled pair,
-and one loop (`_run`) drives `trajectory_csv`, `coupling_times` (many seeds
+direct one.  A dependent block builds one 2^m log-weight table per chain
+per update and decides its vertices in order, each from the two halves of
+what is left.  One update (`_Kernel.update`) resamples a block in one chain
+or a coupled pair, and one loop (`_run`) drives `trajectory_csv`, `coupling_times` (many seeds
 on one kernel; `coupling_time` is its one-seed form), `schedule_step` and
 `field_dynamics_step`; `monotone_coupled_step` runs one update on the vector
 it is given.  The one-step wrappers compile on every call.  `RandomSource`
@@ -51,10 +51,6 @@ from .model import TwoSpinSystem, config_to_index, index_to_config, tilt
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
 # neighbours, so a table holds at most 2^8 entries however long the run
 _MEMO_MAX_DEGREE = 8
-# dependent-block row tables are kept for the run up to this block size (at
-# most 2^12 rows, about 2 MB for every size up to it); a larger block builds
-# its tables per call, so a run never holds a 2^20-row table it is not using
-_ROWS_KEPT = 12
 # uniforms drawn from the Philox stream per refill: the first, and the most
 _FIRST_CHUNK = 128
 _MAX_CHUNK = 2048
@@ -242,24 +238,21 @@ class _Sites(dict):
 class _Kernel:
     """One schedule compiled against one system, shared by every chain of a
     run: the block selector (None for field dynamics, which draws its block
-    from the state and runs on the tilted system), the per-vertex site
-    tables and the enumeration tables of dependent blocks by size."""
+    from the state and runs on the tilted system) and the per-vertex site
+    tables."""
 
-    __slots__ = ("system", "select", "theta", "sites", "_rows")
+    __slots__ = ("system", "select", "theta", "sites")
 
     def __init__(self, system: TwoSpinSystem, theta: float | None = None):
         self.system = system
         self.select = None  # set by _compile for the block kinds
         self.theta = theta
         self.sites = _Sites(system)
-        self._rows: dict[int, _Rows] = {}
 
     def independent(self, block: Sequence[int]) -> bool:
         if len(block) < 2:
             return True
-        inside = 0
-        for v in block:
-            inside |= 1 << v
+        inside = sum(1 << v for v in block)
         site_terms = self.system._site_terms
         return not any(site_terms[v][0] & inside for v in block)
 
@@ -282,35 +275,34 @@ class _Kernel:
                         config &= ~(1 << v)
                 out.append(config)
             return tuple(out)
+        if len(block) > constants.BLOCK_ENUM_LIMIT:
+            raise CapacityError(
+                f"conditional enumeration over {len(block)} vertices exceeds "
+                f"{constants.BLOCK_ENUM_LIMIT}")
         for config in configs:
-            for k, v in enumerate(block):
-                if thresholds[k] <= self.marginal(config, block[k:], 0):
+            # keep the half that matches each decision, so the table always
+            # ranges over the undecided rest of the block
+            table = self.block_table(config, block)
+            for v, th in zip(block, thresholds):
+                if th <= _first_p1(table):
                     config |= 1 << v
+                    table = table[1]
                 else:
                     config &= ~(1 << v)
+                    table = table[0]
             out.append(config)
         return tuple(out)
 
-    def marginal(self, config: int, undecided: tuple[int, ...],
-                 i: int) -> float:
-        """p(sigma_v = 1 | the decided spins of `config`) for v =
-        undecided[i], marginalizing the rest of `undecided` (increasing
-        vertices).
-
-        Enumerates the local factors over U = undecided on 2^|U| rows;
-        factors not touching U cancel in the ratio."""
-        m = len(undecided)
-        if m > constants.BLOCK_ENUM_LIMIT:
-            raise CapacityError(
-                f"conditional enumeration over {m} vertices exceeds "
-                f"{constants.BLOCK_ENUM_LIMIT}")
-        system = self.system
-        site_terms, log_lambda = system._site_terms, system.log_lambda
-        inside = 0
-        for u in undecided:
-            inside |= 1 << u
-        c0, c1, in_edges = [], [], []
-        for a, u in enumerate(undecided):
+    def block_table(self, config: int, block: tuple[int, ...]) -> np.ndarray:
+        """Log weights of the 2^m fillings of `block` (m vertices in
+        increasing order) given the spins of `config` outside it, one 0/1
+        axis per block vertex in block order.  Factors not touching the
+        block cancel in every conditional and are left out."""
+        site_terms, log_lambda = self.system._site_terms, self.system.log_lambda
+        inside = sum(1 << u for u in block)
+        logw = np.zeros(())
+        in_edges = []
+        for a, u in enumerate(block):
             x0, x1 = log_lambda[u], 0.0
             for bit, lb, lg in site_terms[u][1]:
                 if bit & inside:
@@ -321,47 +313,21 @@ class _Kernel:
                     x1 += lg
                 else:
                     x0 += lb
-            c0.append(x0)
-            c1.append(x1)
-        rows = self._rows.get(m)
-        if rows is None:
-            rows = _Rows(m)
-            if m <= _ROWS_KEPT:
-                self._rows[m] = rows
-        logw = rows.bits @ np.array(c1) + rows.comp @ np.array(c0)
-        for (a, b, lb, lg) in in_edges:
-            both0, both1 = rows.edge(a, b)
-            logw[both0] += lb
-            logw[both1] += lg
-        w = np.exp(logw - logw.max())
-        s1 = float(w[rows.ones[:, i]].sum())
-        s0 = float(w[rows.zeros[:, i]].sum())
-        return s1 / (s0 + s1)
+            logw = np.add.outer(logw, (x0, x1))
+        for a, b, lb, lg in in_edges:
+            both = [slice(None)] * len(block)
+            both[a] = both[b] = 0
+            logw[tuple(both)] += lb
+            both[a] = both[b] = 1
+            logw[tuple(both)] += lg
+        return logw
 
 
-class _Rows:
-    """The 2^m rows of a dependent-block enumeration over m vertices: the
-    0/1 bit table, its complement, its 1 and 0 masks, and per internal edge
-    (a, b) the indices of the rows with both ends 0 and with both ends 1."""
-
-    __slots__ = ("bits", "comp", "ones", "zeros", "_edges")
-
-    def __init__(self, m: int):
-        bits = ((np.arange(1 << m)[:, None] >> np.arange(m))
-                & 1).astype(np.float64)
-        self.bits, self.comp = bits, 1.0 - bits
-        self.ones = bits == 1.0
-        self.zeros = ~self.ones
-        self._edges: dict[tuple[int, int], tuple] = {}
-
-    def edge(self, a: int, b: int):
-        got = self._edges.get((a, b))
-        if got is None:
-            zeros, ones = self.zeros, self.ones
-            got = self._edges[(a, b)] = (
-                (zeros[:, a] & zeros[:, b]).nonzero()[0],
-                (ones[:, a] & ones[:, b]).nonzero()[0])
-        return got
+def _first_p1(table: np.ndarray) -> float:
+    """p(first axis = 1) under a log-weight table: the mass of table[1]."""
+    w = np.exp(table - table.max())
+    s1 = float(w[1].sum())
+    return s1 / (float(w[0].sum()) + s1)
 
 
 def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
@@ -516,18 +482,20 @@ def coupling_time(system: TwoSpinSystem, schedule: UpdateSchedule, seed: int,
 def warm_start_check(system: TwoSpinSystem, config: Sequence[int],
                      N: int | None = None) -> tuple[bool, list[tuple]]:
     """Flag tiny-field vertices sitting at 0 and huge-gamma edges with a 0
-    endpoint.  N is the instance size the thresholds refer to (defaults to
-    the system's own)."""
+    endpoint, comparing logs.  N is the instance size the thresholds refer
+    to (defaults to the system's own)."""
     if len(config) != system.n:
         raise InputError("configuration has wrong length")
     N = system.n if N is None else N
-    cut = 100.0 * N ** 5
+    if N < 1:
+        raise InputError(f"instance size must be positive, got {N}")
+    log_cut = math.log(100.0) + 5 * math.log(N)
     violations: list[tuple] = []
     for v in range(system.n):
-        if config[v] == 0 and system.lam(v) <= 1.0 / cut:
+        if config[v] == 0 and system.log_lambda[v] <= -log_cut:
             violations.append(("vertex", v))
     for e, (u, v) in enumerate(system.edges):
-        if system.gamma(e) >= cut and (config[u] == 0 or config[v] == 0):
+        if system.log_gamma[e] >= log_cut and 0 in (config[u], config[v]):
             violations.append(("edge", u, v))
     return not violations, violations
 

@@ -186,6 +186,38 @@ def test_config_keys_of_the_subcommand_stay_defaults(path5, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["region"]["d2"] == 4
 
 
+def _required_flag_case(sub, path5):
+    """(file keys, flag, file value, flag value, value read back) for a
+    subcommand with a required flag."""
+    if sub == "verify":
+        return ({"trials": 2}, "--suite", "saw-oracle", "field",
+                lambda out: out.split("suite=")[1].split()[0])
+    keys = {"instance": str(path5)}
+    if sub == "region":
+        keys.update(d1=2, d2=3)
+        return (keys, "--center", 1, "2",
+                lambda out: json.loads(out)["region"]["center"])
+    return keys, "--center", 1, "2", lambda out: json.loads(out)["center"]
+
+
+@pytest.mark.parametrize("sub", ["saw", "region", "verify"])
+def test_config_file_supplies_required_flags(path5, tmp_path, capsys, sub):
+    keys, flag, in_file, on_line, read = _required_flag_case(sub, path5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**keys, flag[2:]: in_file}))
+    assert main([sub, "--config", str(cfg)]) == 0
+    assert str(read(capsys.readouterr().out)) == str(in_file)
+    # a flag on the command line overrides the file
+    assert main([sub, "--config", str(cfg), flag, on_line]) == 0
+    assert str(read(capsys.readouterr().out)) == on_line
+    # missing from both: the argparse error line and exit 1
+    cfg.write_text(json.dumps(keys))
+    for argv in ([sub, "--config", str(cfg)], [sub]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: the following arguments are required: {flag}\n")
+
+
 def test_config_file_must_be_valid_json(path5, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

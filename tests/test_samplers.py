@@ -21,7 +21,9 @@ from ferrospin.exact import (
     scan_matrix,
     stationarity_residual,
 )
-from ferrospin.model import Pinning, TwoSpinSystem, config_to_index, index_to_config
+from ferrospin.model import (
+    Pinning, RbmParams, TwoSpinSystem, config_to_index, index_to_config,
+    rbm_to_two_spin)
 from ferrospin.samplers import (
     ChainState,
     CoupledPair,
@@ -124,24 +126,30 @@ def test_site_conditional_extreme_logs_stay_finite():
     assert site_conditional(tiny, (1,), 0) == pytest.approx(0.0)
 
 
+def _walk_block_table(system, config, block):
+    """(v, p(sigma_v = 1)) at every position of `block`, read from one
+    block table, keeping the half that matches config[v] each time."""
+    table = samplers._Kernel(system).block_table(config_to_index(config),
+                                                 block)
+    for v in block:
+        yield v, samplers._first_p1(table)
+        table = table[config[v]]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(3, 6))
 def test_marginalized_conditional_matches_exact(seed, n):
-    # chain-rule inner step: pin the decided part, marginalize the suffix
+    # chain rule over a block: pin the outside and the decided prefix,
+    # marginalize the rest of the block
     rng = random.Random(seed)
     inst = ora.random_instance(rng, n)
     system = to_system(inst)
     config = tuple(rng.randint(0, 1) for _ in range(n))
-    verts = list(range(n))
-    rng.shuffle(verts)
-    v = verts[0]
-    suffix = verts[1:rng.randint(1, n - 1) + 1]
-    decided = {u: config[u] for u in range(n) if u != v and u not in suffix}
-    _, p1 = conditional_marginal(system, Pinning(decided), v)
-    U = tuple(sorted(set(suffix) | {v}))
-    got = samplers._Kernel(system).marginal(config_to_index(config), U,
-                                            U.index(v))
-    assert got == pytest.approx(p1, abs=1e-12)
+    block = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+    for k, (v, got) in enumerate(_walk_block_table(system, config, block)):
+        decided = {u: config[u] for u in range(n) if u not in block[k:]}
+        _, p1 = conditional_marginal(system, Pinning(decided), v)
+        assert got == pytest.approx(p1, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +678,15 @@ def test_warm_start_check():
     assert ("edge", 2, 3) in violations         # 1e6 >= 100*4^5, endpoint 0
     ok3, v3 = warm_start_check(system, (1, 0, 1, 0), N=3)
     assert not ok3 and ("vertex", 1) in v3
+    # parameters past float range are compared in log space
+    huge_gamma = rbm_to_two_spin(RbmParams(1, 1, ((0, 800), (800, 0)), (0, 0)))
+    assert warm_start_check(huge_gamma, (0, 1)) == (False, [("edge", 0, 1)])
+    assert warm_start_check(huge_gamma, (1, 1)) == (True, [])
+    huge_field = rbm_to_two_spin(RbmParams(1, 1, ((0, 0), (0, 0)), (-800, 800)))
+    assert warm_start_check(huge_field, (0, 1)) == (True, [])
+    assert warm_start_check(huge_field, (1, 0)) == (False, [("vertex", 1)])
+    with pytest.raises(InputError):
+        warm_start_check(system, (1, 1, 1, 1), N=0)
 
 
 def test_trajectory_csv_deterministic():
@@ -885,36 +902,39 @@ def test_trajectories_match_the_reference_chain():
         assert rows == want, case
 
 
-def test_cached_marginal_matches_the_per_call_one_bit_for_bit():
+def test_block_table_conditionals_match_the_oracle():
     rng = random.Random(7300)
-    kernel_of = {}
     for trial in range(300):
-        n = rng.randint(2, 12)
-        key = (n, trial % 5)  # a few systems, so tables and sites get reused
-        if key not in kernel_of:
-            system = to_system(ora.random_instance(rng, n,
-                                                   p=rng.uniform(0.2, 1.0)))
-            kernel_of[key] = samplers._Kernel(system)
-        kernel = kernel_of[key]
-        system = kernel.system
-        U = tuple(sorted(rng.sample(range(n), rng.randint(1, min(10, n)))))
-        i = rng.randrange(len(U))
+        n = rng.randint(2, 14)
+        system = to_system(ora.random_instance(rng, n,
+                                               p=rng.uniform(0.2, 1.0)))
+        block = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
         config = tuple(rng.randint(0, 1) for _ in range(n))
-        want = ora.chain_marginalized_conditional(
-            system, config, U[i], U[:i] + U[i + 1:])
-        got = kernel.marginal(config_to_index(config), U, i)
-        assert got == want, (trial, U, i)
-    # blocks above the kept table size build their tables per call
-    system = to_system(ora.random_instance(rng, 14, p=0.3))
-    kernel = samplers._Kernel(system)
-    for m in (samplers._ROWS_KEPT + 1, 14, 14):
-        U = tuple(sorted(rng.sample(range(14), m)))
-        i = rng.randrange(m)
-        config = tuple(rng.randint(0, 1) for _ in range(14))
-        want = ora.chain_marginalized_conditional(
-            system, config, U[i], U[:i] + U[i + 1:])
-        assert kernel.marginal(config_to_index(config), U, i) == want
-    assert not kernel._rows
+        for k, (v, got) in enumerate(_walk_block_table(system, config, block)):
+            want = ora.chain_marginalized_conditional(system, config, v,
+                                                      block[k + 1:])
+            assert got == pytest.approx(want, abs=1e-14), (trial, block, k)
+
+
+def test_a_block_above_the_enumeration_limit_raises_before_any_table(
+        monkeypatch):
+    m = constants.BLOCK_ENUM_LIMIT + 1
+    path = TwoSpinSystem.from_params(
+        m, [1.0] * m, [(v, v + 1, 0.9, 1.5) for v in range(m - 1)])
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(samplers._Kernel, "block_table", no_table)
+    message = (f"conditional enumeration over {m} vertices exceeds "
+               f"{constants.BLOCK_ENUM_LIMIT}")
+    with pytest.raises(CapacityError, match=message):
+        schedule_step(path, UpdateSchedule(kind="heat-bath-block",
+                                           blocks=(tuple(range(m)),)),
+                      ChainState((1,) * m), RandomSource(0))
+    # from all-ones, field dynamics resamples every vertex
+    with pytest.raises(CapacityError, match=message):
+        field_dynamics_step(path, 0.5, ChainState((1,) * m), RandomSource(0))
 
 
 def test_coupling_times_raise_on_an_order_violation():
