@@ -13,7 +13,6 @@ PROB_SUM_TOL = 1e-12         # distribution tables / matrix rows sum to 1
 REL_TOL = 1e-12              # generic relative comparisons (dual routes)
 INEQUALITY_SLACK = 1e-9      # spectral / mixing inequality slack
 POTENTIAL_SLACK = 1e-10      # dominance and decay-factor grid slack
-QUADRATURE_ABS_TOL = 1e-10   # adaptive Simpson absolute tolerance
 SAW_ORACLE_TOL = 1e-9        # saw marginal vs brute force
 
 # enumeration caps

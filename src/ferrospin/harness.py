@@ -509,6 +509,9 @@ def influence_regime_sweep(family: str, sizes: Sequence[int], beta: float,
     if not lam_factors:
         raise InputError("need at least one field factor")
     lc = lambda_c(ParamClass(beta=beta, gamma=gamma, lambda_bound=1.0))
+    if lc == math.inf:
+        raise InputError(f"lambda_c of beta {beta!r}, gamma {gamma!r} passes "
+                         f"the float range")
     rows = []
     for factor in lam_factors:
         lam = factor * lc
@@ -741,8 +744,6 @@ def _suite_potential(cfg: ExperimentConfig) -> list[ReportRow]:
                     1.0 - pp.alpha, tolerance=constants.POTENTIAL_SLACK,
                     detail="arities=1..4 samples=25"))
                 sep = lam / 10.0
-                quad_tol = (constants.POTENTIAL_SLACK
-                            + 4.0 * constants.QUADRATURE_ABS_TOL / sep)
                 worst_hi = -math.inf
                 worst_lo = math.inf
                 for _ in range(40):
@@ -753,10 +754,10 @@ def _suite_potential(cfg: ExperimentConfig) -> list[ReportRow]:
                     worst_lo = min(worst_lo, ratio)
                 rows.append(inequality_row(
                     "potential-increments-at-most-upper-constant", label,
-                    worst_hi, pp.c_max, tolerance=quad_tol))
+                    worst_hi, pp.c_max, tolerance=constants.POTENTIAL_SLACK))
                 rows.append(inequality_row(
                     "potential-increments-at-least-lower-constant", label,
-                    pp.c_min, worst_lo, tolerance=quad_tol))
+                    pp.c_min, worst_lo, tolerance=constants.POTENTIAL_SLACK))
     return rows
 
 

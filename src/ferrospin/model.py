@@ -351,9 +351,19 @@ def lambda0(pc: ParamClass) -> float:
 
 
 def lambda_c(pc: ParamClass) -> float:
-    """Field threshold (gamma/beta)^(sqrt(beta*gamma)/(sqrt(beta*gamma)-1))."""
+    """Field threshold (gamma/beta)^(sqrt(beta*gamma)/(sqrt(beta*gamma)-1)),
+    or math.inf past the float range (beta*gamma just above 1, beta < 1)."""
     root = math.sqrt(pc.beta * pc.gamma)
-    return (pc.gamma / pc.beta) ** (root / (root - 1.0))
+    try:
+        return (pc.gamma / pc.beta) ** (root / (root - 1.0))
+    except OverflowError:
+        return math.inf
+
+
+def _log_lambda_c(pc: ParamClass) -> float:
+    """log lambda_c, finite where lambda_c passes the float range."""
+    root = math.sqrt(pc.beta * pc.gamma)
+    return root / (root - 1.0) * math.log(pc.gamma / pc.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -410,8 +410,8 @@ def universal_pinning(tree: SawTree, system: TwoSpinSystem,
     among good configurations.
 
     Children-of-u rule: with at most d2/3 boundary children, all get ratio
-    inf; otherwise sort by increasing edge beta*gamma (ties by node id) and
-    pin the first floor(count / ln n) to ratio 0, the rest to inf.
+    inf; otherwise sort by increasing edge log beta + log gamma (ties by node
+    id) and pin the first floor(count / ln n) to ratio 0, the rest to inf.
     """
     if n < 2:
         raise InputError("global vertex count must be at least 2")
@@ -430,7 +430,7 @@ def universal_pinning(tree: SawTree, system: TwoSpinSystem,
         else:
             def edge_strength(c: int) -> tuple[float, int]:
                 e = tree.edge_to_parent[c]
-                return (system.beta(e) * system.gamma(e), c)
+                return (system.log_beta[e] + system.log_gamma[e], c)
             ordered = sorted(kids, key=edge_strength)
             cut = math.floor(len(kids) / log_n)
             for c in ordered[:cut]:

@@ -26,20 +26,22 @@ their parents' fields.
 The second half of the module builds the contraction potential for a
 parameter class: the edge functions g, the threshold x0, the exponent alpha,
 the scale t, phi = min{1/t, 1/(x log(lambda/x))} and its primitive Phi, the
-per-node decay factor, and the geometric single-term bound.
+per-node decay factor, and the geometric single-term bound.  All are closed
+forms: x0 and phi's two kinks are roots x = -c / W_k(-c/lambda) of
+x log(lambda/x) = c on the Lambert-W branches k = -1, 0; Phi is x/t, plus
+-log log(lambda/s) between the kinks; c_max = 1/t, c_min = min{1/t, e/lambda}.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from scipy.optimize import minimize_scalar
-
 from . import constants
 from .errors import CapacityError, InputError, NumericError
-from .model import ParamClass, Pinning, TwoSpinSystem, lambda_c
+from .model import ParamClass, Pinning, TwoSpinSystem, _log_lambda_c, lambda_c
 
 
 @dataclass
@@ -215,8 +217,14 @@ def prune_pinned_leaves(tree: SawTree,
         tree,
         children=[[c for c in cs if c not in dropped] for cs in tree.children],
         pinned_spin={})
-    fields = {u: math.exp(lw) for u, lw in log_fields.items()}
-    return reduced, fields
+    try:
+        return reduced, {u: math.exp(lw) for u, lw in log_fields.items()}
+    except OverflowError:
+        u = max(log_fields, key=log_fields.get)
+        raise NumericError(
+            f"node {u} (vertex {tree.preimage[u]}): field = exp("
+            f"{log_fields[u]!r}) overflows the linear-scale walk-tree "
+            f"recursion") from None
 
 
 def tree_recursion_step(lambda_u: float,
@@ -430,33 +438,41 @@ def g_value(x: float, pc: ParamClass, beta_e: float, gamma_e: float) -> float:
     return num / den
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            iters: int = 200) -> float:
-    flo = f(lo)
-    if flo > 0.0:
-        raise NumericError("bisection bracket does not straddle the root")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _roots(c: float, lam: float) -> tuple[float, float]:
+    """Rising and falling root of x log(lam/x) = c, for 0 < c <= lam/e.
+
+    y = log(lam/x) solves y e^-y = c/lam: y = -W_k(-c/lam) on the Lambert-W
+    branches k = -1 (root c/y) and k = 0 (root lam e^-y).  v = log y solves
+    expm1(v) - v = d = log(lam/c) - 1 >= 0, convex in v, so six Newton steps
+    from log1p(d + sqrt(2d)) and -sqrt(2d) end on both roots to the last
+    bits, also next to the branch point d = 0 and where c/lam underflows.
+    """
+    z = c / lam
+    d = -1.0 - (math.log(z) if z >= sys.float_info.min
+                else math.log(c) - math.log(lam))
+    if d <= 0.0:
+        return lam / math.e, lam / math.e
+    vs = []
+    for v in (math.log1p(d + math.sqrt(2.0 * d)), -math.sqrt(2.0 * d)):
+        for _ in range(6):
+            v -= (math.expm1(v) - v - d) / math.expm1(v)
+        vs.append(v)
+    return c * math.exp(-vs[0]), lam * math.exp(-math.exp(vs[1]))
 
 
 def derive_potential(pc: ParamClass) -> PotentialParams:
     """Build the potential constants for a class with lambda < lambda_c.
 
-    x0 is the largest point such that (beta gamma - 1) x log(lambda/x),
-    normalized by log((lambda+gamma)/(lambda+1)), stays <= 1/2 on (0, x0];
-    since x log(lambda/x) increases up to lambda/e, this is a bisection on
-    the rising branch (or essentially all of (0, lambda) when even the peak
-    satisfies the bound).  Then
+    x0 is the largest point with (beta gamma - 1) x log(lambda/x) <= norm/2
+    on (0, x0], norm = log((lambda+gamma)/(lambda+1)): the rising root, or
+    lambda (1 - 1e-9) when the peak lambda/e meets the bound (an x0 below
+    the normal float range raises NumericError).  Then
 
         alpha = 1 - max{1/2, (log lambda - log x0)/(log lambda_c - log x0)}
         t = (1-alpha) gamma/(beta gamma - 1) * log((lambda+gamma)/(beta lambda+1))
 
-    and c_min/c_max bracket phi over [0, lambda) by 1-D optimization.
+    and phi (1/t at 0, e/lambda at the peak) has c_max = 1/t and
+    c_min = min{1/t, e/lambda}.
     """
     lam = pc.lambda_bound
     lc = lambda_c(pc)
@@ -464,36 +480,19 @@ def derive_potential(pc: ParamClass) -> PotentialParams:
         raise InputError(
             f"potential needs lambda < lambda_c ({lc!r}), got {lam!r}")
     beta, gamma = pc.beta, pc.gamma
-    norm = math.log1p((gamma - 1.0) / (lam + 1.0))
-
-    def h(x):
-        return (beta * gamma - 1.0) * x * math.log(lam / x) / norm - 0.5
-
-    peak = lam / math.e
-    if h(peak) <= 0.0:
-        x0 = lam * (1.0 - 1e-9)
-    else:
-        # x log(lam/x) rises on (0, lam/e]; bracket from far below the peak
-        x0 = _bisect(h, max(lam * 1e-300, 5e-324), peak)
-    ratio = (math.log(lam) - math.log(x0)) / (math.log(lc) - math.log(x0))
+    bound = (0.5 * math.log1p((gamma - 1.0) / (lam + 1.0))
+             / (beta * gamma - 1.0))
+    x0 = lam * (1.0 - 1e-9) if lam / math.e <= bound else _roots(bound, lam)[0]
+    if x0 < sys.float_info.min:
+        raise NumericError(f"x0 = {x0!r} of lambda = {lam!r} falls below "
+                           f"the normal float range")
+    log_x0 = math.log(x0)
+    ratio = (math.log(lam) - log_x0) / (_log_lambda_c(pc) - log_x0)
     alpha = 1.0 - max(0.5, ratio)
     t = ((1.0 - alpha) * gamma / (beta * gamma - 1.0)
          * math.log1p(((1.0 - beta) * lam + gamma - 1.0) / (beta * lam + 1.0)))
-
-    def phi_t(x):
-        if x <= 0.0:
-            return 1.0 / t
-        s = x * math.log(lam / x)
-        return 1.0 / t if s <= t else 1.0 / s
-
-    lo_res = minimize_scalar(phi_t, bounds=(lam * 1e-12, lam * (1 - 1e-12)),
-                             method="bounded")
-    hi_res = minimize_scalar(lambda x: -phi_t(x),
-                             bounds=(lam * 1e-12, lam * (1 - 1e-12)),
-                             method="bounded")
-    c_min = min(float(lo_res.fun), 1.0 / t)
-    c_max = max(float(-hi_res.fun), 1.0 / t)
-    return PotentialParams(t=t, alpha=alpha, x0=x0, c_min=c_min, c_max=c_max)
+    return PotentialParams(t=t, alpha=alpha, x0=x0,
+                           c_min=min(1.0 / t, math.e / lam), c_max=1.0 / t)
 
 
 def phi(x: float, pp: PotentialParams, lam: float) -> float:
@@ -506,61 +505,28 @@ def phi(x: float, pp: PotentialParams, lam: float) -> float:
     return 1.0 / pp.t if s <= pp.t else 1.0 / s
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float) -> float:
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        if depth <= 0:
-            raise NumericError("adaptive quadrature failed to converge")
-        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
-
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return rec(a, b, fa, fm, fb, whole, tol, 60)
-
-
 def Phi(x: float, pp: PotentialParams, lam: float) -> float:
-    """Integral of phi from 0 to x, split at the kinks where the min switches,
-    to absolute tolerance `constants.QUADRATURE_ABS_TOL`."""
+    """Integral of phi from 0 to x in closed form: phi is 1/t up to the
+    kink k1, 1/(s log(lambda/s)) with primitive -log log(lambda/s) up to the
+    kink k2, then 1/t again.  The kinks are the roots of s log(lambda/s) = t;
+    there are none (Phi = x/t) when t >= lambda/e."""
     if not (0.0 <= x < lam):
         raise InputError(f"Phi needs x in [0, lambda), got {x}")
-    f = lambda s: phi(s, pp, lam)
-    peak = lam / math.e
-    cuts = [0.0]
-    if peak * math.log(lam / peak) > pp.t:  # two kink points straddle lam/e
-        k = lambda s: s * math.log(lam / s) - pp.t
-        k1 = _bisect(k, lam * 1e-30, peak)                   # rising branch
-        k2 = _bisect(lambda s: -k(s), peak, lam * (1.0 - 1e-15))  # falling
-        cuts += [k1, k2]
-    cuts = sorted(c for c in cuts if c < x) + [x]
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        total += _adaptive_simpson(
-            f, a, b,
-            constants.QUADRATURE_ABS_TOL * (b - a) / max(x, 1e-300))
-    return total
+    t = pp.t
+    if t >= lam / math.e:
+        return x / t
+    k1, k2 = _roots(t, lam)
+    if x <= k1:
+        return x / t
+    return (k1 / t + math.log(math.log(lam / k1) / math.log(lam / min(x, k2)))
+            + max(x - k2, 0.0) / t)
 
 
 def decay_factor(x: Sequence[float], lambda_u: float,
                  edge_params: Sequence[tuple[float, float]],
                  pp: PotentialParams, lam: float) -> float:
-    """phi(F_u(x)) * sum_i |dF_u/dx_i| / phi(x_i) at a strictly interior x.
-
-    The partial derivative is evaluated in closed form:
-    lambda_u (beta_i gamma_i - 1)/(x_i+gamma_i)^2 * prod_{j != i}
-    (beta_j x_j + 1)/(x_j + gamma_j).
-    """
+    """phi(F_u(x)) * sum_i |dF_u/dx_i| / phi(x_i) at a strictly interior x;
+    dF_u/dx_i = F_u (beta_i gamma_i - 1)/((beta_i x_i + 1)(x_i + gamma_i))."""
     if len(x) != len(edge_params):
         raise InputError("x and edge params disagree in length")
     for xi in x:
@@ -571,15 +537,9 @@ def decay_factor(x: Sequence[float], lambda_u: float,
     value = tree_recursion_step(lambda_u, edge_params, x)
     if not (0.0 <= value < lam):
         raise InputError(f"recursion value {value} escapes [0, lambda)")
-    factors = [(b * xi + 1.0) / (xi + g) for (b, g), xi in zip(edge_params, x)]
-    total = 0.0
-    for i, ((b, g), xi) in enumerate(zip(edge_params, x)):
-        partial = lambda_u * (b * g - 1.0) / (xi + g) ** 2
-        for j, fj in enumerate(factors):
-            if j != i:
-                partial *= fj
-        total += abs(partial) / phi(xi, pp, lam)
-    return phi(value, pp, lam) * total
+    total = sum(abs(b * g - 1.0) / ((b * xi + 1.0) * (xi + g))
+                / phi(xi, pp, lam) for (b, g), xi in zip(edge_params, x))
+    return phi(value, pp, lam) * value * total
 
 
 def trivial_term_bound(lambda_u: float, d: int, pp: PotentialParams,

@@ -15,6 +15,10 @@ samplers' step as it was before the compiled kernel, on configuration
 tuples with one conditional computed per call.  It reads the package's system object and
 keeps the samplers' own numpy enumeration for dependent blocks, so the
 compiled kernel has to match it bit for bit.
+
+The contraction-potential oracles work in mpmath: the roots of
+x log(lambda/x) = c from mpmath's Lambert W at 30 digits, and Phi by
+`mp.quad` of the definition phi = min{1/t, 1/(x log(lambda/x))} at 20.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import itertools
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 
 
@@ -556,3 +561,39 @@ def chain_coupling_time(system, schedule, seed, cap):
         if up == low:
             return t
     return None
+
+
+# ---------------------------------------------------------------------------
+# contraction potential in mpmath, from the definitions alone
+
+def potential_roots(c, lam):
+    """(rising, falling) roots of x log(lam/x) = c, 0 < c <= lam/e, as mpf:
+    -c / W_k(-c/lam) on the Lambert-W branches k = -1, 0.  mpf exponents do
+    not underflow, so -c/lam keeps all its digits at any lam."""
+    with mp.workdps(30):
+        c, lam = mp.mpf(c), mp.mpf(lam)
+        return tuple(-c / mp.re(mp.lambertw(-c / lam, k)) for k in (-1, 0))
+
+
+def potential_Phi(x, t, lam):
+    """Integral over (0, x) of phi = min{1/t, 1/(s log(lam/s))}.
+
+    phi is 1/t outside the kinks (the roots for c = t); between them `quad`
+    integrates phi in u = log s, split where log(lam/s) drops fourfold, so
+    the tanh-sinh rule sees a smooth integrand on every stretch."""
+    with mp.workdps(20):
+        x, t, lam = mp.mpf(x), mp.mpf(t), mp.mpf(lam)
+        if t >= lam / mp.e:
+            return x / t
+        k1, k2 = potential_roots(t, lam)
+        total = min(x, k1) / t + max(x - k2, 0) / t
+        if x > k1:
+            big, y_end = mp.log(lam), mp.log(lam / min(x, k2))
+            ys = [mp.log(lam / k1)]
+            while ys[-1] / 4 > y_end:
+                ys.append(ys[-1] / 4)
+            ys.append(y_end)
+            total += mp.quad(
+                lambda u: min(1 / t, 1 / (mp.exp(u) * (big - u))) * mp.exp(u),
+                [big - y for y in ys])
+        return total

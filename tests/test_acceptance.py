@@ -359,8 +359,8 @@ def test_gate_06_censoring_preserves_stochastic_order():
 # 7. potential constants: contraction margin, decay factors, increment bounds
 
 # beta*gamma >= 1.3 throughout: as the product approaches 1 the critical
-# activity blows past 1e13 and integrating the potential over (0, lambda)
-# stops being meaningful in double precision
+# activity blows past 1e13; test_sawtree checks the closed-form potential
+# there, up to lambda = 1e300, against an mpmath oracle
 _POTENTIAL_REGIMES = [
     (0.5, 2.6), (0.5, 3.0), (0.5, 4.5), (0.6, 2.4), (0.6, 3.2),
     (0.7, 2.0), (0.7, 2.6), (0.7, 4.0), (0.8, 1.8), (0.8, 2.4),

@@ -66,6 +66,14 @@ def test_alternating_scan_on_non_bipartite_is_input_error(triangle, capsys):
     assert "parts not independent sets" in capsys.readouterr().err
 
 
+def test_sweep_past_the_float_range_of_lambda_c_is_input_error(capsys):
+    # lambda_c of beta 0.5, gamma 2.0001 passes 1.8e308: an error line, not
+    # an OverflowError traceback
+    assert main(["sweep", "--beta", "0.5", "--gamma", "2.0001"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: lambda_c of beta 0.5, gamma 2.0001 passes the float range")
+
+
 def test_capacity_error_exits_two(tmp_path):
     big = write_instance(tmp_path, "big.json", 25, [0.5] * 25, [])
     assert main(["exact", "--instance", str(big)]) == 2

@@ -241,6 +241,12 @@ def test_param_class_validation():
         ParamClass(beta=0.5, gamma=1.5, lambda_bound=1.0)  # product < 1
 
 
+def test_lambda_c_past_the_float_range_is_inf():
+    # beta gamma just above 1 with beta < 1: the power passes 1.8e308
+    assert lambda_c(ParamClass(0.5, 2.0001, 1.0)) == math.inf
+    assert lambda_c(ParamClass(0.5, 2.1, 1.0)) < math.inf
+
+
 @given(st.randoms(use_true_random=False))
 def test_lambda_c_at_least_lambda0(rnd):
     beta = rnd.uniform(0.3, 1.0)

@@ -591,6 +591,19 @@ def test_universal_pinning_counting_branch():
         assert strength(zeros[0]) == min(strength(c) for c in kids)
 
 
+def test_universal_pinning_reads_log_parameters():
+    # a star, centre 0, leaves 1-4 on the boundary, log gamma 800 on edge
+    # (0,1): beta * gamma = exp(800) overflows, log beta + log gamma does not
+    system = TwoSpinSystem(
+        n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)),
+        log_beta=(0.0, 0.0, 0.0, -0.1), log_gamma=(800.0, 1.0, 0.5, 2.0),
+        log_lambda=(0.0,) * 5)
+    tree = build_saw_tree(system, 0, frozenset({1, 2, 3, 4}))
+    sigma = universal_pinning(tree, system, RegionParams(d1=1, d2=9), n=21)
+    # floor(4 / ln 21) = 1 zero, on the weakest edge (0,3); node i is leaf i
+    assert sigma == {1: math.inf, 2: math.inf, 3: 0.0, 4: math.inf}
+
+
 def good_tree_spin_configs(tree, d2, n):
     lam_leaves = [u for u in range(len(tree))
                   if tree.boundary_copy[u] and tree.is_leaf(u)]

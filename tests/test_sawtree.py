@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from ferrospin.sawtree import (
     pin_saw_tree,
     prune_pinned_leaves,
     _fold,
+    _roots,
     saw_marginal,
     tree_recursion_step,
 )
@@ -224,6 +226,27 @@ def test_prune_field_updates():
         assert reduced.children[0] == [] and reduced.pinned_spin == {}
     with pytest.raises(InputError, match="not a leaf"):
         prune_pinned_leaves(replace(tree, pinned_spin={0: 0}), sys2)
+
+
+def test_prune_overflowing_field_is_a_numeric_error():
+    # a star, centre 0 with log lambda 800, leaves 1-4 on the boundary, log
+    # gamma 800 on edge (0,1): spin-0 leaves leave the centre's field at
+    # exp(800), past the float range, which the ratio recursion on the same
+    # tree reports too
+    system = TwoSpinSystem(
+        n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)), log_beta=(0.0,) * 4,
+        log_gamma=(800.0, 1.0, 0.5, 2.0), log_lambda=(800.0,) + (0.0,) * 4)
+    tree = pin_saw_tree(build_saw_tree(system, 0, {1, 2, 3, 4}),
+                        Pinning({v: 0 for v in range(1, 5)}))
+    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\)"):
+        prune_pinned_leaves(tree, system)
+    with pytest.raises(NumericError, match="vertex 0: lambda"):
+        evaluate_ratios(tree, system)
+    # spin-1 leaves fold in log space, exp(800 - 800 - 1 - 0.5 - 2)
+    one = pin_saw_tree(build_saw_tree(system, 0, {1, 2, 3, 4}),
+                       Pinning({1: 1, 2: 1, 3: 1, 4: 1}))
+    assert prune_pinned_leaves(one, system)[1] == {
+        0: pytest.approx(math.exp(-3.5), rel=1e-12)}
 
 
 def test_prune_preserves_root_ratio():
@@ -593,10 +616,108 @@ def test_Phi_zero_increasing_and_quadrature():
     xs = np.linspace(0.1, lam * 0.999, 25)
     vals = [Phi(float(x), pp, lam) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    # cross-check the hand-rolled quadrature against scipy on a few points
+    # cross-check the closed-form primitive against scipy's quadrature
     for x in (0.5, 2.0, 5.5):
         ref, err = quad(lambda s: phi(s, pp, lam), 0.0, x, limit=200)
         assert Phi(x, pp, lam) == pytest.approx(ref, abs=max(1e-9, 3 * err))
+
+
+def _oracle_classes(seed, count):
+    """Seeded classes with lambda log-uniform in [1e-3, 1e300], below
+    lambda_c: beta uniform in [0.3, 1], beta gamma - 1 log-uniform in
+    [1e-4, 3.2], rejected until lambda < lambda_c."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        lam = 10.0 ** rng.uniform(-3.0, 300.0)
+        beta = rng.uniform(0.3, 1.0)
+        pc = ParamClass(beta, (1.0 + 10.0 ** rng.uniform(-4.0, 0.5)) / beta,
+                        lam)
+        if lam < lambda_c(pc):
+            out.append(pc)
+    return out
+
+
+ORACLE_CLASSES = _oracle_classes(1212, 300)
+
+
+def assert_roots_match_oracle(c, lam, roots):
+    """Both roots of x log(lam/x) = c: 1e-12 relative to the mpmath roots
+    away from the peak, where they are well conditioned; everywhere a
+    residual of at most 1e-14 c, plus what one ulp of x moves it by (a
+    falling root within an ulp of lam has no closer float)."""
+    near_peak = c > (1.0 - 1e-6) * lam / math.e
+    with mp.workdps(40):
+        for x, ref in zip(roots, ora.potential_roots(c, lam)):
+            if not near_peak:
+                assert abs(x - ref) <= 1e-12 * ref, (c, lam, x, ref)
+            y = mp.log(mp.mpf(lam) / x)
+            assert abs(x * y - c) <= 1e-14 * c + abs(y - 1) * math.ulp(x), (
+                c, lam, x, ref)
+
+
+def test_potential_roots_match_the_mpmath_oracle():
+    kinked = rising = 0
+    for pc in ORACLE_CLASSES:
+        lam, beta, gamma = pc.lambda_bound, pc.beta, pc.gamma
+        pp = derive_potential(pc)
+        bound = (0.5 * math.log1p((gamma - 1.0) / (lam + 1.0))
+                 / (beta * gamma - 1.0))
+        if bound < lam / math.e:
+            rising += 1
+            x0_root = ora.potential_roots(bound, lam)[0]
+            assert abs(pp.x0 - x0_root) <= 1e-12 * x0_root
+            assert_roots_match_oracle(bound, lam, _roots(bound, lam))
+        if pp.t < lam / math.e:
+            kinked += 1
+            assert_roots_match_oracle(pp.t, lam, _roots(pp.t, lam))
+        assert pp.c_max == 1.0 / pp.t
+        assert pp.c_min == min(1.0 / pp.t, math.e / lam)
+    assert min(kinked, rising) >= 250
+
+
+def test_roots_next_to_the_branch_point_and_past_underflow():
+    for lam in (1e-3, 1.0, 7.5, 1e40, 1e300):
+        for k in range(1, 17):  # c = (1 - 10^-k) lam/e, up to the peak
+            c = (1.0 - 10.0 ** -k) * lam / math.e
+            assert_roots_match_oracle(c, lam, _roots(c, lam))
+    for lam, c in ((1e300, 1e-20), (1e200, 1e-150), (1.7e308, 3e-308)):
+        assert c / lam < 2.3e-308  # c/lam leaves the normal range
+        assert_roots_match_oracle(c, lam, _roots(c, lam))
+    assert _roots(1.0 / math.e, 1.0) == (1.0 / math.e, 1.0 / math.e)
+
+
+def test_Phi_matches_the_mpmath_quadrature():
+    rng = random.Random(1213)
+    for pc in ORACLE_CLASSES:
+        lam = pc.lambda_bound
+        pp = derive_potential(pc)
+        x = lam * (rng.random() if rng.random() < 0.5
+                   else 10.0 ** -rng.uniform(0.0, 30.0))
+        ref = ora.potential_Phi(x, pp.t, lam)
+        assert abs(Phi(x, pp, lam) - ref) <= 1e-12 * ref, (pc, x)
+
+
+def test_potential_far_below_the_linear_bracket():
+    # lambda ~ 9.35e43: x0 ~ 1.3e-45 lies below any linear bisection's
+    # resolution of (0, lambda/e)
+    lam = lambda_c(ParamClass(0.3, 3.5, 1.0)) / 2.0
+    pc = ParamClass(0.3, 3.5, lam)
+    pp = derive_potential(pc)
+    assert pp.x0 == pytest.approx(1.307e-45, rel=1e-3)
+    assert pp.alpha == pytest.approx(0.003376, rel=1e-3)
+    for x in (pp.x0, lam / 2.0):
+        assert Phi(x, pp, lam) == pytest.approx(
+            float(ora.potential_Phi(x, pp.t, lam)), rel=1e-12)
+
+
+def test_x0_below_the_float_range_is_a_numeric_error():
+    # lambda 1e308, beta 0.9 and beta gamma = 1 + 1e-4: x0 ~ 3.9e-309 is
+    # subnormal, with digits lost
+    pc = ParamClass(0.9, (1.0 + 1e-4) / 0.9, 1e308)
+    assert lambda_c(pc) == math.inf
+    with pytest.raises(NumericError, match="x0"):
+        derive_potential(pc)
 
 
 @settings(max_examples=200, deadline=None)
