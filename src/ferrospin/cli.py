@@ -24,7 +24,7 @@ from .errors import (
     InputError,
     NonconvergenceError,
 )
-from .exact import conditional_marginal, gibbs_distribution
+from .exact import _gibbs_and_marginals, conditional_marginal
 from .harness import (
     ExperimentConfig,
     MixingReport,
@@ -167,11 +167,7 @@ def cmd_sample(args) -> int:
 
 def cmd_exact(args) -> int:
     system = _load_system(args)
-    mu = gibbs_distribution(system)
-    marginals = []
-    for v in range(system.n):
-        _, p1 = conditional_marginal(system, Pinning(), v)
-        marginals.append(p1)
+    mu, marginals = _gibbs_and_marginals(system)
     payload = {
         "instance": instance_hash(system),
         "n": system.n,

@@ -7,6 +7,13 @@ result is exact up to floating-point rounding: a faster route stands in for
 a slower one only where it computes the same quantity, and its test checks
 it against the dense route.  n is capped accordingly.
 
+Every conditional and influence is read from one log-weight table per
+system (`log_weights`, viewed as n 0/1 axes): a pinning indexes its axes,
+so a sum runs over the free vertices only, and each pinned slice is shifted
+by its own maximum, so a pin of tiny mass keeps its digits.  An influence
+reads each pin's half of the same table, and `regions` reduces one table of
+a region's induced subsystem onto (centre, boundary).
+
 Every transition matrix is built from one operator, the heat bath on a
 block B (resample the spins of B from their conditional given the rest;
 the empty block is the identity).  Glauber, heat-bath, censored, pinned and
@@ -108,17 +115,19 @@ def log_weights(system: TwoSpinSystem) -> tuple[np.ndarray, float]:
         ll = system.log_lambda[v]
         top = max(ll, 0.0)
         shift += top
-        half0 = np.full(logw.size, ll - top)  # sigma_v = 0
-        half1 = np.full(logw.size, -top)      # sigma_v = 1
-        idx = np.arange(logw.size)
+        halves = np.empty((2, logw.size))  # row s: the entries with sigma_v = s
+        halves[:] = [[ll - top], [-top]]
         for u, e in lower[v]:
             lb, lg = system.log_beta[e], system.log_gamma[e]
             top = max(lb, lg, 0.0)
             shift += top
-            bu = (idx >> u) & 1  # (sigma_u, sigma_v): (0,0) beta, (1,1) gamma
-            half0 += np.array([lb - top, -top])[bu]
-            half1 += np.array([-top, lg - top])[bu]
-        logw = np.concatenate((logw + half0, logw + half1))
+            # a strided view with axes (sigma_v, higher bits, sigma_u, lower
+            # bits) takes the option of (sigma_v, sigma_u) in one addition:
+            # (0,0) beta, (1,1) gamma
+            by_u = halves.reshape(2, -1, 2, 1 << u)
+            by_u += np.array([[lb - top, -top],
+                              [-top, lg - top]])[:, None, :, None]
+        logw = (logw + halves).ravel()
     # the factors' largest options need not meet in one configuration
     top = float(logw.max())
     return logw - top, shift + top
@@ -129,56 +138,86 @@ def _weights(system: TwoSpinSystem) -> np.ndarray:
     return np.exp(log_weights(system)[0])
 
 
+def _distribution(n: int, logw: np.ndarray, shift: float) -> DistributionTable:
+    log_z = float(logsumexp(logw))
+    return DistributionTable(n=n, probs=np.exp(logw - log_z),
+                             log_z=log_z + shift)
+
+
 def gibbs_distribution(system: TwoSpinSystem) -> DistributionTable:
     """probs[sigma] = weight(sigma) / Z via log-sum-exp."""
-    logw, shift = log_weights(system)
-    log_z = float(logsumexp(logw))
-    return DistributionTable(n=system.n, probs=np.exp(logw - log_z),
-                             log_z=log_z + shift)
+    return _distribution(system.n, *log_weights(system))
+
+
+def _table(system: TwoSpinSystem) -> np.ndarray:
+    """log_weights as an array of n 0/1 axes: sigma_v is axis n - 1 - v."""
+    return log_weights(system)[0].reshape((2,) * system.n)
+
+
+def _conditional(table: np.ndarray, pin: Iterable[tuple[int, int]],
+                 v: int) -> tuple[float, float]:
+    """(p0, p1) of sigma_v given the (vertex, spin) pairs of `pin`, from a
+    `_table`.  The pinned axes are indexed, so the sum runs over the free
+    vertices only, and the slice is shifted by its own maximum: a pin of
+    tiny mass loses no precision."""
+    n = table.ndim
+    index = [slice(None)] * n
+    for u, s in pin:
+        index[n - 1 - u] = slice(s, s + 1)
+    part = table[tuple(index)]
+    w = np.exp(part - part.max())
+    index = [slice(None)] * n
+    index[n - 1 - v] = 0
+    w0 = float(w[tuple(index)].sum())
+    index[n - 1 - v] = 1
+    w1 = float(w[tuple(index)].sum())
+    return w0 / (w0 + w1), w1 / (w0 + w1)
+
+
+def _check_vertices(system: TwoSpinSystem, *vertices: int) -> None:
+    for w in vertices:
+        if not (0 <= w < system.n):
+            raise InputError(f"vertex {w} out of range")
 
 
 def conditional_marginal(system: TwoSpinSystem, pin: Pinning,
                          v: int) -> tuple[float, float]:
-    """Exact (p0, p1) of sigma_v given the pinning, by masked summation over
-    the full table (independent of the apply_pinning route)."""
+    """Exact (p0, p1) of sigma_v given the pinning, by summation over the
+    pinned slice of the table (independent of the apply_pinning route)."""
     if v in pin:
         raise InputError(f"vertex {v} is pinned")
-    if not (0 <= v < system.n):
-        raise InputError(f"vertex {v} out of range")
-    logw, _ = log_weights(system)
-    idx = np.arange(2 ** system.n, dtype=np.int64)
-    mask = np.ones(idx.shape, dtype=bool)
-    for u, s in pin.items():
-        if u >= system.n:
-            raise InputError(f"pinned vertex {u} out of range")
-        mask &= ((idx >> u) & 1) == s
-    ones = ((idx >> v) & 1) == 1
-    l0 = logsumexp(logw[mask & ~ones])
-    l1 = logsumexp(logw[mask & ones])
-    m = max(l0, l1)
-    w0, w1 = math.exp(l0 - m), math.exp(l1 - m)
-    return w0 / (w0 + w1), w1 / (w0 + w1)
+    _check_vertices(system, v, *pin.domain)
+    return _conditional(_table(system), pin.items(), v)
 
 
 def influence_pair(system: TwoSpinSystem, u: int, v: int) -> float:
-    """Pr[X_v=1 | X_u=1] - Pr[X_v=1 | X_u=0]."""
+    """Pr[X_v=1 | X_u=1] - Pr[X_v=1 | X_u=0], from one table."""
     if u == v:
         raise InputError("influence_pair needs two distinct vertices")
-    _, p1_given1 = conditional_marginal(system, Pinning({u: 1}), v)
-    _, p1_given0 = conditional_marginal(system, Pinning({u: 0}), v)
-    return p1_given1 - p1_given0
+    _check_vertices(system, u, v)
+    table = _table(system)
+    return (_conditional(table, [(u, 1)], v)[1]
+            - _conditional(table, [(u, 0)], v)[1])
 
 
 def all_to_one_influence(system: TwoSpinSystem, v: int) -> float:
-    """sum_{u != v} |Pr[X_v=0 | X_u=0] - Pr[X_v=0 | X_u=1]|."""
-    total = 0.0
-    for u in range(system.n):
-        if u == v:
-            continue
-        p0_given0, _ = conditional_marginal(system, Pinning({u: 0}), v)
-        p0_given1, _ = conditional_marginal(system, Pinning({u: 1}), v)
-        total += abs(p0_given0 - p0_given1)
-    return total
+    """sum_{u != v} |Pr[X_v=0 | X_u=0] - Pr[X_v=0 | X_u=1]|, from one
+    table: each pin reads its own half of it."""
+    _check_vertices(system, v)
+    table = _table(system)
+    return sum((abs(_conditional(table, [(u, 0)], v)[0]
+                    - _conditional(table, [(u, 1)], v)[0])
+                for u in range(system.n) if u != v), 0.0)
+
+
+def _gibbs_and_marginals(system: TwoSpinSystem
+                         ) -> tuple[DistributionTable, list[float]]:
+    """(gibbs_distribution, p1 of every vertex) from one log-weight table,
+    each marginal reduced from the log weights."""
+    logw, shift = log_weights(system)
+    table = logw.reshape((2,) * system.n)
+    return (_distribution(system.n, logw, shift),
+            [_conditional(table, (), v)[1] for v in range(system.n)])
 
 
 # ---------------------------------------------------------------------------

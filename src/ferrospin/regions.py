@@ -7,7 +7,8 @@ d1, flushing all children of the stopping node when there are fewer than d2
 of them.  The resulting boundary admits two per-leaf path conditions that
 this module re-checks on a second pass over the walks, a notion of "good"
 boundary configuration, and an exact aggregate-influence computation over
-all good configurations at desk scale.  Growth and verification both run on
+all good configurations at desk scale, from one log-weight table of the
+region's induced subsystem.  Growth and verification both run on
 `sawtree._walks`, the one self-avoiding-walk enumerator, as callbacks that
 list each walk's extensions (last neighbour first).  A system's adjacency
 map is built once per system and shared, read-only, by every call.
@@ -31,9 +32,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import constants
+import numpy as np
+
+from . import constants, exact
 from .errors import CapacityError, FerrospinError, InputError
-from .exact import conditional_marginal
 from .model import Pinning, TwoSpinSystem, ParamClass, induced_subsystem, lambda0
 from .sawtree import SawTree, _walks, evaluate_ratios
 
@@ -305,16 +307,25 @@ def is_good_boundary(spec: GoodBoundarySpec, sigma: Pinning) -> bool:
     return True
 
 
-def good_boundary_configs(spec: GoodBoundarySpec):
-    """Yield every good boundary configuration, in lexicographic order."""
+def _good_boundary_masks(spec: GoodBoundarySpec):
+    """Yield (mask, sigma) for every good boundary configuration sigma, in
+    lexicographic order; bit i of mask is sigma's spin at the i-th boundary
+    vertex in increasing order."""
     bset = sorted(spec.region.boundary)
     if len(bset) > constants.BLOCK_ENUM_LIMIT:
         raise CapacityError(
-            f"boundary of size {len(bset)} is too large to enumerate")
+            f"boundary of size {len(bset)} is too large to enumerate: over "
+            f"BLOCK_ENUM_LIMIT = {constants.BLOCK_ENUM_LIMIT}")
     for mask in range(2 ** len(bset)):
         sigma = Pinning({v: (mask >> i) & 1 for i, v in enumerate(bset)})
         if is_good_boundary(spec, sigma):
-            yield sigma
+            yield mask, sigma
+
+
+def good_boundary_configs(spec: GoodBoundarySpec):
+    """Yield every good boundary configuration, in lexicographic order."""
+    for _, sigma in _good_boundary_masks(spec):
+        yield sigma
 
 
 def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
@@ -343,6 +354,42 @@ def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
 # ---------------------------------------------------------------------------
 # influence of boundary vertices on the centre
 
+def _centre_p1(sub: TwoSpinSystem, centre: int,
+               boundary: list[int]) -> np.ndarray:
+    """p1[b] = P(sigma_centre = 1 | boundary configuration b) for every b,
+    bit i of b being the spin of boundary[i], from one log-weight table of
+    `sub` reduced in log space onto (centre, boundary): the other vertices
+    are summed out, each cell shifted by its own maximum."""
+    n = sub.n
+    table = exact._table(sub)
+    kept = [n - 1 - centre] + [n - 1 - w for w in reversed(boundary)]
+    inner = tuple(a for a in range(n) if a not in kept)
+    top = table.max(axis=inner, keepdims=True)
+    logz = np.log(np.exp(table - top).sum(axis=inner, keepdims=True)) + top
+    l0, l1 = np.transpose(logz, kept + list(inner)).reshape(2, -1)
+    top = np.maximum(l0, l1)
+    w0, w1 = np.exp(l0 - top), np.exp(l1 - top)
+    return w1 / (w0 + w1)
+
+
+def _influences(system: TwoSpinSystem, region: Region,
+                spec: GoodBoundarySpec, us: list[int]) -> list[float]:
+    """influence_a_u for each u in `us`, from one table: a_u is the largest
+    |p1[b] - p1[b ^ bit(u)]| over the good boundary configurations b."""
+    if not us:
+        return []
+    keep = sorted(region.members | region.boundary)
+    sub, relabel = induced_subsystem(system, keep)
+    bset = sorted(region.boundary)
+    good = np.array([mask for mask, _ in _good_boundary_masks(spec)],
+                    dtype=np.int64)
+    if good.size == 0:
+        return [0.0] * len(us)
+    p1 = _centre_p1(sub, relabel[region.center], [relabel[w] for w in bset])
+    return [float(np.abs(p1[good] - p1[good ^ (1 << bset.index(u))]).max())
+            for u in us]
+
+
 def influence_a_u(system: TwoSpinSystem, region: Region, u: int,
                   spec: GoodBoundarySpec) -> float:
     """max over good boundary configurations sigma of
@@ -353,27 +400,15 @@ def influence_a_u(system: TwoSpinSystem, region: Region, u: int,
     """
     if u not in region.boundary:
         raise InputError(f"vertex {u} is not on the region boundary")
-    keep = sorted(region.members | region.boundary)
-    sub, relabel = induced_subsystem(system, keep)
-    v_new = relabel[region.center]
-    best = 0.0
-    for sigma in good_boundary_configs(spec):
-        p1 = []
-        for c in (0, 1):
-            pin = Pinning({relabel[w]: (c if w == u else sigma[w])
-                           for w in region.boundary})
-            p1.append(conditional_marginal(sub, pin, v_new)[1])
-        best = max(best, abs(p1[0] - p1[1]))
-    return best
+    return _influences(system, region, spec, [u])[0]
 
 
 def assm_sum(system: TwoSpinSystem, region: Region,
              spec: GoodBoundarySpec) -> float:
     """Aggregate influence of the boundary on the centre; the asymptotic
     target for this sum is 1/20, reported rather than asserted at desk
-    scale."""
-    return sum(influence_a_u(system, region, u, spec)
-               for u in sorted(region.boundary))
+    scale.  One table serves every boundary vertex."""
+    return sum(_influences(system, region, spec, sorted(region.boundary)))
 
 
 def shortest_path_closure_check(spec: GoodBoundarySpec, sigma: Pinning,

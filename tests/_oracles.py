@@ -16,6 +16,13 @@ tuples with one conditional computed per call.  It reads the package's system ob
 keeps the samplers' own numpy enumeration for dependent blocks, so the
 compiled kernel has to match it bit for bit.
 
+The exact-layer references near the end are the per-configuration routes
+the library used before it read every conditional and influence from one
+log-weight table: a numpy bit mask and two scipy `logsumexp` calls per
+pinning, on the package's own `log_weights` table, which they receive as an
+argument (its doubling construction, which builds each edge's terms by
+gathering on the index bits, is kept beside them).
+
 The contraction-potential oracles work in mpmath: the roots of
 x log(lambda/x) = c from mpmath's Lambert W at 30 digits, and Phi by
 `mp.quad` of the definition phi = min{1/t, 1/(x log(lambda/x))} at 20.
@@ -29,6 +36,7 @@ import random
 
 import mpmath as mp
 import numpy as np
+from scipy.special import logsumexp
 
 
 def all_configs(n):
@@ -434,6 +442,82 @@ def verify_tree_invariants(tree, system):
         elif not (tree.boundary_copy[u] or tree.cycle_closing[u]):
             assert (g_deg == 1 and tree.parent[u] >= 0) or g_deg == 0, (
                 f"node {u}: unexplained leaf (degree {g_deg})")
+
+
+# ---------------------------------------------------------------------------
+# exact-layer references: `logw` is a log-weight table over 2^n
+# configurations, bit v of the index being sigma_v; pinnings are dicts
+
+def gathered_log_weights(system):
+    """`exact.log_weights` with each edge's terms gathered on the index bits
+    of the lower endpoint; the same additions in the same order."""
+    n = system.n
+    lower = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(system.edges):
+        lower[max(u, v)].append((min(u, v), e))
+    logw = np.zeros(1)
+    shift = 0.0
+    for v in range(n):
+        ll = system.log_lambda[v]
+        top = max(ll, 0.0)
+        shift += top
+        half0 = np.full(logw.size, ll - top)
+        half1 = np.full(logw.size, -top)
+        idx = np.arange(logw.size)
+        for u, e in lower[v]:
+            lb, lg = system.log_beta[e], system.log_gamma[e]
+            top = max(lb, lg, 0.0)
+            shift += top
+            bu = (idx >> u) & 1
+            half0 += np.array([lb - top, -top])[bu]
+            half1 += np.array([-top, lg - top])[bu]
+        logw = np.concatenate((logw + half0, logw + half1))
+    top = float(logw.max())
+    return logw - top, shift + top
+
+
+def masked_conditional(logw, n, pin, v):
+    """(p0, p1) of sigma_v given `pin`, by masked log-sum-exp over the whole
+    table."""
+    idx = np.arange(2 ** n, dtype=np.int64)
+    mask = np.ones(idx.shape, dtype=bool)
+    for u, s in pin.items():
+        mask &= ((idx >> u) & 1) == s
+    ones = ((idx >> v) & 1) == 1
+    l0 = logsumexp(logw[mask & ~ones])
+    l1 = logsumexp(logw[mask & ones])
+    m = max(l0, l1)
+    w0, w1 = math.exp(l0 - m), math.exp(l1 - m)
+    return w0 / (w0 + w1), w1 / (w0 + w1)
+
+
+def pinned_influence_pair(logw, n, u, v):
+    """Pr[X_v=1 | X_u=1] - Pr[X_v=1 | X_u=0], one masked sum per pin."""
+    return (masked_conditional(logw, n, {u: 1}, v)[1]
+            - masked_conditional(logw, n, {u: 0}, v)[1])
+
+
+def pinned_all_to_one(logw, n, v):
+    """sum_{u != v} |Pr[X_v=0|X_u=0] - Pr[X_v=0|X_u=1]|, one masked sum per
+    pin."""
+    total = 0.0
+    for u in range(n):
+        if u != v:
+            total += abs(masked_conditional(logw, n, {u: 0}, v)[0]
+                         - masked_conditional(logw, n, {u: 1}, v)[0])
+    return total
+
+
+def per_config_a_u(logw, n, centre, u, good):
+    """max over the boundary configurations in `good` (dicts over the whole
+    boundary) of |P(centre = 1 | u forced 0) - P(centre = 1 | u forced 1)|,
+    two masked sums per configuration."""
+    best = 0.0
+    for sigma in good:
+        p1 = [masked_conditional(logw, n, {**sigma, u: c}, centre)[1]
+              for c in (0, 1)]
+        best = max(best, abs(p1[0] - p1[1]))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Dense enumeration module vs. the independent brute-force oracles."""
 
+import dataclasses
+import json
 import math
 import random
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as ora
-from ferrospin import constants
+from ferrospin import constants, exact
+from ferrospin.cli import main
 from ferrospin.errors import CapacityError, InputError, NonconvergenceError, NumericError
 from ferrospin.exact import (
     DistributionTable,
@@ -36,8 +39,10 @@ from ferrospin.model import (
     TwoSpinSystem,
     config_to_index,
     index_to_config,
+    instance_dict,
     rbm_to_two_spin,
 )
+from ferrospin.regions import GoodBoundarySpec, Region, assm_sum
 from ferrospin.sawtree import saw_marginal
 
 
@@ -164,6 +169,63 @@ def test_influences_match_oracle(seed, n):
         ora.influence(*inst, u, v), abs=1e-12)
     assert all_to_one_influence(system, v) == pytest.approx(
         ora.all_to_one(*inst, v), abs=1e-12)
+
+
+def test_one_table_routes_match_the_per_pin_references():
+    # 240 seeded systems, half of them pinned; every fifth carries a field of
+    # log 800 at a vertex pinned to 1, a pin of mass about e^-800 that a
+    # table shifted only by its global maximum would lose entirely
+    rng = random.Random(2026)
+    for k in range(240):
+        n = rng.randint(2, 8)
+        system = to_system(ora.random_instance(rng, n))
+        v = rng.randrange(n)
+        others = [w for w in range(n) if w != v]
+        pin = {}
+        if k % 2:
+            pin = {u: rng.randint(0, 1)
+                   for u in rng.sample(others, rng.randint(1, n - 1))}
+        if k % 5 == 0:
+            u = rng.choice(others)
+            log_lambda = list(system.log_lambda)
+            log_lambda[u] = 800.0
+            system = dataclasses.replace(system, log_lambda=tuple(log_lambda))
+            pin[u] = 1
+        logw = log_weights(system)[0]
+        assert conditional_marginal(system, Pinning(pin), v) == pytest.approx(
+            ora.masked_conditional(logw, n, pin, v), abs=1e-12)
+        u = rng.choice(others)
+        assert influence_pair(system, u, v) == pytest.approx(
+            ora.pinned_influence_pair(logw, n, u, v), abs=1e-12)
+        assert all_to_one_influence(system, v) == pytest.approx(
+            ora.pinned_all_to_one(logw, n, v), abs=1e-12)
+
+
+def test_each_exact_route_builds_one_table(monkeypatch, tmp_path):
+    # a table per pin or per vertex would be invisible in the results
+    builds = []
+    real = exact.log_weights
+
+    def counted(system):
+        builds.append(system.n)
+        return real(system)
+
+    monkeypatch.setattr(exact, "log_weights", counted)
+    system = TwoSpinSystem.from_params(
+        10, [0.3] * 10, [(0, leaf, 1.0, 2.5) for leaf in range(1, 10)])
+    region = Region(center=0, members=frozenset({0}),
+                    boundary=frozenset(range(1, 10)), d1=1, d2=9)
+    assm_sum(system, region, GoodBoundarySpec.build(system, region, 21))
+    assert builds == [10]
+    builds.clear()
+    all_to_one_influence(system, 0)
+    assert builds == [10]
+    builds.clear()
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(instance_dict(system)))
+    assert main(["exact", "--instance", str(path),
+                 "--out", str(tmp_path / "exact.json")]) == 0
+    assert builds == [10]
 
 
 def test_influence_nonnegative_on_ferro():
@@ -636,6 +698,17 @@ def test_log_weights_index_convention():
     assert lw[1] == pytest.approx(math.log(4.0))   # sigma = (1, 0)
     assert lw[2] == pytest.approx(math.log(0.25))  # sigma = (0, 1)
     assert lw[3] == pytest.approx(0.0)
+
+
+def test_log_weights_match_the_gathered_construction():
+    # the strided views add the same terms in the same order: bit-identical
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        system = to_system(ora.random_instance(rng, n))
+        lw, shift = log_weights(system)
+        ref, ref_shift = ora.gathered_log_weights(system)
+        assert np.array_equal(lw, ref) and shift == ref_shift
 
 
 def test_log_weights_keep_small_terms_next_to_huge_ones():

@@ -11,7 +11,14 @@ import _oracles as ora
 from ferrospin import constants
 from ferrospin.errors import CapacityError, FerrospinError, InputError
 from ferrospin.harness import _rng, random_connected_graph
-from ferrospin.model import ParamClass, Pinning, TwoSpinSystem, lambda0
+from ferrospin.exact import log_weights
+from ferrospin.model import (
+    ParamClass,
+    Pinning,
+    TwoSpinSystem,
+    induced_subsystem,
+    lambda0,
+)
 from ferrospin.regions import (
     GoodBoundarySpec,
     Region,
@@ -405,7 +412,8 @@ def test_good_boundary_configs_counts():
 
 def test_good_boundary_configs_capacity():
     adj, region, spec = star_spec(leaves=21, d2=100)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError,
+                       match=r"size 21 .*BLOCK_ENUM_LIMIT = 20"):
         list(good_boundary_configs(spec))
 
 
@@ -476,6 +484,42 @@ def test_influence_matches_whole_graph_oracle():
                     ps.append(p1)
                 want = max(want, abs(ps[0] - ps[1]))
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_influence_a_u_matches_the_per_configuration_reference():
+    # 200 seeded regions; every fifth system carries a field of log 800 at a
+    # boundary vertex, so every configuration pinning it to 1 has tiny mass
+    rng = random.Random(13)
+    systems = nontrivial = 0
+    while systems < 200:
+        n = rng.randint(4, 9)
+        nn, lam, edges = ora.random_instance(rng, n, p=0.4)
+        system = TwoSpinSystem.from_params(nn, lam, edges)
+        region = construct_region(system, rng.randrange(n),
+                                  RegionParams(d1=1, d2=rng.choice((4, 6, 12))))
+        if not region.boundary or len(region.boundary) > 7:
+            continue
+        if systems % 5 == 0:
+            log_lambda = list(system.log_lambda)
+            log_lambda[min(region.boundary)] = 800.0
+            system = dataclasses.replace(system, log_lambda=tuple(log_lambda))
+        systems += 1
+        spec = GoodBoundarySpec.build(system, region, n)
+        sub, relabel = induced_subsystem(system,
+                                         region.members | region.boundary)
+        logw = log_weights(sub)[0]
+        good = [{relabel[w]: s for w, s in sigma.items()}
+                for sigma in good_boundary_configs(spec)]
+        nontrivial += bool(good)
+        wants = [ora.per_config_a_u(logw, sub.n, relabel[region.center],
+                                    relabel[u], good)
+                 for u in sorted(region.boundary)]
+        for u, want in zip(sorted(region.boundary), wants):
+            assert influence_a_u(system, region, u, spec) == pytest.approx(
+                want, abs=1e-12)
+        assert assm_sum(system, region, spec) == pytest.approx(
+            sum(wants), abs=1e-12)
+    assert nontrivial >= 100
 
 
 def test_assm_sum_isolated_region():
