@@ -137,6 +137,12 @@ class TwoSpinSystem:
             sites.append((sum([bit for bit, _, _ in terms]), terms))
         return tuple(sites)
 
+    @cached_property
+    def _sampler_kernels(self) -> dict:
+        """{schedule: compiled kernel} for the samplers' one-step calls,
+        filled and bounded by `samplers._kernel`."""
+        return {}
+
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self.adjacency[v]
 

@@ -307,25 +307,38 @@ def is_good_boundary(spec: GoodBoundarySpec, sigma: Pinning) -> bool:
     return True
 
 
-def _good_boundary_masks(spec: GoodBoundarySpec):
-    """Yield (mask, sigma) for every good boundary configuration sigma, in
-    lexicographic order; bit i of mask is sigma's spin at the i-th boundary
-    vertex in increasing order."""
+# number of set bits of every byte value
+_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _good_masks(spec: GoodBoundarySpec) -> np.ndarray:
+    """Every good boundary configuration as a mask, in increasing order: bit
+    i is the spin of the i-th boundary vertex in increasing order.  Each
+    region vertex's rule in `is_good_boundary` is a threshold on a popcount,
+    evaluated here on all 2^|B| masks at once."""
     bset = sorted(spec.region.boundary)
     if len(bset) > constants.BLOCK_ENUM_LIMIT:
         raise CapacityError(
             f"boundary of size {len(bset)} is too large to enumerate: over "
             f"BLOCK_ENUM_LIMIT = {constants.BLOCK_ENUM_LIMIT}")
-    for mask in range(2 ** len(bset)):
-        sigma = Pinning({v: (mask >> i) & 1 for i, v in enumerate(bset)})
-        if is_good_boundary(spec, sigma):
-            yield mask, sigma
+    masks = np.arange(1 << len(bset), dtype=np.uint32)
+    good = np.ones(masks.size, dtype=bool)
+    bit = {w: 1 << i for i, w in enumerate(bset)}
+    log_n = math.log(spec.n)
+    for _, nbrs in spec.boundary_neighbors:
+        if len(nbrs) > spec.region.d2 / 3:
+            seen = masks & sum(bit[w] for w in nbrs)
+            ones = sum(_BYTE_ONES[seen >> shift & 0xFF]
+                       for shift in range(0, len(bset), 8))
+            good &= ones >= len(nbrs) / log_n + 2
+    return masks[good].astype(np.int64)
 
 
 def good_boundary_configs(spec: GoodBoundarySpec):
     """Yield every good boundary configuration, in lexicographic order."""
-    for _, sigma in _good_boundary_masks(spec):
-        yield sigma
+    bset = sorted(spec.region.boundary)
+    for mask in _good_masks(spec).tolist():
+        yield Pinning({v: (mask >> i) & 1 for i, v in enumerate(bset)})
 
 
 def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
@@ -381,8 +394,7 @@ def _influences(system: TwoSpinSystem, region: Region,
     keep = sorted(region.members | region.boundary)
     sub, relabel = induced_subsystem(system, keep)
     bset = sorted(region.boundary)
-    good = np.array([mask for mask, _ in _good_boundary_masks(spec)],
-                    dtype=np.int64)
+    good = _good_masks(spec)
     if good.size == 0:
         return [0.0] * len(us)
     p1 = _centre_p1(sub, relabel[region.center], [relabel[w] for w in bset])

@@ -12,36 +12,56 @@ monotonically, and a censored chain with S = V reproduces the uncensored
 trajectory bit for bit.
 
 One compiled kernel serves every chain.  `_compile` checks the schedule once
-per run and returns a `_Kernel`: the block selector, and per vertex a
-neighbour bitmask, its (bit, log beta_e, log gamma_e) terms (computed once
-per system, `TwoSpinSystem._site_terms`) and a table of its conditionals,
-made on first use.  Chains carry configurations as int bitmasks
-(`model.config_to_index`: bit v is sigma_v), so a pair's order check is `low & ~up == 0`, the merge check
-`up == low` and the Hamming weight `bit_count()`.  A site conditional depends
-only on `config & mask[v]`; each vertex of degree at most `_MEMO_MAX_DEGREE`
-(8) memoises it by that pattern for the whole run, so its table never holds
-more than 2^8 entries, and higher-degree vertices compute it on every
-lookup.  Memo entries come from the one scalar formula of `site_conditional`
-(same addition order, `math.exp`), so a memoised chain is bit-identical to a
-direct one.  A dependent block builds one 2^m log-weight table per chain
-per update and decides its vertices in order, each from the two halves of
-what is left.  One update (`_Kernel.update`) resamples a block in one chain
-or a coupled pair, and one loop (`_run`) drives `trajectory_csv`, `coupling_times` (many seeds
-on one kernel; `coupling_time` is its one-seed form), `schedule_step` and
-`field_dynamics_step`; `monotone_coupled_step` runs one update on the vector
-it is given.  The one-step wrappers compile on every call.  `RandomSource`
-draws its Philox stream in chunks and hands the uniforms out in order;
-concatenated draws equal one draw, so the chunking never changes a
-trajectory.
+per run and returns a `_Kernel`: the blocks and how a step picks one, and
+per vertex a neighbour bitmask, its (bit, log beta_e, log gamma_e) terms
+(computed once per system, `TwoSpinSystem._site_terms`) and a table of its
+conditionals, made on first use.  The one-step calls (`schedule_step`,
+`monotone_coupled_step`, `field_dynamics_step`) take their kernel from a
+small cache that the system holds by schedule (`_kernel`), so repeated steps
+compile once.  Chains carry configurations as int bitmasks
+(`model.config_to_index`: bit v is sigma_v), so a pair's order check is
+`low & ~up == 0`, the merge check `up == low` and the Hamming weight
+`bit_count()`.  A site conditional depends only on `config & mask[v]`; each
+vertex of degree at most `_MEMO_MAX_DEGREE` (8) memoises it by that pattern
+for the whole run, so its table never holds more than 2^8 entries, and
+higher-degree vertices compute it on every lookup.  Memo entries come from
+the one scalar formula of `site_conditional` (same addition order,
+`math.exp`), so a memoised chain is bit-identical to a direct one.  A
+dependent block builds one 2^m log-weight table per chain per update and
+decides its vertices in order, each from the two halves of what is left.
+
+One update (`_Kernel.update`) resamples a block in one chain or a coupled
+pair.  One loop (`_run`) drives `trajectory_csv` and every field-dynamics
+step.  For the block kinds it draws the step vectors as step-major arrays
+(steps x (n+1), at most `_DRAW_UNIFORMS` uniforms each), picks the blocks
+of a whole array at once from column 0 and turns into floats only the
+columns that the widest chosen block reads; field dynamics draws its coins
+and thresholds step by step.  A block-kind `schedule_step` runs one update
+on the next n+1 uniforms of its source, and `monotone_coupled_step` on the
+vector it is given.  `coupling_times` (`coupling_time` is
+its one-seed form) runs the pairs of all its seeds in lockstep
+(`_lockstep`), as rows of a 2 x K x (n+1) spin array, each seed's vectors
+drawn from its own stream as step-major blocks.  Each step, the rows whose
+block is an independent set of memoised vertices update together, in one
+gather and compare over all their block vertices (`_Lanes`, whose dense p1
+table holds the memo's own floats, so every decision is the one
+`_Kernel.update` makes); the other rows go through `_Kernel.update` one at
+a time.
+`RandomSource` hands out its Philox stream in order, from a list buffer or
+as step-major arrays; concatenated draws equal one draw, so neither the
+buffer nor the block sizes ever change a trajectory.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import constants
 from .errors import (CapacityError, CouplingInvariantError, InputError)
@@ -51,9 +71,18 @@ from .model import TwoSpinSystem, config_to_index, index_to_config, tilt
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
 # neighbours, so a table holds at most 2^8 entries however long the run
 _MEMO_MAX_DEGREE = 8
-# uniforms drawn from the Philox stream per refill: the first, and the most
+# uniforms drawn from the Philox stream per list-buffer refill: the first,
+# and the most
 _FIRST_CHUNK = 128
 _MAX_CHUNK = 2048
+# uniforms per step-major draw of a run, and the most per lockstep refill
+# unless each row's four-step minimum needs more
+_DRAW_UNIFORMS = 1 << 16
+# seeds that coupling_times advances together
+_LOCKSTEP_ROWS = 256
+# compiled kernels a system keeps for the one-step calls
+_KERNELS_PER_SYSTEM = 4
+_WORD = (1 << 64) - 1
 
 SCHEDULE_KINDS = ("single-site-glauber", "heat-bath-block",
                   "systematic-scan-block", "alternating-scan",
@@ -66,23 +95,47 @@ class ChainState:
     step: int = 0
 
     def __post_init__(self):
-        if any(s not in (0, 1) for s in self.config):
+        if not all(map((0, 1).__contains__, self.config)):
             raise InputError("configuration entries must be 0/1")
         if self.step < 0:
             raise InputError("step must be nonnegative")
 
 
+class _Keyless(ISeedSequence):
+    """Stands in for a SeedSequence when a Philox is built, so that building
+    one reads no OS entropy; `_philox` sets the key right after."""
+
+    __slots__ = ()
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+def _philox(seed: int) -> np.random.Generator:
+    """The stream of `np.random.Philox(key=seed)`, keyed through `state`."""
+    bits = np.random.Philox(_Keyless())
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": np.zeros(4, dtype=np.uint64),
+                            "key": np.array([seed & _WORD, seed >> 64],
+                                            dtype=np.uint64)},
+                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
 class RandomSource:
     """Seeded counter-based uniform stream (identical seed => identical
-    trajectory, independent of platform).  Uniforms are drawn from the
-    Philox stream in growing chunks and handed out in order; `position`
-    counts those handed out."""
+    trajectory, independent of platform).  Uniforms are handed out in
+    order, either from a list buffer refilled from the Philox stream in
+    growing chunks (`_take`) or as step-major arrays straight from the
+    stream once the buffer is spent (`steps`); `position` counts those
+    handed out."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         if not (0 <= self.seed < 2 ** 128):
             raise InputError(f"seed must lie in [0, 2^128), got {self.seed}")
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        self._gen = _philox(self.seed)
         self.position = 0  # uniforms handed out so far
         self._buf: list[float] = []
         self._off = 0
@@ -111,6 +164,18 @@ class RandomSource:
     def step_vector(self, n: int) -> np.ndarray:
         """The shared r in [0,1]^(n+1): selector + per-vertex thresholds."""
         return self.uniforms(n + 1)
+
+    def steps(self, count: int, width: int) -> np.ndarray:
+        """The next count * width uniforms as a count x width array, one
+        row per step: what the list buffer still holds, then straight from
+        the Philox stream."""
+        k = count * width
+        held = min(len(self._buf) - self._off, k)
+        out = self._gen.random(k - held)
+        self.position += k - held
+        if held:
+            out = np.concatenate((self._take(held), out))
+        return out.reshape(count, width)
 
 
 @dataclass(frozen=True)
@@ -165,7 +230,7 @@ class CoupledPair:
 
 def dominates(tau: Sequence[int], sigma: Sequence[int]) -> bool:
     """sigma <= tau coordinatewise."""
-    return all(s <= t for s, t in zip(sigma, tau, strict=True))
+    return all(starmap(operator.le, zip(sigma, tau, strict=True)))
 
 
 def _site_p1(log_ratio: float, terms, pattern: int) -> float:
@@ -237,17 +302,35 @@ class _Sites(dict):
 
 class _Kernel:
     """One schedule compiled against one system, shared by every chain of a
-    run: the block selector (None for field dynamics, which draws its block
-    from the state and runs on the tilted system) and the per-vertex site
-    tables."""
+    run: the (block, independent) pairs and how a step picks one (None for
+    field dynamics, which draws its block from the state and runs on the
+    tilted system), and the per-vertex site tables."""
 
-    __slots__ = ("system", "select", "theta", "sites")
+    __slots__ = ("system", "blocks", "cyclic", "theta", "sites")
 
     def __init__(self, system: TwoSpinSystem, theta: float | None = None):
         self.system = system
-        self.select = None  # set by _compile for the block kinds
+        self.blocks = None  # set by _compile for the block kinds
+        self.cyclic = False
         self.theta = theta
         self.sites = _Sites(system)
+
+    def select(self, step: int, selector: float) -> tuple:
+        """(block, independent) of one step.  Cyclic kinds take block step
+        mod b; the others choose uniformly, selector in [(i-1)/b, i/b)
+        picking block i."""
+        k = len(self.blocks)
+        return self.blocks[step % k if self.cyclic
+                           else min(int(selector * k), k - 1)]
+
+    def picks(self, steps, selectors: np.ndarray):
+        """`select`'s block indices for an array of selectors, at `steps`
+        (one step for all of them, or an array as long as `selectors`): the
+        same float products and truncations."""
+        k = len(self.blocks)
+        if self.cyclic:
+            return steps % k
+        return np.minimum((selectors * k).astype(np.intp), k - 1)
 
     def independent(self, block: Sequence[int]) -> bool:
         if len(block) < 2:
@@ -333,11 +416,9 @@ def _first_p1(table: np.ndarray) -> float:
 def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
     """Compile `schedule` against `system` once per run.
 
-    For the block kinds the kernel's select(step, selector) -> (block,
-    independent) gives the censored block that step updates, in increasing
-    vertex order, and whether it is an independent set.  Cyclic kinds take
-    block step mod b; the others choose uniformly, selector in [(i-1)/b,
-    i/b) picking block i."""
+    For the block kinds the kernel's blocks are the censored blocks in
+    increasing vertex order, each with whether it is an independent set;
+    `_Kernel.select` and `_Kernel.picks` choose among them."""
     if schedule.kind == "field-dynamics":
         return _Kernel(tilt(system, schedule.theta), theta=schedule.theta)
     if schedule.kind == "single-site-glauber":
@@ -358,30 +439,44 @@ def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
     if schedule.kind in ("single-site-glauber", "alternating-scan"):
         # singletons, and the parts of a checked bipartition, are
         # independent sets
-        compiled = [(b, True) for b in blocks]
+        kernel.blocks = [(b, True) for b in blocks]
     else:
-        compiled = [(b, kernel.independent(b)) for b in blocks]
-    k = len(compiled)
-    if schedule.kind in ("systematic-scan-block", "alternating-scan"):
-        kernel.select = lambda step, selector: compiled[step % k]
-    else:
-        kernel.select = lambda step, selector: compiled[
-            min(int(selector * k), k - 1)]
+        kernel.blocks = [(b, kernel.independent(b)) for b in blocks]
+    kernel.cyclic = schedule.kind in ("systematic-scan-block",
+                                      "alternating-scan")
+    return kernel
+
+
+def _kernel(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
+    """The compiled kernel that the one-step calls share, from a cache the
+    system holds by schedule (the oldest of `_KERNELS_PER_SYSTEM` goes
+    first)."""
+    kernels = system._sampler_kernels
+    kernel = kernels.get(schedule)
+    if kernel is None:
+        kernel = _compile(system, schedule)
+        if len(kernels) >= _KERNELS_PER_SYSTEM:
+            del kernels[next(iter(kernels))]
+        kernels[schedule] = kernel
     return kernel
 
 
 def _run(kernel: _Kernel, starts: tuple[int, ...], rng: RandomSource,
-         step: int = 0):
+         step: int = 0, steps: int | None = None):
     """Advance one chain, or a coupled pair on shared vectors, from the
     bitmask configurations `starts` and yield the configurations after each
-    step.  A pair's order is checked once per step until the pair merges."""
+    step.  The block kinds draw `steps` step vectors (unbounded if None) as
+    step-major blocks of at most `_DRAW_UNIFORMS` uniforms, pick the blocks
+    of a whole draw at once from column 0 and turn into floats only the
+    columns that the widest chosen block reads.  A pair's order is checked
+    once per step until the pair merges."""
     n = kernel.system.n
-    take, update = rng._take, kernel.update
+    update = kernel.update
     configs = starts
-    if kernel.select is None:
+    if kernel.blocks is None:
         if len(starts) != 1:
             raise InputError("field dynamics is not a shared-vector block kind")
-        theta = kernel.theta
+        take, theta = rng._take, kernel.theta
         while True:
             # S: every 1-vertex surely, each 0-vertex with probability theta
             config = configs[0]
@@ -391,22 +486,30 @@ def _run(kernel: _Kernel, starts: tuple[int, ...], rng: RandomSource,
             configs = update(configs, block, kernel.independent(block),
                              take(len(block)))
             yield configs
-    select = kernel.select
-    while True:
-        r = take(n + 1)
-        block, independent = select(step, r[0])
-        thresholds = r[1:len(block) + 1]
-        if len(configs) == 2 and configs[0] == configs[1]:
-            # a merged pair stays merged: one update serves both chains
-            (config,) = update(configs[:1], block, independent, thresholds)
-            configs = (config, config)
-        else:
-            configs = update(configs, block, independent, thresholds)
-            if len(configs) == 2 and configs[1] & ~configs[0]:
-                raise CouplingInvariantError(
-                    f"order violated after updating block {block}")
-        step += 1
-        yield configs
+    blocks, width = kernel.blocks, n + 1
+    left = math.inf if steps is None else steps
+    while left > 0:
+        count = min(max(1, _DRAW_UNIFORMS // width), left)
+        left -= count
+        r = rng.steps(count, width)
+        first = step % len(blocks)
+        chosen = [blocks[i] for i in kernel.picks(
+            np.arange(first, first + count), r[:, 0]).tolist()]
+        reach = max([len(block) for block, _ in chosen])
+        for (block, independent), thresholds in zip(
+                chosen, r[:, 1:reach + 1].tolist()):
+            if len(configs) == 2 and configs[0] == configs[1]:
+                # a merged pair stays merged: one update serves both chains
+                (config,) = update(configs[:1], block, independent,
+                                   thresholds)
+                configs = (config, config)
+            else:
+                configs = update(configs, block, independent, thresholds)
+                if len(configs) == 2 and configs[1] & ~configs[0]:
+                    raise CouplingInvariantError(
+                        f"order violated after updating block {block}")
+            step += 1
+            yield configs
 
 
 def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
@@ -414,8 +517,14 @@ def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
     """One step of the scheduled dynamics (one block for block kinds)."""
     if len(state.config) != system.n:
         raise InputError("state size mismatch")
-    (config,) = next(_run(_compile(system, schedule),
-                          (config_to_index(state.config),), rng, state.step))
+    kernel = _kernel(system, schedule)
+    configs = (config_to_index(state.config),)
+    if kernel.blocks is None:
+        (config,) = next(_run(kernel, configs, rng))
+    else:
+        r = rng._take(system.n + 1)
+        block, independent = kernel.select(state.step, r[0])
+        (config,) = kernel.update(configs, block, independent, r[1:])
     return ChainState(config=index_to_config(config, system.n),
                       step=state.step + 1)
 
@@ -435,7 +544,8 @@ def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
         raise InputError(f"shared vector must have length {n + 1}")
     if schedule.kind == "field-dynamics":
         raise InputError("field dynamics has no block list")
-    kernel = _compile(system, schedule)
+    kernel = _kernel(system, schedule)
+    r = np.asarray(r, dtype=np.float64).tolist()  # floats compare fastest
     block, independent = kernel.select(pair.upper.step, r[0])
     up, low = kernel.update((config_to_index(pair.upper.config),
                              config_to_index(pair.lower.config)),
@@ -453,22 +563,185 @@ def field_dynamics_step(system: TwoSpinSystem, theta: float,
                                                 theta=theta), state, rng)
 
 
+class _Lanes:
+    """A block kernel's independent blocks of memoised vertices as dense
+    arrays, for the lockstep route.  Column n of a spin row is a dummy
+    vertex that stays 0: it pads neighbour lists and blocks, and its one p1
+    entry of -1 fails every threshold.
+
+    p1[start[v] + c] is p(sigma_v = 1) when bit i of c is the spin of v's
+    i-th neighbour; a vertex of degree d owns 2^d entries (`owner`).  An
+    entry is NaN until a step first reads it, and is then copied from v's
+    memo table (`fill`), so it is the float that `_Kernel.update` compares
+    with, and a short run computes no more conditionals than the memo
+    would.  nbrs[v] lists v's neighbours, weights[i] is 2^i, members[b]
+    lists block b's vertices and lane[b] says whether block b runs here
+    (else in `_Kernel.update`, one row at a time)."""
+
+    __slots__ = ("kernel", "p1", "start", "owner", "nbrs", "weights",
+                 "members", "lane")
+
+    def __init__(self, kernel: _Kernel):
+        n, site_terms = kernel.system.n, kernel.system._site_terms
+        self.kernel = kernel
+        self.lane = np.array(
+            [independent and all(len(site_terms[v][1]) <= _MEMO_MAX_DEGREE
+                                 for v in block)
+             for block, independent in kernel.blocks], dtype=bool)
+        lanes = [block for (block, _), ok in zip(kernel.blocks, self.lane)
+                 if ok]
+        vertices = sorted(set().union(*lanes)) + [n]
+        degrees = [len(site_terms[v][1]) for v in vertices[:-1]] + [0]
+        self.nbrs = np.full((n + 1, max(degrees + [1])), n, dtype=np.intp)
+        for v in vertices[:-1]:
+            self.nbrs[v, :len(site_terms[v][1])] = [
+                bit.bit_length() - 1 for bit, _, _ in site_terms[v][1]]
+        sizes = [1 << d for d in degrees]
+        self.start = np.zeros(n + 1, dtype=np.intp)
+        self.start[vertices] = np.cumsum([0] + sizes[:-1])
+        self.owner = np.repeat(vertices, sizes)
+        self.p1 = np.full(self.owner.size, np.nan)
+        self.p1[-1] = -1.0
+        self.weights = 1 << np.arange(self.nbrs.shape[1], dtype=np.intp)
+        self.members = np.full(
+            (len(kernel.blocks), max([len(b) for b in lanes] + [1])), n,
+            dtype=np.intp)
+        for b, ((block, _), ok) in enumerate(zip(kernel.blocks, self.lane)):
+            if ok:
+                self.members[b, :len(block)] = block
+
+    def fill(self, entries: np.ndarray) -> None:
+        """Copy the p1 entries `entries` from their vertices' memo tables."""
+        sites, site_terms = self.kernel.sites, self.kernel.system._site_terms
+        for e in np.unique(entries).tolist():
+            v = int(self.owner[e])
+            c = e - int(self.start[v])
+            terms = site_terms[v][1]
+            pattern = sum([bit for i, (bit, _, _) in enumerate(terms)
+                           if c >> i & 1])
+            self.p1[e] = sites[v][1][pattern]
+
+    def update(self, spins: np.ndarray, rows: np.ndarray, picked: np.ndarray,
+               thresholds: np.ndarray) -> None:
+        """Resample block picked[i] of both chains of each row rows[i] in
+        place, on that row's thresholds: one gather and compare for every
+        block vertex of every row at once (the vertices of an independent
+        block read only spins outside it)."""
+        members = self.members[picked]
+        patterns = spins[:, rows[:, None, None], self.nbrs[members]]
+        entries = self.start[members] + patterns.dot(self.weights)
+        p1 = self.p1[entries]
+        unread = np.isnan(p1)
+        if unread.any():
+            self.fill(entries[unread])
+            p1 = self.p1[entries]
+        spins[:, rows[:, None], members] = (
+            thresholds[:, :members.shape[1]] <= p1)
+
+
+def _row_bits(row: np.ndarray) -> int:
+    """The bitmask configuration of a 0/1 spin row (bit v is row[v]); the
+    bytes route is several times faster than `config_to_index` on a long
+    row."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                          "little")
+
+
+def _bit_row(config: int, width: int) -> np.ndarray:
+    """The 0/1 spin row of `width` entries of a bitmask configuration."""
+    data = config.to_bytes((width + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width,
+                         bitorder="little")
+
+
+def _lockstep(kernel: _Kernel, lanes: _Lanes, sources: list[RandomSource],
+              cap: int) -> tuple[list[int | None], tuple | None]:
+    """Merge times of the pairs from (all-one, all-zero) fed by `sources`,
+    all advanced together step by step, and the (row, block) of the lowest
+    row whose order broke, if any.
+
+    The pairs are rows of a 2 x rows x (n+1) spin array.  Each refill draws
+    every live row's next step vectors as one step-major block, so a row
+    reads its stream exactly as a one-seed run does.  The first refill
+    draws 32 steps and each later one twice as many as the last, within
+    `_DRAW_UNIFORMS` uniforms in all (at least four steps per row) and
+    within `cap`.  Each step, rows whose block runs in `lanes` update
+    together and the others go through `_Kernel.update` one at a time; a
+    row leaves when it merges, reaches `cap` or breaks the order."""
+    n = kernel.system.n
+    width, blocks = n + 1, kernel.blocks
+    times: list[int | None] = [None] * len(sources)
+    broken = None
+    spins = np.zeros((2, len(sources), width), dtype=np.uint8)
+    spins[0, :, :n] = 1
+    ids = np.arange(len(sources))
+    t, size = 0, 16
+    while ids.size and t < cap:
+        size = min(2 * size, cap - t,
+                   max(4, _DRAW_UNIFORMS // (ids.size * width)))
+        draws = np.stack([sources[i].steps(size, width)
+                          for i in ids.tolist()])
+        live = np.arange(ids.size)
+        for j in range(size):
+            step_draws = draws[live, j]
+            picked = kernel.picks(t, step_draws[:, 0])
+            t += 1
+            if kernel.cyclic:
+                picked = np.full(ids.size, picked)
+            lane = lanes.lane[picked]
+            if lane.all():
+                lanes.update(spins, np.arange(ids.size), picked,
+                             step_draws[:, 1:])
+            else:
+                fast = lane.nonzero()[0]
+                if fast.size:
+                    lanes.update(spins, fast, picked[fast],
+                                 step_draws[fast, 1:])
+                for i in (~lane).nonzero()[0].tolist():
+                    block, independent = blocks[picked[i]]
+                    pair = kernel.update(
+                        (_row_bits(spins[0, i]), _row_bits(spins[1, i])),
+                        block, independent,
+                        step_draws[i, 1:len(block) + 1].tolist())
+                    spins[:, i] = [_bit_row(c, width) for c in pair]
+            up, low = spins
+            broke = (low > up).any(axis=1)
+            merged = (low == up).all(axis=1)
+            done = broke | merged
+            if done.any():
+                for i in broke.nonzero()[0].tolist():
+                    if broken is None or ids[i] < broken[0]:
+                        broken = (int(ids[i]), blocks[picked[i]][0])
+                for i in merged.nonzero()[0].tolist():
+                    times[ids[i]] = t
+                keep = ~done
+                ids, live, spins = ids[keep], live[keep], spins[:, keep]
+            if not ids.size or t == cap:
+                break
+    return times, broken
+
+
 def coupling_times(system: TwoSpinSystem, schedule: UpdateSchedule,
                    seeds: Iterable[int],
                    cap: int = constants.MIXING_STEP_CAP) -> list[int | None]:
-    """`coupling_time` for each seed, on one compiled kernel whose site
-    tables every seed shares."""
+    """`coupling_time` for each seed.  The seeds' pairs run in lockstep,
+    `_LOCKSTEP_ROWS` at a time (`_lockstep`), on one compiled kernel whose
+    site tables they all read.  A broken order raises for the first seed
+    that breaks it, as running the seeds one after another would."""
     kernel = _compile(system, schedule)
-    top = (1 << system.n) - 1
+    if kernel.blocks is None:
+        raise InputError("field dynamics is not a shared-vector block kind")
+    lanes = _Lanes(kernel)
+    seeds = list(seeds)
     times: list[int | None] = []
-    for seed in seeds:
-        chains = _run(kernel, (top, 0), RandomSource(seed))
-        for t, (up, low) in zip(range(1, cap + 1), chains):
-            if up == low:
-                times.append(t)
-                break
-        else:
-            times.append(None)
+    for lo in range(0, len(seeds), _LOCKSTEP_ROWS):
+        batch, broken = _lockstep(
+            kernel, lanes,
+            [RandomSource(s) for s in seeds[lo:lo + _LOCKSTEP_ROWS]], cap)
+        if broken is not None:
+            raise CouplingInvariantError(
+                f"order violated after updating block {broken[1]}")
+        times += batch
     return times
 
 
@@ -513,7 +786,8 @@ def trajectory_csv(system: TwoSpinSystem, schedule: UpdateSchedule,
     top = (1 << system.n) - 1
     coupled = schedule.kind != "field-dynamics"
     starts = (top, 0) if coupled else (top,)
-    chains = _run(_compile(system, schedule), starts, RandomSource(seed))
+    chains = _run(_compile(system, schedule), starts, RandomSource(seed),
+                  steps=steps)
     for t, configs in zip(range(1, steps + 1), chains):
         flag = (1 if configs[0] == configs[1] else 0) if coupled else ""
         lines.append(f"{t},{configs[0].bit_count()},{flag}")

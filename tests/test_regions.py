@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as ora
-from ferrospin import constants
+from ferrospin import constants, regions
 from ferrospin.errors import CapacityError, FerrospinError, InputError
 from ferrospin.harness import _rng, random_connected_graph
 from ferrospin.exact import log_weights
@@ -415,6 +415,39 @@ def test_good_boundary_configs_capacity():
     with pytest.raises(CapacityError,
                        match=r"size 21 .*BLOCK_ENUM_LIMIT = 20"):
         list(good_boundary_configs(spec))
+
+
+def test_good_masks_match_the_per_configuration_rule():
+    # the popcount thresholds on all masks at once against is_good_boundary
+    # on every configuration: seeded regions, hand-made multi-member
+    # regions, and the 16-leaf star
+    rng = random.Random(1414)
+    specs = [star_spec(leaves=16, d2=16)[2], star_spec(leaves=9, d2=9)[2]]
+    while len(specs) < 160:
+        n = rng.randint(4, 14)
+        system = TwoSpinSystem.from_params(
+            *ora.random_instance(rng, n, p=rng.uniform(0.2, 0.7)))
+        d2 = rng.choice((2, 3, 4, 6, 12))
+        region = construct_region(system, rng.randrange(n), RegionParams(
+            d1=rng.randint(1, min(d2, 3)), d2=d2))
+        if len(region.boundary) > 10:
+            continue
+        if len(specs) % 3 == 0:  # any member set, so several rules apply
+            members = frozenset(rng.sample(range(n), rng.randint(1, 4)))
+            region = Region(center=min(members), members=members,
+                            boundary=frozenset(range(n)) - members,
+                            d1=1, d2=rng.choice((2, 3, 6)))
+        specs.append(GoodBoundarySpec.build(system, region,
+                                            rng.choice((2, 3, n, 50))))
+    partial = 0
+    for spec in specs:
+        bset = sorted(spec.region.boundary)
+        want = [mask for mask in range(1 << len(bset))
+                if is_good_boundary(spec, Pinning(
+                    {v: mask >> i & 1 for i, v in enumerate(bset)}))]
+        assert regions._good_masks(spec).tolist() == want
+        partial += 0 < len(want) < 1 << len(bset)
+    assert partial >= 40
 
 
 def test_tree_boundary_goodness():

@@ -28,6 +28,7 @@ if __name__ == "__main__":  # run from a checkout without installing
 import _oracles as ora  # noqa: E402
 from ferrospin.harness import (  # noqa: E402
     coupling_failure_fraction, coupling_mixing_estimate)
+from ferrospin import samplers  # noqa: E402
 from ferrospin.model import TwoSpinSystem  # noqa: E402
 from ferrospin.samplers import UpdateSchedule, trajectory_csv  # noqa: E402
 
@@ -190,6 +191,18 @@ def _estimate_text(k: int) -> str:
 @pytest.mark.parametrize("k", range(3))
 def test_coupling_estimates_are_pinned(k):
     assert _sha(_estimate_text(k)) == ESTIMATE_DIGESTS[k]
+
+
+@pytest.mark.parametrize("draw", [1, 40])
+def test_draw_sizes_never_move_a_pin(monkeypatch, draw):
+    # a step-major draw of one step or a few, lockstep refills of four
+    # steps or fewer, and lockstep batches of three seeds
+    monkeypatch.setattr(samplers, "_DRAW_UNIFORMS", draw)
+    monkeypatch.setattr(samplers, "_LOCKSTEP_ROWS", 3)
+    for case, digest in TRAJECTORY_DIGESTS.items():
+        assert _sha(_trajectory_text(case)) == digest, case
+    for k, digest in ESTIMATE_DIGESTS.items():
+        assert _sha(_estimate_text(k)) == digest, k
 
 
 def _pins_block(trajectories, estimates) -> str:

@@ -767,6 +767,62 @@ def test_each_run_compiles_and_tilts_once(monkeypatch):
     assert len(tilts) == 1
 
 
+def test_one_step_calls_compile_once_per_system_and_schedule(monkeypatch):
+    compiles = counting(monkeypatch, "_compile")
+    tilts = counting(monkeypatch, "tilt")
+    fresh = TwoSpinSystem.from_params(  # PATH5, with its own kernel cache
+        5, [0.7, 1.3, 0.9, 1.1, 0.6],
+        [(0, 1, 1.2, 1.5), (1, 2, 0.8, 2.0), (2, 3, 1.0, 1.7),
+         (3, 4, 1.4, 1.1)])
+    schedules = PATH5_SCHEDULES[:4]
+    states = [ChainState((1,) * 5)] * 4
+    rngs = [RandomSource(seed) for seed in range(4)]
+    for _ in range(150):  # the four schedules interleaved
+        states = [schedule_step(fresh, sched, state, rng)
+                  for sched, state, rng in zip(schedules, states, rngs)]
+    assert len(compiles) == 4
+    for seed, sched, state in zip(range(4), schedules, states):
+        want = ora.chain_run(fresh, sched, ((1,) * 5,), seed)
+        for _ in range(150):
+            (last,) = next(want)
+        assert state.config == last
+    # an equal schedule hits the cache; a fifth one evicts the oldest
+    schedule_step(fresh, UpdateSchedule(kind="single-site-glauber"),
+                  states[0], rngs[0])
+    assert len(compiles) == 4
+    schedule_step(fresh, PATH5_SCHEDULES[4], states[0], rngs[0])
+    schedule_step(fresh, GLAUBER, states[0], rngs[0])
+    assert len(compiles) == 6
+    assert len(fresh._sampler_kernels) == samplers._KERNELS_PER_SYSTEM
+    # field dynamics tilts once; the coupled step reuses its kernel too
+    state, rng = ChainState((1,) * 5), RandomSource(9)
+    for _ in range(100):
+        state = field_dynamics_step(fresh, 0.4, state, rng)
+    assert len(compiles) == 7 and len(tilts) == 1
+    pair = CoupledPair(ChainState((1,) * 5), ChainState((0,) * 5))
+    src = RandomSource(11)
+    want = ora.chain_run(fresh, schedules[1], ((1,) * 5, (0,) * 5), 11)
+    for _ in range(200):
+        pair = monotone_coupled_step(fresh, pair, schedules[1],
+                                     src.step_vector(5))
+        assert (pair.upper.config, pair.lower.config) == next(want)
+    assert len(compiles) == 8
+
+
+def test_random_source_keys_its_philox_through_the_state():
+    # any split of the draws, across list-buffer refills and step-major
+    # arrays, is the stream of np.random.Philox(key=seed)
+    for seed in (0, 1, 2 ** 64 + 5, 2 ** 128 - 1):
+        src = RandomSource(seed)
+        got = np.concatenate([src.uniforms(5), src.steps(7, 11).ravel(),
+                              src.uniforms(300), src.steps(1, 3).ravel(),
+                              src.steps(100, 21).ravel(), src.uniforms(9)])
+        want = np.random.Generator(np.random.Philox(key=seed)).random(
+            got.size)
+        assert np.array_equal(got, want)
+        assert src.position == got.size
+
+
 def test_field_dynamics_takes_no_censor_and_no_coupling():
     with pytest.raises(InputError):
         UpdateSchedule(kind="field-dynamics", theta=0.5, censor={0})
@@ -847,20 +903,55 @@ def _reference_case(case):
     return to_system(inst), sched, rng.choice((3, 12, 60)), rng
 
 
+def _wide_reference_case(case):
+    """Seeded cases past int64 bitmasks (n 63-70): the alternating scan on
+    a tree plus chords, where some vertices exceed the memo degree; Glauber
+    and a block heat bath with dependent blocks on a sparse graph with a hub
+    of degree 12; one of them censored."""
+    rng = random.Random(7200 + case)
+    n = rng.randint(63, 70)
+    if case % 3 == 0:
+        inst, blocks = _bipartite_instance(rng, n)
+        sched = UpdateSchedule(kind="alternating-scan", blocks=blocks)
+    else:
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}
+        pairs |= {(0, v) for v in rng.sample(range(1, n), 12)}
+        inst = (n, [rng.uniform(0.05, 1.5) for _ in range(n)],
+                ora.random_ferro_params(rng, sorted(pairs)))
+        sched = (GLAUBER if case % 3 == 1 else UpdateSchedule(
+            kind="heat-bath-block", blocks=_random_blocks(rng, n)))
+    if case == 2:
+        sched = censored(sched, rng.sample(range(n), n // 2))
+    return to_system(inst), sched, (2, 400, 60)[case], rng
+
+
 def test_coupling_times_match_the_reference_chain():
-    seen = set()
-    merged = censored_runs = 0
-    for case in range(48):
-        system, sched, cap, rng = _reference_case(case)
-        seeds = [rng.randrange(2 ** 40) for _ in range(5)]
+    # 64 seeds per case run in lockstep; caps censor some of them
+    seen, routes = set(), set()
+    merged = censored_runs = mixed = 0
+    cases = [_reference_case(case) for case in range(48)]
+    cases += [_wide_reference_case(case) for case in range(3)]
+    for case, (system, sched, cap, rng) in enumerate(cases):
+        seeds = [rng.randrange(2 ** 40) for _ in range(64)]
         want = [ora.chain_coupling_time(system, sched, s, cap) for s in seeds]
         assert coupling_times(system, sched, seeds, cap) == want, case
         assert coupling_time(system, sched, seeds[0], cap) == want[0]
         seen.add((sched.kind, sched.censor is not None))
+        kernel = samplers._compile(system, sched)
+        if not all(independent for _, independent in kernel.blocks):
+            routes.add("dependent block")
+        if any(len(system.neighbors(v)) > samplers._MEMO_MAX_DEGREE
+               for block, _ in kernel.blocks for v in block):
+            routes.add("above the memo degree")
+        if system.n > 64:
+            routes.add("past bit 63")
         merged += sum(t is not None for t in want)
         censored_runs += want.count(None)
+        mixed += 0 < want.count(None) < len(want)
     assert seen == {(k, c) for k in BLOCK_KINDS for c in (False, True)}
-    assert merged >= 40 and censored_runs >= 40
+    assert routes == {"dependent block", "above the memo degree",
+                      "past bit 63"}
+    assert merged >= 600 and censored_runs >= 600 and mixed >= 8
 
 
 def test_chains_match_the_reference_chain_step_by_step():
@@ -950,6 +1041,55 @@ def test_coupling_times_raise_on_an_order_violation():
             ora.chain_coupling_time(anti, sched, 0, 50)
         with pytest.raises(CouplingInvariantError, match="order violated"):
             coupling_times(anti, sched, [0, 1], cap=50)
+
+
+def _order_break(system, sched, seed, cap):
+    """(step, message) at which one seed's pair, run alone by `_run`,
+    leaves the order, or None if it merges or reaches `cap` first."""
+    top = (1 << system.n) - 1
+    chains = samplers._run(samplers._compile(system, sched), (top, 0),
+                           RandomSource(seed), steps=cap)
+    t = 0
+    try:
+        for t, (up, low) in zip(range(1, cap + 1), chains):
+            if up == low:
+                return None
+    except CouplingInvariantError as err:
+        return t + 1, str(err)
+    return None
+
+
+@pytest.mark.parametrize("rows", [samplers._LOCKSTEP_ROWS, 3])
+def test_an_antiferromagnetic_batch_raises_for_its_first_breaking_seed(
+        monkeypatch, rows):
+    # seeds one after another raise for the first seed that breaks the
+    # order, even when a later seed breaks it at an earlier step, in
+    # another block; so must the lockstep batch, in one batch or several
+    monkeypatch.setattr(samplers, "_LOCKSTEP_ROWS", rows)
+    anti = TwoSpinSystem.from_params(
+        6, [1.0, 0.8, 1.2, 1.0, 0.9, 1.1],
+        [(v, v + 1, 0.7, 0.8) for v in range(5)] + [(0, 5, 0.7, 0.8)])
+    overtaken = 0
+    for sched in (GLAUBER,
+                  UpdateSchedule(kind="heat-bath-block",
+                                 blocks=((0, 1), (2, 3, 4), (5,))),
+                  UpdateSchedule(kind="alternating-scan",
+                                 blocks=((0, 2, 4), (1, 3, 5)))):
+        breaks = {seed: _order_break(anti, sched, seed, 50)
+                  for seed in range(40)}
+        broken = [seed for seed in breaks if breaks[seed]]
+        first, second = next(
+            ((a, b) for a in broken for b in broken
+             if breaks[b][0] < breaks[a][0] and breaks[b][1] != breaks[a][1]),
+            broken[:2])
+        overtaken += breaks[second][0] < breaks[first][0]
+        seeds = [s for s in breaks if breaks[s] is None][:4] + [first, second]
+        with pytest.raises(CouplingInvariantError) as err:
+            coupling_times(anti, sched, seeds, cap=50)
+        assert str(err.value) == breaks[first][1]
+        assert str(err.value).startswith(
+            "order violated after updating block (")
+    assert overtaken == 2
 
 
 def test_numpy_spins_past_bit_63_convert_exactly():
