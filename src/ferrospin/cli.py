@@ -195,6 +195,8 @@ def cmd_saw(args) -> int:
                 v, s = int(parts[0]), int(parts[1])
             except ValueError:
                 raise InputError(f"--pin entries look like v:s, got {tok!r}")
+            if v in assignments:
+                raise InputError(f"--pin names vertex {v} more than once")
             assignments[v] = s
         pin = Pinning(assignments)
     p0, p1, tree_nodes = saw_marginal(system, args.center, pin)
@@ -298,8 +300,10 @@ def cmd_sweep(args) -> int:
     probe = decay_probe(args.beta, args.gamma, lam,
                         lengths=range(2, args.max_length + 1))
     rows.extend(probe.rows)
-    return _write_report(MixingReport(suite="sweep", seed=args.seed,
-                                      eps=args.eps, rows=tuple(rows)),
+    # the sweep draws nothing and reads no eps; its header keeps the defaults
+    return _write_report(MixingReport(suite="sweep", seed=0,
+                                      eps=constants.DEFAULT_EPS,
+                                      rows=tuple(rows)),
                          args.out)
 
 
@@ -381,8 +385,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--lambda-facs", dest="lambda_facs", default="0.5")
     p.add_argument("--max-length", dest="max_length", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=constants.DEFAULT_EPS)
     p.set_defaults(func=cmd_sweep)
 
     return parser, registry

@@ -48,7 +48,7 @@ from .model import (
     tilt,
 )
 from .regions import RegionParams, construct_region, verify_region
-from .samplers import UpdateSchedule, coupling_times
+from .samplers import UpdateSchedule, _philox as _rng, coupling_times
 from .sawtree import Phi, decay_factor, derive_potential, g_value, phi, saw_marginal
 
 SCHEMA_VERSION = 1
@@ -160,10 +160,6 @@ def wilson_upper(failures: int, trials: int) -> float:
 
 # ---------------------------------------------------------------------------
 # random instances
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def _is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 
 def _finite_log(value: float, what: str, *labels) -> float:
@@ -488,14 +488,33 @@ def load_rbm(path: str) -> RbmParams:
     return RbmParams(n0=n0, n1=n1, interaction=w, theta=theta)
 
 
+def _linear(log_value: float, what: str, *labels) -> float:
+    """exp(log_value) for the instance file, which holds linear parameters;
+    a value that is not a positive finite float is a numeric error naming
+    `what` (formatted with `labels`) and its log value."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise NumericError(f"{what.format(*labels)} has log value "
+                           f"{log_value!r}, past the float range of a "
+                           f"linear parameter")
+    return value
+
+
 def instance_dict(system: TwoSpinSystem) -> dict:
     """Canonical JSON-ready form (linear parameters, repr-exact floats)."""
     return {
         "n": system.n,
-        "lambda": [system.lam(v) for v in range(system.n)],
+        "lambda": [_linear(x, "lambda of vertex {}", v)
+                   for v, x in enumerate(system.log_lambda)],
         "edges": [
-            {"u": u, "v": v, "beta": system.beta(e), "gamma": system.gamma(e)}
-            for e, (u, v) in enumerate(system.edges)
+            {"u": u, "v": v,
+             "beta": _linear(lb, "beta of edge ({},{})", u, v),
+             "gamma": _linear(lg, "gamma of edge ({},{})", u, v)}
+            for (u, v), lb, lg in zip(system.edges, system.log_beta,
+                                      system.log_gamma)
         ],
     }
 

@@ -47,9 +47,11 @@ gather and compare over all their block vertices (`_Lanes`, whose dense p1
 table holds the memo's own floats, so every decision is the one
 `_Kernel.update` makes); the other rows go through `_Kernel.update` one at
 a time.
-`RandomSource` hands out its Philox stream in order, from a list buffer or
-as step-major arrays; concatenated draws equal one draw, so neither the
-buffer nor the block sizes ever change a trajectory.
+`_philox`, the one constructor of a keyed generator (here and for the
+harness's random instances), checks the seed and keys the stream of
+`np.random.Philox(key=seed)`.  `RandomSource` hands it out in order straight
+from the generator, flat (`uniforms`) or step-major (`steps`); concatenated
+draws equal one draw, so no split of the draws changes a trajectory.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ from .model import TwoSpinSystem, config_to_index, index_to_config, tilt
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
 # neighbours, so a table holds at most 2^8 entries however long the run
 _MEMO_MAX_DEGREE = 8
-# uniforms drawn from the Philox stream per list-buffer refill: the first,
-# and the most
-_FIRST_CHUNK = 128
-_MAX_CHUNK = 2048
 # uniforms per step-major draw of a run, and the most per lockstep refill
 # unless each row's four-step minimum needs more
 _DRAW_UNIFORMS = 1 << 16
@@ -112,7 +110,11 @@ class _Keyless(ISeedSequence):
 
 
 def _philox(seed: int) -> np.random.Generator:
-    """The stream of `np.random.Philox(key=seed)`, keyed through `state`."""
+    """The stream of `np.random.Philox(key=seed)`, keyed through `state`;
+    a seed outside [0, 2^128) is an input error."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise InputError(f"seed must lie in [0, 2^128), got {seed}")
     bits = np.random.Philox(_Keyless())
     bits.state = {"bit_generator": "Philox",
                   "state": {"counter": np.zeros(4, dtype=np.uint64),
@@ -125,57 +127,26 @@ def _philox(seed: int) -> np.random.Generator:
 
 class RandomSource:
     """Seeded counter-based uniform stream (identical seed => identical
-    trajectory, independent of platform).  Uniforms are handed out in
-    order, either from a list buffer refilled from the Philox stream in
-    growing chunks (`_take`) or as step-major arrays straight from the
-    stream once the buffer is spent (`steps`); `position` counts those
-    handed out."""
+    trajectory, independent of platform), handed out in order straight
+    from the Philox generator; `position` counts the uniforms handed out."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        if not (0 <= self.seed < 2 ** 128):
-            raise InputError(f"seed must lie in [0, 2^128), got {self.seed}")
         self._gen = _philox(self.seed)
-        self.position = 0  # uniforms handed out so far
-        self._buf: list[float] = []
-        self._off = 0
-        self._chunk = _FIRST_CHUNK
-
-    def _take(self, k: int) -> list[float]:
-        """The next k uniforms of the stream, as floats."""
-        end = self._off + k
-        if end > len(self._buf):
-            rest = self._buf[self._off:]
-            draw = max(k - len(rest), self._chunk)
-            self._chunk = min(2 * self._chunk, _MAX_CHUNK)
-            self._buf = rest + self._gen.random(draw).tolist()
-            self._off, end = 0, k
-        out = self._buf[self._off:end]
-        self._off = end
-        self.position += k
-        return out
+        self.position = 0
 
     def uniforms(self, k: int) -> np.ndarray:
         k = int(k)
         if k < 0:
             raise InputError(f"cannot draw {k} uniforms")
-        return np.array(self._take(k), dtype=np.float64)
-
-    def step_vector(self, n: int) -> np.ndarray:
-        """The shared r in [0,1]^(n+1): selector + per-vertex thresholds."""
-        return self.uniforms(n + 1)
+        self.position += k
+        return self._gen.random(k)
 
     def steps(self, count: int, width: int) -> np.ndarray:
         """The next count * width uniforms as a count x width array, one
-        row per step: what the list buffer still holds, then straight from
-        the Philox stream."""
-        k = count * width
-        held = min(len(self._buf) - self._off, k)
-        out = self._gen.random(k - held)
-        self.position += k - held
-        if held:
-            out = np.concatenate((self._take(held), out))
-        return out.reshape(count, width)
+        row per step."""
+        self.position += count * width
+        return self._gen.random((count, width))
 
 
 @dataclass(frozen=True)
@@ -462,35 +433,36 @@ def _kernel(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
 
 
 def _run(kernel: _Kernel, starts: tuple[int, ...], rng: RandomSource,
-         step: int = 0, steps: int | None = None):
+         steps: int):
     """Advance one chain, or a coupled pair on shared vectors, from the
-    bitmask configurations `starts` and yield the configurations after each
-    step.  The block kinds draw `steps` step vectors (unbounded if None) as
-    step-major blocks of at most `_DRAW_UNIFORMS` uniforms, pick the blocks
-    of a whole draw at once from column 0 and turn into floats only the
-    columns that the widest chosen block reads.  A pair's order is checked
-    once per step until the pair merges."""
+    bitmask configurations `starts` for `steps` steps and yield the
+    configurations after each step.  The block kinds draw their step
+    vectors as step-major blocks of at most `_DRAW_UNIFORMS` uniforms, pick
+    the blocks of a whole draw at once from column 0 and turn into floats
+    only the columns that the widest chosen block reads.  A pair's order is
+    checked once per step until the pair merges."""
     n = kernel.system.n
     update = kernel.update
     configs = starts
     if kernel.blocks is None:
         if len(starts) != 1:
             raise InputError("field dynamics is not a shared-vector block kind")
-        take, theta = rng._take, kernel.theta
-        while True:
+        uniforms, theta = rng.uniforms, kernel.theta
+        for _ in range(steps):
             # S: every 1-vertex surely, each 0-vertex with probability theta
             config = configs[0]
-            coins = take(n)  # one per vertex, in increasing order
+            coins = uniforms(n).tolist()  # one per vertex, in increasing order
             block = tuple(v for v in range(n)
                           if config >> v & 1 or coins[v] <= theta)
             configs = update(configs, block, kernel.independent(block),
-                             take(len(block)))
+                             uniforms(len(block)).tolist())
             yield configs
+        return
     blocks, width = kernel.blocks, n + 1
-    left = math.inf if steps is None else steps
-    while left > 0:
-        count = min(max(1, _DRAW_UNIFORMS // width), left)
-        left -= count
+    step = 0
+    while steps > 0:
+        count = min(max(1, _DRAW_UNIFORMS // width), steps)
+        steps -= count
         r = rng.steps(count, width)
         first = step % len(blocks)
         chosen = [blocks[i] for i in kernel.picks(
@@ -520,9 +492,9 @@ def schedule_step(system: TwoSpinSystem, schedule: UpdateSchedule,
     kernel = _kernel(system, schedule)
     configs = (config_to_index(state.config),)
     if kernel.blocks is None:
-        (config,) = next(_run(kernel, configs, rng))
+        (config,) = next(_run(kernel, configs, rng, 1))
     else:
-        r = rng._take(system.n + 1)
+        r = rng.uniforms(system.n + 1).tolist()
         block, independent = kernel.select(state.step, r[0])
         (config,) = kernel.update(configs, block, independent, r[1:])
     return ChainState(config=index_to_config(config, system.n),
@@ -540,6 +512,8 @@ def monotone_coupled_step(system: TwoSpinSystem, pair: CoupledPair,
     spins, so the coordinatewise order survives; violation raises (checked
     once, by `CoupledPair`)."""
     n = system.n
+    if len(pair.upper.config) != n:
+        raise InputError("state size mismatch")
     if len(r) != n + 1:
         raise InputError(f"shared vector must have length {n + 1}")
     if schedule.kind == "field-dynamics":

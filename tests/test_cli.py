@@ -5,6 +5,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -357,6 +360,39 @@ def test_saw_rejects_malformed_pin_and_center(path5):
                  "--pin", "0=1"]) == 1
 
 
+def test_saw_refuses_a_vertex_pinned_twice(tmp_path, capsys):
+    # two spins for one vertex contradict each other: an error naming it,
+    # not an answer for one of them
+    path3 = write_instance(tmp_path, "path3.json", 3, [1.0, 1.0, 1.0],
+                           [(0, 1, 0.5, 3.0), (1, 2, 0.5, 3.0)])
+    assert main(["saw", "--instance", str(path3), "--center", "0",
+                 "--pin", "2:0,2:1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --pin names vertex 2 more than once\n")
+
+
+def test_the_module_entry_point_keeps_the_exit_contract(tmp_path):
+    # seeds outside [0, 2^128) and a doubly pinned vertex end in one error
+    # line and exit 1 when the CLI runs as a program, never a traceback
+    path3 = write_instance(tmp_path, "path3.json", 3, [1.0, 1.0, 1.0],
+                           [(0, 1, 0.5, 3.0), (1, 2, 0.5, 3.0)])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["verify", "--suite", "saw-oracle", "--seed", "-1"],
+                 ["verify", "--suite", "saw-oracle", "--seed", str(2 ** 128)],
+                 ["sample", "--instance", str(path3), "--seed", "-1"],
+                 ["saw", "--instance", str(path3), "--center", "0",
+                  "--pin", "2:0,2:1"]):
+        proc = subprocess.run([sys.executable, "-m", "ferrospin.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (
+            argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
 def test_region_single_center_record(path5, tmp_path):
     out = tmp_path / "region.jsonl"
     assert main(["region", "--instance", str(path5), "--center", "2",
@@ -425,6 +461,18 @@ def test_sweep_runs_and_writes_report(tmp_path):
     assert "all-to-one-influence" in text
     assert "endpoint-influence-decays-log-linearly" in text
     assert main(["sweep", "--sizes", "3;6"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["--eps", "0.1"], ["--seed", "3"]])
+def test_sweep_takes_no_seed_and_no_eps(argv, tmp_path, capsys):
+    # the sweep draws nothing and reads no eps; its report header keeps the
+    # defaults
+    assert main(["sweep", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["sweep", "--sizes", "3,4", "--max-length", "3",
+                 "--out", str(tmp_path / "sw")]) == 0
+    head = (tmp_path / "sw.csv").read_text().splitlines()[0]
+    assert f"seed=0 eps={constants.DEFAULT_EPS!r}" in head
 
 
 def test_sample_field_schedule_and_censor(path5, tmp_path):

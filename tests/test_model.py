@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ferrospin.errors import InputError
+from ferrospin.errors import InputError, NumericError
 from ferrospin.exact import gibbs_distribution, log_weights
 from ferrospin.model import (
     ParamClass,
@@ -16,6 +16,7 @@ from ferrospin.model import (
     config_to_index,
     index_to_config,
     induced_subsystem,
+    instance_dict,
     instance_hash,
     lambda0,
     lambda_c,
@@ -330,6 +331,40 @@ def test_instance_roundtrip(tmp_path):
     s = load_instance(str(path))
     assert s.n == 3 and s.edges == ((0, 1), (1, 2))
     assert instance_hash(s) == instance_hash(load_instance(str(path)))
+
+
+def test_instance_dict_round_trips_and_refuses_what_floats_cannot_hold(
+        tmp_path):
+    # a written instance_dict loads back as the system (each parameter
+    # through exp and log, so to the last bits)
+    rnd = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rnd.integers(1, 7))
+        edges = [(u, v, float(rnd.uniform(0.2, 1.0)),
+                  float(rnd.uniform(1.0, 40.0)))
+                 for u in range(n) for v in range(u + 1, n)
+                 if rnd.random() < 0.5]
+        system = make(n, rnd.uniform(1e-3, 1e3, n).tolist(), edges)
+        path = tmp_path / f"inst{trial}.json"
+        path.write_text(json.dumps(instance_dict(system)))
+        back = load_instance(str(path))
+        assert (back.n, back.edges) == (system.n, system.edges)
+        for name in ("log_lambda", "log_beta", "log_gamma"):
+            assert getattr(back, name) == pytest.approx(
+                getattr(system, name), rel=1e-15, abs=1e-15)
+    # gamma = e^800 overflows a float and gamma = e^-800 underflows to 0,
+    # which load_instance would refuse; so does lambda = e^-800
+    for log_gamma in (800.0, -800.0):
+        wide = TwoSpinSystem(n=2, edges=((0, 1),), log_beta=(0.0,),
+                             log_gamma=(log_gamma,), log_lambda=(0.0, 0.0))
+        with pytest.raises(NumericError,
+                           match=rf"gamma of edge \(0,1\) has log value "
+                                 rf"{log_gamma!r}"):
+            instance_dict(wide)
+    tiny = TwoSpinSystem(n=2, edges=(), log_beta=(), log_gamma=(),
+                         log_lambda=(0.0, -800.0))
+    with pytest.raises(NumericError, match="lambda of vertex 1 has log value"):
+        instance_dict(tiny)
 
 
 def test_instance_loader_reports_identity(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import _oracles as ora
-from ferrospin import constants, samplers
+from ferrospin import constants, harness, samplers
 from ferrospin.errors import CapacityError, CouplingInvariantError, InputError
 from ferrospin.exact import (
     alternating_scan_matrix,
@@ -161,7 +161,7 @@ def test_random_source_determinism():
     assert a.position == b.position == 100
     assert not np.array_equal(RandomSource(42).uniforms(8),
                               RandomSource(43).uniforms(8))
-    assert len(RandomSource(0).step_vector(5)) == 6
+    assert len(RandomSource(0).uniforms(6)) == 6
 
 
 def test_state_and_schedule_validation():
@@ -460,7 +460,7 @@ def test_coupled_single_vertex_merges_in_one_step():
     for seed in range(10):
         pair = CoupledPair(upper=ChainState((1,)), lower=ChainState((0,)))
         pair = monotone_coupled_step(solo, pair, sched,
-                                     RandomSource(seed).step_vector(1))
+                                     RandomSource(seed).uniforms(2))
         assert pair.merged
 
 
@@ -477,7 +477,7 @@ def test_coupling_order_preserved_and_merge_is_final():
         merged_at = None
         for t in range(2000):
             pair = monotone_coupled_step(system, pair, sched,
-                                         src.step_vector(n))
+                                         src.uniforms(n + 1))
             assert dominates(pair.upper.config, pair.lower.config)
             if merged_at is None and pair.merged:
                 merged_at = t
@@ -496,6 +496,17 @@ def test_coupled_step_rejects_bad_precondition():
         monotone_coupled_step(
             system, good, UpdateSchedule(kind="field-dynamics", theta=0.5),
             [0.1, 0.2, 0.3])
+
+
+def test_coupled_step_rejects_a_pair_of_the_wrong_size():
+    # a 2-spin pair on a 3-vertex path is refused as schedule_step refuses
+    # a state of the wrong size
+    path = TwoSpinSystem.from_params(
+        3, [1.0, 1.0, 1.0], [(0, 1, 0.5, 3.0), (1, 2, 0.5, 3.0)])
+    pair = CoupledPair(upper=ChainState((1, 1)), lower=ChainState((0, 0)))
+    for sched in (GLAUBER, one_block([0, 1, 2])):
+        with pytest.raises(InputError, match="state size mismatch"):
+            monotone_coupled_step(path, pair, sched, [0.9, 0.1, 0.2, 0.3])
 
 
 def test_antiferromagnetic_coupling_breaks_order_and_raises():
@@ -517,7 +528,7 @@ def test_coupling_works_for_block_schedules():
     pair = CoupledPair(upper=ChainState((1,) * 5), lower=ChainState((0,) * 5))
     src = RandomSource(5)
     for _ in range(3000):
-        pair = monotone_coupled_step(system, pair, sched, src.step_vector(5))
+        pair = monotone_coupled_step(system, pair, sched, src.uniforms(6))
         if pair.merged:
             break
     assert pair.merged
@@ -804,23 +815,42 @@ def test_one_step_calls_compile_once_per_system_and_schedule(monkeypatch):
     want = ora.chain_run(fresh, schedules[1], ((1,) * 5, (0,) * 5), 11)
     for _ in range(200):
         pair = monotone_coupled_step(fresh, pair, schedules[1],
-                                     src.step_vector(5))
+                                     src.uniforms(6))
         assert (pair.upper.config, pair.lower.config) == next(want)
     assert len(compiles) == 8
 
 
+def _state(gen):
+    """A generator's bit-generator state with its arrays as lists."""
+    def plain(d):
+        return {k: plain(v) if isinstance(v, dict) else
+                v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in d.items()}
+    return plain(gen.bit_generator.state)
+
+
 def test_random_source_keys_its_philox_through_the_state():
-    # any split of the draws, across list-buffer refills and step-major
-    # arrays, is the stream of np.random.Philox(key=seed)
+    # any split of the draws, flat or step-major, is the stream of
+    # np.random.Philox(key=seed), and the harness keys its instance
+    # generator through the same constructor
     for seed in (0, 1, 2 ** 64 + 5, 2 ** 128 - 1):
         src = RandomSource(seed)
         got = np.concatenate([src.uniforms(5), src.steps(7, 11).ravel(),
+                              src.uniforms(0), src.steps(0, 4).ravel(),
                               src.uniforms(300), src.steps(1, 3).ravel(),
-                              src.steps(100, 21).ravel(), src.uniforms(9)])
-        want = np.random.Generator(np.random.Philox(key=seed)).random(
-            got.size)
+                              src.steps(100, 21).ravel(), src.uniforms(20000),
+                              src.steps(20000, 1).ravel(), src.uniforms(9)])
+        reference = np.random.Generator(np.random.Philox(key=seed))
+        assert _state(harness._rng(seed)) == _state(reference)
+        want = reference.random(got.size)
         assert np.array_equal(got, want)
         assert src.position == got.size
+    outside = r"seed must lie in \[0, 2\^128\)"
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(InputError, match=outside):
+            RandomSource(seed)
+        with pytest.raises(InputError, match=outside):
+            harness._rng(seed)
 
 
 def test_field_dynamics_takes_no_censor_and_no_coupling():
@@ -835,11 +865,11 @@ def test_field_dynamics_takes_no_censor_and_no_coupling():
 # the compiled kernel against the reference chain of tests/_oracles.py
 
 def test_random_source_hands_out_one_stream():
-    # any split of the draws, across buffer refills, is one Philox draw
+    # any split of the draws into flat and step-major ones is one Philox draw
     sizes = [1, 5, 0, 127, 300, 7, 9000, 2, 20000, 64]
     src = RandomSource(2024)
     got = np.concatenate([src.uniforms(k) if i % 2 else
-                          np.array(src._take(k)) for i, k in enumerate(sizes)])
+                          src.steps(k, 1).ravel() for i, k in enumerate(sizes)])
     want = np.random.Generator(np.random.Philox(key=2024)).random(sum(sizes))
     assert np.array_equal(got, want)
     assert src.position == sum(sizes)
@@ -968,7 +998,7 @@ def test_chains_match_the_reference_chain_step_by_step():
         seed = rng.randrange(2 ** 40)
         kernel = samplers._compile(system, sched)
         got = samplers._run(kernel, tuple(config_to_index(c) for c in starts),
-                            RandomSource(seed))
+                            RandomSource(seed), 80)
         want = ora.chain_run(system, sched, starts, seed)
         for t, configs, ref in zip(range(80), got, want):
             assert configs == tuple(config_to_index(c) for c in ref), (
@@ -1116,8 +1146,7 @@ def test_site_memo_stays_bounded():
     star = TwoSpinSystem.from_params(
         n, [0.9] * n, [(0, v, 0.9, 1.6) for v in range(1, n)])
     kernel = samplers._compile(star, GLAUBER)
-    chains = samplers._run(kernel, ((1 << n) - 1, 0), RandomSource(5))
-    for _, _ in zip(range(20000), chains):
+    for _ in samplers._run(kernel, ((1 << n) - 1, 0), RandomSource(5), 20000):
         pass
     assert isinstance(kernel.sites[0][1], samplers._Direct)
     for v in range(1, n):
