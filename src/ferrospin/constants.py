@@ -22,7 +22,7 @@ BLOCK_ENUM_LIMIT = 20        # exact conditional resampling of one block
 FIELD_KERNEL_LIMIT = 6       # exact field-dynamics kernel (3^n subset work)
 SAW_DEPTH_CAP = 30           # verify_region: deeper walks mark it partial
 REGION_NODE_CAP = 10**6      # walk-tree nodes per tree, growth or verification
-MIXING_STEP_CAP = 10**6      # exact mixing-time iteration cap
+MIXING_STEP_CAP = 10**6      # chain steps per run
 
 # defaults
 DEFAULT_EPS = 1.0 / (4.0 * math.e)

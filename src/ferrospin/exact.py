@@ -204,10 +204,14 @@ def all_to_one_influence(system: TwoSpinSystem, v: int) -> float:
     """sum_{u != v} |Pr[X_v=0 | X_u=0] - Pr[X_v=0 | X_u=1]|, from one
     table: each pin reads its own half of it."""
     _check_vertices(system, v)
-    table = _table(system)
+    return _all_to_one(_table(system), v)
+
+
+def _all_to_one(table: np.ndarray, v: int) -> float:
+    """`all_to_one_influence` of v read from a `_table`."""
     return sum((abs(_conditional(table, [(u, 0)], v)[0]
                     - _conditional(table, [(u, 1)], v)[0])
-                for u in range(system.n) if u != v), 0.0)
+                for u in range(table.ndim) if u != v), 0.0)
 
 
 def _gibbs_and_marginals(system: TwoSpinSystem

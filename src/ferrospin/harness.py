@@ -23,7 +23,9 @@ from . import constants
 from .errors import InputError, NumericError
 from .exact import (
     TransitionMatrix,
+    _all_to_one,
     _mixing_time_and_distance,
+    _table,
     alternating_scan_matrix,
     censored_glauber_matrix,
     conditional_marginal,
@@ -31,7 +33,6 @@ from .exact import (
     field_kernel_matrix,
     gibbs_distribution,
     glauber_matrix,
-    all_to_one_influence,
     pinned_glauber_matrix,
     spectral_report,
     stationarity_residual,
@@ -210,11 +211,11 @@ def random_ferro_instance(rng: np.random.Generator, n: int, p: float = 0.6,
     return TwoSpinSystem.from_params(n, lam, spec)
 
 
-def class_instance(rng: np.random.Generator, n: int, pc: ParamClass,
-                   p: float = 0.6) -> TwoSpinSystem:
-    """Connected instance at the class edge bound: every edge carries
-    (pc.beta, pc.gamma); lambda_v ~ U(0, pc.lambda_bound)."""
-    edges = random_connected_graph(rng, n, p)
+def class_instance(rng: np.random.Generator, n: int,
+                   pc: ParamClass) -> TwoSpinSystem:
+    """Connected instance of G(n, 0.6) at the class edge bound: every edge
+    carries (pc.beta, pc.gamma); lambda_v ~ U(0, pc.lambda_bound)."""
+    edges = random_connected_graph(rng, n, 0.6)
     spec = [(u, v, pc.beta, pc.gamma) for u, v in edges]
     lam = [float(x) for x in rng.uniform(1e-6, pc.lambda_bound, n)]
     return TwoSpinSystem.from_params(n, lam, spec)
@@ -313,8 +314,7 @@ def verify_scan_mixing_bound(system: TwoSpinSystem,
 
 
 def verify_gap_mixing_relations(system: TwoSpinSystem,
-                                eps: float = constants.DEFAULT_EPS,
-                                cap: int = constants.MIXING_STEP_CAP
+                                eps: float = constants.DEFAULT_EPS
                                 ) -> list[ReportRow]:
     """Exact worst-start mixing time against its spectral bounds.
 
@@ -327,7 +327,7 @@ def verify_gap_mixing_relations(system: TwoSpinSystem,
     gap = spectral_report(P, mu, "glauber").gap
     h = instance_hash(system)
     mu_min = float(mu.probs.min())
-    t_eps = exact_mixing_time(P, mu, eps, cap)
+    t_eps = exact_mixing_time(P, mu, eps)
     rows = [
         inequality_row(
             "mixing-time-at-most-log-inverse-mass-over-gap", h,
@@ -340,8 +340,8 @@ def verify_gap_mixing_relations(system: TwoSpinSystem,
     ]
     eps_small = constants.DEFAULT_EPS / 8.0
     t_ref = (t_eps if eps == constants.DEFAULT_EPS
-             else exact_mixing_time(P, mu, constants.DEFAULT_EPS, cap))
-    t_small = exact_mixing_time(P, mu, eps_small, cap)
+             else exact_mixing_time(P, mu, constants.DEFAULT_EPS))
+    t_small = exact_mixing_time(P, mu, eps_small)
     rows.append(inequality_row(
         "mixing-time-product-rule-from-reference-level", h,
         t_small, t_ref * math.log(1.0 / eps_small),
@@ -409,13 +409,13 @@ def coupling_failure_fraction(system: TwoSpinSystem,
 def coupling_dominance_row(system: TwoSpinSystem, schedule: UpdateSchedule,
                            kernel: TransitionMatrix,
                            eps: float = constants.DEFAULT_EPS,
-                           trials: int = 200, seed: int = 0,
-                           cap: int = constants.MIXING_STEP_CAP) -> ReportRow:
+                           trials: int = 200, seed: int = 0) -> ReportRow:
     """At the exact mixing time of `kernel`, the empirical non-merge
     probability plus three plug-in standard errors dominates the exact
     worst-start distance (any coupling upper-bounds total variation)."""
     mu = gibbs_distribution(system)
-    t_star, tv = _mixing_time_and_distance(kernel, mu, eps, cap)
+    t_star, tv = _mixing_time_and_distance(kernel, mu, eps,
+                                           constants.MIXING_STEP_CAP)
     frac = coupling_failure_fraction(system, schedule, t_star, trials, seed)
     sigma = math.sqrt(frac * (1.0 - frac) / trials)
     return inequality_row(
@@ -485,8 +485,10 @@ def field_boost_check(system: TwoSpinSystem, pc: ParamClass,
 
 
 def max_all_to_one_influence(system: TwoSpinSystem) -> float:
-    """Worst vertex: max_v sum_u |Pr[X_v=0|X_u=0] - Pr[X_v=0|X_u=1]|."""
-    return max(all_to_one_influence(system, v) for v in range(system.n))
+    """Worst vertex: max_v sum_u |Pr[X_v=0|X_u=0] - Pr[X_v=0|X_u=1]|, every
+    vertex read from one log-weight table."""
+    table = _table(system)
+    return max(_all_to_one(table, v) for v in range(system.n))
 
 
 def influence_regime_sweep(family: str, sizes: Sequence[int], beta: float,

@@ -21,32 +21,30 @@ small cache that the system holds by schedule (`_kernel`), so repeated steps
 compile once.  Chains carry configurations as int bitmasks
 (`model.config_to_index`: bit v is sigma_v), so a pair's order check is
 `low & ~up == 0`, the merge check `up == low` and the Hamming weight
-`bit_count()`.  A site conditional depends only on `config & mask[v]`; each
-vertex of degree at most `_MEMO_MAX_DEGREE` (8) memoises it by that pattern
-for the whole run, so its table never holds more than 2^8 entries, and
-higher-degree vertices compute it on every lookup.  Memo entries come from
-the one scalar formula of `site_conditional` (same addition order,
-`math.exp`), so a memoised chain is bit-identical to a direct one.  A
-dependent block builds one 2^m log-weight table per chain per update and
-decides its vertices in order, each from the two halves of what is left.
+`bit_count()`.  A site conditional depends only on `config & mask[v]`;
+v's `_Memo` keeps it by that pattern for the whole run while v has at most
+`_MEMO_MAX_DEGREE` (8) neighbours, so a table never holds more than 2^8
+entries, and computes it on every lookup otherwise.  Every conditional is
+the float of the one scalar formula `_site_p1`.  A dependent block builds
+one 2^m log-weight table per chain per update and decides its vertices in
+order, each from the two halves of what is left.
 
 One update (`_Kernel.update`) resamples a block in one chain or a coupled
-pair.  One loop (`_run`) drives `trajectory_csv` and every field-dynamics
-step.  For the block kinds it draws the step vectors as step-major arrays
-(steps x (n+1), at most `_DRAW_UNIFORMS` uniforms each), picks the blocks
-of a whole array at once from column 0 and turns into floats only the
-columns that the widest chosen block reads; field dynamics draws its coins
-and thresholds step by step.  A block-kind `schedule_step` runs one update
-on the next n+1 uniforms of its source, and `monotone_coupled_step` on the
-vector it is given.  `coupling_times` (`coupling_time` is
-its one-seed form) runs the pairs of all its seeds in lockstep
-(`_lockstep`), as rows of a 2 x K x (n+1) spin array, each seed's vectors
-drawn from its own stream as step-major blocks.  Each step, the rows whose
-block is an independent set of memoised vertices update together, in one
-gather and compare over all their block vertices (`_Lanes`, whose dense p1
-table holds the memo's own floats, so every decision is the one
-`_Kernel.update` makes); the other rows go through `_Kernel.update` one at
-a time.
+pair.  One loop (`_run`) drives `trajectory_csv`, every field-dynamics step
+and every coupling that the lockstep does not take.  For the block kinds it
+draws step-major arrays (steps x (n+1)) by the one refill rule (`_refill`:
+twice the last refill, starting at 32 steps, within `_DRAW_UNIFORMS` uniforms
+over the live rows, at least four steps per row, never past what is left),
+picks the blocks of a whole array at once from column 0 and turns into floats
+only the columns that the widest chosen block reads; field dynamics draws
+step by step.  A block-kind `schedule_step` updates on the next n+1 uniforms
+of its source, `monotone_coupled_step` on the vector it is given.
+`coupling_times` (`coupling_time` is its one-seed form) takes
+`_LOCKSTEP_ROWS` seeds at a time.  When every block is an independent set of
+vertices of degree at most `_MEMO_MAX_DEGREE`, a batch runs in lockstep
+(`_lockstep`) as rows of a 2 x K x (n+1) spin array, all updated each step in
+one gather and compare (`_Lanes`); otherwise each seed's pair runs through
+`_run`.
 `_philox`, the one constructor of a keyed generator (here and for the
 harness's random instances), checks the seed and keys the stream of
 `np.random.Philox(key=seed)`.  `RandomSource` hands it out in order straight
@@ -73,8 +71,7 @@ from .model import TwoSpinSystem, config_to_index, index_to_config, tilt
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
 # neighbours, so a table holds at most 2^8 entries however long the run
 _MEMO_MAX_DEGREE = 8
-# uniforms per step-major draw of a run, and the most per lockstep refill
-# unless each row's four-step minimum needs more
+# the most uniforms per step-vector refill, unless four steps a row need more
 _DRAW_UNIFORMS = 1 << 16
 # seeds that coupling_times advances together
 _LOCKSTEP_ROWS = 256
@@ -231,43 +228,34 @@ def site_conditional(system: TwoSpinSystem, config: Sequence[int],
 
 
 class _Memo(dict):
-    """p(sigma_v = 1) by neighbour pattern, each entry computed once."""
+    """p(sigma_v = 1) by neighbour pattern from `_site_p1`, each entry kept
+    once computed while v has at most `_MEMO_MAX_DEGREE` neighbours, and
+    computed on every lookup otherwise, so a table never holds more than
+    2^8 entries however long the run."""
 
-    __slots__ = ("log_lambda", "terms")
+    __slots__ = ("log_lambda", "terms", "keep")
 
     def __init__(self, log_lambda: float, terms):
         self.log_lambda, self.terms = log_lambda, terms
+        self.keep = len(terms) <= _MEMO_MAX_DEGREE
 
     def __missing__(self, pattern: int) -> float:
-        p1 = self[pattern] = _site_p1(self.log_lambda, self.terms, pattern)
+        p1 = _site_p1(self.log_lambda, self.terms, pattern)
+        if self.keep:
+            self[pattern] = p1
         return p1
 
 
-class _Direct:
-    """p(sigma_v = 1) by neighbour pattern, computed on every lookup."""
-
-    __slots__ = ("log_lambda", "terms")
-
-    def __init__(self, log_lambda: float, terms):
-        self.log_lambda, self.terms = log_lambda, terms
-
-    def __getitem__(self, pattern: int) -> float:
-        return _site_p1(self.log_lambda, self.terms, pattern)
-
-
 class _Sites(dict):
-    """v -> (neighbour bitmask of v, table of p(sigma_v = 1) by neighbour
-    pattern), made on first use, so a one-step run pays only for the
-    vertices it touches.  The table memoises when v has at most
-    `_MEMO_MAX_DEGREE` neighbours."""
+    """v -> (neighbour bitmask of v, `_Memo` of v), made on first use, so a
+    one-step run pays only for the vertices it touches."""
 
     def __init__(self, system: TwoSpinSystem):
         self.system = system
 
     def __missing__(self, v: int):
         mask, terms = self.system._site_terms[v]
-        table = _Memo if len(terms) <= _MEMO_MAX_DEGREE else _Direct
-        site = self[v] = (mask, table(self.system.log_lambda[v], terms))
+        site = self[v] = (mask, _Memo(self.system.log_lambda[v], terms))
         return site
 
 
@@ -432,12 +420,19 @@ def _kernel(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
     return kernel
 
 
+def _refill(last: int, rows: int, width: int, left: int) -> int:
+    """Steps per row of the next refill of `rows` rows of `width` uniforms:
+    twice the `last` (16 before the first), within `_DRAW_UNIFORMS` in all
+    (at least four), never past the `left` steps still to run."""
+    return min(2 * last, left, max(4, _DRAW_UNIFORMS // (rows * width)))
+
+
 def _run(kernel: _Kernel, starts: tuple[int, ...], rng: RandomSource,
          steps: int):
     """Advance one chain, or a coupled pair on shared vectors, from the
     bitmask configurations `starts` for `steps` steps and yield the
-    configurations after each step.  The block kinds draw their step
-    vectors as step-major blocks of at most `_DRAW_UNIFORMS` uniforms, pick
+    configurations after each step.  The block kinds draw step-major arrays
+    by `_refill`, so a run stopped early has drawn about what it read, pick
     the blocks of a whole draw at once from column 0 and turn into floats
     only the columns that the widest chosen block reads.  A pair's order is
     checked once per step until the pair merges."""
@@ -459,9 +454,9 @@ def _run(kernel: _Kernel, starts: tuple[int, ...], rng: RandomSource,
             yield configs
         return
     blocks, width = kernel.blocks, n + 1
-    step = 0
+    step, count = 0, 16
     while steps > 0:
-        count = min(max(1, _DRAW_UNIFORMS // width), steps)
+        count = _refill(count, 1, width, steps)
         steps -= count
         r = rng.steps(count, width)
         first = step % len(blocks)
@@ -538,33 +533,27 @@ def field_dynamics_step(system: TwoSpinSystem, theta: float,
 
 
 class _Lanes:
-    """A block kernel's independent blocks of memoised vertices as dense
-    arrays, for the lockstep route.  Column n of a spin row is a dummy
-    vertex that stays 0: it pads neighbour lists and blocks, and its one p1
-    entry of -1 fails every threshold.
+    """The blocks of a lockstep kernel (each an independent set of vertices
+    of degree at most `_MEMO_MAX_DEGREE`) as dense arrays.  Column n of a
+    spin row is a dummy vertex that stays 0: it pads neighbour lists and
+    blocks, and its one p1 entry of -1 fails every threshold.
 
     p1[start[v] + c] is p(sigma_v = 1) when bit i of c is the spin of v's
     i-th neighbour; a vertex of degree d owns 2^d entries (`owner`).  An
-    entry is NaN until a step first reads it, and is then copied from v's
-    memo table (`fill`), so it is the float that `_Kernel.update` compares
+    entry is NaN until a step first reads it, and is then computed by
+    `_site_p1` (`fill`), so it is the float that `_Kernel.update` compares
     with, and a short run computes no more conditionals than the memo
-    would.  nbrs[v] lists v's neighbours, weights[i] is 2^i, members[b]
-    lists block b's vertices and lane[b] says whether block b runs here
-    (else in `_Kernel.update`, one row at a time)."""
+    would.  nbrs[v] lists v's neighbours, weights[i] is 2^i and members[b]
+    lists block b's vertices."""
 
-    __slots__ = ("kernel", "p1", "start", "owner", "nbrs", "weights",
-                 "members", "lane")
+    __slots__ = ("system", "p1", "start", "owner", "nbrs", "weights",
+                 "members")
 
     def __init__(self, kernel: _Kernel):
-        n, site_terms = kernel.system.n, kernel.system._site_terms
-        self.kernel = kernel
-        self.lane = np.array(
-            [independent and all(len(site_terms[v][1]) <= _MEMO_MAX_DEGREE
-                                 for v in block)
-             for block, independent in kernel.blocks], dtype=bool)
-        lanes = [block for (block, _), ok in zip(kernel.blocks, self.lane)
-                 if ok]
-        vertices = sorted(set().union(*lanes)) + [n]
+        self.system = kernel.system
+        n, site_terms = self.system.n, self.system._site_terms
+        blocks = [block for block, _ in kernel.blocks]
+        vertices = sorted(set().union(*blocks)) + [n]
         degrees = [len(site_terms[v][1]) for v in vertices[:-1]] + [0]
         self.nbrs = np.full((n + 1, max(degrees + [1])), n, dtype=np.intp)
         for v in vertices[:-1]:
@@ -578,29 +567,29 @@ class _Lanes:
         self.p1[-1] = -1.0
         self.weights = 1 << np.arange(self.nbrs.shape[1], dtype=np.intp)
         self.members = np.full(
-            (len(kernel.blocks), max([len(b) for b in lanes] + [1])), n,
+            (len(blocks), max([len(b) for b in blocks] + [1])), n,
             dtype=np.intp)
-        for b, ((block, _), ok) in enumerate(zip(kernel.blocks, self.lane)):
-            if ok:
-                self.members[b, :len(block)] = block
+        for b, block in enumerate(blocks):
+            self.members[b, :len(block)] = block
 
     def fill(self, entries: np.ndarray) -> None:
-        """Copy the p1 entries `entries` from their vertices' memo tables."""
-        sites, site_terms = self.kernel.sites, self.kernel.system._site_terms
+        """Compute the p1 entries `entries` by `_site_p1`."""
+        system = self.system
         for e in np.unique(entries).tolist():
             v = int(self.owner[e])
             c = e - int(self.start[v])
-            terms = site_terms[v][1]
+            terms = system._site_terms[v][1]
             pattern = sum([bit for i, (bit, _, _) in enumerate(terms)
                            if c >> i & 1])
-            self.p1[e] = sites[v][1][pattern]
+            self.p1[e] = _site_p1(system.log_lambda[v], terms, pattern)
 
-    def update(self, spins: np.ndarray, rows: np.ndarray, picked: np.ndarray,
+    def update(self, spins: np.ndarray, picked: np.ndarray,
                thresholds: np.ndarray) -> None:
-        """Resample block picked[i] of both chains of each row rows[i] in
-        place, on that row's thresholds: one gather and compare for every
-        block vertex of every row at once (the vertices of an independent
-        block read only spins outside it)."""
+        """Resample block picked[i] of both chains of each row i in place,
+        on that row's thresholds: one gather and compare for every block
+        vertex of every row at once (the vertices of an independent block
+        read only spins outside it)."""
+        rows = np.arange(spins.shape[1])
         members = self.members[picked]
         patterns = spins[:, rows[:, None, None], self.nbrs[members]]
         entries = self.start[members] + patterns.dot(self.weights)
@@ -613,35 +602,18 @@ class _Lanes:
             thresholds[:, :members.shape[1]] <= p1)
 
 
-def _row_bits(row: np.ndarray) -> int:
-    """The bitmask configuration of a 0/1 spin row (bit v is row[v]); the
-    bytes route is several times faster than `config_to_index` on a long
-    row."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
-                          "little")
-
-
-def _bit_row(config: int, width: int) -> np.ndarray:
-    """The 0/1 spin row of `width` entries of a bitmask configuration."""
-    data = config.to_bytes((width + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width,
-                         bitorder="little")
-
-
 def _lockstep(kernel: _Kernel, lanes: _Lanes, sources: list[RandomSource],
               cap: int) -> tuple[list[int | None], tuple | None]:
     """Merge times of the pairs from (all-one, all-zero) fed by `sources`,
     all advanced together step by step, and the (row, block) of the lowest
-    row whose order broke, if any.
+    row whose order broke, if any.  `coupling_times` sends a kernel here
+    only when `lanes` holds all its blocks.
 
     The pairs are rows of a 2 x rows x (n+1) spin array.  Each refill draws
-    every live row's next step vectors as one step-major block, so a row
-    reads its stream exactly as a one-seed run does.  The first refill
-    draws 32 steps and each later one twice as many as the last, within
-    `_DRAW_UNIFORMS` uniforms in all (at least four steps per row) and
-    within `cap`.  Each step, rows whose block runs in `lanes` update
-    together and the others go through `_Kernel.update` one at a time; a
-    row leaves when it merges, reaches `cap` or breaks the order."""
+    every live row's next step vectors (`_refill`) as one step-major block,
+    so a row reads its stream exactly as `_run` does.  Each step every row
+    updates at once (`_Lanes.update`); a row leaves when it merges, reaches
+    `cap` or breaks the order."""
     n = kernel.system.n
     width, blocks = n + 1, kernel.blocks
     times: list[int | None] = [None] * len(sources)
@@ -651,8 +623,7 @@ def _lockstep(kernel: _Kernel, lanes: _Lanes, sources: list[RandomSource],
     ids = np.arange(len(sources))
     t, size = 0, 16
     while ids.size and t < cap:
-        size = min(2 * size, cap - t,
-                   max(4, _DRAW_UNIFORMS // (ids.size * width)))
+        size = _refill(size, ids.size, width, cap - t)
         draws = np.stack([sources[i].steps(size, width)
                           for i in ids.tolist()])
         live = np.arange(ids.size)
@@ -662,22 +633,7 @@ def _lockstep(kernel: _Kernel, lanes: _Lanes, sources: list[RandomSource],
             t += 1
             if kernel.cyclic:
                 picked = np.full(ids.size, picked)
-            lane = lanes.lane[picked]
-            if lane.all():
-                lanes.update(spins, np.arange(ids.size), picked,
-                             step_draws[:, 1:])
-            else:
-                fast = lane.nonzero()[0]
-                if fast.size:
-                    lanes.update(spins, fast, picked[fast],
-                                 step_draws[fast, 1:])
-                for i in (~lane).nonzero()[0].tolist():
-                    block, independent = blocks[picked[i]]
-                    pair = kernel.update(
-                        (_row_bits(spins[0, i]), _row_bits(spins[1, i])),
-                        block, independent,
-                        step_draws[i, 1:len(block) + 1].tolist())
-                    spins[:, i] = [_bit_row(c, width) for c in pair]
+            lanes.update(spins, picked, step_draws[:, 1:])
             up, low = spins
             broke = (low > up).any(axis=1)
             merged = (low == up).all(axis=1)
@@ -698,20 +654,30 @@ def _lockstep(kernel: _Kernel, lanes: _Lanes, sources: list[RandomSource],
 def coupling_times(system: TwoSpinSystem, schedule: UpdateSchedule,
                    seeds: Iterable[int],
                    cap: int = constants.MIXING_STEP_CAP) -> list[int | None]:
-    """`coupling_time` for each seed.  The seeds' pairs run in lockstep,
-    `_LOCKSTEP_ROWS` at a time (`_lockstep`), on one compiled kernel whose
-    site tables they all read.  A broken order raises for the first seed
-    that breaks it, as running the seeds one after another would."""
+    """`coupling_time` for each seed, `_LOCKSTEP_ROWS` seeds at a time on
+    one compiled kernel; each batch builds its seeds' sources before any
+    step.  When every block is an independent set of vertices of degree at
+    most `_MEMO_MAX_DEGREE`, a batch runs in lockstep (`_lockstep`);
+    otherwise its seeds run one after another through `_run`.  A broken
+    order raises for the first seed that breaks it."""
     kernel = _compile(system, schedule)
     if kernel.blocks is None:
         raise InputError("field dynamics is not a shared-vector block kind")
-    lanes = _Lanes(kernel)
-    seeds = list(seeds)
+    lanes = (_Lanes(kernel) if all(
+        independent and all(len(system.adjacency[v]) <= _MEMO_MAX_DEGREE
+                            for v in block)
+        for block, independent in kernel.blocks) else None)
+    seeds, top = list(seeds), (1 << system.n) - 1
     times: list[int | None] = []
     for lo in range(0, len(seeds), _LOCKSTEP_ROWS):
-        batch, broken = _lockstep(
-            kernel, lanes,
-            [RandomSource(s) for s in seeds[lo:lo + _LOCKSTEP_ROWS]], cap)
+        sources = [RandomSource(s) for s in seeds[lo:lo + _LOCKSTEP_ROWS]]
+        if lanes is None:
+            for source in sources:
+                chains = enumerate(_run(kernel, (top, 0), source, cap), 1)
+                times.append(next((t for t, (up, low) in chains if up == low),
+                                  None))
+            continue
+        batch, broken = _lockstep(kernel, lanes, sources, cap)
         if broken is not None:
             raise CouplingInvariantError(
                 f"order violated after updating block {broken[1]}")
@@ -752,7 +718,11 @@ def trajectory_csv(system: TwoSpinSystem, schedule: UpdateSchedule,
     """Reproducible trajectory dump: header with the full run recipe, then
     one (step, hamming_weight, coupled_flag) row per step of the chain from
     all-ones.  The coupled flag tracks the grand coupling from (all-one,
-    all-zero) on the same seed and is empty for field dynamics."""
+    all-zero) on the same seed and is empty for field dynamics.  More than
+    `constants.MIXING_STEP_CAP` steps is a capacity error."""
+    if steps > constants.MIXING_STEP_CAP:
+        raise CapacityError(f"{steps} chain steps exceed the step cap "
+                            f"{constants.MIXING_STEP_CAP}")
     lines = [f"# seed={seed}", f"# kind={schedule.kind}",
              f"# blocks={schedule.blocks!r}", f"# theta={schedule.theta!r}",
              f"# censor={sorted(schedule.censor) if schedule.censor else None!r}",

@@ -354,6 +354,26 @@ def test_saw_capacity_error_names_the_count_and_the_cap(path5, monkeypatch,
                    "over node cap 3"]
 
 
+def test_sample_refuses_steps_past_the_step_cap(path5, monkeypatch, capsys,
+                                                tmp_path):
+    # the count is checked before any draw, so a run past the cap exits 2
+    # at once instead of growing its CSV without end
+    monkeypatch.setattr(constants, "MIXING_STEP_CAP", 10)
+    assert main(["sample", "--instance", str(path5), "--steps", "11"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 11 chain steps exceed the step cap 10"]
+    out = tmp_path / "traj.csv"
+    assert main(["sample", "--instance", str(path5), "--steps", "10",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7 + 10
+    monkeypatch.undo()
+    assert main(["sample", "--instance", str(path5),
+                 "--steps", str(10 ** 20)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {10 ** 20} chain steps exceed the step cap "
+        f"{constants.MIXING_STEP_CAP}"]
+
+
 def test_saw_rejects_malformed_pin_and_center(path5):
     assert main(["saw", "--instance", str(path5), "--center", "9"]) == 1
     assert main(["saw", "--instance", str(path5), "--center", "1",

@@ -1,7 +1,9 @@
-"""The package's export list matches what it imports, and every constant
-in `constants.py` is read somewhere in the package."""
+"""The package's export list matches what it imports, every constant in
+`constants.py` is read somewhere in the package, and every defaulted
+parameter of a public function is passed by some call."""
 
 import ast
+import math
 import pathlib
 import types
 
@@ -42,3 +44,53 @@ def test_every_constant_is_read_by_another_module():
             elif isinstance(node, ast.alias):
                 read.add(node.name)
     assert names and names <= read, sorted(names - read)
+
+
+def _calls(tree):
+    """(name, positional count, keyword names) of each call in `tree`; a
+    starred argument passes every position, a ** argument every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        positional = (math.inf if any(isinstance(a, ast.Starred)
+                                      for a in node.args) else len(node.args))
+        keywords = {k.arg for k in node.keywords}
+        yield name, positional, keywords
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant in disguise: it reads
+    # like a setting that nothing sets
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = root / "src" / "ferrospin"
+    passed = {}
+    for top in ("src", "demos", "perfbench", "tests"):
+        for path in (root / top).rglob("*.py"):
+            for name, positional, keywords in _calls(
+                    ast.parse(path.read_text())):
+                passed.setdefault(name, []).append((positional, keywords))
+    never = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, ast.FunctionDef)
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            ordered = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(ordered)
+                         if i >= len(ordered) - len(args.defaults)]
+            defaulted += [(math.inf, a.arg) for a, d in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            calls = passed.get(node.name, [])
+            never += [f"{path.stem}.{node.name}({arg})"
+                      for i, arg in defaulted
+                      if not any(positional > i or arg in keywords
+                                 or None in keywords
+                                 for positional, keywords in calls)]
+    assert not never, never

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as ora
-from ferrospin import constants
+from ferrospin import constants, exact
 from ferrospin.errors import InputError, NumericError
 from ferrospin.exact import (
     _mixing_time_and_distance,
+    all_to_one_influence,
     censored_glauber_matrix,
     exact_mixing_time,
     gibbs_distribution,
@@ -404,6 +405,30 @@ def test_max_all_to_one_matches_oracle():
     expected = max(ora.all_to_one(n, lam, edges, v) for v in range(n))
     assert max_all_to_one_influence(system) == pytest.approx(expected,
                                                              abs=1e-11)
+
+
+def test_max_all_to_one_reads_every_vertex_from_one_table(monkeypatch):
+    # one log-weight table serves every vertex, and each vertex's sum is
+    # the float that all_to_one_influence returns
+    rng = random.Random(1604)
+    built = []
+    log_weights = exact.log_weights
+
+    def counted(system):
+        built.append(system)
+        return log_weights(system)
+
+    for _ in range(12):
+        family = rng.choice(["path", "cycle", "star", "complete-bipartite"])
+        system = instance_family(family, rng.randint(3, 9),
+                                 rng.uniform(0.5, 1.0), rng.uniform(1.2, 3.0),
+                                 rng.uniform(0.2, 1.5))
+        want = max(all_to_one_influence(system, v) for v in range(system.n))
+        monkeypatch.setattr(exact, "log_weights", counted)
+        built.clear()
+        assert max_all_to_one_influence(system) == want
+        assert built == [system]
+        monkeypatch.setattr(exact, "log_weights", log_weights)
 
 
 def test_influence_sweep_edgeless_is_flat_zero():

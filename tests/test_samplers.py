@@ -1141,14 +1141,81 @@ def test_numpy_spins_past_bit_63_convert_exactly():
 
 def test_site_memo_stays_bounded():
     # a star: the centre's 2^11 neighbour patterns exceed the memo bound and
-    # are computed on every lookup; each leaf memoises at most 2 patterns
+    # are computed on every lookup, so its memo stays empty; each leaf
+    # memoises at most 2 patterns
     n = 12
     star = TwoSpinSystem.from_params(
         n, [0.9] * n, [(0, v, 0.9, 1.6) for v in range(1, n)])
     kernel = samplers._compile(star, GLAUBER)
     for _ in samplers._run(kernel, ((1 << n) - 1, 0), RandomSource(5), 20000):
         pass
-    assert isinstance(kernel.sites[0][1], samplers._Direct)
+    assert len(kernel.sites[0][1]) == 0
     for v in range(1, n):
         table = kernel.sites[v][1]
         assert isinstance(table, samplers._Memo) and 1 <= len(table) <= 2
+
+
+def _route_calls(monkeypatch):
+    """Counts of the `_lockstep`, `_run` and `_Kernel.update` calls made
+    from here on."""
+    calls = dict.fromkeys(("_lockstep", "_run", "update"), 0)
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("_lockstep", "_run"):
+        monkeypatch.setattr(samplers, name, spy(name, getattr(samplers, name)))
+    monkeypatch.setattr(samplers._Kernel, "update",
+                        spy("update", samplers._Kernel.update))
+    return calls
+
+
+def _tour_graph(rng, family, n):
+    """Edges of a mixing-tour-style graph: path, cycle, random tree or a
+    connected G(n, 2.5/(n-1))."""
+    if family == "path":
+        return [(v, v + 1) for v in range(n - 1)]
+    if family == "cycle":
+        return [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
+    if family == "tree":
+        return [(rng.randrange(v), v) for v in range(1, n)]
+    return harness.random_connected_graph(
+        np.random.default_rng(rng.randrange(2 ** 32)), n, 2.5 / (n - 1))
+
+
+def test_coupling_times_take_the_lockstep_only_where_every_block_vectorises(
+        monkeypatch):
+    rng = random.Random(1606)
+    seeds = [rng.randrange(2 ** 40) for _ in range(6)]
+    tours = []
+    for family in ("path", "cycle", "tree", "gnp"):
+        for n in (8, 9, 10):
+            tours.append(to_system((n, [rng.uniform(0.8, 1.2)] * n,
+                                    ora.random_ferro_params(
+                                        rng, _tour_graph(rng, family, n)))))
+    path = to_system((6, [0.9] * 6, ora.random_ferro_params(
+        rng, [(v, v + 1) for v in range(5)])))
+    star = to_system((10, [0.9] * 10, ora.random_ferro_params(
+        rng, [(0, v) for v in range(1, 10)])))
+    routes = [(system, GLAUBER, "_lockstep") for system in tours]
+    routes += [(path, UpdateSchedule(kind="heat-bath-block",
+                                     blocks=((0, 1), (2,), (3, 5), (4,))),
+                "_run"),
+               (star, GLAUBER, "_run")]
+    for system, sched, route in routes:
+        want = [ora.chain_coupling_time(system, sched, s, 300) for s in seeds]
+        calls = _route_calls(monkeypatch)
+        assert coupling_times(system, sched, seeds, 300) == want
+        assert calls["_lockstep"] == (route == "_lockstep")
+        assert calls["_run"] == (len(seeds) if route == "_run" else 0)
+        if route == "_lockstep":
+            assert calls["update"] == 0
+        # every source of a batch is built before its first step
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(InputError, match="seed must lie"):
+            coupling_times(system, sched, seeds + [2 ** 128], 300)
+        assert calls == dict.fromkeys(calls, 0)
+        monkeypatch.undo()
