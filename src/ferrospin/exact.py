@@ -12,7 +12,12 @@ system (`log_weights`, viewed as n 0/1 axes): a pinning indexes its axes,
 so a sum runs over the free vertices only, and each pinned slice is shifted
 by its own maximum, so a pin of tiny mass keeps its digits.  An influence
 reads each pin's half of the same table, and `regions` reduces one table of
-a region's induced subsystem onto (centre, boundary).
+a region's induced subsystem onto (centre, boundary).  A Gibbs table is
+normalised by a numpy log-sum-exp with the max terms separated
+(`_logsumexp`; Blanchard, Higham and Higham, IMA J. Numer. Anal. 2021),
+step for step the route of scipy's `special.logsumexp` that it replaced,
+so every table and log partition function keeps its bits and the package
+imports numpy only.
 
 Every transition matrix is built from one operator, the heat bath on a
 block B (resample the spins of B from their conditional given the rest;
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import constants
 from .errors import CapacityError, InputError, NonconvergenceError, NumericError
@@ -138,14 +142,37 @@ def _weights(system: TwoSpinSystem) -> np.ndarray:
     return np.exp(log_weights(system)[0])
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float array in the steps of scipy 1.17's
+    `special.logsumexp`, so it returns the same bits: the m entries at the
+    max enter as log(m), the rest, scaled by exp(-max), through log1p; an
+    infinite or NaN result falls back to the direct log(sum(exp(a))), as
+    there."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, keepdims=True, dtype=a.dtype)
+        rest = np.where(at_max, -np.inf, a)
+        s = np.sum(np.exp(rest - a_max), keepdims=True, dtype=a.dtype)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return float(out[0])
+
+
 def _distribution(n: int, logw: np.ndarray, shift: float) -> DistributionTable:
-    log_z = float(logsumexp(logw))
+    log_z = _logsumexp(logw)
     return DistributionTable(n=n, probs=np.exp(logw - log_z),
                              log_z=log_z + shift)
 
 
 def gibbs_distribution(system: TwoSpinSystem) -> DistributionTable:
-    """probs[sigma] = weight(sigma) / Z via log-sum-exp."""
+    """probs[sigma] = weight(sigma) / Z, with log Z by a log-sum-exp of the
+    `log_weights` table that separates its max terms (Blanchard, Higham and
+    Higham, "Accurately computing the log-sum-exp and softmax functions",
+    IMA J. Numer. Anal. 2021): bit for bit scipy's `special.logsumexp`,
+    which it replaced, in numpy alone."""
     return _distribution(system.n, *log_weights(system))
 
 

@@ -21,7 +21,9 @@ the library used before it read every conditional and influence from one
 log-weight table: a numpy bit mask and two scipy `logsumexp` calls per
 pinning, on the package's own `log_weights` table, which they receive as an
 argument (its doubling construction, which builds each edge's terms by
-gathering on the index bits, is kept beside them).
+gathering on the index bits, is kept beside them).  Beside them is the
+normalisation by one scipy `logsumexp`, the reference for the package's
+own numpy log-sum-exp.
 
 The contraction-potential oracles work in mpmath: the roots of
 x log(lambda/x) = c from mpmath's Lambert W at 30 digits, and Phi by
@@ -474,6 +476,13 @@ def gathered_log_weights(system):
         logw = np.concatenate((logw + half0, logw + half1))
     top = float(logw.max())
     return logw - top, shift + top
+
+
+def scipy_distribution(logw, shift):
+    """(probs, log_z) of a `log_weights` table by one scipy `logsumexp`: the
+    route of `exact.gibbs_distribution` before its numpy log-sum-exp."""
+    log_z = float(logsumexp(logw))
+    return np.exp(logw - log_z), log_z + shift
 
 
 def masked_conditional(logw, n, pin, v):

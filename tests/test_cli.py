@@ -413,6 +413,33 @@ def test_the_module_entry_point_keeps_the_exit_contract(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_no_subcommand_loads_scipy(path5, tmp_path):
+    # the library needs numpy only: scipy is a test dependency, and loading
+    # it would cost every process its import time and a second BLAS
+    runs = [["exact", "--instance", str(path5)],
+            ["saw", "--instance", str(path5), "--center", "2"],
+            *(["sample", "--instance", str(path5), "--schedule", schedule,
+               "--steps", "20"] for schedule in cli.SCHEDULE_NAMES),
+            ["region", "--instance", str(path5), "--center", "2",
+             "--d1", "2", "--d2", "3"],
+            ["verify", "--suite", "saw-oracle", "--trials", "2"]]
+    script = (
+        "import json, sys\n"
+        "import ferrospin, ferrospin.cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    out = f'{sys.argv[2]}/out{i}'\n"
+        "    assert ferrospin.cli.main([*argv, '--out', out]) == 0, argv\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_region_single_center_record(path5, tmp_path):
     out = tmp_path / "region.jsonl"
     assert main(["region", "--instance", str(path5), "--center", "2",

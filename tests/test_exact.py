@@ -95,6 +95,47 @@ def test_gibbs_survives_extreme_weights():
     assert table.probs[3] == pytest.approx(1.0)
 
 
+def _extreme_rbm(rng, n):
+    # the weight and bias sets of the rational-arithmetic oracle's RBMs
+    n0 = rng.randint(1, n - 1)
+    w = [[0.0] * n for _ in range(n)]
+    for u in range(n0):
+        for v in range(n0, n):
+            if rng.random() < 0.6:
+                w[u][v] = w[v][u] = rng.choice(
+                    (0.1, 2.0, 1000.0, 1e300, 1e-300))
+    theta = tuple(rng.choice((0.0, 0.1, -0.3, 2.0, 1000.0, -1000.0, 1e300,
+                              -1e300, 1e-300)) for _ in range(n))
+    return rbm_to_two_spin(RbmParams(n0=n0, n1=n - n0,
+                                     interaction=tuple(map(tuple, w)),
+                                     theta=theta))
+
+
+def test_logsumexp_is_bitwise_scipy_on_tables_and_edge_cases():
+    # the numpy log-sum-exp replaced scipy's; every table keeps every bit
+    rng = random.Random(11)
+    systems = [to_system(ora.random_instance(rng, rng.randint(1, 12)))
+               for _ in range(1200)]
+    systems += [_extreme_rbm(rng, rng.randint(2, 12)) for _ in range(800)]
+    for system in systems:
+        logw, shift = log_weights(system)
+        assert exact._logsumexp(logw) == float(ora.logsumexp(logw))
+        probs, log_z = ora.scipy_distribution(logw, shift)
+        mu = gibbs_distribution(system)
+        assert np.array_equal(mu.probs, probs) and mu.log_z == log_z
+    inf = math.inf
+    for a in ([0.0, -1.5, 0.0, 0.0, -3.0],  # ties at the max
+              [-inf, 2.0, -inf, -7.25],
+              [4.5],
+              [0.0, -745.5, -800.0, -1e300],  # exp underflows to 0
+              [-inf, 3.0, -inf, 3.0, -inf],  # the tied max and nothing else
+              [1e308, 1e308, 1e308],  # log(m) at the top of the float range
+              [-inf, -inf],  # nothing: log 0
+              [inf, 0.0]):
+        a = np.array(a)
+        assert exact._logsumexp(a) == float(ora.logsumexp(a)), a
+
+
 def test_gibbs_capacity():
     big = TwoSpinSystem.from_params(constants.VECTOR_LIMIT + 1,
                                     [1.0] * (constants.VECTOR_LIMIT + 1), [])

@@ -1,11 +1,17 @@
 """The package's export list matches what it imports, every constant in
-`constants.py` is read somewhere in the package, and every defaulted
-parameter of a public function is passed by some call."""
+`constants.py` is read somewhere in the package, every defaulted
+parameter of a public function is passed by some call, and the package
+imports exactly its declared runtime dependencies beside the standard
+library."""
 
 import ast
 import math
 import pathlib
+import re
+import sys
 import types
+
+import pytest
 
 import ferrospin
 
@@ -94,3 +100,22 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                                  or None in keywords
                                  for positional, keywords in calls)]
     assert not never, never
+
+
+def test_imports_are_exactly_the_declared_dependencies():
+    # pyproject.toml and the code must not drift apart: every third-party
+    # package the source imports is declared, and every declared one is used
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", d)[0] for d in project["dependencies"]}
+    imported = set()
+    for path in (root / "src" / "ferrospin").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"ferrospin"}
+    assert third_party <= declared, sorted(third_party - declared)
+    assert declared <= third_party, sorted(declared - third_party)
