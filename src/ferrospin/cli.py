@@ -281,8 +281,7 @@ def _write_report(report: MixingReport, out: str | None) -> int:
 
 def cmd_verify(args) -> int:
     config = ExperimentConfig(seed=args.seed, eps=args.eps,
-                              trials=args.trials, max_n=args.max_n,
-                              lambda_frac=args.lambda_frac)
+                              trials=args.trials, max_n=args.max_n)
     return _write_report(run_suite(args.suite, config), args.out)
 
 
@@ -372,8 +371,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--eps", type=float, default=constants.DEFAULT_EPS)
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    p.add_argument("--lambda-frac", dest="lambda_frac", type=float,
-                   default=0.9)
     p.set_defaults(func=cmd_verify)
 
     p = registry["sweep"] = sub.add_parser(

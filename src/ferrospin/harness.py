@@ -71,7 +71,6 @@ class ExperimentConfig:
     eps: float = constants.DEFAULT_EPS
     trials: int = 40
     max_n: int = 6
-    lambda_frac: float = 0.9  # field level as a fraction of the threshold
 
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
@@ -80,9 +79,6 @@ class ExperimentConfig:
             raise InputError("trials must be positive")
         if self.max_n < 2:
             raise InputError("max_n must be at least 2")
-        if not (0.0 < self.lambda_frac < 1.0):
-            raise InputError(
-                f"lambda_frac must lie in (0, 1), got {self.lambda_frac}")
 
 
 @dataclass(frozen=True)
@@ -704,7 +700,7 @@ def _suite_potential(cfg: ExperimentConfig) -> list[ReportRow]:
         for gamma in (2.0, 3.5):
             lc = lambda_c(ParamClass(beta=beta, gamma=gamma,
                                      lambda_bound=1.0))
-            for frac in (0.3, cfg.lambda_frac):
+            for frac in (0.3, 0.9):
                 pc = ParamClass(beta=beta, gamma=gamma,
                                 lambda_bound=frac * lc)
                 pp = derive_potential(pc)

@@ -441,6 +441,16 @@ def rbm_to_two_spin(params: RbmParams) -> TwoSpinSystem:
 # ---------------------------------------------------------------------------
 # file formats
 
+def _json_int(doc: dict, key: str, record: int | None = None) -> int:
+    """doc[key] if a JSON integer; else an input error naming the field (and
+    its edge record) and the value, which int() would truncate (3.9, True)."""
+    value = doc[key]
+    if type(value) is not int:
+        where = "" if record is None else f"edge record {record} "
+        raise InputError(f'{where}"{key}" must be a JSON integer, got {value!r}')
+    return value
+
+
 def load_instance(path: str) -> TwoSpinSystem:
     """Instance JSON: {"n": int, "lambda": [..], "edges": [{"u","v","beta","gamma"}..]}."""
     try:
@@ -453,7 +463,7 @@ def load_instance(path: str) -> TwoSpinSystem:
     if not isinstance(doc, dict):
         raise InputError("instance document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = _json_int(doc, "n")
         lam = [float(x) for x in doc["lambda"]]
         raw_edges = doc["edges"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -463,7 +473,7 @@ def load_instance(path: str) -> TwoSpinSystem:
     edges = []
     for i, rec in enumerate(raw_edges):
         try:
-            edges.append((int(rec["u"]), int(rec["v"]),
+            edges.append((_json_int(rec, "u", i), _json_int(rec, "v", i),
                           float(rec["beta"]), float(rec["gamma"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"edge record {i} malformed: {exc}") from exc
@@ -480,7 +490,7 @@ def load_rbm(path: str) -> RbmParams:
     except json.JSONDecodeError as exc:
         raise InputError(f"RBM file {path} is not valid JSON: {exc}") from exc
     try:
-        n0, n1 = int(doc["n0"]), int(doc["n1"])
+        n0, n1 = _json_int(doc, "n0"), _json_int(doc, "n1")
         w = tuple(tuple(float(x) for x in row) for row in doc["W"])
         theta = tuple(float(x) for x in doc["theta"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -18,10 +18,10 @@ spin-1 leaf (x = 0) exactly -log gamma_i.  A per-vertex table, built once
 per call, holds each neighbour's edge, its pinned leaf term (or None), log
 beta_e and -log gamma_e, so a walk reads its leaf terms without a lookup
 per neighbour, and `_fold`, the module's one log-space edge factor, folds
-every finished subtree into its parent.  `evaluate_ratios` runs it in
-linear scale on a tree `build_saw_tree` stored, with ratio pins, or with the
-spins `pin_saw_tree` attaches, which `prune_pinned_leaves` can fold into
-their parents' fields.
+every finished subtree into its parent.  `evaluate_ratios` folds log R the
+same way, bottom-up over a tree `build_saw_tree` stored, with ratio pins, or
+with the spins `pin_saw_tree` attaches, which `prune_pinned_leaves` can fold
+into their parents' fields.
 
 The second half of the module builds the contraction potential for a
 parameter class: the edge functions g, the threshold x0, the exponent alpha,
@@ -223,8 +223,7 @@ def prune_pinned_leaves(tree: SawTree,
         u = max(log_fields, key=log_fields.get)
         raise NumericError(
             f"node {u} (vertex {tree.preimage[u]}): field = exp("
-            f"{log_fields[u]!r}) overflows the linear-scale walk-tree "
-            f"recursion") from None
+            f"{log_fields[u]!r}) overflows the float range") from None
 
 
 def tree_recursion_step(lambda_u: float,
@@ -245,70 +244,62 @@ def tree_recursion_step(lambda_u: float,
     return out
 
 
+def _log_ratio(val: float, what: str, u: int) -> float:
+    """log of a ratio or field in [0, inf] at node u; -inf at 0."""
+    if not (val >= 0.0):  # rejects nan and negatives
+        raise InputError(f"{what} at node {u} must be in [0, inf]")
+    return math.log(val) if val > 0.0 else -math.inf
+
+
 def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
                     ratio_pin: dict[int, float] | None = None,
                     fields: dict[int, float] | None = None) -> dict[int, float]:
-    """Bottom-up ratio at every evaluated node.
+    """Bottom-up ratio at every evaluated node, folded on log R.
 
     `ratio_pin` pins nodes to ratio values in [0, inf] (their subtrees are
     skipped); spin pinnings on the tree give ratio inf for spin 0 and 0 for
-    spin 1; `fields` overrides per-node lambda.
+    spin 1; `fields` overrides per-node lambda.  A pinned node comes back as
+    its pin exactly.  A child at ratio inf adds exactly log beta_e, one at 0
+    exactly -log gamma_e, and `_fold` folds in any other.  A ratio past the
+    float range on the way out raises NumericError naming the node, its
+    vertex and log R.
     """
-    ratio_pin = ratio_pin or {}
+    # spin 0 is ratio inf, spin 1 ratio 0; a ratio pin wins over a spin
+    pins = {u: math.inf if s == 0 else 0.0
+            for u, s in tree.pinned_spin.items()} | (ratio_pin or {})
     fields = fields or {}
-    # forward pass: nodes strictly below a pinned node are never evaluated
-    active = [False] * len(tree)
-    active[0] = True
-    for u in range(1, len(tree)):
-        par = tree.parent[u]
-        active[u] = (active[par] and par not in ratio_pin
-                     and par not in tree.pinned_spin)
+    lb, lg = system.log_beta, system.log_gamma
+    # nodes below a pin are never evaluated; parents come before children
+    order = [0]
+    for u in order:
+        if u not in pins:
+            order.extend(tree.children[u])
     R: dict[int, float] = {}
-    for u in range(len(tree) - 1, -1, -1):
-        if not active[u]:
+    log_r: dict[int, float] = {}
+    for u in reversed(order):
+        if u in pins:
+            R[u], log_r[u] = pins[u], _log_ratio(pins[u], "pinned ratio", u)
             continue
-        if u in ratio_pin:
-            val = ratio_pin[u]
-            if not (val >= 0.0):  # rejects nan and negatives
-                raise InputError(f"pinned ratio at node {u} must be in [0, inf]")
-            R[u] = val
-            continue
-        if u in tree.pinned_spin:
-            R[u] = math.inf if tree.pinned_spin[u] == 0 else 0.0
-            continue
+        acc = [_log_ratio(fields[u], "field", u) if u in fields
+               else system.log_lambda[tree.preimage[u]]]
+        via = [-1]
+        for c in tree.children[u]:
+            x, e = log_r[c], tree.edge_to_parent[c]
+            if x == math.inf:
+                acc[0] += lb[e]
+            elif x == -math.inf:
+                acc[0] -= lg[e]
+            else:
+                acc.append(x)
+                via.append(e)
+                _fold(acc, via, 1, lb, lg)
+        log_r[u] = acc[0]
         try:
-            lam_u = fields.get(u, system.lam(tree.preimage[u]))
+            R[u] = math.exp(acc[0])
         except OverflowError:
-            v = tree.preimage[u]
             raise NumericError(
-                f"vertex {v}: lambda = exp({system.log_lambda[v]!r}) "
-                f"overflows the linear-scale walk-tree recursion") from None
-        if tree.is_leaf(u):
-            R[u] = lam_u
-            continue
-        params = []
-        ratios = []
-        try:
-            for c in tree.children[u]:
-                e = tree.edge_to_parent[c]
-                params.append((system.beta(e), system.gamma(e)))
-                ratios.append(R[c])
-        except OverflowError:
-            a, b = system.edges[e]
-            name, x = max(("beta", system.log_beta[e]),
-                          ("gamma", system.log_gamma[e]), key=lambda t: t[1])
-            raise NumericError(
-                f"edge {e} ({a},{b}): {name} = exp({x!r}) overflows the "
-                f"linear-scale walk-tree recursion") from None
-        try:
-            R[u] = tree_recursion_step(lam_u, params, ratios)
-        except ZeroDivisionError:  # a ratio-0 child over an underflowed gamma
-            e = next(tree.edge_to_parent[c] for c, (_, g), x in
-                     zip(tree.children[u], params, ratios) if g == x == 0.0)
-            a, b = system.edges[e]
-            raise NumericError(
-                f"edge {e} ({a},{b}): gamma = exp({system.log_gamma[e]!r}) "
-                f"underflows the linear-scale walk-tree recursion") from None
+                f"node {u} (vertex {tree.preimage[u]}): ratio = exp("
+                f"{acc[0]!r}) overflows the float range") from None
     return R
 
 

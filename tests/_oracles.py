@@ -9,6 +9,11 @@ Conventions: a system is (n, lam, edges) with lam a list of per-vertex
 fields and edges a list of (u, v, beta, gamma) tuples; a configuration is a
 tuple of n ints in {0, 1}.
 
+The linear walk-tree recursion, `evaluate_ratios`, is the library's own
+route as it stood before it folded log R: it reads the package's stored tree
+and system, multiplies `tree_recursion_step` factors in linear scale, and
+raises the package's errors where a factor leaves the float range.
+
 One exception is the multiplicative reversiblization, a dense matrix
 product on numpy arrays.  The other is the reference chain at the end: the
 samplers' step as it was before the compiled kernel, on configuration
@@ -39,6 +44,9 @@ import random
 import mpmath as mp
 import numpy as np
 from scipy.special import logsumexp
+
+from ferrospin.errors import InputError, NumericError
+from ferrospin.sawtree import tree_recursion_step
 
 
 def all_configs(n):
@@ -444,6 +452,74 @@ def verify_tree_invariants(tree, system):
         elif not (tree.boundary_copy[u] or tree.cycle_closing[u]):
             assert (g_deg == 1 and tree.parent[u] >= 0) or g_deg == 0, (
                 f"node {u}: unexplained leaf (degree {g_deg})")
+
+
+def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
+                    ratio_pin: dict[int, float] | None = None,
+                    fields: dict[int, float] | None = None) -> dict[int, float]:
+    """Bottom-up ratio at every evaluated node, in linear scale: the
+    library's recursion before it folded log R, kept as the reference.
+
+    `ratio_pin` pins nodes to ratio values in [0, inf] (their subtrees are
+    skipped); spin pinnings on the tree give ratio inf for spin 0 and 0 for
+    spin 1; `fields` overrides per-node lambda.
+    """
+    ratio_pin = ratio_pin or {}
+    fields = fields or {}
+    # forward pass: nodes strictly below a pinned node are never evaluated
+    active = [False] * len(tree)
+    active[0] = True
+    for u in range(1, len(tree)):
+        par = tree.parent[u]
+        active[u] = (active[par] and par not in ratio_pin
+                     and par not in tree.pinned_spin)
+    R: dict[int, float] = {}
+    for u in range(len(tree) - 1, -1, -1):
+        if not active[u]:
+            continue
+        if u in ratio_pin:
+            val = ratio_pin[u]
+            if not (val >= 0.0):  # rejects nan and negatives
+                raise InputError(f"pinned ratio at node {u} must be in [0, inf]")
+            R[u] = val
+            continue
+        if u in tree.pinned_spin:
+            R[u] = math.inf if tree.pinned_spin[u] == 0 else 0.0
+            continue
+        try:
+            lam_u = fields.get(u, system.lam(tree.preimage[u]))
+        except OverflowError:
+            v = tree.preimage[u]
+            raise NumericError(
+                f"vertex {v}: lambda = exp({system.log_lambda[v]!r}) "
+                f"overflows the linear-scale walk-tree recursion") from None
+        if tree.is_leaf(u):
+            R[u] = lam_u
+            continue
+        params = []
+        ratios = []
+        try:
+            for c in tree.children[u]:
+                e = tree.edge_to_parent[c]
+                params.append((system.beta(e), system.gamma(e)))
+                ratios.append(R[c])
+        except OverflowError:
+            a, b = system.edges[e]
+            name, x = max(("beta", system.log_beta[e]),
+                          ("gamma", system.log_gamma[e]), key=lambda t: t[1])
+            raise NumericError(
+                f"edge {e} ({a},{b}): {name} = exp({x!r}) overflows the "
+                f"linear-scale walk-tree recursion") from None
+        try:
+            R[u] = tree_recursion_step(lam_u, params, ratios)
+        except ZeroDivisionError:  # a ratio-0 child over an underflowed gamma
+            e = next(tree.edge_to_parent[c] for c, (_, g), x in
+                     zip(tree.children[u], params, ratios) if g == x == 0.0)
+            a, b = system.edges[e]
+            raise NumericError(
+                f"edge {e} ({a},{b}): gamma = exp({system.log_gamma[e]!r}) "
+                f"underflows the linear-scale walk-tree recursion") from None
+    return R
 
 
 # ---------------------------------------------------------------------------

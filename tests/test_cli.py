@@ -62,6 +62,23 @@ def test_missing_instance_file_names_the_path(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, doc", [
+    ("--instance", {"n": 3.9, "lambda": [1.0, 1.0, 1.0],
+                    "edges": [{"u": 0.7, "v": 1.2, "beta": 1.0,
+                               "gamma": 2.0}]}),
+    ("--rbm", {"n0": 1.5, "n1": 1, "W": [[0, 0.5], [0.5, 0]],
+               "theta": [0.1, 0.2]})])
+def test_non_integer_counts_exit_one(tmp_path, flag, doc):
+    # the loaders read counts and indices as JSON integers, never truncated
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_main(["exact", flag, str(path)])
+    assert code == 1
+    assert err.splitlines() == [
+        f'error: "{"n" if flag == "--instance" else "n0"}" must be a JSON '
+        f'integer, got {doc.get("n", doc.get("n0"))!r}']
+
+
 def test_alternating_scan_on_non_bipartite_is_input_error(triangle, capsys):
     code = main(["sample", "--instance", str(triangle),
                  "--schedule", "alternating-scan", "--steps", "3"])

@@ -1,8 +1,8 @@
 """The package's export list matches what it imports, every constant in
 `constants.py` is read somewhere in the package, every defaulted
-parameter of a public function is passed by some call, and the package
+parameter of a public function is passed by some call, the package
 imports exactly its declared runtime dependencies beside the standard
-library."""
+library, and the walk-tree layer reads only log parameters."""
 
 import ast
 import math
@@ -119,3 +119,16 @@ def test_imports_are_exactly_the_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"ferrospin"}
     assert third_party <= declared, sorted(third_party - declared)
     assert declared <= third_party, sorted(declared - third_party)
+
+
+def test_walk_tree_layer_reads_only_log_parameters():
+    # the walk-tree recursion and the regions built on it stay in log space:
+    # no call to a system's linear accessors lam, beta or gamma
+    package = pathlib.Path(ferrospin.__file__).parent
+    linear = [f"{name}:{node.lineno} .{node.func.attr}("
+              for name in ("sawtree.py", "regions.py")
+              for node in ast.walk(ast.parse((package / name).read_text()))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("lam", "beta", "gamma")]
+    assert not linear, linear

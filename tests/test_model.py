@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,34 @@ def test_rbm_loader(tmp_path):
     path.write_text(json.dumps(doc))
     p = load_rbm(str(path))
     assert p.n == 2 and p.interaction[0][1] == 0.7
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.9), ("n", 3.0), ("n", True), ("n", "3"), ("u", 0.7),
+    ("v", 1.2), ("u", False)])
+def test_instance_loader_refuses_non_integer_indices(tmp_path, field, value):
+    # int() would truncate "n": 3.9 to 3 and an edge (0.7, 1.2) to (0, 1)
+    doc = {"n": 3, "lambda": [1.0, 0.5, 0.25],
+           "edges": [{"u": 0, "v": 1, "beta": 1.0, "gamma": 2.0}]}
+    (doc if field == "n" else doc["edges"][0])[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    where = "" if field == "n" else "edge record 0 "
+    with pytest.raises(InputError, match=rf'^{where}"{field}" must be a JSON '
+                       rf'integer, got {re.escape(repr(value))}$'):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n0", 1.5), ("n1", 1.0), ("n0", True), ("n1", "1")])
+def test_rbm_loader_refuses_non_integer_counts(tmp_path, field, value):
+    doc = {"n0": 1, "n1": 1, "W": [[0.0, 0.7], [0.7, 0.0]], "theta": [0.0, 0.1]}
+    doc[field] = value
+    path = tmp_path / "rbm.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=rf'^"{field}" must be a JSON '
+                       rf'integer, got {re.escape(repr(value))}$'):
+        load_rbm(str(path))
 
 
 def test_missing_file_is_input_error():

@@ -240,13 +240,23 @@ def test_prune_overflowing_field_is_a_numeric_error():
                         Pinning({v: 0 for v in range(1, 5)}))
     with pytest.raises(NumericError, match=r"node 0 \(vertex 0\)"):
         prune_pinned_leaves(tree, system)
-    with pytest.raises(NumericError, match="vertex 0: lambda"):
+    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\): ratio = "
+                       r"exp\(800\.0\) overflows"):
         evaluate_ratios(tree, system)
+    with pytest.raises(NumericError, match="vertex 0: lambda"):
+        ora.evaluate_ratios(tree, system)
     # spin-1 leaves fold in log space, exp(800 - 800 - 1 - 0.5 - 2)
     one = pin_saw_tree(build_saw_tree(system, 0, {1, 2, 3, 4}),
                        Pinning({1: 1, 2: 1, 3: 1, 4: 1}))
     assert prune_pinned_leaves(one, system)[1] == {
         0: pytest.approx(math.exp(-3.5), rel=1e-12)}
+    # the log fold evaluates the tree whose lambda overflows linear scale
+    with pytest.raises(NumericError, match="vertex 0: lambda"):
+        ora.evaluate_ratios(one, system)
+    r = evaluate_ratios(one, system)[0]
+    assert r == pytest.approx(math.exp(-3.5), rel=1e-12)
+    got = saw_marginal(system, 0, Pinning({1: 1, 2: 1, 3: 1, 4: 1}))
+    assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-15)
 
 
 def test_prune_preserves_root_ratio():
@@ -414,6 +424,42 @@ def test_recursion_step_values():
         tree_recursion_step(1.0, [(1.0, 2.0)], [1.0, 2.0])
 
 
+def test_evaluate_ratios_matches_the_linear_reference():
+    # 320 stored trees on random graphs, n 2-8, random boundaries: ratio pins
+    # from {0, inf, finite}, spin pins through `pin_saw_tree` on every other
+    # tree, and fields.  Every evaluated node agrees with the linear
+    # recursion of the oracles, and every pinned node comes back as its pin.
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(320):
+        n = rng.randint(2, 8)
+        system = to_system(ora.random_instance(rng, n, p=rng.uniform(0, 0.6)))
+        root = rng.randrange(n)
+        boundary = {v for v in range(n) if v != root and rng.random() < 0.3}
+        tree = build_saw_tree(system, root, boundary)
+        if trial % 2:
+            tree = pin_saw_tree(tree, Pinning(
+                {v: rng.randint(0, 1) for v in boundary}))
+        ratio_pin = {u: rng.choice([0.0, math.inf, rng.uniform(0.01, 20.0)])
+                     for u in range(1, len(tree)) if rng.random() < 0.15}
+        fields = {u: rng.uniform(0.01, 3.0) for u in range(len(tree))
+                  if rng.random() < 0.2}
+        got = evaluate_ratios(tree, system, ratio_pin, fields)
+        want = ora.evaluate_ratios(tree, system, ratio_pin, fields)
+        assert got.keys() == want.keys()
+        for u, r in got.items():
+            if u in ratio_pin:
+                assert r == ratio_pin[u]
+                seen.add(("ratio", r if r in (0.0, math.inf) else "finite"))
+            elif u in tree.pinned_spin:
+                assert r == (math.inf if tree.pinned_spin[u] == 0 else 0.0)
+                seen.add(("spin", tree.pinned_spin[u]))
+            else:
+                assert r == pytest.approx(want[u], rel=constants.REL_TOL)
+                seen.add("field" if u in fields else "lambda")
+    assert len(seen) == 7, seen
+
+
 def test_root_ratio_single_node_and_result_range():
     solo = TwoSpinSystem.from_params(1, [0.8], [])
     tree = build_saw_tree(solo, 0)
@@ -471,12 +517,21 @@ def test_rejects_negative_ratio_pin():
 
 
 def test_underflowing_gamma_is_a_numeric_error():
-    # gamma = exp(-1000) underflows to 0, and a ratio-0 child divides by it
+    # gamma = exp(-1000) underflows to 0, and in linear scale a ratio-0 child
+    # divides by it; the log fold adds -log gamma = 1000 and the root ratio
+    # exp(999.9...) overflows on the way out
     system = rbm_to_two_spin(RbmParams(
         n0=1, n1=1, interaction=((0, -1000), (-1000, 0)), theta=(0.1, 0.2)))
     tree = build_saw_tree(system, 0, {1})
-    with pytest.raises(NumericError, match=r"edge 0 \(0,1\): gamma"):
+    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\): ratio = "
+                       r"exp\(999\.9\d*\) overflows"):
         evaluate_ratios(tree, system, ratio_pin={1: 0.0})
+    with pytest.raises(NumericError, match=r"edge 0 \(0,1\): gamma"):
+        ora.evaluate_ratios(tree, system, ratio_pin={1: 0.0})
+    # at ratio inf the same edge adds log beta, and p1 follows saw_marginal
+    r = evaluate_ratios(tree, system, ratio_pin={1: math.inf})[0]
+    assert saw_marginal(system, 0, Pinning({1: 0})).p1 == pytest.approx(
+        1.0 / (1.0 + r), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
