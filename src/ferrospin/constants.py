@@ -18,6 +18,11 @@ SAW_ORACLE_TOL = 1e-9        # saw marginal vs brute force
 # enumeration caps
 VECTOR_LIMIT = 20            # 2^n probability vectors
 MATRIX_LIMIT = 12            # dense 2^n x 2^n transition matrices
+# Glauber lambda_2 by Lanczos from this many states, below it by a full
+# eigvalsh.  Random Glauber kernels, min of 5 runs, 2-core Xeon, 2 BLAS
+# threads: 256 states 4.1 ms eigvalsh against 5.1 ms Lanczos, 512 states
+# 19 against 10 ms, 1024 states 120 against 22 ms.
+LANCZOS_MIN_STATES = 512
 BLOCK_ENUM_LIMIT = 20        # exact conditional resampling of one block
 FIELD_KERNEL_LIMIT = 6       # exact field-dynamics kernel (3^n subset work)
 SAW_DEPTH_CAP = 30           # verify_region: deeper walks mark it partial

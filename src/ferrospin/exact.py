@@ -28,10 +28,16 @@ block's operator and right-multiplies each later one in O(4^n): sum each
 row over the block's off-block sectors, then scale by the column weights.
 
 Mixing times square the kernel until the worst-start distance falls below
-eps, then bisect over the stored powers (the distance is non-increasing in
-t), so they cost about 2 log2(t) dense products.  The spectrum of a scan's
-multiplicative reversiblization Q Q* is taken on the quotient by identical
-rows of Q, a 2^|V1| x 2^|V1| matrix for an alternating scan.
+eps, then bisect over the stored powers (each start's distance is
+non-increasing in t while mu P = mu).  Only the starts whose distance can
+still reach eps are carried: a power is formed in full only while it is
+squared next, and every other product (the last doubling's check and the
+bisection steps) multiplies the kept rows alone.
+The Glauber spectrum is a full eigvalsh below constants.LANCZOS_MIN_STATES
+states and a deflated Lanczos over the kernel's nonzeros from there.  The
+spectrum of a scan's multiplicative reversiblization Q Q* is taken on the
+quotient by identical rows of Q, a 2^|V1| x 2^|V1| matrix for an
+alternating scan.
 
 Configuration indexing: bit v of the integer index is sigma_v.
 """
@@ -62,7 +68,13 @@ class DistributionTable:
             raise InputError("probability vector has wrong length")
         if np.any(self.probs < 0.0):
             raise NumericError("negative probability entry")
-        if abs(float(self.probs.sum()) - 1.0) > constants.PROB_SUM_TOL:
+        total = float(self.probs.sum())
+        # a NaN passes every comparison, but not the sum
+        if not math.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(self.probs))
+            if bad.size:
+                raise NumericError(f"non-finite probability of state {bad[0]}")
+        if abs(total - 1.0) > constants.PROB_SUM_TOL:
             raise NumericError("probabilities do not sum to 1")
         self.probs.setflags(write=False)
 
@@ -81,6 +93,11 @@ class TransitionMatrix:
         if np.any(self.entries < -1e-15):
             raise NumericError("negative transition probability")
         rowsum = self.entries.sum(axis=1)
+        # a NaN passes every comparison, but a non-finite entry makes its
+        # row sum non-finite
+        for r in np.flatnonzero(~np.isfinite(rowsum)):
+            if not np.isfinite(self.entries[r]).all():
+                raise NumericError(f"non-finite transition probability in row {r}")
         if float(np.abs(rowsum - 1.0).max()) > constants.PROB_SUM_TOL:
             raise NumericError("rows do not sum to 1")
         self.entries.setflags(write=False)
@@ -445,6 +462,75 @@ def _checked_eigvalsh(S: np.ndarray, what: str) -> np.ndarray:
     return eigs
 
 
+_RITZ_CHECK_STEPS = 8  # Lanczos steps between residual checks
+
+
+def _lanczos_lambda2(P: np.ndarray, d: np.ndarray) -> float:
+    """lambda_2 of a reversible chain P with stationary law d^2, by Lanczos
+    (Paige 1972; Parlett, The Symmetric Eigenvalue Problem, 1998) on
+    A = (S + S^T)/2, S = D^(1/2) P D^(-1/2), the matrix that
+    `_checked_eigvalsh` diagonalizes.
+
+    A product with A runs over the nonzeros of P (n + 1 per row for
+    Glauber).  A's top eigenvector d is deflated explicitly: every Lanczos
+    vector is orthogonalized twice against d and all earlier vectors, so
+    the top Ritz value converges to lambda_2, which stays 1 for a reducible
+    chain.  The start vector has a fixed seed, so a rerun repeats every
+    bit.  The loop stops when the top Ritz pair's residual bound
+    beta_k |s_k| is at most 1e-13, or when the Krylov space is exhausted,
+    where the Ritz values are exact.  The guards are those of
+    `_checked_eigvalsh`: S symmetric to 1e-8 over all entries (the entries
+    off P's nonzeros are 0 on both sides), A d = d to 1e-8, and no Ritz
+    value above 1 + 1e-8."""
+    size = d.size
+    flat = np.flatnonzero(P != 0.0)
+    row, col = np.divmod(flat, size)
+    s = d[row] * P.ravel()[flat] / d[col]
+    asym = float(np.abs(s - d[col] * P[col, row] / d[row]).max())
+    if asym > 1e-8:
+        raise NumericError(
+            f"glauber chain: not reversible (symmetrization residual {asym:.3e})")
+    # A x = (S x + S^T x) / 2, both orientations of the nonzeros in one pass
+    dst = np.concatenate((row, col))
+    src = np.concatenate((col, row))
+    half = 0.5 * np.concatenate((s, s))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.bincount(dst, weights=half * x[src], minlength=size)
+
+    drift = float(np.abs(apply(d) - d).max())
+    if drift > 1e-8:
+        raise NumericError(
+            f"glauber chain: top eigenvalue is not 1 (sqrt(mu) moves by {drift:.3e})")
+    # rows: d, then the Lanczos vectors; only the rows used are touched
+    basis = np.empty((size, size))
+    basis[0] = d / np.linalg.norm(d)
+    q = np.random.default_rng(0).standard_normal(size)
+    q -= (basis[0] @ q) * basis[0]
+    alpha: list[float] = []
+    beta = [float(np.linalg.norm(q))]
+
+    def ritz() -> tuple[np.ndarray, np.ndarray]:
+        off = beta[1:-1]
+        return np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+
+    for k in range(1, size):
+        basis[k] = q / beta[-1]
+        q = apply(basis[k])
+        alpha.append(float(basis[k] @ q))
+        for _ in range(2):
+            q -= (basis[:k + 1] @ q) @ basis[:k + 1]
+        beta.append(float(np.linalg.norm(q)))
+        if beta[-1] <= 1e-13 or k == size - 1:
+            break
+        if k % _RITZ_CHECK_STEPS == 0 and beta[-1] * abs(ritz()[1][-1, -1]) <= 1e-13:
+            break
+    top = float(ritz()[0][-1])
+    if top > 1.0 + 1e-8:
+        raise NumericError(f"glauber chain: top eigenvalue {top!r} is not 1")
+    return top
+
+
 def _reversiblization_eigs(Q: TransitionMatrix,
                            mu: DistributionTable) -> np.ndarray:
     """Nonzero spectrum of R(Q) = Q Q* on the quotient by identical rows.
@@ -455,9 +541,7 @@ def _reversiblization_eigs(Q: TransitionMatrix,
     G = diag(mu-mass of each class); the other 2^n - k eigenvalues are 0.
     An alternating scan's rows depend only on the second block's spins."""
     p = mu.probs
-    if np.any(p <= 0.0):
-        raise InputError("reversiblization needs a strictly positive measure")
-    drift = stationarity_residual(Q, mu)  # checks the sizes
+    drift = stationarity_residual(Q, mu)
     if not drift <= constants.STATIONARITY_TOL:
         raise NumericError(
             f"reversiblization: mu is not stationary (residual {drift:.3e})")
@@ -474,35 +558,44 @@ def _reversiblization_eigs(Q: TransitionMatrix,
 
 def spectral_report(P: TransitionMatrix, mu: DistributionTable,
                     kind: str) -> SpectralReport:
-    """Spectral gap and relaxation time.
+    """Spectral gap and relaxation time; mu must be strictly positive.
 
-    kind="glauber": reversible chain; gap = 1 - lambda_2(P), relaxation = 1/gap.
+    kind="glauber": reversible chain; gap = 1 - lambda_2(P), relaxation =
+    1/gap.  lambda_2 comes from a full eigvalsh of D^(1/2) P D^(-1/2) below
+    constants.LANCZOS_MIN_STATES states, and from Lanczos over the nonzeros
+    of P, deflated by sqrt(mu), at or above it (`_lanczos_lambda2`).
     kind="alternating_scan": P is the (non-reversible) scan kernel Q, with mu
     stationary; the gap is computed on R(Q) = Q Q*, through its quotient by
     identical rows of Q, and the relaxation time is
     1 / (1 - sqrt(lambda_2(R))).
     """
+    if kind not in ("glauber", "alternating_scan"):
+        raise InputError(f"unknown spectral report kind {kind!r}")
+    if P.n != mu.n:
+        raise InputError("size mismatch")
+    if np.any(mu.probs <= 0.0):
+        raise InputError("spectral report needs a strictly positive measure")
     if kind == "glauber":
         d = np.sqrt(mu.probs)
-        eigs = _checked_eigvalsh((d[:, None] * P.entries) / d[None, :],
-                                 "glauber chain")
-        lam2 = float(eigs[-2])
+        if d.size >= constants.LANCZOS_MIN_STATES:
+            lam2 = _lanczos_lambda2(P.entries, d)
+        else:
+            lam2 = float(_checked_eigvalsh(
+                (d[:, None] * P.entries) / d[None, :], "glauber chain")[-2])
         gap = 1.0 - lam2
         relax = math.inf if gap <= 0.0 else 1.0 / gap
         return SpectralReport(kind=kind, gap=gap,
                               second_eigenvalue=lam2, relaxation_time=relax)
-    if kind == "alternating_scan":
-        eigs = _reversiblization_eigs(P, mu)
-        if eigs[0] < -1e-9:
-            raise NumericError(
-                f"reversiblization has negative eigenvalue {eigs[0]!r}")
-        lam2 = min(max(float(eigs[-2]) if eigs.size > 1 else 0.0, 0.0), 1.0)
-        gap = 1.0 - lam2
-        root = math.sqrt(lam2)
-        relax = math.inf if root >= 1.0 else 1.0 / (1.0 - root)
-        return SpectralReport(kind=kind, gap=gap,
-                              second_eigenvalue=lam2, relaxation_time=relax)
-    raise InputError(f"unknown spectral report kind {kind!r}")
+    eigs = _reversiblization_eigs(P, mu)
+    if eigs[0] < -1e-9:
+        raise NumericError(
+            f"reversiblization has negative eigenvalue {eigs[0]!r}")
+    lam2 = min(max(float(eigs[-2]) if eigs.size > 1 else 0.0, 0.0), 1.0)
+    gap = 1.0 - lam2
+    root = math.sqrt(lam2)
+    relax = math.inf if root >= 1.0 else 1.0 / (1.0 - root)
+    return SpectralReport(kind=kind, gap=gap,
+                          second_eigenvalue=lam2, relaxation_time=relax)
 
 
 def stationarity_residual(P: TransitionMatrix, mu: DistributionTable) -> float:
@@ -526,6 +619,8 @@ def detailed_balance_residual(P: TransitionMatrix, mu: DistributionTable) -> flo
 def tv_from_start(P: TransitionMatrix, mu: DistributionTable,
                   start: int, steps: int) -> float:
     """TV(P^steps(start, .), mu) by vector powering from one start state."""
+    if P.n != mu.n:
+        raise InputError("size mismatch")
     if not (0 <= start < 2 ** P.n):
         raise InputError("start state out of range")
     nu = np.zeros(2 ** P.n)
@@ -539,60 +634,102 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
                       cap: int = constants.MIXING_STEP_CAP) -> int:
     """min t <= cap with max-over-starts TV(P^t(s,.), mu) < eps.
 
-    The worst-start TV d(t) is non-increasing in t, because P^(t+1)(s,.) - mu
-    = sum_y P(s,y) (P^t(y,.) - mu).  So P is squared until d(2^k) < eps or
-    2^(k+1) would pass the cap, and t is then found by bisection over the
-    stored powers P^(2^j): about 2 log2(t) products instead of t."""
-    return _mixing_search(P, mu, eps, cap)[0]
+    Each start's TV d_s(t) is non-increasing in t when mu P = mu, because
+    P^(t+1)(s,.) - mu = (P^t(s,.) - mu) P (Levin, Peres and Wilmer, Markov
+    Chains and Mixing Times, 4.4); with a residual r = mu P - mu it rises by
+    at most |r|_1 / 2 per step.  A mu whose residual exceeds
+    constants.STATIONARITY_TOL is refused.  P is squared until
+    d(2^k) = max_s d_s(2^k) < eps or 2^(k+1) would pass the cap, and t is
+    then found by bisection over the stored powers P^(2^j).
 
-
-def _mixing_time_and_distance(P: TransitionMatrix, mu: DistributionTable,
-                              eps: float, cap: int) -> tuple[int, float]:
-    """(t, d(t)) for t = exact_mixing_time(P, mu, eps, cap): one product
-    more than the search, on its last stored power."""
-    t, low = _mixing_search(P, mu, eps, cap)
-    return t, _worst_tv(P.entries if low is None else low @ P.entries, mu)
-
-
-def _worst_tv(M: np.ndarray, mu: DistributionTable) -> float:
-    dev = M - mu.probs[None, :]
-    np.abs(dev, out=dev)
-    return 0.5 * float(dev.sum(axis=1).max())
-
-
-def _mixing_search(P: TransitionMatrix, mu: DistributionTable, eps: float,
-                   cap: int) -> tuple[int, np.ndarray | None]:
-    """exact_mixing_time's search: t and P^(t-1) (None when t = 1)."""
+    Only the kept starts are carried: those whose distance, plus the most
+    the residual lets it rise by the last time still to be tested, is still
+    at least eps; a start that is dropped stays below eps at every later
+    tested time, so t is that of the search over every start.  A power is
+    formed in full only while it is squared next, since every later product
+    multiplies by it on the right; every other product, the check of the
+    last doubling and the bisection steps, multiplies only the kept rows."""
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
+    drift = stationarity_residual(P, mu)  # checks the sizes
+    if not drift <= constants.STATIONARITY_TOL:
+        raise NumericError(
+            f"mixing time: mu is not stationary (residual {drift:.3e})")
 
     def capped(residual: float) -> NonconvergenceError:
         return NonconvergenceError(
             f"mixing time exceeded cap {cap} (last TV {residual:.3e})",
             steps=cap, residual=residual)
 
+    def kept(low, d, rows, steps):
+        """The rows whose distance can still reach eps within `steps` more
+        steps."""
+        keep = d + 0.5 * drift * steps >= eps
+        if keep.all():
+            return low, d, rows
+        return low[keep], d[keep], rows[keep]
+
     if cap < 1:
         raise capped(math.inf)
-    powers = [P.entries]  # powers[j] = P^(2^j)
-    tv = _worst_tv(P.entries, mu)
-    while tv >= eps and 2 ** len(powers) <= cap:
-        powers.append(powers[-1] @ powers[-1])
-        tv = _worst_tv(powers[-1], mu)
-    if tv < eps:
-        if len(powers) == 1:
-            return 1, None
-        powers.pop()
+    size = P.entries.shape[0]
+    powers = [P.entries]  # powers[j] = P^(2^j), in full
+    # low holds the kept rows of P^lo, rows their starts, d their distances
+    low, rows, lo = P.entries, np.arange(size), 1
+    d = _row_tvs(low, mu)
+    if d.max() < eps:
+        return 1
+    while 2 * lo <= cap:
+        low, d, rows = kept(low, d, rows, cap - lo)
+        M = low @ powers[-1]  # the kept rows of P^(2 lo)
+        dM = _row_tvs(M, mu)
+        if dM.max() < eps:
+            break
+        if 4 * lo <= cap:  # P^(2 lo) is squared next: form it in full
+            powers.append(M if M.shape[0] == size
+                          else _other_rows_squared(powers[-1], M, rows))
+        low, d, lo = M, dM, 2 * lo
+    M = dM = None  # the last doubling's check
     # d(lo) >= eps, and d(2 lo) < eps or 2 lo > cap: add lo's lower bits
     # from the top down, keeping lo the last step with d >= eps
-    lo = 2 ** (len(powers) - 1)
-    low = powers.pop()
+    del powers[lo.bit_length() - 1:]
     for j in range(len(powers) - 1, -1, -1):
         step = powers.pop()
-        if lo + 2 ** j <= cap:
-            M = low @ step
-            if _worst_tv(M, mu) >= eps:
-                low, lo = M, lo + 2 ** j
-            del M
+        if lo + 2 ** j > cap:
+            continue
+        low, d, rows = kept(low, d, rows, min(cap - lo, 2 ** (j + 1) - 1))
+        M = low @ step
+        dM = _row_tvs(M, mu)
+        if dM.max() >= eps:
+            low, d, lo = M, dM, lo + 2 ** j
+        del M
     if lo == cap:
-        raise capped(_worst_tv(low, mu))
-    return lo + 1, low
+        raise capped(float(d.max()))
+    return lo + 1
+
+
+def _mixing_time_and_distance(P: TransitionMatrix, mu: DistributionTable,
+                              eps: float, cap: int) -> tuple[int, float]:
+    """(t, d(t)) for t = exact_mixing_time(P, mu, eps, cap), with d(t) the
+    worst-start TV over every start, read off P^t: the search carries only
+    the starts it has not yet seen mix."""
+    t = exact_mixing_time(P, mu, eps, cap)
+    return t, float(_row_tvs(np.linalg.matrix_power(P.entries, t), mu).max())
+
+
+def _other_rows_squared(A: np.ndarray, part: np.ndarray,
+                        rows: np.ndarray) -> np.ndarray:
+    """A @ A, given its rows `rows` as `part`: only the other rows are
+    multiplied."""
+    out = np.empty_like(A)
+    out[rows] = part
+    rest = np.ones(A.shape[0], dtype=bool)
+    rest[rows] = False
+    out[rest] = A[rest] @ A
+    return out
+
+
+def _row_tvs(M: np.ndarray, mu: DistributionTable) -> np.ndarray:
+    """TV(M[s, .], mu) of every row s."""
+    dev = M - mu.probs[None, :]
+    np.abs(dev, out=dev)
+    return 0.5 * dev.sum(axis=1)

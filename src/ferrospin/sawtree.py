@@ -199,6 +199,8 @@ def prune_pinned_leaves(tree: SawTree,
     A pinned-0 leaf multiplies the parent field by beta_e, a pinned-1 leaf by
     1/gamma_e.  Returns the reduced tree (same node ids, pinned leaves
     detached) and the map node -> effective lambda for nodes that changed.
+    A field past the float range, above or below the normal floats, is a
+    NumericError naming its node and log field.
     """
     log_fields: dict[int, float] = {}
     dropped = set()
@@ -218,12 +220,18 @@ def prune_pinned_leaves(tree: SawTree,
         children=[[c for c in cs if c not in dropped] for cs in tree.children],
         pinned_spin={})
     try:
-        return reduced, {u: math.exp(lw) for u, lw in log_fields.items()}
+        fields = {u: math.exp(lw) for u, lw in log_fields.items()}
     except OverflowError:
         u = max(log_fields, key=log_fields.get)
         raise NumericError(
             f"node {u} (vertex {tree.preimage[u]}): field = exp("
             f"{log_fields[u]!r}) overflows the float range") from None
+    for u, f in fields.items():
+        if f < sys.float_info.min:
+            raise NumericError(
+                f"node {u} (vertex {tree.preimage[u]}): field = exp("
+                f"{log_fields[u]!r}) falls below the normal float range")
+    return reduced, fields
 
 
 def tree_recursion_step(lambda_u: float,

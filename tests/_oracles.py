@@ -240,6 +240,16 @@ def multiplicative_reversiblization(Q, mu):
     return Q @ qstar
 
 
+def glauber_lambda2(P, mu):
+    """Second eigenvalue of a reversible kernel array P with strictly
+    positive stationary vector mu, by a full eigvalsh of the symmetrized
+    (S + S^T)/2, S = D^(1/2) P D^(-1/2): the dense route of
+    spectral_report(kind="glauber"), the reference of its Lanczos route."""
+    d = np.sqrt(mu)
+    S = (d[:, None] * P) / d[None, :]
+    return float(np.linalg.eigvalsh((S + S.T) / 2.0)[-2])
+
+
 # ---------------------------------------------------------------------------
 # random instances
 

@@ -782,3 +782,158 @@ def test_log_weights_when_largest_options_conflict():
     assert probs[heavy] == pytest.approx([1 / 3] * 3)
     for v, p1 in enumerate((1 / 3, 1.0, 1.0, 2 / 3)):
         assert conditional_marginal(system, Pinning(), v)[1] == pytest.approx(p1)
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos route of the Glauber spectrum
+
+def uniform_ring(rng, n, closed):
+    """A path or cycle with one lambda and one (beta, gamma) everywhere: its
+    Glauber spectrum repeats eigenvalues."""
+    pairs = [(v, v + 1) for v in range(n - 1)] + ([(0, n - 1)] if closed else [])
+    beta = rng.uniform(0.5, 1.0)
+    gamma = rng.uniform(1.0 / beta + 0.1, 4.0)
+    return to_system((n, [rng.uniform(0.2, 1.5)] * n,
+                      [(u, v, beta, gamma) for u, v in pairs]))
+
+
+def lanczos_kernels(count):
+    """(kind, P, mu) of `count` seeded reversible kernels with 512 to 1024
+    states, at or above constants.LANCZOS_MIN_STATES."""
+    rng = random.Random(1917)
+    for i in range(count):
+        kind = ("random", "ring", "censored", "pinned", "edgeless")[i % 5]
+        n = 10 if i % 100 == 0 else 9
+        if kind == "ring":
+            system = uniform_ring(rng, n, closed=i % 2 == 0)
+        elif kind == "edgeless":
+            system = to_system((n, [rng.uniform(1e-3, 1.5) for _ in range(n)],
+                                []))
+        else:
+            system = to_system(ora.random_instance(rng, n + (kind == "pinned"),
+                                                   p=rng.uniform(0.1, 0.6)))
+        mu = gibbs_distribution(system)
+        if kind == "censored":
+            P = censored_glauber_matrix(system,
+                                        rng.sample(range(n), rng.randrange(1, n)))
+        elif kind == "pinned":
+            P, mu = pinned_glauber_matrix(system,
+                                          Pinning({rng.randrange(n + 1):
+                                                   rng.randint(0, 1)}))
+        else:
+            P = glauber_matrix(system)
+        yield kind, P, mu
+
+
+def test_lanczos_lambda2_matches_the_dense_reference():
+    for i, (kind, P, mu) in enumerate(lanczos_kernels(200)):
+        assert 2 ** P.n >= constants.LANCZOS_MIN_STATES
+        rep = spectral_report(P, mu, "glauber")
+        if i < 5:  # a fixed start vector: reruns repeat every bit
+            assert spectral_report(P, mu, "glauber") == rep
+        want = ora.glauber_lambda2(P.entries, mu.probs)
+        assert abs(rep.second_eigenvalue - want) <= 1e-12, (i, kind)
+        if kind == "censored":  # S != V: reducible, so the gap is 0
+            assert abs(rep.gap) <= 1e-12
+        if kind == "edgeless":  # eigenvalues 1 - |S|/n
+            assert abs(rep.gap - 1.0 / P.n) <= 1e-12
+
+
+def test_lanczos_route_refuses_a_non_reversible_kernel():
+    # an alternating scan passed as "glauber" at 2^9 states: S = D^(1/2) Q
+    # D^(-1/2) is not symmetric, as on the dense route
+    n = 9
+    path = to_system((n, [0.5 + 0.1 * v for v in range(n)],
+                      [(v, v + 1, 0.9, 2.0) for v in range(n - 1)]))
+    Q = alternating_scan_matrix(path, (list(range(0, n, 2)),
+                                       list(range(1, n, 2))))
+    with pytest.raises(NumericError, match="not reversible"):
+        spectral_report(Q, gibbs_distribution(path), "glauber")
+
+
+def test_spectra_and_distances_refuse_a_bad_measure():
+    path = to_system((3, [0.5, 1.2, 0.8],
+                      [(0, 1, 0.9, 2.0), (1, 2, 0.8, 3.0)]))
+    P = glauber_matrix(path)
+    zero = DistributionTable(n=3, probs=np.array([0.5, 0.5] + [0.0] * 6),
+                             log_z=0.0)
+    with pytest.raises(InputError, match="strictly positive"):
+        spectral_report(P, zero, "glauber")
+    small = gibbs_distribution(to_system((2, [0.5, 1.2], [(0, 1, 0.9, 2.0)])))
+    for kind in ("glauber", "alternating_scan"):
+        with pytest.raises(InputError, match="size mismatch"):
+            spectral_report(P, small, kind)
+    with pytest.raises(InputError, match="size mismatch"):
+        exact_mixing_time(P, small, 0.1)
+    with pytest.raises(InputError, match="size mismatch"):
+        tv_from_start(P, small, 0, 3)
+
+
+def test_tables_refuse_non_finite_entries():
+    with pytest.raises(NumericError, match="probability of state 1"):
+        DistributionTable(n=1, probs=np.array([1.0, np.nan]), log_z=0.0)
+    for bad in (np.nan, np.inf):
+        entries = np.full((4, 4), 0.25)
+        entries[2, 1] = bad
+        with pytest.raises(NumericError, match="in row 2"):
+            TransitionMatrix(n=2, entries=entries)
+
+
+def test_underflowing_heat_bath_sectors_are_a_numeric_error():
+    # lambda = e^400 on a 3-vertex path: the sectors of states 3, 5, 6 and
+    # 7 have weights that underflow, and their heat-bath rows divide 0 by 0;
+    # the NaN rows used to pass validation, and exact_mixing_time returned 2
+    path = to_system((3, [math.exp(400.0)] * 3,
+                      [(0, 1, 1.0, 1.5), (1, 2, 1.0, 1.5)]))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                      match="row 3"):
+        glauber_matrix(path)
+
+
+def test_mixing_time_near_powers_of_two_at_n_9_and_10():
+    # eps between d(t - 1) and d(t) of the linear scan puts the mixing time
+    # at t: just below, at and just above a power of two, where the search's
+    # squaring stops and its bisection starts (the scan mixes by t = 12)
+    rng = random.Random(4)
+    glauber9 = to_system(ora.random_instance(rng, 9, p=0.3))
+    scanned, parts = random_bipartite_system(rng, 9)
+    glauber10 = to_system(ora.random_instance(rng, 10, p=0.3))
+    cases = [(glauber_matrix(glauber9), gibbs_distribution(glauber9),
+              (15, 16, 17, 31, 32, 33), True),
+             (alternating_scan_matrix(scanned, parts),
+              gibbs_distribution(scanned), (3, 4, 5, 7, 8, 9), True),
+             (glauber_matrix(glauber10), gibbs_distribution(glauber10),
+              (31, 33), False)]
+    for P, mu, targets, with_caps in cases:
+        tvs = linear_scan_tvs(P, mu, 0.0, max(targets))
+        for t in targets:
+            assert tvs[t - 2] > tvs[t - 1]
+            eps = 0.5 * (tvs[t - 2] + tvs[t - 1])
+            assert exact_mixing_time(P, mu, eps) == t
+            if with_caps:
+                assert exact_mixing_time(P, mu, eps, cap=t) == t
+                with pytest.raises(NonconvergenceError) as err:
+                    exact_mixing_time(P, mu, eps, cap=t - 1)
+                assert err.value.residual == pytest.approx(tvs[t - 2],
+                                                           abs=1e-12)
+    # the search refuses a measure the kernel does not keep
+    uniform = DistributionTable(n=9, probs=np.full(512, 1.0 / 512), log_z=0.0)
+    with pytest.raises(NumericError, match="not stationary"):
+        exact_mixing_time(cases[0][0], uniform, 0.1)
+
+
+def test_mixing_search_keeps_starts_within_the_drift_margin():
+    # P swaps the two states with probability 0.9, and mu sits 2.5e-11 off
+    # its stationary (1/2, 1/2): a residual of 9e-11, within
+    # STATIONARITY_TOL.  d_s(t) = |0.8^t / 2 -+ 2.5e-11| alternates between
+    # the starts, so a start below eps at an even t is back above it at the
+    # next odd t, while the worst-start distance 0.8^t / 2 + 2.5e-11 first
+    # falls below eps at t = 110.  Dropping a start without the drift
+    # margin answers 109.
+    P = TransitionMatrix(n=1, entries=np.array([[0.1, 0.9], [0.9, 0.1]]))
+    mu = DistributionTable(n=1, probs=np.array([0.5 + 2.5e-11,
+                                                0.5 - 2.5e-11]), log_z=0.0)
+    assert 0.0 < stationarity_residual(P, mu) <= constants.STATIONARITY_TOL
+    eps = 3.75e-11
+    assert len(linear_scan_tvs(P, mu, eps, 1000)) == 110
+    assert exact_mixing_time(P, mu, eps) == 110

@@ -259,6 +259,26 @@ def test_prune_overflowing_field_is_a_numeric_error():
     assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-15)
 
 
+
+def test_prune_underflowing_field_is_a_numeric_error():
+    # a star, centre 0 with log lambda 0: spin-1 boundary leaves 1 and 2
+    # over log gamma 400 each fold the centre's field to exp(-800), below
+    # the float range, where it once read 0.0 and gave a pruned root ratio
+    # of 0; leaf 3 (log lambda -1000, log gamma -1000) lifts the true
+    # ratio to exp(200) / 2
+    system = TwoSpinSystem(
+        n=4, edges=((0, 1), (0, 2), (0, 3)), log_beta=(0.0,) * 3,
+        log_gamma=(400.0, 400.0, -1000.0), log_lambda=(0.0,) * 3 + (-1000.0,))
+    tree = pin_saw_tree(build_saw_tree(system, 0, {1, 2}),
+                        Pinning({1: 1, 2: 1}))
+    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\): field = "
+                       r"exp\(-800\.0\) falls below the normal float range"):
+        prune_pinned_leaves(tree, system)
+    r = evaluate_ratios(tree, system)[0]
+    assert r == pytest.approx(math.exp(200.0) / 2.0, rel=1e-12)
+    got = saw_marginal(system, 0, Pinning({1: 1, 2: 1}))
+    assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-12)
+
 def test_prune_preserves_root_ratio():
     # the spin leaves evaluated in place, folded into fields, and as ratio
     # pins all give the pass's marginal
