@@ -23,9 +23,11 @@ Every transition matrix is built from one operator, the heat bath on a
 block B (resample the spins of B from their conditional given the rest;
 the empty block is the identity).  Glauber, heat-bath, censored, pinned and
 field kernels are mixtures of these operators with constant or per-row
-weights, accumulated into one output matrix.  A scan starts from its first
-block's operator and right-multiplies each later one in O(4^n): sum each
-row over the block's off-block sectors, then scale by the column weights.
+weights, accumulated into one output matrix.  A scan's row depends on its
+start only through the spins outside its first block, so a scan runs one
+start per sector of that block through every block in O(4^n) (sum each row
+over the block's off-block sectors, then scale by the column weights) and
+copies each row to its sector.
 
 Mixing times square the kernel until the worst-start distance falls below
 eps, then bisect over the stored powers (each start's distance is
@@ -415,18 +417,23 @@ def scan_matrix(system: TwoSpinSystem,
 
     The kernel is the product of the per-block operators in that order (rows
     = source states), so applying it to a row distribution performs
-    blocks[0], then blocks[1], ...  The first block's operator is built
-    directly; each later one right-multiplies it in O(4^n).
+    blocks[0], then blocks[1], ...  A row depends on its start only through
+    the spins outside blocks[0], so one start per sector of blocks[0] runs
+    through every block in O(4^n) and its row is copied to its sector.
     """
     if not blocks:
         raise InputError("need at least one block")
     _check_capacity(system.n, constants.MATRIX_LIMIT, "block matrix")
     w = _weights(system)
-    out = np.zeros((w.size, w.size))
-    _add_heatbath(out, w, blocks[0], 1.0)
-    for b in blocks[1:]:
-        out = _then_heatbath(out, w, b)
-    return TransitionMatrix(n=system.n, entries=out)
+    idx = np.arange(w.size, dtype=np.int64)
+    rest = idx & ~_block_mask(w, blocks[0])
+    starts = idx[rest == idx]  # the state of each sector with blocks[0] at 0
+    rows = np.zeros((starts.size, w.size))
+    rows[np.arange(starts.size), starts] = 1.0
+    for b in blocks:
+        rows = _then_heatbath(rows, w, b)
+    return TransitionMatrix(n=system.n,
+                            entries=rows[np.searchsorted(starts, rest)])
 
 
 def check_bipartition(system: TwoSpinSystem,
@@ -623,6 +630,8 @@ def tv_from_start(P: TransitionMatrix, mu: DistributionTable,
         raise InputError("size mismatch")
     if not (0 <= start < 2 ** P.n):
         raise InputError("start state out of range")
+    if steps < 0:
+        raise InputError(f"steps must be at least 0, got {steps}")
     nu = np.zeros(2 ** P.n)
     nu[start] = 1.0
     for _ in range(steps):

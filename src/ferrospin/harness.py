@@ -43,6 +43,7 @@ from .model import (
     ParamClass,
     Pinning,
     TwoSpinSystem,
+    _check_config,
     config_to_index,
     instance_hash,
     lambda_c,
@@ -295,6 +296,7 @@ def verify_scan_mixing_bound(system: TwoSpinSystem,
     distance to stationarity from that start is at most eps."""
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
+    _check_config(start, system.n, "start")
     mu = gibbs_distribution(system)
     Q = alternating_scan_matrix(system, bipartition)
     t_rel = spectral_report(Q, mu, "alternating_scan").relaxation_time

@@ -126,18 +126,6 @@ class TwoSpinSystem:
                 for v, nbrs in enumerate(self.adjacency)}
 
     @cached_property
-    def _site_terms(self) -> tuple[tuple[int, tuple], ...]:
-        """Per vertex v: (bitmask of v's neighbours, ((1 << w, log beta_e,
-        log gamma_e) for each neighbour w, in increasing order)), the inputs
-        of the samplers' site conditionals."""
-        lb, lg = self.log_beta, self.log_gamma
-        sites = []
-        for nbrs in self.adjacency:
-            terms = tuple([(1 << w, lb[e], lg[e]) for w, e in nbrs])
-            sites.append((sum([bit for bit, _, _ in terms]), terms))
-        return tuple(sites)
-
-    @cached_property
     def _sampler_kernels(self) -> dict:
         """{schedule: compiled kernel} for the samplers' one-step calls,
         filled and bounded by `samplers._kernel`."""
@@ -157,6 +145,12 @@ def config_to_index(sigma: Sequence[int]) -> int:
     """Bitmask index with bit v = sigma_v, for 0/1 spins given as Python or
     numpy ints (the shifts are Python ints, so exact past bit 63)."""
     return sum([1 << v for v, s in enumerate(sigma) if s])
+
+
+def _check_config(config: Sequence[int], n: int, what: str) -> None:
+    """An input error naming `what` unless `config` is n spins of 0 or 1."""
+    if len(config) != n or not all(map((0, 1).__contains__, config)):
+        raise InputError(f"{what} must be {n} spins of 0 or 1: {config!r}")
 
 
 def index_to_config(idx: int, n: int) -> tuple[int, ...]:

@@ -12,22 +12,22 @@ monotonically, and a censored chain with S = V reproduces the uncensored
 trajectory bit for bit.
 
 One compiled kernel serves every chain.  `_compile` checks the schedule once
-per run and returns a `_Kernel`: the blocks and how a step picks one, and
-per vertex a neighbour bitmask, its (bit, log beta_e, log gamma_e) terms
-(computed once per system, `TwoSpinSystem._site_terms`) and a table of its
-conditionals, made on first use.  The one-step calls (`schedule_step`,
-`monotone_coupled_step`, `field_dynamics_step`) take their kernel from a
-small cache that the system holds by schedule (`_kernel`), so repeated steps
-compile once.  Chains carry configurations as int bitmasks
+per run and returns a `_Kernel`: the blocks, each marked independent or not,
+how a step picks one, and every vertex's site table (`_site`, built with the
+kernel): a neighbour bitmask and a `_Memo` over log lambda_v and the (bit,
+log beta_e, log gamma_e) terms of its neighbours.  The one-step calls
+(`schedule_step`, `monotone_coupled_step`, `field_dynamics_step`) take their
+kernel from a small cache that the system holds by schedule (`_kernel`), so
+repeated steps compile once.  Chains carry configurations as int bitmasks
 (`model.config_to_index`: bit v is sigma_v), so a pair's order check is
 `low & ~up == 0`, the merge check `up == low` and the Hamming weight
-`bit_count()`.  A site conditional depends only on `config & mask[v]`;
-v's `_Memo` keeps it by that pattern for the whole run while v has at most
-`_MEMO_MAX_DEGREE` (8) neighbours, so a table never holds more than 2^8
-entries, and computes it on every lookup otherwise.  Every conditional is
-the float of the one scalar formula `_site_p1`.  A dependent block builds
-one 2^m log-weight table per chain per update and decides its vertices in
-order, each from the two halves of what is left.
+`bit_count()`.  A site conditional depends only on `config & mask[v]`; v's
+`_Memo` keeps it by that pattern for the whole run while v has at most
+`_MEMO_MAX_DEGREE` (8) neighbours, and computes it on every lookup
+otherwise.  Every conditional is the float of the one scalar formula
+`_site_p1`.  A dependent block builds one 2^m log-weight table per chain per
+update and decides its vertices in order, each from the two halves of what
+is left.
 
 One update (`_Kernel.update`) resamples a block in one chain or a coupled
 pair.  One loop (`_run`) drives `trajectory_csv`, every field-dynamics step
@@ -43,8 +43,8 @@ of its source, `monotone_coupled_step` on the vector it is given.
 `_LOCKSTEP_ROWS` seeds at a time.  When every block is an independent set of
 vertices of degree at most `_MEMO_MAX_DEGREE`, a batch runs in lockstep
 (`_lockstep`) as rows of a 2 x K x (n+1) spin array, all updated each step in
-one gather and compare (`_Lanes`); otherwise each seed's pair runs through
-`_run`.
+one gather and compare (`_Lanes`, filled from the kernel's `_Memo`s);
+otherwise each seed's pair runs through `_run`.
 `_philox`, the one constructor of a keyed generator (here and for the
 harness's random instances), checks the seed and keys the stream of
 `np.random.Philox(key=seed)`.  `RandomSource` hands it out in order straight
@@ -66,7 +66,8 @@ from numpy.random.bit_generator import ISeedSequence
 from . import constants
 from .errors import (CapacityError, CouplingInvariantError, InputError)
 from .exact import check_bipartition
-from .model import TwoSpinSystem, config_to_index, index_to_config, tilt
+from .model import (TwoSpinSystem, _check_config, config_to_index,
+                    index_to_config, tilt)
 
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
 # neighbours, so a table holds at most 2^8 entries however long the run
@@ -142,6 +143,8 @@ class RandomSource:
     def steps(self, count: int, width: int) -> np.ndarray:
         """The next count * width uniforms as a count x width array, one
         row per step."""
+        if count < 0 or width < 0:
+            raise InputError(f"cannot draw count={count} x width={width}")
         self.position += count * width
         return self._gen.random((count, width))
 
@@ -223,8 +226,9 @@ def site_conditional(system: TwoSpinSystem, config: Sequence[int],
     space."""
     if not (0 <= v < system.n):
         raise InputError(f"vertex {v} out of range")
-    pattern = sum([1 << w for w, _ in system.neighbors(v) if config[w]])
-    return _site_p1(system.log_lambda[v], system._site_terms[v][1], pattern)
+    _check_config(config, system.n, "config")
+    mask, memo = _site(system, v)
+    return memo[config_to_index(config) & mask]
 
 
 class _Memo(dict):
@@ -246,33 +250,28 @@ class _Memo(dict):
         return p1
 
 
-class _Sites(dict):
-    """v -> (neighbour bitmask of v, `_Memo` of v), made on first use, so a
-    one-step run pays only for the vertices it touches."""
-
-    def __init__(self, system: TwoSpinSystem):
-        self.system = system
-
-    def __missing__(self, v: int):
-        mask, terms = self.system._site_terms[v]
-        site = self[v] = (mask, _Memo(self.system.log_lambda[v], terms))
-        return site
+def _site(system: TwoSpinSystem, v: int) -> tuple[int, _Memo]:
+    """v's site table: (bitmask of v's neighbours, `_Memo` over log lambda_v
+    and (1 << w, log beta_e, log gamma_e) for each neighbour w, increasing)."""
+    lb, lg = system.log_beta, system.log_gamma
+    terms = tuple([(1 << w, lb[e], lg[e]) for w, e in system.adjacency[v]])
+    return sum([b for b, _, _ in terms]), _Memo(system.log_lambda[v], terms)
 
 
 class _Kernel:
     """One schedule compiled against one system, shared by every chain of a
     run: the (block, independent) pairs and how a step picks one (None for
     field dynamics, which draws its block from the state and runs on the
-    tilted system), and the per-vertex site tables."""
+    tilted system), and every vertex's site table (`_site`), built with the
+    kernel; `update`, `independent`, `block_table` and `_Lanes` read them."""
 
     __slots__ = ("system", "blocks", "cyclic", "theta", "sites")
 
     def __init__(self, system: TwoSpinSystem, theta: float | None = None):
-        self.system = system
-        self.blocks = None  # set by _compile for the block kinds
-        self.cyclic = False
-        self.theta = theta
-        self.sites = _Sites(system)
+        self.system, self.theta = system, theta
+        # set by _compile for the block kinds
+        self.blocks, self.cyclic = None, False
+        self.sites = [_site(system, v) for v in range(system.n)]
 
     def select(self, step: int, selector: float) -> tuple:
         """(block, independent) of one step.  Cyclic kinds take block step
@@ -292,11 +291,8 @@ class _Kernel:
         return np.minimum((selectors * k).astype(np.intp), k - 1)
 
     def independent(self, block: Sequence[int]) -> bool:
-        if len(block) < 2:
-            return True
         inside = sum(1 << v for v in block)
-        site_terms = self.system._site_terms
-        return not any(site_terms[v][0] & inside for v in block)
+        return not any(self.sites[v][0] & inside for v in block)
 
     def update(self, configs: tuple[int, ...], block: tuple[int, ...],
                independent: bool, thresholds: Sequence[float]
@@ -340,13 +336,13 @@ class _Kernel:
         increasing order) given the spins of `config` outside it, one 0/1
         axis per block vertex in block order.  Factors not touching the
         block cancel in every conditional and are left out."""
-        site_terms, log_lambda = self.system._site_terms, self.system.log_lambda
         inside = sum(1 << u for u in block)
         logw = np.zeros(())
         in_edges = []
         for a, u in enumerate(block):
-            x0, x1 = log_lambda[u], 0.0
-            for bit, lb, lg in site_terms[u][1]:
+            memo = self.sites[u][1]
+            x0, x1 = memo.log_lambda, 0.0
+            for bit, lb, lg in memo.terms:
                 if bit & inside:
                     if bit >> u > 1:  # count each internal edge once
                         in_edges.append(
@@ -395,12 +391,7 @@ def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
     if schedule.censor is not None:
         blocks = [tuple(v for v in b if v in schedule.censor) for b in blocks]
     kernel = _Kernel(system)
-    if schedule.kind in ("single-site-glauber", "alternating-scan"):
-        # singletons, and the parts of a checked bipartition, are
-        # independent sets
-        kernel.blocks = [(b, True) for b in blocks]
-    else:
-        kernel.blocks = [(b, kernel.independent(b)) for b in blocks]
+    kernel.blocks = [(b, kernel.independent(b)) for b in blocks]
     kernel.cyclic = schedule.kind in ("systematic-scan-block",
                                       "alternating-scan")
     return kernel
@@ -540,26 +531,26 @@ class _Lanes:
 
     p1[start[v] + c] is p(sigma_v = 1) when bit i of c is the spin of v's
     i-th neighbour; a vertex of degree d owns 2^d entries (`owner`).  An
-    entry is NaN until a step first reads it, and is then computed by
-    `_site_p1` (`fill`), so it is the float that `_Kernel.update` compares
-    with, and a short run computes no more conditionals than the memo
-    would.  nbrs[v] lists v's neighbours, weights[i] is 2^i and members[b]
-    lists block b's vertices."""
+    entry is NaN until a step first reads it, and is then copied from v's
+    `_Memo` in the kernel (`fill`), so it is the float that `_Kernel.update`
+    compares with, each pattern is computed once for both routes, and a
+    short run computes no more conditionals than the memo would.  nbrs[v]
+    lists v's neighbours, weights[i] is 2^i and members[b] lists block b's
+    vertices."""
 
-    __slots__ = ("system", "p1", "start", "owner", "nbrs", "weights",
+    __slots__ = ("sites", "p1", "start", "owner", "nbrs", "weights",
                  "members")
 
     def __init__(self, kernel: _Kernel):
-        self.system = kernel.system
-        n, site_terms = self.system.n, self.system._site_terms
+        self.sites = kernel.sites
+        n, adjacency = kernel.system.n, kernel.system.adjacency
         blocks = [block for block, _ in kernel.blocks]
         vertices = sorted(set().union(*blocks)) + [n]
-        degrees = [len(site_terms[v][1]) for v in vertices[:-1]] + [0]
-        self.nbrs = np.full((n + 1, max(degrees + [1])), n, dtype=np.intp)
-        for v in vertices[:-1]:
-            self.nbrs[v, :len(site_terms[v][1])] = [
-                bit.bit_length() - 1 for bit, _, _ in site_terms[v][1]]
-        sizes = [1 << d for d in degrees]
+        nbrs = [[w for w, _ in adjacency[v]] for v in vertices[:-1]] + [[n]]
+        self.nbrs = np.full((n + 1, max(map(len, nbrs))), n, dtype=np.intp)
+        for v, row in zip(vertices, nbrs):
+            self.nbrs[v, :len(row)] = row
+        sizes = [1 << len(row) for row in nbrs[:-1]] + [1]
         self.start = np.zeros(n + 1, dtype=np.intp)
         self.start[vertices] = np.cumsum([0] + sizes[:-1])
         self.owner = np.repeat(vertices, sizes)
@@ -573,15 +564,13 @@ class _Lanes:
             self.members[b, :len(block)] = block
 
     def fill(self, entries: np.ndarray) -> None:
-        """Compute the p1 entries `entries` by `_site_p1`."""
-        system = self.system
+        """Copy the p1 entries `entries` from their vertices' `_Memo`s."""
         for e in np.unique(entries).tolist():
             v = int(self.owner[e])
             c = e - int(self.start[v])
-            terms = system._site_terms[v][1]
-            pattern = sum([bit for i, (bit, _, _) in enumerate(terms)
-                           if c >> i & 1])
-            self.p1[e] = _site_p1(system.log_lambda[v], terms, pattern)
+            memo = self.sites[v][1]
+            self.p1[e] = memo[sum([bit for i, (bit, _, _)
+                                   in enumerate(memo.terms) if c >> i & 1])]
 
     def update(self, spins: np.ndarray, picked: np.ndarray,
                thresholds: np.ndarray) -> None:
@@ -664,8 +653,7 @@ def coupling_times(system: TwoSpinSystem, schedule: UpdateSchedule,
     if kernel.blocks is None:
         raise InputError("field dynamics is not a shared-vector block kind")
     lanes = (_Lanes(kernel) if all(
-        independent and all(len(system.adjacency[v]) <= _MEMO_MAX_DEGREE
-                            for v in block)
+        independent and all(kernel.sites[v][1].keep for v in block)
         for block, independent in kernel.blocks) else None)
     seeds, top = list(seeds), (1 << system.n) - 1
     times: list[int | None] = []
@@ -697,8 +685,7 @@ def warm_start_check(system: TwoSpinSystem, config: Sequence[int],
     """Flag tiny-field vertices sitting at 0 and huge-gamma edges with a 0
     endpoint, comparing logs.  N is the instance size the thresholds refer
     to (defaults to the system's own)."""
-    if len(config) != system.n:
-        raise InputError("configuration has wrong length")
+    _check_config(config, system.n, "config")
     N = system.n if N is None else N
     if N < 1:
         raise InputError(f"instance size must be positive, got {N}")
@@ -720,6 +707,8 @@ def trajectory_csv(system: TwoSpinSystem, schedule: UpdateSchedule,
     all-ones.  The coupled flag tracks the grand coupling from (all-one,
     all-zero) on the same seed and is empty for field dynamics.  More than
     `constants.MIXING_STEP_CAP` steps is a capacity error."""
+    if steps < 0:
+        raise InputError(f"steps must be at least 0, got {steps}")
     if steps > constants.MIXING_STEP_CAP:
         raise CapacityError(f"{steps} chain steps exceed the step cap "
                             f"{constants.MIXING_STEP_CAP}")

@@ -30,6 +30,11 @@ gathering on the index bits, is kept beside them).  Beside them is the
 normalisation by one scipy `logsumexp`, the reference for the package's
 own numpy log-sum-exp.
 
+`first_block_scan` is the scan kernel's route as it stood before it ran one
+start per sector of its first block: the first block's heat bath scattered
+into a full zero matrix by the package's `_add_heatbath`, then each later
+block right-multiplied into the full matrix by its `_then_heatbath`.
+
 The contraction-potential oracles work in mpmath: the roots of
 x log(lambda/x) = c from mpmath's Lambert W at 30 digits, and Phi by
 `mp.quad` of the definition phi = min{1/t, 1/(x log(lambda/x))} at 20.
@@ -46,6 +51,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ferrospin.errors import InputError, NumericError
+from ferrospin.exact import _add_heatbath, _then_heatbath, _weights
 from ferrospin.sawtree import tree_recursion_step
 
 
@@ -740,6 +746,20 @@ def chain_coupling_time(system, schedule, seed, cap):
         if up == low:
             return t
     return None
+
+
+# ---------------------------------------------------------------------------
+# scan kernel over the full matrix
+
+def first_block_scan(system, blocks):
+    """Entries of the scan kernel of `blocks` (blocks[0] first) on a ferrospin
+    TwoSpinSystem: the first block's operator, then each later one."""
+    w = _weights(system)
+    out = np.zeros((w.size, w.size))
+    _add_heatbath(out, w, blocks[0], 1.0)
+    for b in blocks[1:]:
+        out = _then_heatbath(out, w, b)
+    return out
 
 
 # ---------------------------------------------------------------------------

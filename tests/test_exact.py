@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -681,6 +682,49 @@ def test_scan_matrix_matches_dense_product(seed):
     assert np.abs(scan_matrix(system, blocks).entries - want).max() <= 1e-15
 
 
+def test_scan_matrix_keeps_the_bits_of_the_full_matrix_route(monkeypatch):
+    # one start per sector of the first block gives every entry of the
+    # route that scattered the first block into a full matrix; the mixture
+    # operator is no longer part of a scan
+    def refused(*args):
+        raise AssertionError("scan_matrix called _add_heatbath")
+
+    monkeypatch.setattr(exact, "_add_heatbath", refused)
+    rng = random.Random(2024)
+    for _ in range(240):
+        # blocks may be empty, overlap, or repeat
+        n = rng.randint(1, 8)
+        system = to_system(ora.random_instance(rng, n))
+        blocks = [rng.sample(range(n), rng.randint(0, n))
+                  for _ in range(rng.randint(1, 4))]
+        if len(blocks) > 1 and rng.random() < 0.3:
+            blocks[-1] = blocks[0]
+        assert np.array_equal(scan_matrix(system, blocks).entries,
+                              ora.first_block_scan(system, blocks))
+    for n in range(8, 11):
+        system, parts = random_bipartite_system(rng, n)
+        assert np.array_equal(alternating_scan_matrix(system, parts).entries,
+                              ora.first_block_scan(system, parts))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_alternating_scan_peaks_below_one_and_a_half_kernels(n):
+    # a path's parts are its even and odd vertices, so the first part has
+    # 2^(n - ceil(n/2)) sectors: the rows that run through the blocks are a
+    # small share of the kernel
+    path = to_system((n, [0.7] * n,
+                      [(v, v + 1, 0.8, 2.0) for v in range(n - 1)]))
+    parts = (list(range(0, n, 2)), list(range(1, n, 2)))
+    gibbs_distribution(path)
+    tracemalloc.start()
+    try:
+        alternating_scan_matrix(path, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 4 ** n
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_scan_gap_matches_dense_reversiblization(seed):
     rng = random.Random(seed)
@@ -721,6 +765,13 @@ def test_tv_from_start_matches_matrix_power(seed, n, steps):
     want = 0.5 * float(
         np.abs(np.linalg.matrix_power(P.entries, steps)[start] - mu.probs).sum())
     assert tv_from_start(P, mu, start, steps) == pytest.approx(want, abs=1e-12)
+
+
+def test_tv_from_start_refuses_a_negative_step_count():
+    system = to_system((2, [0.5, 1.2], [(0, 1, 0.9, 2.0)]))
+    P, mu = glauber_matrix(system), gibbs_distribution(system)
+    with pytest.raises(InputError, match="steps must be at least 0, got -3"):
+        tv_from_start(P, mu, 0, -3)
 
 
 def test_transition_matrix_validation():

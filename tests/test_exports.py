@@ -132,3 +132,26 @@ def test_walk_tree_layer_reads_only_log_parameters():
               and isinstance(node.func, ast.Attribute)
               and node.func.attr in ("lam", "beta", "gamma")]
     assert not linear, linear
+
+
+# each module's layer: a module imports, by relative import, only from
+# modules of a lower layer, so the base (model) never depends on what is
+# built on it
+LAYERS = {"errors": 0, "constants": 0, "model": 1, "exact": 2, "sawtree": 2,
+          "samplers": 3, "regions": 3, "harness": 4, "cli": 5}
+
+
+def test_each_module_imports_only_from_lower_layers():
+    package = pathlib.Path(ferrospin.__file__).parent
+    modules = {path.stem: path for path in package.glob("*.py")}
+    assert set(modules) - {"__init__"} == set(LAYERS)
+    upward = []
+    for name, layer in LAYERS.items():
+        for node in ast.walk(ast.parse(modules[name].read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            targets = ([node.module] if node.module
+                       else [alias.name for alias in node.names])
+            upward += [f"{name} -> {target}" for target in targets
+                       if LAYERS[target.split(".")[0]] >= layer]
+    assert not upward, upward

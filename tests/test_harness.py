@@ -263,6 +263,14 @@ def test_scan_mixing_bound_row():
         verify_scan_mixing_bound(system, parts, start, eps=1.5)
 
 
+def test_scan_mixing_bound_refuses_a_start_of_another_size_or_spin():
+    system, parts = random_tree_instance(rng_for(1), 4)
+    for start in ((1, 1, 1, 1, 1), (1, 1), (2, 0, 0, 0)):
+        with pytest.raises(InputError, match=r"start must be 4 spins of 0 "
+                                             r"or 1: \(%d, " % start[0]):
+            verify_scan_mixing_bound(system, parts, start)
+
+
 def test_gap_mixing_relations_rows_pass_and_match_oracle_time():
     rng = random.Random(5)
     for _ in range(5):

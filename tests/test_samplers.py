@@ -1219,3 +1219,57 @@ def test_coupling_times_take_the_lockstep_only_where_every_block_vectorises(
             coupling_times(system, sched, seeds + [2 ** 128], 300)
         assert calls == dict.fromkeys(calls, 0)
         monkeypatch.undo()
+
+
+def test_both_sampler_routes_read_one_site_table(monkeypatch):
+    # the lockstep's dense table copies each entry from the kernel's memo,
+    # so no (vertex, neighbour pattern) is computed twice across the routes
+    system, _ = harness.random_tree_instance(harness._rng(2020), 8)
+    kernel = samplers._compile(system, GLAUBER)
+    vertex = {id(kernel.sites[v][1].terms): v for v in range(system.n)}
+    computed = {}
+    real = samplers._site_p1
+
+    def counted(log_ratio, terms, pattern):
+        key = (vertex[id(terms)], pattern)
+        computed[key] = computed.get(key, 0) + 1
+        return real(log_ratio, terms, pattern)
+
+    monkeypatch.setattr(samplers, "_site_p1", counted)
+    lanes = samplers._Lanes(kernel)
+    samplers._lockstep(kernel, lanes, [RandomSource(s) for s in range(16)],
+                       constants.MIXING_STEP_CAP)
+    top = (1 << system.n) - 1
+    for _ in samplers._run(kernel, (top, 0), RandomSource(99), 200):
+        pass
+    assert computed and max(computed.values()) == 1
+    read = np.flatnonzero(~np.isnan(lanes.p1[:-1])).tolist()
+    assert read
+    for e in read:
+        v = int(lanes.owner[e])
+        c = e - int(lanes.start[v])
+        memo = kernel.sites[v][1]
+        pattern = sum([1 << int(w) for i, w in enumerate(lanes.nbrs[v])
+                       if c >> i & 1])
+        assert memo.get(pattern) == lanes.p1[e]
+
+
+def test_site_conditional_refuses_a_configuration_of_another_size_or_spin():
+    system, _ = harness.random_tree_instance(harness._rng(1), 4)
+    for config in ((1,), (0, 2, 2, 2)):
+        with pytest.raises(InputError, match=rf"config must be 4 spins of 0 "
+                                             rf"or 1: \({config[0]},"):
+            site_conditional(system, config, 0)
+
+
+def test_random_source_refuses_a_negative_step_count():
+    source = RandomSource(0)
+    with pytest.raises(InputError, match="count=-1 x width=3"):
+        source.steps(-1, 3)
+    assert source.position == 0
+
+
+def test_trajectory_csv_refuses_a_negative_step_count():
+    system, _ = harness.random_tree_instance(harness._rng(1), 4)
+    with pytest.raises(InputError, match="steps must be at least 0, got -5"):
+        trajectory_csv(system, GLAUBER, -5, 0)
