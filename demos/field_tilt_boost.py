@@ -10,6 +10,8 @@ pinned subsystems, so fast mixing transfers back.  This script prints
 that product inequality on a small complete-bipartite instance.
 """
 
+import math
+
 from ferrospin import (
     ParamClass,
     field_boost_check,
@@ -25,10 +27,8 @@ print(f"class (beta=1, gamma=2): lambda_c = {lambda_c(pc):.4f}, "
 
 system = instance_family("complete-bipartite", 4, 1.0, 2.0, 0.8)
 tilted = tilt(system, theta)
-print("\noriginal fields:", [round(system.lam(v), 4)
-                             for v in range(system.n)])
-print("tilted fields:  ", [round(tilted.lam(v), 6)
-                           for v in range(system.n)],
+print("\noriginal fields:", [round(math.exp(x), 4) for x in system.log_lambda])
+print("tilted fields:  ", [round(math.exp(x), 6) for x in tilted.log_lambda],
       "(all below 1/2)")
 
 print("\nverification rows:")

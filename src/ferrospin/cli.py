@@ -102,7 +102,7 @@ def _depth_parity_parts(system: TwoSpinSystem) -> tuple[tuple[int, ...],
         queue = [root]
         while queue:
             u = queue.pop(0)
-            for w, _ in system.neighbors(u):
+            for w, _ in system.adjacency[u]:
                 if w not in color:
                     color[w] = 1 - color[u]
                     queue.append(w)

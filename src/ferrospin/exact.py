@@ -24,17 +24,19 @@ block B (resample the spins of B from their conditional given the rest;
 the empty block is the identity).  Glauber, heat-bath, censored, pinned and
 field kernels are mixtures of these operators with constant or per-row
 weights, accumulated into one output matrix.  A scan's row depends on its
-start only through the spins outside its first block, so a scan runs one
-start per sector of that block through every block in O(4^n) (sum each row
-over the block's off-block sectors, then scale by the column weights) and
-copies each row to its sector.
+start only through the spins outside its first block, so a scan keeps one
+row per sector of that block: the first block's column weights on the
+sector's states, then each later block in O(4^n) (sum each row over the
+block's off-block sectors, then scale by the column weights), and copies
+each row to its sector.
 
 Mixing times square the kernel until the worst-start distance falls below
 eps, then bisect over the stored powers (each start's distance is
 non-increasing in t while mu P = mu).  Only the starts whose distance can
 still reach eps are carried: a power is formed in full only while it is
-squared next, and every other product (the last doubling's check and the
-bisection steps) multiplies the kept rows alone.
+squared next (a plain square once a start has been dropped), and every
+other product (the last doubling's check and the bisection steps)
+multiplies the kept rows alone.
 The Glauber spectrum is a full eigvalsh below constants.LANCZOS_MIN_STATES
 states and a deflated Lanczos over the kernel's nonzeros from there.  The
 spectrum of a scan's multiplicative reversiblization Q Q* is taken on the
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import constants
 from .errors import CapacityError, InputError, NonconvergenceError, NumericError
-from .model import Pinning, TwoSpinSystem, apply_pinning, tilt
+from .model import Pinning, TwoSpinSystem, _integer, apply_pinning, tilt
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,7 @@ def _conditional(table: np.ndarray, pin: Iterable[tuple[int, int]],
 
 def _check_vertices(system: TwoSpinSystem, *vertices: int) -> None:
     for w in vertices:
-        if not (0 <= w < system.n):
-            raise InputError(f"vertex {w} out of range")
+        _integer(w, "vertex", system.n)
 
 
 def conditional_marginal(system: TwoSpinSystem, pin: Pinning,
@@ -278,9 +279,7 @@ def _block_mask(w: np.ndarray, block: Iterable[int]) -> int:
     n = w.shape[0].bit_length() - 1
     bm = 0
     for v in set(block):
-        if not (0 <= v < n):
-            raise InputError(f"block vertex {v} out of range")
-        bm |= 1 << v
+        bm |= 1 << _integer(v, "block vertex", n)
     return bm
 
 
@@ -364,9 +363,7 @@ def censored_glauber_matrix(system: TwoSpinSystem,
     """One-step single-site kernel censored to S: picking a vertex outside S
     leaves the state unchanged."""
     n = system.n
-    S = set(int(v) for v in subset)
-    if any(v < 0 or v >= n for v in S):
-        raise InputError("censored set mentions unknown vertices")
+    S = {_integer(v, "censored vertex", n) for v in subset}
     terms = [((v,), 1.0 / n) for v in sorted(S)] + [((), (n - len(S)) / n)]
     return _mixture(system, terms, "censored Glauber matrix")
 
@@ -418,22 +415,25 @@ def scan_matrix(system: TwoSpinSystem,
     The kernel is the product of the per-block operators in that order (rows
     = source states), so applying it to a row distribution performs
     blocks[0], then blocks[1], ...  A row depends on its start only through
-    the spins outside blocks[0], so one start per sector of blocks[0] runs
-    through every block in O(4^n) and its row is copied to its sector.
+    the spins outside blocks[0], so one row per sector of blocks[0] is
+    built: after blocks[0] it holds that block's column weights on the
+    sector's states (1 on the start itself for an empty block), each later
+    block follows in O(4^n), and the row is copied to its sector.
     """
     if not blocks:
         raise InputError("need at least one block")
     _check_capacity(system.n, constants.MATRIX_LIMIT, "block matrix")
     w = _weights(system)
     idx = np.arange(w.size, dtype=np.int64)
-    rest = idx & ~_block_mask(w, blocks[0])
+    bm = _block_mask(w, blocks[0])
+    rest = idx & ~bm
     starts = idx[rest == idx]  # the state of each sector with blocks[0] at 0
+    sector = np.searchsorted(starts, rest)
     rows = np.zeros((starts.size, w.size))
-    rows[np.arange(starts.size), starts] = 1.0
-    for b in blocks:
+    rows[sector, idx] = _heatbath_columns(w, bm)[1] if bm else 1.0
+    for b in blocks[1:]:
         rows = _then_heatbath(rows, w, b)
-    return TransitionMatrix(n=system.n,
-                            entries=rows[np.searchsorted(starts, rest)])
+    return TransitionMatrix(n=system.n, entries=rows[sector])
 
 
 def check_bipartition(system: TwoSpinSystem,
@@ -628,9 +628,8 @@ def tv_from_start(P: TransitionMatrix, mu: DistributionTable,
     """TV(P^steps(start, .), mu) by vector powering from one start state."""
     if P.n != mu.n:
         raise InputError("size mismatch")
-    if not (0 <= start < 2 ** P.n):
-        raise InputError("start state out of range")
-    if steps < 0:
+    _integer(start, "start state", 2 ** P.n)
+    if _integer(steps, "steps") < 0:
         raise InputError(f"steps must be at least 0, got {steps}")
     nu = np.zeros(2 ** P.n)
     nu[start] = 1.0
@@ -656,8 +655,10 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
     at least eps; a start that is dropped stays below eps at every later
     tested time, so t is that of the search over every start.  A power is
     formed in full only while it is squared next, since every later product
-    multiplies by it on the right; every other product, the check of the
-    last doubling and the bisection steps, multiplies only the kept rows."""
+    multiplies by it on the right: it is the kept rows' product when no row
+    was dropped, and a full square otherwise.  Every other product, the
+    check of the last doubling and the bisection steps, multiplies only the
+    kept rows."""
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
     drift = stationarity_residual(P, mu)  # checks the sizes
@@ -670,32 +671,32 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
             f"mixing time exceeded cap {cap} (last TV {residual:.3e})",
             steps=cap, residual=residual)
 
-    def kept(low, d, rows, steps):
+    def kept(low, d, steps):
         """The rows whose distance can still reach eps within `steps` more
         steps."""
         keep = d + 0.5 * drift * steps >= eps
         if keep.all():
-            return low, d, rows
-        return low[keep], d[keep], rows[keep]
+            return low, d
+        return low[keep], d[keep]
 
-    if cap < 1:
+    if _integer(cap, "cap") < 1:
         raise capped(math.inf)
     size = P.entries.shape[0]
     powers = [P.entries]  # powers[j] = P^(2^j), in full
-    # low holds the kept rows of P^lo, rows their starts, d their distances
-    low, rows, lo = P.entries, np.arange(size), 1
+    # low holds the kept rows of P^lo, d their distances
+    low, lo = P.entries, 1
     d = _row_tvs(low, mu)
     if d.max() < eps:
         return 1
     while 2 * lo <= cap:
-        low, d, rows = kept(low, d, rows, cap - lo)
+        low, d = kept(low, d, cap - lo)
         M = low @ powers[-1]  # the kept rows of P^(2 lo)
         dM = _row_tvs(M, mu)
         if dM.max() < eps:
             break
         if 4 * lo <= cap:  # P^(2 lo) is squared next: form it in full
             powers.append(M if M.shape[0] == size
-                          else _other_rows_squared(powers[-1], M, rows))
+                          else powers[-1] @ powers[-1])
         low, d, lo = M, dM, 2 * lo
     M = dM = None  # the last doubling's check
     # d(lo) >= eps, and d(2 lo) < eps or 2 lo > cap: add lo's lower bits
@@ -705,7 +706,7 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, eps: float,
         step = powers.pop()
         if lo + 2 ** j > cap:
             continue
-        low, d, rows = kept(low, d, rows, min(cap - lo, 2 ** (j + 1) - 1))
+        low, d = kept(low, d, min(cap - lo, 2 ** (j + 1) - 1))
         M = low @ step
         dM = _row_tvs(M, mu)
         if dM.max() >= eps:
@@ -723,18 +724,6 @@ def _mixing_time_and_distance(P: TransitionMatrix, mu: DistributionTable,
     the starts it has not yet seen mix."""
     t = exact_mixing_time(P, mu, eps, cap)
     return t, float(_row_tvs(np.linalg.matrix_power(P.entries, t), mu).max())
-
-
-def _other_rows_squared(A: np.ndarray, part: np.ndarray,
-                        rows: np.ndarray) -> np.ndarray:
-    """A @ A, given its rows `rows` as `part`: only the other rows are
-    multiplied."""
-    out = np.empty_like(A)
-    out[rows] = part
-    rest = np.ones(A.shape[0], dtype=bool)
-    rest[rows] = False
-    out[rest] = A[rest] @ A
-    return out
 
 
 def _row_tvs(M: np.ndarray, mu: DistributionTable) -> np.ndarray:

@@ -44,6 +44,7 @@ from .model import (
     Pinning,
     TwoSpinSystem,
     _check_config,
+    _integer,
     config_to_index,
     instance_hash,
     lambda_c,
@@ -361,7 +362,7 @@ def coupling_mixing_estimate(system: TwoSpinSystem, schedule: UpdateSchedule,
 
     Returns (row, estimate); the estimate is None and the row fails when the
     step cap censors too many runs for the bound to drop below eps."""
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise InputError("estimate needs at least one trial")
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0,1), got {eps}")
@@ -458,7 +459,10 @@ def field_boost_check(system: TwoSpinSystem, pc: ParamClass,
     n = system.n
     h = instance_hash(system)
     rows = []
-    lam_max = max(system.lam(v) for v in range(n))
+    try:
+        lam_max = math.exp(max(system.log_lambda))
+    except OverflowError:  # a field past the float range fails the row
+        lam_max = math.inf
     rows.append(inequality_row("tilted-fields-below-one-half", h,
                                lam_max * theta, 0.5, tolerance=0.0,
                                detail=f"theta={theta!r}"))
@@ -571,7 +575,7 @@ def decay_probe(beta: float, gamma: float, lam: float,
     log-linear fit.  Passing requires a negative slope with r^2 at least
     `constants.DECAY_MIN_R_SQUARED`; the adjacent case must dominate every
     longer distance."""
-    lens = [int(x) for x in lengths]
+    lens = [_integer(x, "length") for x in lengths]
     if len(lens) < 2 or lens != sorted(set(lens)) or lens[0] < 2:
         raise InputError("lengths must be strictly increasing, all >= 2")
     disc = [endpoint_influence_on_path(beta, gamma, lam, x) for x in lens]

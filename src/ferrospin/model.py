@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -33,13 +34,31 @@ def _finite_log(value: float, what: str, *labels) -> float:
     return math.log(value)
 
 
+def _integer(value, what: str, stop: int | None = None) -> int:
+    """`value` as an int if it is a Python or numpy integer, not a bool,
+    and in [0, stop) when `stop` is given; else an input error naming
+    `what` and the value (int() would truncate 2.5 to 2 and read True as
+    1)."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = None
+    if i is None or value.__class__ is bool:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if stop is not None and not 0 <= i < stop:
+        raise InputError(f"{what} {i} out of range")
+    return i
+
+
 @dataclass(frozen=True)
 class TwoSpinSystem:
     """Immutable two-spin system over vertices 0..n-1.
 
-    Fields hold natural logs of the parameters.  Edges are canonical
-    (min, max) pairs in sorted order; parallel arrays carry the edge
-    activities.  Use :meth:`from_params` with linear values.
+    Fields hold natural logs of the parameters, and the system hands them
+    out only as logs: log_lambda[v], and log_beta[e], log_gamma[e] of edge
+    e.  Edges are canonical (min, max) pairs in sorted order; parallel
+    arrays carry the edge activities, and `adjacency[v]` lists v's
+    (neighbour, edge) pairs.  Use :meth:`from_params` with linear values.
     """
 
     n: int
@@ -99,16 +118,6 @@ class TwoSpinSystem:
                              for i, x in enumerate(lam)),
         )
 
-    # -- linear-scale accessors -------------------------------------------
-    def beta(self, e: int) -> float:
-        return math.exp(self.log_beta[e])
-
-    def gamma(self, e: int) -> float:
-        return math.exp(self.log_gamma[e])
-
-    def lam(self, v: int) -> float:
-        return math.exp(self.log_lambda[v])
-
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbor, edge index), neighbors increasing."""
@@ -130,9 +139,6 @@ class TwoSpinSystem:
         """{schedule: compiled kernel} for the samplers' one-step calls,
         filled and bounded by `samplers._kernel`."""
         return {}
-
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        return self.adjacency[v]
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +189,11 @@ class Pinning:
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._items
 
-    def value(self, v: int) -> int:
+    def __getitem__(self, v: int) -> int:
         for u, s in self._items:
             if u == v:
                 return s
         raise KeyError(v)
-
-    __getitem__ = value
-
-    def merged(self, other: "Pinning") -> "Pinning":
-        d = dict(self._items)
-        for v, s in other.items():
-            if d.get(v, s) != s:
-                raise InputError(f"conflicting pin at vertex {v}")
-            d[v] = s
-        return Pinning(d)
 
     def __contains__(self, v: int) -> bool:
         return any(u == v for u, _ in self._items)

@@ -39,28 +39,6 @@ from .errors import CapacityError, FerrospinError, InputError
 from .model import Pinning, TwoSpinSystem, ParamClass, induced_subsystem, lambda0
 from .sawtree import SawTree, _walks, evaluate_ratios
 
-__all__ = [
-    "RegionParams",
-    "Region",
-    "RegionVerification",
-    "GoodBoundarySpec",
-    "adjacency_map",
-    "construct_region",
-    "verify_region",
-    "is_good_boundary",
-    "is_good_tree_boundary",
-    "good_boundary_configs",
-    "influence_a_u",
-    "assm_sum",
-    "shortest_path_closure_check",
-    "universal_pinning",
-    "level_mixture_pinning",
-    "ratio_dominance_slack",
-    "monotone_potential_slack",
-    "one_step_ratio_factor",
-    "check_one_step_relation",
-]
-
 
 @dataclass(frozen=True)
 class RegionParams:

@@ -66,7 +66,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import constants
 from .errors import (CapacityError, CouplingInvariantError, InputError)
 from .exact import check_bipartition
-from .model import (TwoSpinSystem, _check_config, config_to_index,
+from .model import (TwoSpinSystem, _check_config, _integer, config_to_index,
                     index_to_config, tilt)
 
 # site tables memoise p(sigma_v = 1) only for vertices of at most this many
@@ -109,8 +109,8 @@ class _Keyless(ISeedSequence):
 
 def _philox(seed: int) -> np.random.Generator:
     """The stream of `np.random.Philox(key=seed)`, keyed through `state`;
-    a seed outside [0, 2^128) is an input error."""
-    seed = int(seed)
+    a seed that is not an integer in [0, 2^128) is an input error."""
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2 ** 128:
         raise InputError(f"seed must lie in [0, 2^128), got {seed}")
     bits = np.random.Philox(_Keyless())
@@ -129,12 +129,12 @@ class RandomSource:
     from the Philox generator; `position` counts the uniforms handed out."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = _philox(self.seed)
+        self._gen = _philox(seed)
+        self.seed = operator.index(seed)
         self.position = 0
 
     def uniforms(self, k: int) -> np.ndarray:
-        k = int(k)
+        k = _integer(k, "uniform count")
         if k < 0:
             raise InputError(f"cannot draw {k} uniforms")
         self.position += k
@@ -143,6 +143,7 @@ class RandomSource:
     def steps(self, count: int, width: int) -> np.ndarray:
         """The next count * width uniforms as a count x width array, one
         row per step."""
+        count, width = _integer(count, "step count"), _integer(width, "width")
         if count < 0 or width < 0:
             raise InputError(f"cannot draw count={count} x width={width}")
         self.position += count * width
@@ -224,8 +225,7 @@ def site_conditional(system: TwoSpinSystem, config: Sequence[int],
                      v: int) -> float:
     """p(sigma_v = 1 | rest of config) from the local factor ratio, in log
     space."""
-    if not (0 <= v < system.n):
-        raise InputError(f"vertex {v} out of range")
+    _integer(v, "vertex", system.n)
     _check_config(config, system.n, "config")
     mask, memo = _site(system, v)
     return memo[config_to_index(config) & mask]
@@ -384,8 +384,7 @@ def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
         blocks = list(schedule.blocks)
         for b in blocks:
             for v in b:
-                if not (0 <= v < system.n):
-                    raise InputError(f"block vertex {v} out of range")
+                _integer(v, "block vertex", system.n)
         if schedule.kind == "alternating-scan":
             check_bipartition(system, blocks)
     if schedule.censor is not None:
@@ -649,6 +648,7 @@ def coupling_times(system: TwoSpinSystem, schedule: UpdateSchedule,
     most `_MEMO_MAX_DEGREE`, a batch runs in lockstep (`_lockstep`);
     otherwise its seeds run one after another through `_run`.  A broken
     order raises for the first seed that breaks it."""
+    cap = _integer(cap, "cap")
     kernel = _compile(system, schedule)
     if kernel.blocks is None:
         raise InputError("field dynamics is not a shared-vector block kind")
@@ -707,7 +707,7 @@ def trajectory_csv(system: TwoSpinSystem, schedule: UpdateSchedule,
     all-ones.  The coupled flag tracks the grand coupling from (all-one,
     all-zero) on the same seed and is empty for field dynamics.  More than
     `constants.MIXING_STEP_CAP` steps is a capacity error."""
-    if steps < 0:
+    if _integer(steps, "steps") < 0:
         raise InputError(f"steps must be at least 0, got {steps}")
     if steps > constants.MIXING_STEP_CAP:
         raise CapacityError(f"{steps} chain steps exceed the step cap "

@@ -41,20 +41,20 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import constants
 from .errors import CapacityError, InputError, NumericError
-from .model import ParamClass, Pinning, TwoSpinSystem, _log_lambda_c, lambda_c
+from .model import (ParamClass, Pinning, TwoSpinSystem, _integer,
+                    _log_lambda_c, lambda_c)
 
 
 @dataclass
 class SawTree:
-    """Walk tree rooted at `root_vertex`, nodes in creation order (root = 0).
+    """Walk tree of one root vertex, nodes in creation order: the root is
+    node 0, and its vertex is preimage[0].
 
     Children of every node are ordered by increasing preimage vertex, and a
     node's id is always smaller than its descendants', so a reverse-id sweep
-    is a valid post-order.
+    is a valid post-order.  A boundary copy's vertex is its preimage.
     """
 
-    root_vertex: int
-    boundary: frozenset[int]
     preimage: list[int]
     parent: list[int]            # -1 at the root
     children: list[list[int]]
@@ -112,10 +112,8 @@ def _closing_spin(walk: list[int], i: int) -> int:
 
 def _check_root(system: TwoSpinSystem, root: int, boundary) -> None:
     for b in boundary:
-        if not (0 <= b < system.n):
-            raise InputError(f"boundary vertex {b} out of range")
-    if not (0 <= root < system.n):
-        raise InputError(f"root vertex {root} out of range")
+        _integer(b, "boundary vertex", system.n)
+    _integer(root, "root vertex", system.n)
     if root in boundary:
         raise InputError(f"root vertex {root} lies on the boundary")
 
@@ -132,8 +130,7 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
     bset = frozenset(boundary)
     _check_root(system, root, bset)
 
-    tree = SawTree(root_vertex=root, boundary=bset, preimage=[root],
-                   parent=[-1], children=[[]], depth=[0],
+    tree = SawTree(preimage=[root], parent=[-1], children=[[]], depth=[0],
                    boundary_copy=[False], cycle_closing=[False],
                    cycle_spin=[None], edge_to_parent=[None])
 
@@ -159,7 +156,7 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
         d = len(walk)
         parent_pre = walk[-2] if d > 1 else None
         descend = []
-        for (w, eidx) in system.neighbors(p):  # increasing vertex order
+        for (w, eidx) in system.adjacency[p]:  # increasing vertex order
             if w == parent_pre:
                 continue
             if w in bset:
@@ -186,7 +183,7 @@ def pin_saw_tree(tree: SawTree, sigma: Pinning) -> SawTree:
             pre = tree.preimage[u]
             if pre not in sigma:
                 raise InputError(f"boundary vertex {pre} missing from pinning")
-            spins[u] = sigma.value(pre)
+            spins[u] = sigma[pre]
         elif tree.cycle_closing[u]:
             spins[u] = tree.cycle_spin[u]
     return replace(tree, pinned_spin=spins)

@@ -457,7 +457,7 @@ def verify_tree_invariants(tree, system):
     an isolated root).  `tree` and `system` are read by attribute only."""
     for u in range(len(tree)):
         tree_deg = len(tree.children[u]) + (1 if tree.parent[u] >= 0 else 0)
-        g_deg = len(system.neighbors(tree.preimage[u]))
+        g_deg = len(system.adjacency[tree.preimage[u]])
         assert not (tree.boundary_copy[u] and tree.cycle_closing[u]), (
             f"node {u}: both boundary and cycle-closing")
         if tree.children[u]:
@@ -503,7 +503,8 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
             R[u] = math.inf if tree.pinned_spin[u] == 0 else 0.0
             continue
         try:
-            lam_u = fields.get(u, system.lam(tree.preimage[u]))
+            lam_u = fields.get(
+                u, math.exp(system.log_lambda[tree.preimage[u]]))
         except OverflowError:
             v = tree.preimage[u]
             raise NumericError(
@@ -517,7 +518,8 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
         try:
             for c in tree.children[u]:
                 e = tree.edge_to_parent[c]
-                params.append((system.beta(e), system.gamma(e)))
+                params.append((math.exp(system.log_beta[e]),
+                               math.exp(system.log_gamma[e])))
                 ratios.append(R[c])
         except OverflowError:
             a, b = system.edges[e]
@@ -630,7 +632,7 @@ def per_config_a_u(logw, n, centre, u, good):
 def chain_site_conditional(system, config, v):
     """p(sigma_v = 1 | rest of config), neighbour terms in adjacency order."""
     log_ratio = system.log_lambda[v]
-    for (w, e) in system.neighbors(v):
+    for (w, e) in system.adjacency[v]:
         if config[w] == 0:
             log_ratio += system.log_beta[e]
         else:
@@ -651,7 +653,7 @@ def chain_marginalized_conditional(system, config, v, undecided):
     c1 = np.zeros(m)
     in_edges = []
     for i, u in enumerate(U):
-        for (w, e) in system.neighbors(u):
+        for (w, e) in system.adjacency[u]:
             if w in inside:
                 if w > u:
                     in_edges.append((i, pos[w], system.log_beta[e],
@@ -676,7 +678,7 @@ def chain_marginalized_conditional(system, config, v, undecided):
 
 def _chain_independent(system, block):
     bset = set(block)
-    return not any(w in bset for u in block for (w, _) in system.neighbors(u))
+    return not any(w in bset for u in block for (w, _) in system.adjacency[u])
 
 
 def chain_update(system, configs, block, independent, thresholds):

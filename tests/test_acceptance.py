@@ -640,7 +640,7 @@ def test_gate_12_field_tilt_gap_product_inequality():
         all_ok = all_ok and all(r.passed for r in rows)
         theta = 1.0 / (2.0 * lambda_c(pc))
         worst_tilt = max(worst_tilt,
-                         max(system.lam(v) * theta
+                         max(math.exp(system.log_lambda[v]) * theta
                              for v in range(system.n)))
     _line(12, "tilted-field gap product inequality on 20 instances",
           all_ok and worst_tilt < 0.5,

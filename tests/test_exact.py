@@ -14,6 +14,7 @@ import _oracles as ora
 from ferrospin import constants, exact
 from ferrospin.cli import main
 from ferrospin.errors import CapacityError, InputError, NonconvergenceError, NumericError
+from ferrospin.harness import _rng, random_tree_instance
 from ferrospin.exact import (
     DistributionTable,
     TransitionMatrix,
@@ -988,3 +989,109 @@ def test_mixing_search_keeps_starts_within_the_drift_margin():
     eps = 3.75e-11
     assert len(linear_scan_tvs(P, mu, eps, 1000)) == 110
     assert exact_mixing_time(P, mu, eps) == 110
+
+
+# ---------------------------------------------------------------------------
+# scans from the first block's column weights
+
+@pytest.mark.parametrize("blocks", [[(0, 1)], [(), (2,)], [(1,), (0, 2), (3,)]])
+def test_scan_matrix_runs_only_the_later_blocks(monkeypatch, blocks):
+    # the rows after blocks[0] are its column weights, set in one scatter;
+    # only the later blocks pass through _then_heatbath
+    system = to_system(ora.random_instance(random.Random(2), 4))
+    calls, then_heatbath = [], exact._then_heatbath
+
+    def counted(A, w, block):
+        calls.append(block)
+        return then_heatbath(A, w, block)
+
+    monkeypatch.setattr(exact, "_then_heatbath", counted)
+    entries = scan_matrix(system, blocks).entries
+    assert calls == blocks[1:]
+    assert np.array_equal(entries, ora.first_block_scan(system, blocks))
+
+
+# ---------------------------------------------------------------------------
+# integer arguments: checked, not truncated
+
+def _glauber_tree():
+    # the tree of the cases below: 4 vertices, Glauber kernel and its mu
+    system = random_tree_instance(_rng(1), 4)[0]
+    return system, glauber_matrix(system), gibbs_distribution(system)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, math.nan])
+def test_exact_mixing_time_refuses_a_cap_that_is_not_an_integer(cap):
+    # cap=2.5 used to answer 3 where the mixing time is 13
+    _, P, mu = _glauber_tree()
+    assert exact_mixing_time(P, mu, 0.1) == 13
+    assert exact_mixing_time(P, mu, 0.1, cap=np.int64(13)) == 13
+    with pytest.raises(InputError, match=f"cap must be an integer, got {cap!r}"):
+        exact_mixing_time(P, mu, 0.1, cap=cap)
+
+
+def test_censored_glauber_matrix_refuses_a_fractional_vertex():
+    # [1.5] used to censor to vertex 1
+    system, _, _ = _glauber_tree()
+    with pytest.raises(InputError,
+                       match="censored vertex must be an integer, got 1.5"):
+        censored_glauber_matrix(system, [1.5])
+    with pytest.raises(InputError, match="censored vertex 4 out of range"):
+        censored_glauber_matrix(system, [0, 4])
+    assert np.array_equal(censored_glauber_matrix(system, [np.int64(1)]).entries,
+                          censored_glauber_matrix(system, [1]).entries)
+
+
+@pytest.mark.parametrize("start, steps, fragment", [
+    (0, 2.5, "steps must be an integer, got 2.5"),
+    (1.5, 2, "start state must be an integer, got 1.5"),
+])
+def test_tv_from_start_refuses_fractional_arguments(start, steps, fragment):
+    _, P, mu = _glauber_tree()
+    with pytest.raises(InputError, match=fragment):
+        tv_from_start(P, mu, start, steps)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda s: conditional_marginal(s, Pinning(), 1.5),
+     "vertex must be an integer, got 1.5"),
+    (lambda s: heatbath_matrix(s, [(1.5,)]),
+     "block vertex must be an integer, got 1.5"),
+], ids=["conditional_marginal", "heatbath_matrix"])
+def test_exact_refuses_a_fractional_vertex(call, fragment):
+    system, _, _ = _glauber_tree()
+    with pytest.raises(InputError, match=fragment):
+        call(system)
+
+
+# ---------------------------------------------------------------------------
+# error branches
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda s, P, mu: TransitionMatrix(
+        n=1, entries=np.array([[1.5, -0.5], [0.0, 1.0]])),
+     NumericError, "negative transition probability"),
+    (lambda s, P, mu: influence_pair(s, 1, 1), InputError,
+     "two distinct vertices"),
+    (lambda s, P, mu: heatbath_matrix(s, []), InputError,
+     "need at least one block"),
+    (lambda s, P, mu: scan_matrix(s, []), InputError,
+     "need at least one block"),
+    (lambda s, P, mu: pinned_glauber_matrix(
+        s, Pinning({v: 0 for v in range(s.n)})),
+     InputError, "at least one free vertex"),
+    (lambda s, P, mu: detailed_balance_residual(
+        P, gibbs_distribution(TwoSpinSystem.from_params(1, [1.0], []))),
+     InputError, "size mismatch"),
+    (lambda s, P, mu: tv_from_start(P, mu, 16, 1), InputError,
+     "start state 16 out of range"),
+    (lambda s, P, mu: exact_mixing_time(P, mu, 0.0), InputError,
+     r"eps must lie in \(0,1\), got 0.0"),
+    (lambda s, P, mu: exact_mixing_time(P, mu, 1.0), InputError,
+     r"eps must lie in \(0,1\), got 1.0"),
+], ids=["negative-entry", "influence-self", "heatbath-no-blocks",
+        "scan-no-blocks", "pin-every-vertex", "balance-size", "start-range",
+        "eps-zero", "eps-one"])
+def test_exact_error_branches(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call(*_glauber_tree())

@@ -1,8 +1,9 @@
-"""The package's export list matches what it imports, every constant in
-`constants.py` is read somewhere in the package, every defaulted
-parameter of a public function is passed by some call, the package
-imports exactly its declared runtime dependencies beside the standard
-library, and the walk-tree layer reads only log parameters."""
+"""The package's export list matches what it imports and is its only one,
+every constant in `constants.py` is read somewhere in the package, every
+defaulted parameter of a public function is passed by some call, the
+package imports exactly its declared runtime dependencies beside the
+standard library, and the package and its demos read only log
+parameters."""
 
 import ast
 import math
@@ -22,6 +23,18 @@ def test_all_lists_exactly_the_public_names():
               and not isinstance(value, types.ModuleType)}
     assert len(ferrospin.__all__) == len(set(ferrospin.__all__))
     assert set(ferrospin.__all__) == public
+
+
+def test_only_the_package_defines_an_export_list():
+    # a second list in a module is one more copy of the public surface to
+    # keep in step, and nothing reads it
+    package = pathlib.Path(ferrospin.__file__).parent
+    listed = [path.name for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"
+              and any(isinstance(node, ast.Name) and node.id == "__all__"
+                      and isinstance(node.ctx, ast.Store)
+                      for node in ast.walk(ast.parse(path.read_text())))]
+    assert not listed, listed
 
 
 def test_every_listed_name_imports():
@@ -121,17 +134,20 @@ def test_imports_are_exactly_the_declared_dependencies():
     assert declared <= third_party, sorted(declared - third_party)
 
 
-def test_walk_tree_layer_reads_only_log_parameters():
-    # the walk-tree recursion and the regions built on it stay in log space:
-    # no call to a system's linear accessors lam, beta or gamma
-    package = pathlib.Path(ferrospin.__file__).parent
-    linear = [f"{name}:{node.lineno} .{node.func.attr}("
-              for name in ("sawtree.py", "regions.py")
-              for node in ast.walk(ast.parse((package / name).read_text()))
+def test_package_and_demos_read_only_log_parameters():
+    # a system hands out its parameters as logs only: a call to the linear
+    # accessors lam, beta or gamma it no longer has would fail only when its
+    # path runs, and not every path in a module or demo has a test
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "ferrospin").glob("*.py"))
+    paths += sorted((root / "demos").glob("*.py"))
+    linear = [f"{path.name}:{node.lineno} .{node.func.attr}("
+              for path in paths
+              for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
               and node.func.attr in ("lam", "beta", "gamma")]
-    assert not linear, linear
+    assert len(paths) > 10 and not linear, linear
 
 
 # each module's layer: a module imports, by relative import, only from

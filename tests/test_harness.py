@@ -63,8 +63,9 @@ def rng_for(seed):
 def sys_tuple(system):
     """(n, lam, edges) view for the oracles."""
     n = system.n
-    lam = [system.lam(v) for v in range(n)]
-    edges = [(u, v, system.beta(e), system.gamma(e))
+    lam = [math.exp(system.log_lambda[v]) for v in range(n)]
+    edges = [(u, v, math.exp(system.log_beta[e]),
+              math.exp(system.log_gamma[e]))
              for e, (u, v) in enumerate(system.edges)]
     return n, lam, edges
 
@@ -188,20 +189,20 @@ def test_random_ferro_instance_parameter_ranges():
     for _ in range(20):
         system = random_ferro_instance(rng, 6, lambda_bound=0.8)
         for e in range(len(system.edges)):
-            b, g = system.beta(e), system.gamma(e)
+            b, g = math.exp(system.log_beta[e]), math.exp(system.log_gamma[e])
             assert 0.5 <= b <= 1.0 and g <= 5.0 + 1e-12
             assert g >= 1.0 / b + 0.1 - 1e-12
             assert b * g > 1.0
-        assert all(0.0 < system.lam(v) <= 0.8 for v in range(6))
+        assert all(0.0 < math.exp(system.log_lambda[v]) <= 0.8 for v in range(6))
 
 
 def test_class_instance_sits_at_the_class_edge_bound():
     pc = ParamClass(beta=0.8, gamma=2.5, lambda_bound=1.2)
     system = class_instance(rng_for(3), 5, pc)
-    assert all(system.beta(e) == pytest.approx(0.8) and
-               system.gamma(e) == pytest.approx(2.5)
+    assert all(math.exp(system.log_beta[e]) == pytest.approx(0.8) and
+               math.exp(system.log_gamma[e]) == pytest.approx(2.5)
                for e in range(len(system.edges)))
-    assert all(system.lam(v) < 1.2 for v in range(5))
+    assert all(math.exp(system.log_lambda[v]) < 1.2 for v in range(5))
 
 
 def test_random_tree_instance_shape_and_bipartition():
@@ -399,6 +400,19 @@ def test_field_boost_rejects_bad_theta():
     system = class_instance(rng_for(0), 2, pc)
     with pytest.raises(InputError):
         field_boost_check(system, pc, theta=0.0)
+
+
+def test_field_boost_fails_a_field_past_the_float_range():
+    # log lambda = 800 on both vertices, balanced by log beta = -800 and
+    # log gamma = 800: every configuration weighs e^800, so mu is uniform and
+    # only the linear field max passes the float range
+    pc = ParamClass(beta=1.0, gamma=2.0, lambda_bound=1.0)
+    system = TwoSpinSystem(n=2, edges=((0, 1),), log_beta=(-800.0,),
+                           log_gamma=(800.0,), log_lambda=(800.0, 800.0))
+    rows = field_boost_check(system, pc)
+    assert rows[0].claim == "tilted-fields-below-one-half"
+    assert rows[0].lhs == math.inf and not rows[0].passed
+    assert len(rows) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +630,36 @@ def test_mixing_report_failure_listing():
     from ferrospin.harness import MixingReport
     rep = MixingReport(suite="manual", seed=0, eps=0.1, rows=rows)
     assert not rep.all_passed and rep.failures() == (rows[1],)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments and error branches
+
+def test_decay_probe_refuses_fractional_lengths():
+    # [2.5, 3.5] used to report lengths 2 and 3
+    with pytest.raises(InputError, match="length must be an integer, got 2.5"):
+        decay_probe(1.0, 2.0, 0.5, lengths=[2.5, 3.5])
+    assert (decay_probe(1.0, 2.0, 0.5, lengths=np.arange(2, 5)).lengths
+            == (2, 3, 4))
+
+
+def test_coupling_mixing_estimate_refuses_fractional_trials():
+    system, _ = random_tree_instance(rng_for(1), 4)
+    with pytest.raises(InputError, match="trials must be an integer, got 2.5"):
+        coupling_mixing_estimate(system, UpdateSchedule("single-site-glauber"),
+                                 trials=2.5)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: instance_family("path", 0, 1.0, 2.0, 1.0),
+     "family instance needs at least one vertex"),
+    (lambda: random_tree_instance(rng_for(0), 0),
+     "tree needs at least one vertex"),
+    (lambda: coupling_failure_fraction(
+        random_tree_instance(rng_for(1), 4)[0],
+        UpdateSchedule("single-site-glauber"), 5, 0),
+     "need at least one trial"),
+], ids=["family-n", "tree-n", "failure-trials"])
+def test_harness_error_branches(call, fragment):
+    with pytest.raises(InputError, match=fragment):
+        call()

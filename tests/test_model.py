@@ -55,8 +55,8 @@ def gibbs_prob(system, sigma):
 def test_edges_canonicalized():
     s = make(3, [1.0, 1.0, 1.0], [(2, 0, 0.5, 3.0), (1, 0, 1.0, 2.0)])
     assert s.edges == ((0, 1), (0, 2))
-    assert s.beta(1) == pytest.approx(0.5, rel=1e-12)
-    assert s.gamma(0) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(s.log_beta[1]) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(s.log_gamma[0]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rejects_self_loop_and_parallel():
@@ -75,8 +75,8 @@ def test_rejects_nonpositive_params():
 
 def test_adjacency_structure():
     s = make(4, [1.0] * 4, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0), (1, 3, 1.0, 2.0)])
-    assert [w for w, _ in s.neighbors(1)] == [0, 2, 3]
-    assert s.neighbors(3) == ((1, 2),)
+    assert [w for w, _ in s.adjacency[1]] == [0, 2, 3]
+    assert s.adjacency[3] == ((1, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +148,10 @@ def test_apply_pinning_single_edge():
     s = make(2, [1.0, 1.0], [(0, 1, 1.0, 2.0)])
     pinned = apply_pinning(s, Pinning({1: 1}))
     assert pinned.n == 1 and pinned.edges == ()
-    assert pinned.lam(0) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(pinned.log_lambda[0]) == pytest.approx(0.5, rel=1e-12)
     # pin to 0 with beta = 1: field unchanged
     pinned0 = apply_pinning(s, Pinning({1: 0}))
-    assert pinned0.lam(0) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(pinned0.log_lambda[0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_apply_pinning_triangle_conditional_matches_bruteforce():
@@ -159,8 +159,8 @@ def test_apply_pinning_triangle_conditional_matches_bruteforce():
     n, lam = 3, [1.0, 1.0, 1.0]
     s = make(n, lam, edges)
     pinned = apply_pinning(s, Pinning({2: 1}))
-    assert pinned.lam(0) == pytest.approx(0.5, rel=1e-12)
-    assert pinned.lam(1) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(pinned.log_lambda[0]) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(pinned.log_lambda[1]) == pytest.approx(0.5, rel=1e-12)
     # conditional distribution over (sigma_0, sigma_1) given sigma_2 = 1
     table, _ = oracle.gibbs(n, lam, edges)
     for s01 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
@@ -174,14 +174,15 @@ def test_apply_pinning_composition():
     n, lam, edges = oracle.random_instance(rnd, 6)
     s = make(n, lam, edges)
     p1, p2 = Pinning({0: 1, 3: 0}), Pinning({5: 1})
-    once = apply_pinning(s, p1.merged(p2))
+    once = apply_pinning(s, Pinning(p1.items() + p2.items()))
     twice_a = apply_pinning(s, p1)
     # renumber p2's vertex into twice_a's numbering
     surv = surviving_vertices(n, p1)
     twice = apply_pinning(twice_a, Pinning({surv.index(5): 1}))
     assert once.edges == twice.edges
     for v in range(once.n):
-        assert once.lam(v) == pytest.approx(twice.lam(v), rel=1e-12)
+        assert math.exp(once.log_lambda[v]) == pytest.approx(
+            math.exp(twice.log_lambda[v]), rel=1e-12)
 
 
 def test_apply_pinning_out_of_range():
@@ -196,7 +197,7 @@ def test_induced_subsystem_keeps_internal_edges():
     sub, remap = induced_subsystem(s, [1, 2, 3])
     assert sub.n == 3
     assert sub.edges == ((0, 1), (1, 2))
-    assert sub.lam(remap[2]) == pytest.approx(0.7, rel=1e-12)
+    assert math.exp(sub.log_lambda[remap[2]]) == pytest.approx(0.7, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,8 @@ def test_induced_subsystem_keeps_internal_edges():
 
 def test_tilt_identity_and_scalar():
     s = make(1, [2.0], [])
-    assert tilt(s, 1.0).lam(0) == pytest.approx(2.0, rel=1e-12)
-    assert tilt(s, 0.25).lam(0) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(tilt(s, 1.0).log_lambda[0]) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(tilt(s, 0.25).log_lambda[0]) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(InputError):
         tilt(s, 0.0)
     with pytest.raises(InputError):
@@ -276,9 +277,9 @@ def test_rbm_to_two_spin_single_pair():
     p = RbmParams(n0=1, n1=1, interaction=((0.0, c), (c, 0.0)), theta=(0.0, 0.0))
     s = rbm_to_two_spin(p)
     assert s.edges == ((0, 1),)
-    assert s.beta(0) == pytest.approx(1.0, rel=1e-15)
-    assert s.gamma(0) == pytest.approx(math.exp(c), rel=1e-15)
-    assert s.lam(0) == pytest.approx(1.0, rel=1e-15)
+    assert math.exp(s.log_beta[0]) == pytest.approx(1.0, rel=1e-15)
+    assert math.exp(s.log_gamma[0]) == pytest.approx(math.exp(c), rel=1e-15)
+    assert math.exp(s.log_lambda[0]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_rbm_zero_weight_no_edge():
@@ -287,7 +288,7 @@ def test_rbm_zero_weight_no_edge():
                   theta=(0.0, math.log(2.0), 0.0))
     s = rbm_to_two_spin(p)
     assert s.edges == ((0, 2),)
-    assert s.lam(1) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(s.log_lambda[1]) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_energy_values():
@@ -416,3 +417,38 @@ def test_rbm_loader_refuses_non_integer_counts(tmp_path, field, value):
 def test_missing_file_is_input_error():
     with pytest.raises(InputError):
         load_instance("/nonexistent/path.json")
+
+
+# ---------------------------------------------------------------------------
+# error branches
+
+def _system(n=2, edges=((0, 1),), log_beta=(0.0,), log_gamma=(0.5,)):
+    return TwoSpinSystem(n=n, edges=edges, log_beta=log_beta,
+                         log_gamma=log_gamma, log_lambda=(0.0,) * max(n, 0))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: _system(n=0, edges=(), log_beta=(), log_gamma=()),
+     "vertex count must be >= 1, got 0"),
+    (lambda: _system(log_beta=()), "edge arrays have mismatched lengths"),
+    (lambda: _system(edges=((0, 2),)), r"edge 0 \(0,2\): vertex out of range"),
+    (lambda: _system(edges=((1, 0),)),
+     r"edge 0 \(1,0\): not in canonical \(min,max\) order"),
+    (lambda: _system(log_gamma=(math.inf,)), r"log_gamma\[0\] is not finite"),
+    (lambda: tilt(_system(), [0.5]), "theta vector has 1 entries for n=2"),
+    (lambda: induced_subsystem(_system(), [0, 2]),
+     r"vertex 2 outside the system \(n=2\)"),
+], ids=["n", "edge-arrays", "edge-range", "edge-order", "edge-finite",
+        "tilt-length", "induced-range"])
+def test_model_error_branches(call, fragment):
+    with pytest.raises(InputError, match=fragment):
+        call()
+
+
+@pytest.mark.parametrize("load, what", [(load_instance, "instance"),
+                                        (load_rbm, "RBM")])
+def test_loaders_refuse_a_file_that_is_not_json(tmp_path, load, what):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 2,')
+    with pytest.raises(InputError, match=f"{what} file .* is not valid JSON"):
+        load(str(path))

@@ -149,7 +149,7 @@ def test_a_system_builds_its_adjacency_map_once_and_shares_it_read_only():
         4, [1.0] * 4, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0), (2, 3, 0.9, 2.5),
                        (0, 3, 1.0, 1.5)])
     want = adjacency_map(
-        {v: [w for w, _ in system.neighbors(v)] for v in range(4)})
+        {v: [w for w, _ in system.adjacency[v]] for v in range(4)})
     first = adjacency_map(system)
     params = RegionParams(d1=2, d2=3)
     region = construct_region(system, 0, params)
@@ -664,7 +664,7 @@ def test_universal_pinning_counting_branch():
         # the zeroed child carries the weakest edge coupling
         def strength(c):
             e = tree.edge_to_parent[c]
-            return system.beta(e) * system.gamma(e)
+            return math.exp(system.log_beta[e]) * math.exp(system.log_gamma[e])
         assert strength(zeros[0]) == min(strength(c) for c in kids)
 
 
@@ -829,3 +829,17 @@ def test_boundary_goodness_after_burn_in():
         if is_good_boundary(spec, boundary):
             good += 1
     assert good / runs >= 0.99
+
+
+# ---------------------------------------------------------------------------
+# error branches
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: RegionParams(d1=1.5, d2=3), "d1 and d2 must be integers"),
+    (lambda: RegionParams(d1=1, d2=3.0), "d1 and d2 must be integers"),
+    (lambda: construct_region({0: [1], 1: [0]}, 2, RegionParams(1, 2)),
+     "vertex 2 is not in the graph"),
+], ids=["d1", "d2", "centre"])
+def test_region_error_branches(call, fragment):
+    with pytest.raises(InputError, match=fragment):
+        call()

@@ -970,7 +970,7 @@ def test_coupling_times_match_the_reference_chain():
         kernel = samplers._compile(system, sched)
         if not all(independent for _, independent in kernel.blocks):
             routes.add("dependent block")
-        if any(len(system.neighbors(v)) > samplers._MEMO_MAX_DEGREE
+        if any(len(system.adjacency[v]) > samplers._MEMO_MAX_DEGREE
                for block, _ in kernel.blocks for v in block):
             routes.add("above the memo degree")
         if system.n > 64:
@@ -1273,3 +1273,86 @@ def test_trajectory_csv_refuses_a_negative_step_count():
     system, _ = harness.random_tree_instance(harness._rng(1), 4)
     with pytest.raises(InputError, match="steps must be at least 0, got -5"):
         trajectory_csv(system, GLAUBER, -5, 0)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments: checked, not truncated
+
+@pytest.mark.parametrize("seed", [1.5, True, math.nan, "1"])
+def test_random_source_refuses_a_seed_that_is_not_an_integer(seed):
+    # RandomSource(1.5) used to stream seed 1
+    with pytest.raises(InputError, match=f"seed must be an integer, got {seed!r}"):
+        RandomSource(seed)
+
+
+@pytest.mark.parametrize("draw, fragment", [
+    (lambda source: source.uniforms(2.5),
+     "uniform count must be an integer, got 2.5"),
+    (lambda source: source.steps(2.5, 3),
+     "step count must be an integer, got 2.5"),
+], ids=["uniforms", "steps"])
+def test_random_source_refuses_a_fractional_draw(draw, fragment):
+    # uniforms(2.5) used to draw 2
+    source = RandomSource(0)
+    with pytest.raises(InputError, match=fragment):
+        draw(source)
+    assert source.position == 0
+    # numpy integers are integers
+    source = RandomSource(np.uint64(3))
+    assert source.seed == 3 and type(source.seed) is int
+    want = RandomSource(3).uniforms(10)
+    assert np.array_equal(source.uniforms(np.int64(4)), want[:4])
+    assert np.array_equal(source.steps(np.int32(2), np.int8(3)),
+                          want[4:].reshape(2, 3))
+
+
+@pytest.mark.parametrize("steps, seed, fragment", [
+    (5, 2.7, "seed must be an integer, got 2.7"),
+    (2.5, 0, "steps must be an integer, got 2.5"),
+], ids=["seed", "steps"])
+def test_trajectory_csv_refuses_fractional_arguments(steps, seed, fragment):
+    # seed 2.7 used to write "# seed=2.7" over the stream of seed 2
+    system, _ = harness.random_tree_instance(harness._rng(1), 4)
+    with pytest.raises(InputError, match=fragment):
+        trajectory_csv(system, GLAUBER, steps, seed)
+
+
+@pytest.mark.parametrize("seeds, cap, fragment", [
+    ([2.7], 100, "seed must be an integer, got 2.7"),
+    ([True], 100, "seed must be an integer, got True"),
+    ([1], 2.5, "cap must be an integer, got 2.5"),
+], ids=["fractional-seed", "bool-seed", "cap"])
+def test_coupling_times_refuses_fractional_arguments(seeds, cap, fragment):
+    # [2.7] used to answer for seed 2, and [True] for seed 1
+    system, _ = harness.random_tree_instance(harness._rng(1), 4)
+    with pytest.raises(InputError, match=fragment):
+        coupling_times(system, GLAUBER, seeds, cap)
+    assert (coupling_times(system, GLAUBER, [np.int64(2)], np.int64(100))
+            == coupling_times(system, GLAUBER, [2], 100))
+
+
+def test_site_conditional_refuses_a_fractional_vertex():
+    system, _ = harness.random_tree_instance(harness._rng(1), 4)
+    with pytest.raises(InputError, match="vertex must be an integer, got 1.5"):
+        site_conditional(system, (0, 1, 0, 1), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# error branches
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda s: CoupledPair(upper=ChainState((1, 1)), lower=ChainState((0,))),
+     "coupled chains must share a vertex set"),
+    (lambda s: site_conditional(s, (0, 1, 0, 1), 4), "vertex 4 out of range"),
+    (lambda s: schedule_step(
+        s, UpdateSchedule(kind="heat-bath-block", blocks=((0, 9),)),
+        ChainState((1, 1, 1, 1)), RandomSource(0)),
+     "block vertex 9 out of range"),
+    (lambda s: schedule_step(s, GLAUBER, ChainState((1, 1, 1)),
+                             RandomSource(0)), "state size mismatch"),
+], ids=["pair-size", "site-vertex-range", "block-vertex-range",
+        "step-state-size"])
+def test_sampler_error_branches(call, fragment):
+    system, _ = harness.random_tree_instance(harness._rng(1), 4)
+    with pytest.raises(InputError, match=fragment):
+        call(system)

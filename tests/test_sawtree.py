@@ -937,3 +937,32 @@ def test_ssm_probe_on_paths():
     r2 = 1.0 - float(np.sum(resid ** 2)) / float(
         np.sum((np.log(disc) - np.mean(np.log(disc))) ** 2))
     assert r2 >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# integer arguments and error branches
+
+def test_saw_marginal_refuses_a_fractional_vertex():
+    system = to_system(ora.random_instance(random.Random(1), 4))
+    with pytest.raises(InputError, match="root vertex must be an integer, got 1.5"):
+        saw_marginal(system, 1.5)
+    assert saw_marginal(system, np.int64(1)) == saw_marginal(system, 1)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda s, pp: build_saw_tree(s, 0, boundary=[9]),
+     "boundary vertex 9 out of range"),
+    (lambda s, pp: g_value(0.0, PC_DEGENERATE, 0.9, 4.5),
+     r"g needs x in \(0, lambda\), got 0.0"),
+    (lambda s, pp: g_value(1.0, PC_DEGENERATE, 0.9, 4.5),
+     r"g needs x in \(0, lambda\), got 1.0"),
+    (lambda s, pp: Phi(-0.1, pp, 1.0), r"Phi needs x in \[0, lambda\)"),
+    (lambda s, pp: Phi(1.0, pp, 1.0), r"Phi needs x in \[0, lambda\)"),
+    (lambda s, pp: decay_factor([0.4, 0.5], 0.5, [(0.9, 4.5)], pp, 1.0),
+     "x and edge params disagree in length"),
+], ids=["boundary-range", "g-at-zero", "g-at-lambda", "Phi-below",
+        "Phi-at-lambda", "decay-length"])
+def test_sawtree_error_branches(call, fragment):
+    system = to_system(ora.random_instance(random.Random(1), 4))
+    with pytest.raises(InputError, match=fragment):
+        call(system, derive_potential(PC_DEGENERATE))
