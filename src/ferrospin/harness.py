@@ -77,9 +77,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 < self.eps < 0.5):
             raise InputError(f"eps must lie in (0, 1/2), got {self.eps}")
-        if self.trials < 1:
+        if _integer(self.trials, "trials") < 1:
             raise InputError("trials must be positive")
-        if self.max_n < 2:
+        if _integer(self.max_n, "max_n") < 2:
             raise InputError("max_n must be at least 2")
 
 
@@ -180,7 +180,7 @@ def _is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
 def random_connected_graph(rng: np.random.Generator, n: int,
                            p: float) -> list[tuple[int, int]]:
     """Edge list of G(n, p) conditioned on connectivity (rejection)."""
-    if n < 1:
+    if _integer(n, "vertex count") < 1:
         raise InputError("graph needs at least one vertex")
     if not (0.0 <= p <= 1.0):
         raise InputError(f"edge probability must lie in [0,1], got {p}")
@@ -224,7 +224,7 @@ def random_tree_instance(rng: np.random.Generator, n: int,
                          ) -> tuple[TwoSpinSystem, tuple[tuple[int, ...],
                                                          tuple[int, ...]]]:
     """Random labelled tree plus its depth-parity bipartition."""
-    if n < 1:
+    if _integer(n, "vertex count") < 1:
         raise InputError("tree needs at least one vertex")
     depth = {0: 0}
     spec = []
@@ -244,7 +244,7 @@ def instance_family(name: str, n: int, beta: float, gamma: float,
                     lam: float) -> TwoSpinSystem:
     """Uniform-parameter families: edgeless, path, cycle, star,
     complete-bipartite (balanced parts)."""
-    if n < 1:
+    if _integer(n, "vertex count") < 1:
         raise InputError("family instance needs at least one vertex")
     if name == "edgeless":
         edges: list[tuple[int, int]] = []
@@ -396,9 +396,9 @@ def coupling_failure_fraction(system: TwoSpinSystem,
                               schedule: UpdateSchedule, t: int, trials: int,
                               seed: int = 0) -> float:
     """Fraction of independent grand couplings not merged after t steps."""
-    if t < 1:
+    if _integer(t, "step count") < 1:
         raise InputError("step count must be positive")
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise InputError("need at least one trial")
     times = coupling_times(system, schedule,
                            [seed + 1000003 * i for i in range(trials)], t)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, NumericError
 
 
@@ -68,7 +70,7 @@ class TwoSpinSystem:
     log_lambda: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer(self.n, "vertex count") < 1:
             raise InputError(f"vertex count must be >= 1, got {self.n}")
         if len(self.log_lambda) != self.n:
             raise InputError(
@@ -77,10 +79,13 @@ class TwoSpinSystem:
             raise InputError("edge arrays have mismatched lengths")
         seen = set()
         for i, (u, v) in enumerate(self.edges):
+            try:
+                _integer(u, "vertex", self.n)
+                _integer(v, "vertex", self.n)
+            except InputError as exc:
+                raise InputError(f"edge {i} ({u},{v}): {exc}") from None
             if u == v:
                 raise InputError(f"edge {i} ({u},{v}): self-loop")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge {i} ({u},{v}): vertex out of range")
             if u > v:
                 raise InputError(f"edge {i} ({u},{v}): not in canonical (min,max) order")
             if (u, v) in seen:
@@ -174,13 +179,13 @@ class Pinning:
     __slots__ = ("_items",)
 
     def __init__(self, values: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = dict(values)
-        for v, s in pairs.items():
-            if not isinstance(v, int) or v < 0:
-                raise InputError(f"pinned vertex {v!r} is not a vertex index")
-            if s not in (0, 1):
-                raise InputError(f"pinned value {s!r} at vertex {v} is not a bit")
-        object.__setattr__(self, "_items", tuple(sorted(pairs.items())))
+        items = tuple(sorted(
+            (_integer(v, "pinned vertex"),
+             _integer(s, f"pinned vertex {v!r}: spin", 2))
+            for v, s in dict(values).items()))
+        if items and items[0][0] < 0:
+            raise InputError(f"pinned vertex {items[0][0]} is not a vertex index")
+        object.__setattr__(self, "_items", items)
 
     @property
     def domain(self) -> frozenset[int]:
@@ -234,8 +239,7 @@ def apply_pinning(system: TwoSpinSystem, pin: Pinning) -> TwoSpinSystem:
     :func:`surviving_vertices`).
     """
     for v in pin.domain:
-        if v >= system.n:
-            raise InputError(f"pinned vertex {v} outside the system (n={system.n})")
+        _integer(v, "pinned vertex", system.n)
     values = dict(pin.items())
     survivors = surviving_vertices(system.n, pin)
     remap = {v: i for i, v in enumerate(survivors)}
@@ -271,7 +275,7 @@ def tilt(system: TwoSpinSystem, thetas: float | Sequence[float]) -> TwoSpinSyste
     Its Gibbs distribution is the original one reweighted by
     prod_{sigma_v = 0} theta_v.
     """
-    if isinstance(thetas, (int, float)):
+    if np.ndim(thetas) == 0:
         thetas = [float(thetas)] * system.n
     if len(thetas) != system.n:
         raise InputError(f"theta vector has {len(thetas)} entries for n={system.n}")
@@ -296,10 +300,7 @@ def induced_subsystem(system: TwoSpinSystem,
     Returns (subsystem, old->new vertex map); new numbering is increasing in
     the old one.
     """
-    keep = sorted(set(vertices))
-    for v in keep:
-        if not (0 <= v < system.n):
-            raise InputError(f"vertex {v} outside the system (n={system.n})")
+    keep = sorted({_integer(v, "vertex", system.n) for v in vertices})
     remap = {v: i for i, v in enumerate(keep)}
     edges, lb, lg = [], [], []
     for e, (u, v) in enumerate(system.edges):
@@ -376,9 +377,9 @@ class RbmParams:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        n = self.n0 + self.n1
-        if self.n0 < 1 or self.n1 < 1:
+        if _integer(self.n0, "n0") < 1 or _integer(self.n1, "n1") < 1:
             raise InputError("both parts of the bipartition must be nonempty")
+        n = self.n0 + self.n1
         if len(self.interaction) != n or any(len(row) != n for row in self.interaction):
             raise InputError(f"interaction matrix must be {n}x{n}")
         if len(self.theta) != n:

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import constants, exact
 from .errors import CapacityError, FerrospinError, InputError
-from .model import Pinning, TwoSpinSystem, ParamClass, induced_subsystem, lambda0
+from .model import (Pinning, TwoSpinSystem, ParamClass, _integer,
+                    induced_subsystem, lambda0)
 from .sawtree import SawTree, _walks, evaluate_ratios
 
 
@@ -49,16 +50,14 @@ class RegionParams:
     d2: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d1, int) and isinstance(self.d2, int)):
-            raise InputError("d1 and d2 must be integers")
-        if self.d1 < 1 or self.d2 < self.d1:
+        if _integer(self.d1, "d1") < 1 or _integer(self.d2, "d2") < self.d1:
             raise InputError("need 1 <= d1 <= d2")
 
     @classmethod
     def from_n(cls, n: int) -> "RegionParams":
         """d1 = ceil(REGION_C_D * ln ln n), d2 = ceil((ln n)^3), natural
         logs, clamped so that 1 <= d1 <= d2 for tiny n."""
-        if n < 2:
+        if _integer(n, "vertex count") < 2:
             raise InputError("need at least two vertices to derive parameters")
         d1 = max(1, math.ceil(constants.REGION_C_D * math.log(math.log(n))))
         d2 = max(d1, math.ceil(math.log(n) ** 3))

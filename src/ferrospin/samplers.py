@@ -168,7 +168,8 @@ class UpdateSchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise InputError(f"unknown schedule kind {self.kind!r}")
         if self.blocks is not None:
-            norm = tuple(tuple(sorted(set(b))) for b in self.blocks)
+            norm = tuple(tuple(sorted({_integer(v, "block vertex") for v in b}))
+                         for b in self.blocks)
             object.__setattr__(self, "blocks", norm)
             if self.kind == "alternating-scan" and len(norm) != 2:
                 raise InputError("alternating-scan needs exactly two parts")
@@ -179,7 +180,8 @@ class UpdateSchedule:
                 raise InputError("field-dynamics chooses its own block; it "
                                  "takes no censor")
         if self.censor is not None:
-            object.__setattr__(self, "censor", frozenset(self.censor))
+            object.__setattr__(self, "censor", frozenset(
+                _integer(v, "censored vertex") for v in self.censor))
 
 
 @dataclass(frozen=True)
@@ -388,6 +390,8 @@ def _compile(system: TwoSpinSystem, schedule: UpdateSchedule) -> _Kernel:
         if schedule.kind == "alternating-scan":
             check_bipartition(system, blocks)
     if schedule.censor is not None:
+        for v in schedule.censor:
+            _integer(v, "censored vertex", system.n)
         blocks = [tuple(v for v in b if v in schedule.censor) for b in blocks]
     kernel = _Kernel(system)
     kernel.blocks = [(b, kernel.independent(b)) for b in blocks]

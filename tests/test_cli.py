@@ -430,6 +430,25 @@ def test_the_module_entry_point_keeps_the_exit_contract(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["saw", "--center", "99"], "error: root vertex 99 out of range"),
+    (["region", "--center", "-1"], "error: vertex -1 is not in the graph"),
+    (["sample", "--censor", "99"], "error: censored vertex 99 out of range"),
+], ids=["saw-center", "region-center", "sample-censor"])
+def test_the_library_range_checks_keep_the_exit_contract(path5, argv, line):
+    # the CLI leaves a vertex's range to the library, whose InputError still
+    # ends the program in exit 1 and one error line, never a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ferrospin.cli", argv[0], "--instance",
+         str(path5), *argv[1:]],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [line]
+    assert "Traceback" not in proc.stderr
+
+
 def test_no_subcommand_loads_scipy(path5, tmp_path):
     # the library needs numpy only: scipy is a test dependency, and loading
     # it would cost every process its import time and a second BLAS

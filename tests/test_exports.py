@@ -2,8 +2,8 @@
 every constant in `constants.py` is read somewhere in the package, every
 defaulted parameter of a public function is passed by some call, the
 package imports exactly its declared runtime dependencies beside the
-standard library, and the package and its demos read only log
-parameters."""
+standard library, the package and its demos read only log parameters,
+and no module checks an integer argument with `isinstance`."""
 
 import ast
 import math
@@ -148,6 +148,25 @@ def test_package_and_demos_read_only_log_parameters():
               and isinstance(node.func, ast.Attribute)
               and node.func.attr in ("lam", "beta", "gamma")]
     assert len(paths) > 10 and not linear, linear
+
+
+def test_package_checks_integers_only_through_model_integer():
+    # `model._integer` is the one rule for an integer argument (numpy ints
+    # pass, bool and floats do not); an isinstance test against int reads
+    # True as 1 and refuses np.int64(1), so it would fork the rule again
+    package = pathlib.Path(ferrospin.__file__).parent
+    forks = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in names):
+                forks.append(f"{path.name}:{node.lineno}")
+    assert not forks, forks
 
 
 # each module's layer: a module imports, by relative import, only from

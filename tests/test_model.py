@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ferrospin.errors import InputError, NumericError
-from ferrospin.exact import gibbs_distribution, log_weights
+from ferrospin.exact import (censored_glauber_matrix, conditional_marginal,
+                             field_kernel_matrix, gibbs_distribution,
+                             log_weights)
+from ferrospin.harness import (ExperimentConfig, coupling_failure_fraction,
+                               instance_family, random_ferro_instance,
+                               random_tree_instance, run_suite)
 from ferrospin.model import (
     ParamClass,
     Pinning,
@@ -27,6 +32,9 @@ from ferrospin.model import (
     surviving_vertices,
     tilt,
 )
+from ferrospin.regions import RegionParams
+from ferrospin.samplers import UpdateSchedule, trajectory_csv
+from ferrospin.sawtree import saw_marginal
 
 import _oracles as oracle
 
@@ -211,6 +219,15 @@ def test_tilt_identity_and_scalar():
         tilt(s, 0.0)
     with pytest.raises(InputError):
         tilt(s, 1.5)
+
+
+@pytest.mark.parametrize("theta, value", [(np.float32(0.5), 0.5),
+                                          (np.float64(0.25), 0.25),
+                                          (np.int64(1), 1.0),
+                                          (np.array(0.5), 0.5)])
+def test_tilt_numpy_scalar_is_the_python_float(theta, value):
+    s = make(3, [2.0, 0.5, 1.5], [(0, 1, 0.9, 2.0), (1, 2, 0.8, 3.0)])
+    assert tilt(s, theta) == tilt(s, value)
 
 
 def test_tilt_matches_reweighting():
@@ -431,13 +448,13 @@ def _system(n=2, edges=((0, 1),), log_beta=(0.0,), log_gamma=(0.5,)):
     (lambda: _system(n=0, edges=(), log_beta=(), log_gamma=()),
      "vertex count must be >= 1, got 0"),
     (lambda: _system(log_beta=()), "edge arrays have mismatched lengths"),
-    (lambda: _system(edges=((0, 2),)), r"edge 0 \(0,2\): vertex out of range"),
+    (lambda: _system(edges=((0, 2),)), r"edge 0 \(0,2\): vertex 2 out of range"),
     (lambda: _system(edges=((1, 0),)),
      r"edge 0 \(1,0\): not in canonical \(min,max\) order"),
     (lambda: _system(log_gamma=(math.inf,)), r"log_gamma\[0\] is not finite"),
     (lambda: tilt(_system(), [0.5]), "theta vector has 1 entries for n=2"),
     (lambda: induced_subsystem(_system(), [0, 2]),
-     r"vertex 2 outside the system \(n=2\)"),
+     "vertex 2 out of range"),
 ], ids=["n", "edge-arrays", "edge-range", "edge-order", "edge-finite",
         "tilt-length", "induced-range"])
 def test_model_error_branches(call, fragment):
@@ -452,3 +469,98 @@ def test_loaders_refuse_a_file_that_is_not_json(tmp_path, load, what):
     path.write_text('{"n": 2,')
     with pytest.raises(InputError, match=f"{what} file .* is not valid JSON"):
         load(str(path))
+
+
+# ---------------------------------------------------------------------------
+# one integer rule: every layer reads a vertex, spin or count through
+# model._integer
+
+GLAUBER = UpdateSchedule("single-site-glauber")
+
+
+def _path5():
+    return instance_family("path", 5, 1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [True, np.True_, 1.0, 1.5, math.nan, -1, 5],
+                         ids=["True", "np.True_", "1.0", "1.5", "nan", "-1",
+                              "n"])
+def test_every_layer_refuses_what_is_not_a_vertex_or_spin(x):
+    s = _path5()
+    with pytest.raises(InputError):
+        censored_glauber_matrix(s, [x])
+    with pytest.raises(InputError):
+        trajectory_csv(s, UpdateSchedule("single-site-glauber", censor=[x]),
+                       3, 0)
+    with pytest.raises(InputError):
+        Pinning({0: x})
+    if not (type(x) is int and x == s.n):
+        with pytest.raises(InputError):
+            Pinning({x: 0})
+        return
+    # a pinning knows no vertex count: vertex n is refused by every route
+    # that applies it to a system of n vertices
+    pin = Pinning({x: 0})
+    for call in (lambda: apply_pinning(s, pin),
+                 lambda: conditional_marginal(s, pin, 0),
+                 lambda: saw_marginal(s, 0, pin)):
+        with pytest.raises(InputError, match="vertex 5 out of range"):
+            call()
+
+
+def test_numpy_integer_pin_is_the_python_int_pin():
+    s = random_ferro_instance(np.random.default_rng(3), 6)
+    pin = Pinning({np.int64(1): 0, 4: np.int64(1)})
+    same = Pinning({1: 0, 4: 1})
+    assert pin == same and hash(pin) == hash(same)
+    assert [type(x) for pair in pin.items() for x in pair] == [int] * 4
+    assert conditional_marginal(s, pin, 2) == conditional_marginal(s, same, 2)
+    assert saw_marginal(s, 2, pin) == saw_marginal(s, 2, same)
+    assert apply_pinning(s, pin) == apply_pinning(s, same)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: conditional_marginal(_path5(), Pinning({1: 1.0}), 0),
+     "pinned vertex 1: spin must be an integer, got 1.0"),
+    (lambda: Pinning({True: 1}), "pinned vertex must be an integer, got True"),
+    (lambda: coupling_failure_fraction(_path5(), GLAUBER, 5, 2.5),
+     "trials must be an integer, got 2.5"),
+    (lambda: coupling_failure_fraction(_path5(), GLAUBER, 5, True),
+     "trials must be an integer, got True"),
+    (lambda: coupling_failure_fraction(_path5(), GLAUBER, 5.0, 3),
+     "step count must be an integer, got 5.0"),
+    (lambda: instance_family("path", 2.5, 1.0, 2.0, 1.0),
+     "vertex count must be an integer, got 2.5"),
+    (lambda: random_tree_instance(np.random.default_rng(0), 3.0),
+     "vertex count must be an integer, got 3.0"),
+    (lambda: run_suite("potential", ExperimentConfig(trials=2.5)),
+     "trials must be an integer, got 2.5"),
+    (lambda: ExperimentConfig(max_n=6.0), "max_n must be an integer, got 6.0"),
+    (lambda: TwoSpinSystem.from_params(True, [1.0], []),
+     "vertex count must be an integer, got True"),
+    (lambda: RbmParams(1, 1.0, ((0.0, 1.0), (1.0, 0.0)), (0.0, 0.0)),
+     "n1 must be an integer, got 1.0"),
+    (lambda: RegionParams(d1=True, d2=3), "d1 must be an integer, got True"),
+    (lambda: RegionParams.from_n(100.5),
+     "vertex count must be an integer, got 100.5"),
+    (lambda: UpdateSchedule("heat-bath-block", blocks=[(1, True)]),
+     "block vertex must be an integer, got True"),
+    (lambda: UpdateSchedule("single-site-glauber", censor=[1.0]),
+     "censored vertex must be an integer, got 1.0"),
+], ids=["pin-spin", "pin-vertex", "failure-trials", "failure-trials-bool",
+        "failure-t", "family-n", "tree-n", "suite-trials", "config-max-n",
+        "system-n", "rbm-n1", "region-d1", "region-from-n", "block-bool",
+        "censor-float"])
+def test_integer_arguments_refused_with_their_name_and_value(call, fragment):
+    with pytest.raises(InputError, match=fragment):
+        call()
+
+
+def test_numpy_scalar_theta_runs_every_field_route():
+    s = _path5()
+    assert (field_kernel_matrix(s, np.float32(0.5)).entries
+            == field_kernel_matrix(s, 0.5).entries).all()
+    rows = [trajectory_csv(s, UpdateSchedule("field-dynamics", theta=theta),
+                           20, 4).splitlines()[6:]
+            for theta in (np.float32(0.5), 0.5)]
+    assert rows[0] == rows[1]

@@ -835,8 +835,8 @@ def test_boundary_goodness_after_burn_in():
 # error branches
 
 @pytest.mark.parametrize("call, fragment", [
-    (lambda: RegionParams(d1=1.5, d2=3), "d1 and d2 must be integers"),
-    (lambda: RegionParams(d1=1, d2=3.0), "d1 and d2 must be integers"),
+    (lambda: RegionParams(d1=1.5, d2=3), "d1 must be an integer, got 1.5"),
+    (lambda: RegionParams(d1=1, d2=3.0), "d2 must be an integer, got 3.0"),
     (lambda: construct_region({0: [1], 1: [0]}, 2, RegionParams(1, 2)),
      "vertex 2 is not in the graph"),
 ], ids=["d1", "d2", "centre"])
