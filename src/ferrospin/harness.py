@@ -144,9 +144,9 @@ def value_row(claim: str, instance: str, value: float,
 def wilson_upper(failures: int, trials: int) -> float:
     """Upper end of the Wilson score interval for a binomial proportion, at
     z = `constants.WILSON_Z`."""
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise InputError("wilson interval needs at least one trial")
-    if not 0 <= failures <= trials:
+    if not 0 <= _integer(failures, "failure count") <= trials:
         raise InputError("failure count out of range")
     p_hat = failures / trials
     z = constants.WILSON_Z

@@ -112,6 +112,7 @@ def construct_region(graph, center: int, params: RegionParams,
     flush them all into the region.
     """
     adj = adjacency_map(graph)
+    center = _integer(center, "centre vertex")
     if center not in adj:
         raise InputError(f"vertex {center} is not in the graph")
     members: set[int] = {center}

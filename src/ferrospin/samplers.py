@@ -93,7 +93,7 @@ class ChainState:
     def __post_init__(self):
         if not all(map((0, 1).__contains__, self.config)):
             raise InputError("configuration entries must be 0/1")
-        if self.step < 0:
+        if _integer(self.step, "step") < 0:
             raise InputError("step must be nonnegative")
 
 

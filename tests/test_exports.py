@@ -3,7 +3,8 @@ every constant in `constants.py` is read somewhere in the package, every
 defaulted parameter of a public function is passed by some call, the
 package imports exactly its declared runtime dependencies beside the
 standard library, the package and its demos read only log parameters,
-and no module checks an integer argument with `isinstance`."""
+no module checks an integer argument with `isinstance`, and the walk-tree
+module takes no exp or log from numpy."""
 
 import ast
 import math
@@ -167,6 +168,26 @@ def test_package_checks_integers_only_through_model_integer():
             if any(isinstance(k, ast.Name) and k.id == "int" for k in names):
                 forks.append(f"{path.name}:{node.lineno}")
     assert not forks, forks
+
+
+def test_sawtree_takes_no_transcendental_from_numpy():
+    # the level-order fold of `saw_marginal` matches the depth-first one bit
+    # for bit only because both take exp and log1p from math: numpy's
+    # vectorised versions differ from libm in the last bit, which would
+    # move the walk digests
+    path = pathlib.Path(ferrospin.__file__).parent / "sawtree.py"
+    banned = {"exp", "log", "log1p", "expm1", "logaddexp"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in banned
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            found.append(f"sawtree.py:{node.lineno} np.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "numpy"):
+            found += [f"sawtree.py:{node.lineno} from numpy import {a.name}"
+                      for a in node.names if a.name in banned | {"*"}]
+    assert not found, found
 
 
 # each module's layer: a module imports, by relative import, only from

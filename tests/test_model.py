@@ -12,7 +12,7 @@ from ferrospin.exact import (censored_glauber_matrix, conditional_marginal,
                              log_weights)
 from ferrospin.harness import (ExperimentConfig, coupling_failure_fraction,
                                instance_family, random_ferro_instance,
-                               random_tree_instance, run_suite)
+                               random_tree_instance, run_suite, wilson_upper)
 from ferrospin.model import (
     ParamClass,
     Pinning,
@@ -32,8 +32,8 @@ from ferrospin.model import (
     surviving_vertices,
     tilt,
 )
-from ferrospin.regions import RegionParams
-from ferrospin.samplers import UpdateSchedule, trajectory_csv
+from ferrospin.regions import RegionParams, construct_region
+from ferrospin.samplers import ChainState, UpdateSchedule, trajectory_csv
 from ferrospin.sawtree import saw_marginal
 
 import _oracles as oracle
@@ -494,6 +494,8 @@ def test_every_layer_refuses_what_is_not_a_vertex_or_spin(x):
                        3, 0)
     with pytest.raises(InputError):
         Pinning({0: x})
+    with pytest.raises(InputError):
+        construct_region(s, x, RegionParams(d1=2, d2=4))
     if not (type(x) is int and x == s.n):
         with pytest.raises(InputError):
             Pinning({x: 0})
@@ -547,10 +549,15 @@ def test_numpy_integer_pin_is_the_python_int_pin():
      "block vertex must be an integer, got True"),
     (lambda: UpdateSchedule("single-site-glauber", censor=[1.0]),
      "censored vertex must be an integer, got 1.0"),
+    (lambda: wilson_upper(1, 2.5), "trials must be an integer, got 2.5"),
+    (lambda: wilson_upper(True, 3),
+     "failure count must be an integer, got True"),
+    (lambda: ChainState((0, 1), 2.5), "step must be an integer, got 2.5"),
 ], ids=["pin-spin", "pin-vertex", "failure-trials", "failure-trials-bool",
         "failure-t", "family-n", "tree-n", "suite-trials", "config-max-n",
         "system-n", "rbm-n1", "region-d1", "region-from-n", "block-bool",
-        "censor-float"])
+        "censor-float", "wilson-trials", "wilson-failures-bool",
+        "chain-step"])
 def test_integer_arguments_refused_with_their_name_and_value(call, fragment):
     with pytest.raises(InputError, match=fragment):
         call()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as ora
-from ferrospin import constants
+from ferrospin import constants, sawtree
 from ferrospin.errors import CapacityError, InputError, NumericError
 from ferrospin.model import (
     ParamClass,
@@ -396,6 +396,94 @@ def test_saw_marginal_node_cap_fires_where_the_tree_build_does(monkeypatch):
         monkeypatch.setattr(constants, "REGION_NODE_CAP", size - 1)
         with pytest.raises(CapacityError, match=f"node cap {size - 1}$"):
             saw_marginal(system, v, pin)
+
+
+def _route_system(rng, kind):
+    """A seeded system for the route test: ferromagnetic, extreme
+    (1e+-300) or an RBM whose weights reach 1e+-308, where sums of log
+    terms overflow to +-inf."""
+    n = rng.randint(1, 8)
+    pairs = ora.random_connected_graph(rng, n, rng.uniform(0.2, 0.6))
+    if kind == 0:
+        return to_system((n, [rng.uniform(0.05, 2.0) for _ in range(n)],
+                          ora.random_ferro_params(rng, pairs)))
+
+    def extreme():
+        return rng.choice([1e300, 1e-300, 10.0 ** rng.uniform(-300, 300),
+                           rng.uniform(0.2, 5.0)])
+
+    if kind == 1:
+        return to_system((n, [extreme() for _ in range(n)],
+                          [(u, v, extreme(), extreme()) for u, v in pairs]))
+    n0, n1 = rng.randint(1, 4), rng.randint(1, 4)
+    weights = [1e308, -1e308, 1e300, -1e-300, 1000.0, -1000.0]
+    w = [[0.0] * (n0 + n1) for _ in range(n0 + n1)]
+    for u in range(n0):
+        for v in range(n0, n0 + n1):
+            if rng.random() < 0.8:
+                w[u][v] = w[v][u] = rng.choice(weights + [rng.uniform(-2, 2)])
+    theta = [rng.choice(weights + [0.0, rng.uniform(-2, 2)])
+             for _ in range(n0 + n1)]
+    return rbm_to_two_spin(RbmParams(n0=n0, n1=n1,
+                                     interaction=tuple(map(tuple, w)),
+                                     theta=tuple(theta)))
+
+
+def test_level_order_fold_is_the_depth_first_fold_bit_for_bit(monkeypatch):
+    # a budget of 0 sends every tree to the level-order arrays, one of inf
+    # none, one of 64 the trees past it estimated at 160 nodes or more, and
+    # the pass finishes the others; repr tells apart every float bit, also
+    # of -0.0, which == does not
+    def answer(budget, cap, system, v, pin):
+        monkeypatch.setattr(sawtree, "_ARRAY_NODES", budget)
+        monkeypatch.setattr(constants, "REGION_NODE_CAP", cap)
+        try:
+            return repr(tuple(saw_marginal(system, v, pin)))
+        except CapacityError:
+            return "CapacityError"
+
+    rng = random.Random(47)
+    full = constants.REGION_NODE_CAP
+    sizes, answers = [], set()
+    for trial in range(240):
+        system = _route_system(rng, trial % 3)
+        v = rng.randrange(system.n)
+        pin = Pinning(_random_pin(rng, system.n, v) if trial % 2 else {})
+        monkeypatch.setattr(constants, "REGION_NODE_CAP", full)
+        size = saw_marginal(system, v, pin).tree_nodes
+        sizes.append(size)
+        for cap in (full, size - 1, size // 2, 1):
+            if cap:
+                want = answer(math.inf, cap, system, v, pin)
+                assert answer(0, cap, system, v, pin) == want
+                assert answer(64, cap, system, v, pin) == want
+                answers.add(want[:1])
+    # answers and raised caps, on trees of 1 to thousands of nodes
+    assert answers == {"(", "C"}
+    assert min(sizes) == 1 and max(sizes) > 1000
+
+
+def test_the_pass_keeps_small_and_deep_trees_and_hands_over_wide_ones(
+        monkeypatch):
+    handed = []
+    level_fold = sawtree._level_fold
+    monkeypatch.setattr(sawtree, "_level_fold",
+                        lambda *args: handed.append(args[1]) or level_fold(*args))
+
+    def bipartite(a, b):
+        return to_system((a + b, [1.0] * (a + b),
+                          [(u, a + w, 1.0, 2.0)
+                           for u in range(a) for w in range(b)]))
+
+    # K(3,9) has a 3,628-node tree, under the 5,500 where the arrays start to
+    # pay, K(5,5) a 44,586-node one; a 3000-cycle's 6,001 nodes lie on
+    # 3,000 levels
+    assert saw_marginal(bipartite(3, 9), 0).tree_nodes == 3628
+    assert saw_marginal(bipartite(5, 5), 1).tree_nodes == 44586
+    cycle = to_system((3000, [1.0] * 3000,
+                       [(i, (i + 1) % 3000, 2.0, 3.0) for i in range(3000)]))
+    assert saw_marginal(cycle, 2).tree_nodes == 6001
+    assert handed == [1]
 
 
 def _log_edge_factor(log_x, lb, lg):

@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of the reprs of `saw_marginal`, `construct_region`
 and `verify_region` results on seeded inputs, recorded before the walk
-callbacks moved to per-vertex tables.  A faster walk must leave every float
-bit, node count, walk count and witness alone, and raise CapacityError on
+callbacks moved to per-vertex tables (`saw:large`, before `saw_marginal`
+gained its level-order route).  A faster walk must leave every float bit,
+node count, walk count and witness alone, and raise CapacityError on
 exactly the same inputs.
 
 `python3 tests/test_walk_digests.py` prints the current digests;
@@ -156,6 +157,64 @@ def _capped_text():
     return "\n".join(out)
 
 
+def _few_pins(rng, n, v):
+    """One or two pinned vertices, so that the tree stays large."""
+    others = [u for u in range(n) if u != v]
+    return Pinning({u: rng.randint(0, 1)
+                    for u in rng.sample(others, rng.randint(1, 2))})
+
+
+def _large_text():
+    """Trees of 750 to 170,000 nodes, most past the 2048 where
+    `saw_marginal` may leave its depth-first fold for level-order arrays:
+    regular graphs with ferromagnetic, extreme (1e+-300) and RBM parameters,
+    each root without and with a pinning, and caps at, just below and half
+    way below each tree above 2048 nodes."""
+    rng = random.Random(9009)
+
+    def extreme():
+        if rng.random() < 0.2:
+            return rng.choice([1e300, 1e-300, 10.0 ** rng.uniform(-300, 300)])
+        return rng.uniform(0.2, 5.0)
+
+    def rbm_weight():
+        if rng.random() < 0.2:
+            return rng.choice([1e300, -1e300, 1e-300, 1000.0, -1000.0])
+        return rng.uniform(-2.0, 2.0)
+
+    systems = []
+    for n, d in ((12, 4), (14, 4), (20, 3), (24, 3), (9, 5)):
+        pairs = _regular(rng, n, d)
+        lam = [rng.uniform(0.05, 2.0) for _ in range(n)]
+        systems.append(TwoSpinSystem.from_params(
+            n, lam, ora.random_ferro_params(rng, pairs)))
+    for n, d in ((12, 4), (10, 4), (9, 5)):
+        pairs = _regular(rng, n, d)
+        systems.append(TwoSpinSystem.from_params(
+            n, [extreme() for _ in range(n)],
+            [(u, v, extreme(), extreme()) for u, v in pairs]))
+    for n0, n1 in ((5, 5), (4, 5), (5, 6)):
+        n = n0 + n1
+        w = [[0.0] * n for _ in range(n)]
+        for u in range(n0):
+            for v in range(n0, n):
+                w[u][v] = w[v][u] = rbm_weight()
+        systems.append(rbm_to_two_spin(RbmParams(
+            n0=n0, n1=n1, interaction=tuple(map(tuple, w)),
+            theta=tuple(rbm_weight() for _ in range(n)))))
+    out = []
+    for system in systems:
+        v = rng.randrange(system.n)
+        for pin in (Pinning(), _few_pins(rng, system.n, v)):
+            out.append(_marginal(system, v, pin))
+            size = saw_marginal(system, v, pin).tree_nodes
+            for cap in (size, size - 1, (size + 2048) // 2):
+                if cap > 2048:
+                    with _node_cap(cap):
+                        out.append(f"{cap} {_marginal(system, v, pin)}")
+    return "\n".join(out)
+
+
 def _sparse_graph(rng, n):
     """G(n, (ln n + 1)/n) made connected, as an adjacency mapping."""
     adj = {v: [] for v in range(n)}
@@ -238,6 +297,7 @@ TEXTS = {
     "saw:rbm": _rbm_text,
     "saw:extreme": _extreme_text,
     "saw:capped": _capped_text,
+    "saw:large": _large_text,
     "region:grown": _region_text,
     "region:edge": _region_edge_text,
 }
@@ -254,6 +314,8 @@ DIGESTS = {
         "9e30f3df11014e67fde08621936800e1ef17e6952c9722de4a07d584cc2be9b0",
     "saw:gnp":
         "137a7a8fa3b33891d84102ba16cd7268023c365d744a5c10daeca5da46fc0b82",
+    "saw:large":
+        "bfca67da4124d643fbf4c504eda7dc90d4248ff313235114c476e3185061cad9",
     "saw:rbm":
         "12a6d4b65a456e5f7f1a9663f3f670bfa94275f245831b073ce68b0e103d92b6",
     "saw:regular":
