@@ -232,10 +232,6 @@ def _region_record(system: TwoSpinSystem, center: int,
 
 def cmd_region(args) -> int:
     system = _load_system(args)
-    if args.d1 is not None and args.d1 < 1:
-        raise InputError("d1 must be >= 1")
-    if args.d2 is not None and args.d2 < 1:
-        raise InputError("d2 must be >= 1")
     if (args.d1 is None) != (args.d2 is None):
         raise InputError("give both --d1 and --d2, or neither")
     if args.d1 is None:

@@ -131,9 +131,6 @@ def log_weights(system: TwoSpinSystem) -> tuple[np.ndarray, float]:
     edges to lower vertices, so each edge costs O(2^v), not O(2^n)."""
     n = system.n
     _check_capacity(n, constants.VECTOR_LIMIT, "weight enumeration")
-    lower = [[] for _ in range(n)]  # (lower endpoint, edge) by upper one
-    for e, (u, v) in enumerate(system.edges):
-        lower[max(u, v)].append((min(u, v), e))
     logw = np.zeros(1)
     shift = 0.0
     for v in range(n):
@@ -142,7 +139,9 @@ def log_weights(system: TwoSpinSystem) -> tuple[np.ndarray, float]:
         shift += top
         halves = np.empty((2, logw.size))  # row s: the entries with sigma_v = s
         halves[:] = [[ll - top], [-top]]
-        for u, e in lower[v]:
+        for u, e in system.adjacency[v]:  # lower neighbours first
+            if u > v:
+                break
             lb, lg = system.log_beta[e], system.log_gamma[e]
             top = max(lb, lg, 0.0)
             shift += top
@@ -390,8 +389,7 @@ def field_kernel_matrix(system: TwoSpinSystem,
     P = sum_S w_S * (heat bath on S under the tilted measure), with row
     weight w_S(sigma) = theta^|S - sigma| (1-theta)^|V - S| when sigma's
     1-vertices lie in S, and 0 otherwise."""
-    if not (0.0 < theta <= 1.0):
-        raise InputError(f"theta must lie in (0,1], got {theta}")
+    tilted = tilt(system, theta)  # refuses a theta outside (0, 1]
     n = system.n
     _check_capacity(n, constants.FIELD_KERNEL_LIMIT, "field kernel")
     idx = np.arange(2 ** n, dtype=np.int64)
@@ -405,7 +403,7 @@ def field_kernel_matrix(system: TwoSpinSystem,
                              0.0)
             yield [v for v in range(n) if (smask >> v) & 1], scale
 
-    return _mixture(tilt(system, theta), terms(), "field kernel")
+    return _mixture(tilted, terms(), "field kernel")
 
 
 def scan_matrix(system: TwoSpinSystem,

@@ -24,6 +24,7 @@ from .errors import InputError, NumericError
 from .exact import (
     TransitionMatrix,
     _all_to_one,
+    _check_capacity,
     _mixing_time_and_distance,
     _table,
     alternating_scan_matrix,
@@ -433,9 +434,7 @@ def gamma_min_pinned(tilted: TwoSpinSystem) -> float:
     pinned vertices.  Pinning everything gives the identity chain, so the
     full pinning is excluded."""
     n = tilted.n
-    limit = constants.FIELD_KERNEL_LIMIT
-    if n > limit:
-        raise InputError(f"pinned-gap sweep needs n <= {limit}, got {n}")
+    _check_capacity(n, constants.FIELD_KERNEL_LIMIT, "pinned-gap sweep")
     best = math.inf
     for mask in range(2 ** n - 1):
         pinned = [v for v in range(n) if mask >> v & 1]
@@ -454,8 +453,7 @@ def field_boost_check(system: TwoSpinSystem, pc: ParamClass,
     lc = lambda_c(pc)
     if theta is None:
         theta = 1.0 / (2.0 * lc)
-    if not (0.0 < theta <= 1.0):
-        raise InputError(f"theta must lie in (0,1], got {theta}")
+    tilted = tilt(system, theta)  # refuses a theta outside (0, 1]
     n = system.n
     h = instance_hash(system)
     rows = []
@@ -470,7 +468,7 @@ def field_boost_check(system: TwoSpinSystem, pc: ParamClass,
     gap_single = spectral_report(glauber_matrix(system), mu, "glauber").gap
     gap_field = spectral_report(field_kernel_matrix(system, theta), mu,
                                 "glauber").gap
-    g_min = gamma_min_pinned(tilt(system, theta))
+    g_min = gamma_min_pinned(tilted)
     rows.append(inequality_row(
         "single-site-gap-at-least-field-gap-times-min-pinned-gap", h,
         gap_field * g_min, gap_single,

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -159,9 +159,16 @@ def config_to_index(sigma: Sequence[int]) -> int:
 
 
 def _check_config(config: Sequence[int], n: int, what: str) -> None:
-    """An input error naming `what` unless `config` is n spins of 0 or 1."""
-    if len(config) != n or not all(map((0, 1).__contains__, config)):
-        raise InputError(f"{what} must be {n} spins of 0 or 1: {config!r}")
+    """An input error naming `what` unless `config` is n spins, each 0 or 1
+    by `_integer`."""
+    if len(config) == n:
+        try:
+            for s in config:
+                _integer(s, "spin", 2)
+            return
+        except InputError:
+            pass
+    raise InputError(f"{what} must be {n} spins of 0 or 1: {config!r}")
 
 
 def index_to_config(idx: int, n: int) -> tuple[int, ...]:
@@ -227,46 +234,22 @@ def surviving_vertices(n: int, pin: Pinning) -> tuple[int, ...]:
 
 
 def apply_pinning(system: TwoSpinSystem, pin: Pinning) -> TwoSpinSystem:
-    """Induced system on V minus the pinned set.
-
-    Each surviving vertex keeps its edges into other survivors and absorbs
-    its pinned neighbors into the field:
+    """Induced system on V minus the pinned set: `induced_subsystem` on the
+    survivors (renumbered in increasing order, see :func:`surviving_vertices`),
+    whose fields absorb their pinned neighbours edge by edge, in edge order:
 
         lambda'_v = lambda_v * prod_{pinned-0 nbrs} beta_e
                              * prod_{pinned-1 nbrs} 1/gamma_e
-
-    Surviving vertices are renumbered in increasing order (see
-    :func:`surviving_vertices`).
     """
-    for v in pin.domain:
-        _integer(v, "pinned vertex", system.n)
-    values = dict(pin.items())
-    survivors = surviving_vertices(system.n, pin)
-    remap = {v: i for i, v in enumerate(survivors)}
-    new_log_lambda = [system.log_lambda[v] for v in survivors]
-    new_edges, new_lb, new_lg = [], [], []
+    values = {_integer(v, "pinned vertex", system.n): s for v, s in pin}
+    sub, remap = induced_subsystem(system, surviving_vertices(system.n, pin))
+    log_lambda = list(sub.log_lambda)
     for e, (u, v) in enumerate(system.edges):
-        su, sv = u in values, v in values
-        if su and sv:
-            continue
-        if not su and not sv:
-            new_edges.append((remap[u], remap[v]))
-            new_lb.append(system.log_beta[e])
-            new_lg.append(system.log_gamma[e])
-            continue
-        pinned_val = values[u] if su else values[v]
-        alive = v if su else u
-        if pinned_val == 0:
-            new_log_lambda[remap[alive]] += system.log_beta[e]
-        else:
-            new_log_lambda[remap[alive]] -= system.log_gamma[e]
-    return TwoSpinSystem(
-        n=len(survivors),
-        edges=tuple(new_edges),
-        log_beta=tuple(new_lb),
-        log_gamma=tuple(new_lg),
-        log_lambda=tuple(new_log_lambda),
-    )
+        if (u in values) != (v in values):
+            pinned, alive = (u, v) if u in values else (v, u)
+            log_lambda[remap[alive]] += (-system.log_gamma[e] if values[pinned]
+                                         else system.log_beta[e])
+    return replace(sub, log_lambda=tuple(log_lambda))
 
 
 def tilt(system: TwoSpinSystem, thetas: float | Sequence[float]) -> TwoSpinSystem:
@@ -284,13 +267,8 @@ def tilt(system: TwoSpinSystem, thetas: float | Sequence[float]) -> TwoSpinSyste
         if not (0.0 < th <= 1.0):
             raise InputError(f"theta of vertex {v} must lie in (0,1], got {th!r}")
         log_theta.append(math.log(th))
-    return TwoSpinSystem(
-        n=system.n,
-        edges=system.edges,
-        log_beta=system.log_beta,
-        log_gamma=system.log_gamma,
-        log_lambda=tuple(ll + lt for ll, lt in zip(system.log_lambda, log_theta)),
-    )
+    return replace(system, log_lambda=tuple(
+        ll + lt for ll, lt in zip(system.log_lambda, log_theta)))
 
 
 def induced_subsystem(system: TwoSpinSystem,

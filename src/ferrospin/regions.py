@@ -312,13 +312,6 @@ def _good_masks(spec: GoodBoundarySpec) -> np.ndarray:
     return masks[good].astype(np.int64)
 
 
-def good_boundary_configs(spec: GoodBoundarySpec):
-    """Yield every good boundary configuration, in lexicographic order."""
-    bset = sorted(spec.region.boundary)
-    for mask in _good_masks(spec).tolist():
-        yield Pinning({v: (mask >> i) & 1 for i, v in enumerate(bset)})
-
-
 def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
                           n: int) -> bool:
     """Walk-tree analogue: every non-leaf node with more than d2/3 children

@@ -91,8 +91,8 @@ class ChainState:
     step: int = 0
 
     def __post_init__(self):
-        if not all(map((0, 1).__contains__, self.config)):
-            raise InputError("configuration entries must be 0/1")
+        object.__setattr__(self, "config", tuple(
+            [_integer(s, "configuration spin", 2) for s in self.config]))
         if _integer(self.step, "step") < 0:
             raise InputError("step must be nonnegative")
 
@@ -221,16 +221,6 @@ def _site_p1(log_ratio: float, terms, pattern: int) -> float:
     if log_ratio >= 0.0:
         return math.exp(-log_ratio) / (1.0 + math.exp(-log_ratio))
     return 1.0 / (1.0 + math.exp(log_ratio))
-
-
-def site_conditional(system: TwoSpinSystem, config: Sequence[int],
-                     v: int) -> float:
-    """p(sigma_v = 1 | rest of config) from the local factor ratio, in log
-    space."""
-    _integer(v, "vertex", system.n)
-    _check_config(config, system.n, "config")
-    mask, memo = _site(system, v)
-    return memo[config_to_index(config) & mask]
 
 
 class _Memo(dict):
@@ -690,7 +680,7 @@ def warm_start_check(system: TwoSpinSystem, config: Sequence[int],
     endpoint, comparing logs.  N is the instance size the thresholds refer
     to (defaults to the system's own)."""
     _check_config(config, system.n, "config")
-    N = system.n if N is None else N
+    N = system.n if N is None else _integer(N, "instance size")
     if N < 1:
         raise InputError(f"instance size must be positive, got {N}")
     log_cut = math.log(100.0) + 5 * math.log(N)

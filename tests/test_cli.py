@@ -121,7 +121,7 @@ def test_bad_d1_message(path5, capsys):
     code = main(["region", "--instance", str(path5), "--center", "0",
                  "--d1", "0", "--d2", "3"])
     assert code == 1
-    assert "d1 must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: need 1 <= d1 <= d2\n"
 
 
 def test_instance_and_rbm_are_mutually_exclusive(path5, capsys):

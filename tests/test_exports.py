@@ -151,23 +151,92 @@ def test_package_and_demos_read_only_log_parameters():
     assert len(paths) > 10 and not linear, linear
 
 
+def _is_spin_literal(node) -> bool:
+    """`node` is a literal tuple, list or set of the constants 0 and 1."""
+    return (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and all(isinstance(e, ast.Constant) for e in node.elts)
+            and {e.value for e in node.elts} == {0, 1})
+
+
 def test_package_checks_integers_only_through_model_integer():
     # `model._integer` is the one rule for an integer argument (numpy ints
     # pass, bool and floats do not); an isinstance test against int reads
-    # True as 1 and refuses np.int64(1), so it would fork the rule again
+    # True as 1 and refuses np.int64(1), and a membership test in (0, 1)
+    # passes True and 1.0 as spins, so either would fork the rule again
     package = pathlib.Path(ferrospin.__file__).parent
     forks = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2):
-                continue
-            kinds = node.args[1]
-            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-            if any(isinstance(k, ast.Name) and k.id == "int" for k in names):
-                forks.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "__contains__"
+                    and _is_spin_literal(node.value)):
+                forks.append(f"{path.name}:{node.lineno} (0, 1).__contains__")
+            elif (isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.In, ast.NotIn))
+                          and _is_spin_literal(right)
+                          for op, right in zip(node.ops, node.comparators))):
+                forks.append(f"{path.name}:{node.lineno} in (0, 1)")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "int"
+                       for k in names):
+                    forks.append(f"{path.name}:{node.lineno} isinstance")
     assert not forks, forks
+
+
+# public names that no library, demo or benchmark code calls, kept as the
+# laboratory's API for the gate or claim that each one serves; any other
+# public def or class without such a caller is a wrapper only tests call
+LAB_API = {
+    "influence_pair": "gate 10, pairwise influence signs and decay",
+    "all_to_one_influence": "gate 10, all-to-one influence stabilises",
+    "heatbath_matrix": "the uniform-block heat-bath kernel the block "
+                       "samplers are checked against",
+    "instance_dict": "gate 13, the instance files of the byte-identical "
+                     "CLI runs",
+    "is_good_tree_boundary": "gate 08, good walk-tree boundaries",
+    "ratio_dominance_slack": "gate 08, ratio dominance on the walk tree",
+    "monotone_potential_slack": "gate 08, the monotone potential",
+    "check_one_step_relation": "gate 09, worst-boundary dominance",
+    "influence_a_u": "the influence of one boundary vertex on the centre",
+    "assm_sum": "the aggregate influence at the centre (target 1/20)",
+    "shortest_path_closure_check": "good boundaries are closed under "
+                                   "Hamming geodesics",
+    "warm_start_check": "the warm-start condition of the chains",
+    "trivial_term_bound": "the single-term bound of the decay-factor sum",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name is referenced by a load of it as a name or an attribute, or by
+    # a string constant equal to it (`perfbench/tracing.TRACED` names the
+    # functions it wraps), in the package modules, the demos or perfbench
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = root / "src" / "ferrospin"
+    modules = [path for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"]
+    referenced = set()
+    for path in (modules + sorted((root / "demos").rglob("*.py"))
+                 + sorted((root / "perfbench").rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    public = {node.name: path.stem for path in modules
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert set(LAB_API) <= set(public), sorted(set(LAB_API) - set(public))
+    uncalled = sorted(f"{module}.{name}" for name, module in public.items()
+                      if name not in referenced and name not in LAB_API)
+    assert not uncalled, uncalled
 
 
 def test_sawtree_takes_no_transcendental_from_numpy():

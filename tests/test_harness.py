@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as ora
 from ferrospin import constants, exact
-from ferrospin.errors import InputError, NumericError
+from ferrospin.errors import CapacityError, InputError, NumericError
 from ferrospin.exact import (
     _mixing_time_and_distance,
     all_to_one_influence,
@@ -375,8 +375,9 @@ def test_gamma_min_pinned_two_vertices_closed_form():
 
 
 def test_gamma_min_pinned_respects_capacity():
-    system = instance_family("path", 8, 1.0, 2.0, 0.5)
-    with pytest.raises(InputError):
+    # the same class of error, and the same limit, as the field kernel's
+    system = instance_family("path", 7, 1.0, 2.0, 0.5)
+    with pytest.raises(CapacityError, match=r"n <= 6, got n = 7"):
         gamma_min_pinned(system)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -33,7 +35,8 @@ from ferrospin.model import (
     tilt,
 )
 from ferrospin.regions import RegionParams, construct_region
-from ferrospin.samplers import ChainState, UpdateSchedule, trajectory_csv
+from ferrospin.samplers import (ChainState, UpdateSchedule, trajectory_csv,
+                                warm_start_check)
 from ferrospin.sawtree import saw_marginal
 
 import _oracles as oracle
@@ -241,6 +244,60 @@ def test_tilt_matches_reweighting():
     z = sum(rew.values())
     for c in rew:
         assert gibbs_prob(tilted, c) == pytest.approx(rew[c] / z, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# derived systems, pinned byte for byte
+
+_DERIVED_VALUES = (1e-300, 1e-5, 0.3, 1.0, 2.0, 1e5, 1e300)
+
+
+def _derived_text() -> str:
+    """The reprs of `apply_pinning`, `tilt` and `induced_subsystem` results
+    and the bytes of `log_weights` (table and shift) on 420 seeded systems,
+    n 1..11, every parameter drawn from `_DERIVED_VALUES`; an input error
+    (a pinning of every vertex) enters as its message."""
+    rng = random.Random(9201)
+    out = []
+
+    def record(make):
+        try:
+            out.append(repr(make()))
+        except InputError as exc:
+            out.append(f"InputError: {exc}")
+
+    def table(system):
+        logw, shift = log_weights(system)
+        out.append(logw.tobytes().hex() + " " + repr(shift))
+
+    for i in range(420):
+        n = 1 + i % 11
+        pairs = oracle.random_connected_graph(rng, n, rng.choice([0.2, 0.5, 1.0]))
+        system = make(n, [rng.choice(_DERIVED_VALUES) for _ in range(n)],
+                      [(u, v, rng.choice(_DERIVED_VALUES),
+                        rng.choice(_DERIVED_VALUES)) for u, v in pairs])
+        table(system)
+        pin = Pinning({v: rng.randint(0, 1) for v in range(n)
+                       if rng.random() < rng.choice([0.2, 0.5, 1.0])})
+        record(lambda: apply_pinning(system, pin))
+        if len(pin) < n:
+            table(apply_pinning(system, pin))
+        theta = rng.choice([1e-200, 0.3, 1.0])
+        record(lambda: tilt(system, theta))
+        table(tilt(system, theta))
+        record(lambda: tilt(system, [rng.choice([1e-200, 0.3, 1.0])
+                                     for _ in range(n)]))
+        record(lambda: induced_subsystem(
+            system, [v for v in range(n) if rng.random() < 0.6]))
+    return "\n".join(out)
+
+
+def test_derived_systems_are_pinned():
+    """Recorded at commit 815de9d, before `apply_pinning` went through
+    `induced_subsystem` and `log_weights` through `adjacency`."""
+    digest = hashlib.sha256(_derived_text().encode()).hexdigest()
+    assert digest == (
+        "11d62cd45bb536f777df9b47db305219b1e1e164ff543db20d9d37e7f943035e")
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +553,16 @@ def test_every_layer_refuses_what_is_not_a_vertex_or_spin(x):
         Pinning({0: x})
     with pytest.raises(InputError):
         construct_region(s, x, RegionParams(d1=2, d2=4))
+    # no value of x is a spin
+    with pytest.raises(InputError):
+        ChainState((0, x, 1, 0, 1))
+    with pytest.raises(InputError):
+        warm_start_check(s, (0, x, 1, 0, 1))
     if not (type(x) is int and x == s.n):
         with pytest.raises(InputError):
             Pinning({x: 0})
+        with pytest.raises(InputError):
+            warm_start_check(s, (0, 1, 1, 0, 1), N=x)
         return
     # a pinning knows no vertex count: vertex n is refused by every route
     # that applies it to a system of n vertices
@@ -519,6 +583,9 @@ def test_numpy_integer_pin_is_the_python_int_pin():
     assert conditional_marginal(s, pin, 2) == conditional_marginal(s, same, 2)
     assert saw_marginal(s, 2, pin) == saw_marginal(s, 2, same)
     assert apply_pinning(s, pin) == apply_pinning(s, same)
+    # a chain state keeps its spins as checked Python ints too
+    state = ChainState((np.int64(1), 0))
+    assert state == ChainState((1, 0)) and type(state.config[0]) is int
 
 
 @pytest.mark.parametrize("call, fragment", [

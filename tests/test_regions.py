@@ -27,7 +27,6 @@ from ferrospin.regions import (
     assm_sum,
     check_one_step_relation,
     construct_region,
-    good_boundary_configs,
     influence_a_u,
     is_good_boundary,
     is_good_tree_boundary,
@@ -400,21 +399,28 @@ def test_unsatisfiable_thresholds_reported():
     adj, region, _ = star_spec(leaves=4, d2=9)
     spec = GoodBoundarySpec.build(adj, region, n=2)  # ln 2: 4/0.69 + 2 > 4
     assert not is_good_boundary(spec, Pinning({v: 1 for v in range(1, 5)}))
-    assert list(good_boundary_configs(spec)) == []
+    assert regions._good_masks(spec).size == 0
 
 
 def test_good_boundary_configs_counts():
     _, region, spec = star_spec()
-    got = sum(1 for _ in good_boundary_configs(spec))
     want = sum(math.comb(9, k) for k in range(5, 10))
-    assert got == want
+    assert regions._good_masks(spec).size == want
 
 
 def test_good_boundary_configs_capacity():
     adj, region, spec = star_spec(leaves=21, d2=100)
     with pytest.raises(CapacityError,
                        match=r"size 21 .*BLOCK_ENUM_LIMIT = 20"):
-        list(good_boundary_configs(spec))
+        regions._good_masks(spec)
+
+
+def good_pinnings(spec):
+    """Every good boundary configuration as a pinning, in increasing mask
+    order (bit i: the i-th boundary vertex in increasing order)."""
+    bset = sorted(spec.region.boundary)
+    return [Pinning({v: mask >> i & 1 for i, v in enumerate(bset)})
+            for mask in regions._good_masks(spec).tolist()]
 
 
 def test_good_masks_match_the_per_configuration_rule():
@@ -542,7 +548,7 @@ def test_influence_a_u_matches_the_per_configuration_reference():
                                          region.members | region.boundary)
         logw = log_weights(sub)[0]
         good = [{relabel[w]: s for w, s in sigma.items()}
-                for sigma in good_boundary_configs(spec)]
+                for sigma in good_pinnings(spec)]
         nontrivial += bool(good)
         wants = [ora.per_config_a_u(logw, sub.n, relabel[region.center],
                                     relabel[u], good)
@@ -602,7 +608,7 @@ def test_shortest_path_trivia():
 
 def test_shortest_path_random_good_pairs():
     _, region, spec = star_spec()
-    configs = list(good_boundary_configs(spec))
+    configs = good_pinnings(spec)
     rng = random.Random(7)
     for _ in range(40):
         sigma, tau = rng.sample(configs, 2)

@@ -35,7 +35,6 @@ from ferrospin.samplers import (
     field_dynamics_step,
     monotone_coupled_step,
     schedule_step,
-    site_conditional,
     trajectory_csv,
     warm_start_check,
 )
@@ -97,11 +96,18 @@ def one_step_counts(step_fn, n, trials, seed=0):
 # ---------------------------------------------------------------------------
 # conditionals
 
+def site_p1(system, config, v):
+    """p(sigma_v = 1 | rest of config), read from v's site table, the one
+    the compiled kernel builds (`samplers._site`)."""
+    mask, memo = samplers._site(system, v)
+    return memo[config_to_index(config) & mask]
+
+
 def test_site_conditional_trivia():
     pair = TwoSpinSystem.from_params(2, [1.0, 1.0], [(0, 1, 1.0, 2.0)])
-    assert site_conditional(pair, (0, 1), 0) == pytest.approx(2 / 3)
+    assert site_p1(pair, (0, 1), 0) == pytest.approx(2 / 3)
     solo = TwoSpinSystem.from_params(1, [3.0], [])
-    assert site_conditional(solo, (0,), 0) == pytest.approx(1 / 4)
+    assert site_p1(solo, (0,), 0) == pytest.approx(1 / 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,16 +120,16 @@ def test_site_conditional_matches_exact(seed, n):
     v = rng.randrange(n)
     pin = Pinning({u: config[u] for u in range(n) if u != v})
     _, p1 = conditional_marginal(system, pin, v)
-    assert site_conditional(system, config, v) == pytest.approx(p1, abs=1e-12)
-    assert site_conditional(system, config, v) == pytest.approx(
+    assert site_p1(system, config, v) == pytest.approx(p1, abs=1e-12)
+    assert site_p1(system, config, v) == pytest.approx(
         ora.site_conditional_p1(*inst, config, v), abs=1e-12)
 
 
 def test_site_conditional_extreme_logs_stay_finite():
     system = TwoSpinSystem.from_params(2, [1.0, 1.0], [(0, 1, 1.0, math.exp(600))])
-    assert site_conditional(system, (0, 1), 0) == pytest.approx(1.0)
+    assert site_p1(system, (0, 1), 0) == pytest.approx(1.0)
     tiny = TwoSpinSystem.from_params(1, [math.exp(700)], [])
-    assert site_conditional(tiny, (1,), 0) == pytest.approx(0.0)
+    assert site_p1(tiny, (1,), 0) == pytest.approx(0.0)
 
 
 def _walk_block_table(system, config, block):
@@ -1254,14 +1260,6 @@ def test_both_sampler_routes_read_one_site_table(monkeypatch):
         assert memo.get(pattern) == lanes.p1[e]
 
 
-def test_site_conditional_refuses_a_configuration_of_another_size_or_spin():
-    system, _ = harness.random_tree_instance(harness._rng(1), 4)
-    for config in ((1,), (0, 2, 2, 2)):
-        with pytest.raises(InputError, match=rf"config must be 4 spins of 0 "
-                                             rf"or 1: \({config[0]},"):
-            site_conditional(system, config, 0)
-
-
 def test_random_source_refuses_a_negative_step_count():
     source = RandomSource(0)
     with pytest.raises(InputError, match="count=-1 x width=3"):
@@ -1331,26 +1329,19 @@ def test_coupling_times_refuses_fractional_arguments(seeds, cap, fragment):
             == coupling_times(system, GLAUBER, [2], 100))
 
 
-def test_site_conditional_refuses_a_fractional_vertex():
-    system, _ = harness.random_tree_instance(harness._rng(1), 4)
-    with pytest.raises(InputError, match="vertex must be an integer, got 1.5"):
-        site_conditional(system, (0, 1, 0, 1), 1.5)
-
-
 # ---------------------------------------------------------------------------
 # error branches
 
 @pytest.mark.parametrize("call, fragment", [
     (lambda s: CoupledPair(upper=ChainState((1, 1)), lower=ChainState((0,))),
      "coupled chains must share a vertex set"),
-    (lambda s: site_conditional(s, (0, 1, 0, 1), 4), "vertex 4 out of range"),
     (lambda s: schedule_step(
         s, UpdateSchedule(kind="heat-bath-block", blocks=((0, 9),)),
         ChainState((1, 1, 1, 1)), RandomSource(0)),
      "block vertex 9 out of range"),
     (lambda s: schedule_step(s, GLAUBER, ChainState((1, 1, 1)),
                              RandomSource(0)), "state size mismatch"),
-], ids=["pair-size", "site-vertex-range", "block-vertex-range",
+], ids=["pair-size", "block-vertex-range",
         "step-state-size"])
 def test_sampler_error_branches(call, fragment):
     system, _ = harness.random_tree_instance(harness._rng(1), 4)
