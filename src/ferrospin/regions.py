@@ -257,8 +257,7 @@ class GoodBoundarySpec:
     boundary_neighbors: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InputError("global vertex count must be at least 2")
+        _log_n(self.n)
 
     @classmethod
     def build(cls, graph, region: Region, n: int) -> "GoodBoundarySpec":
@@ -269,6 +268,13 @@ class GoodBoundarySpec:
             if nbrs:
                 rows.append((u, nbrs))
         return cls(region=region, n=n, boundary_neighbors=tuple(rows))
+
+
+def _log_n(n: int) -> float:
+    """log n of a host graph's vertex count, an integer n >= 2."""
+    if _integer(n, "global vertex count") < 2:
+        raise InputError("global vertex count must be at least 2")
+    return math.log(n)
 
 
 def is_good_boundary(spec: GoodBoundarySpec, sigma: Pinning) -> bool:
@@ -317,13 +323,12 @@ def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
     """Walk-tree analogue: every non-leaf node with more than d2/3 children
     among the boundary copies needs at least (count / ln n) + 1 of them at
     spin 1."""
-    if n < 2:
-        raise InputError("global vertex count must be at least 2")
+    log_n = _log_n(n)
     lam_nodes = {u for u in range(len(tree))
                  if tree.boundary_copy[u] and tree.is_leaf(u)}
     if set(spins) != lam_nodes:
         raise InputError("spins must cover exactly the boundary copies")
-    log_n = math.log(n)
+    spins = {u: _integer(s, "spin", 2) for u, s in spins.items()}
     for u in range(len(tree)):
         if tree.is_leaf(u):
             continue
@@ -356,12 +361,13 @@ def _centre_p1(sub: TwoSpinSystem, centre: int,
     return w1 / (w0 + w1)
 
 
-def _influences(system: TwoSpinSystem, region: Region,
-                spec: GoodBoundarySpec, us: list[int]) -> list[float]:
+def _influences(system: TwoSpinSystem, spec: GoodBoundarySpec,
+                us: list[int]) -> list[float]:
     """influence_a_u for each u in `us`, from one table: a_u is the largest
     |p1[b] - p1[b ^ bit(u)]| over the good boundary configurations b."""
     if not us:
         return []
+    region = spec.region
     keep = sorted(region.members | region.boundary)
     sub, relabel = induced_subsystem(system, keep)
     bset = sorted(region.boundary)
@@ -373,25 +379,24 @@ def _influences(system: TwoSpinSystem, region: Region,
             for u in us]
 
 
-def influence_a_u(system: TwoSpinSystem, region: Region, u: int,
+def influence_a_u(system: TwoSpinSystem, u: int,
                   spec: GoodBoundarySpec) -> float:
-    """max over good boundary configurations sigma of
+    """max over good boundary configurations sigma of the spec's region of
     |P(center = 1 | sigma with u forced 0) - P(center = 1 | u forced 1)|.
 
     Conditioning on the full boundary screens off the rest of the graph, so
     the computation runs on the induced subsystem of region + boundary.
     """
-    if u not in region.boundary:
+    if u not in spec.region.boundary:
         raise InputError(f"vertex {u} is not on the region boundary")
-    return _influences(system, region, spec, [u])[0]
+    return _influences(system, spec, [u])[0]
 
 
-def assm_sum(system: TwoSpinSystem, region: Region,
-             spec: GoodBoundarySpec) -> float:
-    """Aggregate influence of the boundary on the centre; the asymptotic
-    target for this sum is 1/20, reported rather than asserted at desk
-    scale.  One table serves every boundary vertex."""
-    return sum(_influences(system, region, spec, sorted(region.boundary)))
+def assm_sum(system: TwoSpinSystem, spec: GoodBoundarySpec) -> float:
+    """Aggregate influence of the boundary of the spec's region on its
+    centre; the asymptotic target for this sum is 1/20, reported rather
+    than asserted at desk scale.  One table serves every boundary vertex."""
+    return sum(_influences(system, spec, sorted(spec.region.boundary)))
 
 
 def shortest_path_closure_check(spec: GoodBoundarySpec, sigma: Pinning,
@@ -431,9 +436,7 @@ def universal_pinning(tree: SawTree, system: TwoSpinSystem,
     inf; otherwise sort by increasing edge log beta + log gamma (ties by node
     id) and pin the first floor(count / ln n) to ratio 0, the rest to inf.
     """
-    if n < 2:
-        raise InputError("global vertex count must be at least 2")
-    log_n = math.log(n)
+    log_n = _log_n(n)
     sigma: dict[int, float] = {}
     for u in range(len(tree)):
         if tree.is_leaf(u):
@@ -471,55 +474,52 @@ def level_mixture_pinning(tree: SawTree, sigma_ratio: Mapping[int, float],
     return tau
 
 
+def _boundary_leaf(tree: SawTree, w) -> int:
+    """Tree node w, which must be a boundary copy leaf."""
+    w = _integer(w, "tree node", len(tree))
+    if not (tree.boundary_copy[w] and tree.is_leaf(w)):
+        raise InputError(f"node {w} is not a boundary copy leaf")
+    return w
+
+
 def ratio_dominance_slack(tree: SawTree, system: TwoSpinSystem,
-                          sigma_ratio: Mapping[int, float], k: int, w: int,
-                          c: float, params: RegionParams, n: int) -> float:
+                          sigma_ratio: Mapping[int, float],
+                          sigma_star: Mapping[int, float], k: int, w: int,
+                          c: float) -> float:
     """min over non-leaf nodes u of R^{tau, w<-c}_u - R^{sigma, w<-c}_u,
-    where tau mixes the universal pinning above level k into sigma.
-    Nonnegative when the universal pinning dominates."""
-    sigma_star = universal_pinning(tree, system, params, n)
-    tau = level_mixture_pinning(tree, sigma_ratio, sigma_star, k, w)
-    pin_s = dict(sigma_ratio)
-    pin_s[w] = c
-    pin_t = dict(tau)
-    pin_t[w] = c
-    r_s = evaluate_ratios(tree, system, ratio_pin=pin_s)
-    r_t = evaluate_ratios(tree, system, ratio_pin=pin_t)
-    slack = math.inf
-    for u in range(len(tree)):
-        if tree.is_leaf(u):
-            continue
-        slack = min(slack, r_t[u] - r_s[u])
-    return slack
+    where tau mixes the universal pinning `sigma_star` of the tree above
+    level k into sigma, and w is a boundary copy leaf.  Nonnegative when
+    the universal pinning dominates."""
+    w = _boundary_leaf(tree, w)
+    tau = level_mixture_pinning(tree, sigma_ratio, sigma_star,
+                                _integer(k, "level"), w)
+    r_s = evaluate_ratios(tree, system, {**sigma_ratio, w: c})
+    r_t = evaluate_ratios(tree, system, tau | {w: c})
+    return min((r_t[u] - r_s[u] for u in range(len(tree))
+                if not tree.is_leaf(u)), default=math.inf)
 
 
 def monotone_potential_slack(tree: SawTree, system: TwoSpinSystem,
                              pc: ParamClass, w: int,
-                             rho_w: Mapping[int, float], params: RegionParams,
-                             n: int) -> float:
+                             rho_w: Mapping[int, float],
+                             sigma_star: Mapping[int, float]) -> float:
     """Slack of the worst-pinning inequality at the root:
     |R^{sigma_w, w<-inf} - R^{sigma_w, w<-0}| - |R^{rho_w, w<-inf} - R^{rho_w, w<-0}|,
-    where sigma_w replaces rho_w by the universal pinning strictly above
-    w's level.  Requires lambda strictly below sqrt(gamma/beta)."""
+    where sigma_w replaces rho_w by the universal pinning `sigma_star` of
+    the tree strictly above w's level.  Requires lambda strictly below
+    sqrt(gamma/beta)."""
     if not pc.lambda_bound < lambda0(pc):
         raise InputError(
             "worst-pinning dominance needs lambda below sqrt(gamma/beta)")
-    if not (tree.boundary_copy[w] and tree.is_leaf(w)):
-        raise InputError(f"node {w} is not a boundary copy leaf")
-    k = tree.depth[w]
-    sigma_star = universal_pinning(tree, system, params, n)
-    sigma_w = level_mixture_pinning(tree, rho_w, sigma_star, k, w)
-    rho = {u: val for u, val in rho_w.items() if u != w}
-    sides = {}
-    for name, pin in (("rho", rho), ("sigma", sigma_w)):
-        lo = dict(pin)
-        lo[w] = 0.0
-        hi = dict(pin)
-        hi[w] = math.inf
-        r_lo = evaluate_ratios(tree, system, ratio_pin=lo)[0]
-        r_hi = evaluate_ratios(tree, system, ratio_pin=hi)[0]
-        sides[name] = abs(r_hi - r_lo)
-    return sides["sigma"] - sides["rho"]
+    w = _boundary_leaf(tree, w)
+    sigma_w = level_mixture_pinning(tree, rho_w, sigma_star, tree.depth[w], w)
+
+    def spread(pin):  # |R^{pin, w<-inf} - R^{pin, w<-0}| at the root
+        return abs(evaluate_ratios(tree, system, pin | {w: math.inf})[0]
+                   - evaluate_ratios(tree, system, pin | {w: 0.0})[0])
+
+    return spread(sigma_w) - spread(
+        {u: val for u, val in rho_w.items() if u != w})
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ result, bit for bit:
 - a pass of `_walks`: a per-vertex table, built once per call, holds each
   neighbour's edge, its pinned leaf term (or None), log beta_e and -log
   gamma_e, so a walk reads its leaf terms without a lookup per neighbour;
-- `_level_fold`, which builds the tree level by level as int32 arrays of
-  walks (one column per walk) and folds it bottom-up, each node's leaf
-  terms in neighbour order, then its children's `_fold` terms in child
-  order, as the pass adds them.
+- `_level_fold`, which reads the same table and builds the tree level by
+  level as int32 arrays of walks (one column per walk), then folds it
+  bottom-up: each node's leaf terms in neighbour order, then its children's
+  `_fold` terms in child order, as the pass adds them.
 
 The pass runs first.  On reaching `_ARRAY_NODES` (2048) nodes it estimates
 the size of its tree from the share it has finished, and hands a tree
@@ -43,8 +43,9 @@ and log1p differ from libm's in the last bit (in about 5% of arguments),
 so the route calls `math.exp` and `math.log1p` on each element.
 
 `evaluate_ratios` folds log R the same way, bottom-up over a tree
-`build_saw_tree` stored, with ratio pins, or with the spins `pin_saw_tree`
-attaches, which `prune_pinned_leaves` can fold into their parents' fields.
+`build_saw_tree` stored, under a ratio pinning; `pin_saw_tree` gives the
+spin leaves' (spin 0 is ratio inf, spin 1 ratio 0), and
+`prune_pinned_leaves` folds them into their parents' log fields.
 
 The second half of the module builds the contraction potential for a
 parameter class: the edge functions g, the threshold x0, the exponent alpha,
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +89,6 @@ class SawTree:
     cycle_closing: list[bool]
     cycle_spin: list[int | None]  # spin forced on a cycle-closing copy
     edge_to_parent: list[int | None]  # edge index in G
-    pinned_spin: dict[int, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.preimage)
@@ -198,106 +198,70 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
     return tree
 
 
-def pin_saw_tree(tree: SawTree, sigma: Pinning) -> SawTree:
-    """Attach spins: boundary copies take sigma at their preimage; a
-    cycle-closing copy takes the spin forced by the walk successor of its
-    first visit (0 if the successor is larger in the vertex order, else 1)."""
-    spins: dict[int, int] = {}
+def pin_saw_tree(tree: SawTree, sigma: Pinning) -> dict[int, float]:
+    """Ratio pinning of the spin leaves: boundary copies take sigma at their
+    preimage; a cycle-closing copy takes the spin forced by the walk
+    successor of its first visit (0 if the successor is larger in the vertex
+    order, else 1).  Spin 0 is ratio inf, spin 1 ratio 0."""
+    pins: dict[int, float] = {}
     for u in range(len(tree)):
         if tree.boundary_copy[u]:
             pre = tree.preimage[u]
             if pre not in sigma:
                 raise InputError(f"boundary vertex {pre} missing from pinning")
-            spins[u] = sigma[pre]
+            s = sigma[pre]
         elif tree.cycle_closing[u]:
-            spins[u] = tree.cycle_spin[u]
-    return replace(tree, pinned_spin=spins)
+            s = tree.cycle_spin[u]
+        else:
+            continue
+        pins[u] = math.inf if s == 0 else 0.0
+    return pins
 
 
-def prune_pinned_leaves(tree: SawTree,
-                        system: TwoSpinSystem) -> tuple[SawTree, dict[int, float]]:
-    """Fold every pinned leaf into its parent's field and drop it.
+def prune_pinned_leaves(tree: SawTree, system: TwoSpinSystem,
+                        ratio_pin: dict[int, float]
+                        ) -> tuple[SawTree, dict[int, float]]:
+    """Fold every leaf pinned to ratio inf or 0 into its parent's log field
+    and drop it.
 
-    A pinned-0 leaf multiplies the parent field by beta_e, a pinned-1 leaf by
-    1/gamma_e.  Returns the reduced tree (same node ids, pinned leaves
-    detached) and the map node -> effective lambda for nodes that changed.
-    A field past the float range, above or below the normal floats, is a
-    NumericError naming its node and log field.
+    A leaf at inf adds log beta_e to the parent's log field, one at 0
+    -log gamma_e; any other pinned ratio is refused.  Returns the reduced
+    tree (same node ids, pinned leaves detached) and the map node -> log
+    field for the nodes that changed, the `log_fields` of `evaluate_ratios`.
     """
     log_fields: dict[int, float] = {}
-    dropped = set()
-    for u, s in tree.pinned_spin.items():
-        if not tree.is_leaf(u):
-            raise InputError(f"pinned node {u} is not a leaf")
+    for u, x in ratio_pin.items():
+        if _integer(u, "tree node", len(tree)) == 0 or not tree.is_leaf(u):
+            raise InputError(f"pinned node {u} is not a leaf below the root")
+        if x != math.inf and x != 0.0:
+            raise InputError(f"pinned ratio at node {u} must be 0 or inf to "
+                             f"fold, got {x!r}")
         par = tree.parent[u]
         e = tree.edge_to_parent[u]
         base = log_fields.get(par, system.log_lambda[tree.preimage[par]])
-        if s == 0:
-            log_fields[par] = base + system.log_beta[e]
-        else:
-            log_fields[par] = base - system.log_gamma[e]
-        dropped.add(u)
-    reduced = replace(
-        tree,
-        children=[[c for c in cs if c not in dropped] for cs in tree.children],
-        pinned_spin={})
-    try:
-        fields = {u: math.exp(lw) for u, lw in log_fields.items()}
-    except OverflowError:
-        u = max(log_fields, key=log_fields.get)
-        raise NumericError(
-            f"node {u} (vertex {tree.preimage[u]}): field = exp("
-            f"{log_fields[u]!r}) overflows the float range") from None
-    for u, f in fields.items():
-        if f < sys.float_info.min:
-            raise NumericError(
-                f"node {u} (vertex {tree.preimage[u]}): field = exp("
-                f"{log_fields[u]!r}) falls below the normal float range")
-    return reduced, fields
-
-
-def tree_recursion_step(lambda_u: float,
-                        edge_params: Sequence[tuple[float, float]],
-                        child_ratios: Sequence[float]) -> float:
-    """lambda_u * prod (beta x + 1)/(x + gamma), with the limit conventions
-    x = inf -> beta and x = 0 -> 1/gamma taken exactly."""
-    if len(edge_params) != len(child_ratios):
-        raise InputError("edge params and child ratios disagree in length")
-    out = lambda_u
-    for (beta, gamma), x in zip(edge_params, child_ratios):
-        if math.isinf(x):
-            out *= beta
-        elif x == 0.0:
-            out *= 1.0 / gamma
-        else:
-            out *= (beta * x + 1.0) / (x + gamma)
-    return out
-
-
-def _log_ratio(val: float, what: str, u: int) -> float:
-    """log of a ratio or field in [0, inf] at node u; -inf at 0."""
-    if not (val >= 0.0):  # rejects nan and negatives
-        raise InputError(f"{what} at node {u} must be in [0, inf]")
-    return math.log(val) if val > 0.0 else -math.inf
+        log_fields[par] = (base + system.log_beta[e] if x else
+                           base - system.log_gamma[e])
+    reduced = replace(tree, children=[[c for c in cs if c not in ratio_pin]
+                                      for cs in tree.children])
+    return reduced, log_fields
 
 
 def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
                     ratio_pin: dict[int, float] | None = None,
-                    fields: dict[int, float] | None = None) -> dict[int, float]:
+                    log_fields: dict[int, float] | None = None
+                    ) -> dict[int, float]:
     """Bottom-up ratio at every evaluated node, folded on log R.
 
     `ratio_pin` pins nodes to ratio values in [0, inf] (their subtrees are
-    skipped); spin pinnings on the tree give ratio inf for spin 0 and 0 for
-    spin 1; `fields` overrides per-node lambda.  A pinned node comes back as
-    its pin exactly.  A child at ratio inf adds exactly log beta_e, one at 0
-    exactly -log gamma_e, and `_fold` folds in any other.  A ratio past the
-    float range on the way out raises NumericError naming the node, its
-    vertex and log R.
+    skipped), as `pin_saw_tree` gives them for spins; `log_fields` overrides
+    per-node log lambda.  A pinned node comes back as its pin exactly.  A
+    child at ratio inf adds exactly log beta_e, one at 0 exactly -log
+    gamma_e, and `_fold` folds in any other.  A ratio past the float range
+    on the way out raises NumericError naming the node, its vertex and
+    log R.
     """
-    # spin 0 is ratio inf, spin 1 ratio 0; a ratio pin wins over a spin
-    pins = {u: math.inf if s == 0 else 0.0
-            for u, s in tree.pinned_spin.items()} | (ratio_pin or {})
-    fields = fields or {}
+    pins = ratio_pin or {}
+    log_fields = log_fields or {}
     lb, lg = system.log_beta, system.log_gamma
     # nodes below a pin are never evaluated; parents come before children
     order = [0]
@@ -308,9 +272,13 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
     log_r: dict[int, float] = {}
     for u in reversed(order):
         if u in pins:
-            R[u], log_r[u] = pins[u], _log_ratio(pins[u], "pinned ratio", u)
+            x = pins[u]
+            if not (x >= 0.0):  # rejects nan and negatives
+                raise InputError(
+                    f"pinned ratio at node {u} must be in [0, inf]")
+            R[u], log_r[u] = x, math.log(x) if x > 0.0 else -math.inf
             continue
-        acc = [_log_ratio(fields[u], "field", u) if u in fields
+        acc = [log_fields[u] if u in log_fields
                else system.log_lambda[tree.preimage[u]]]
         via = [-1]
         for c in tree.children[u]:
@@ -438,7 +406,7 @@ def saw_marginal(system: TwoSpinSystem, v: int,
 
     _walks(v, -1, expand)
     if nodes > limit:
-        log_r, nodes = _level_fold(system, v, pins, node_cap)
+        log_r, nodes = _level_fold(system, v, table, children, node_cap)
     else:
         _fold(acc, via, 1, lb, lg)
         log_r = acc[0]
@@ -466,8 +434,8 @@ def _finished_share(walk: list[int], pos: dict[int, int],
 
 # a sum of log terms past the float range is +-inf, as in `_fold`
 @np.errstate(over="ignore")
-def _level_fold(system: TwoSpinSystem, v: int, pins: dict[int, int],
-                node_cap: int) -> tuple[float, int]:
+def _level_fold(system: TwoSpinSystem, v: int, table: list[tuple],
+                children: list[int], node_cap: int) -> tuple[float, int]:
     """log R of the root and the node count of v's walk tree, the tree built
     level by level as int32 arrays and folded bottom-up.
 
@@ -479,26 +447,25 @@ def _level_fold(system: TwoSpinSystem, v: int, pins: dict[int, int],
     `_fold` terms in child order: the sums of the depth-first pass, in its
     order.  The node count of a level's children is summed before the level
     is expanded, so the cap fires on exactly the trees it fires on in the
-    depth-first pass.
+    depth-first pass.  `table` and `children` are `saw_marginal`'s.
     """
-    n, adjacency = system.n, system.adjacency
-    width = max(map(len, adjacency))
-    nbr = np.full((width, n), -1, np.int32)  # per slot and vertex; -1 pads
-    edge = np.zeros((width, n), np.int32)
-    for u, nbrs in enumerate(adjacency):
-        for k, (w, e) in enumerate(nbrs):
-            nbr[k, u], edge[k, u] = w, e
+    n = system.n
+    width = max(map(len, table))
+    # `table` as (field, slot, vertex) arrays: a pad is neighbour -1, and a
+    # slot without a pinned leaf term reads nan
+    cells = np.full((n, width, 5), (-1, 0, math.nan, 0.0, 0.0))
+    for u, row in enumerate(table):
+        if row:
+            cells[u, :len(row)] = [(w, e, math.nan if t is None else t, b, g)
+                                   for w, e, t, b, g in row]
+    nbr, edge = np.ascontiguousarray(cells[..., :2].T, np.int32)
+    leaf, lb, mlg = np.ascontiguousarray(cells[..., 2:].T)
+    pinned = ~np.isnan(leaf)
+    slots = _Slots(nbr, leaf, pinned, ~pinned & (nbr >= 0), edge, lb, mlg,
+                   np.array(system.log_lambda, float))
+    children = np.array(children)
     log_beta = np.array(system.log_beta, float)
     log_gamma = np.array(system.log_gamma, float)
-    spin = np.full(n + 1, -1, np.int8)  # the pads read spin[-1] = -1
-    for w, s in pins.items():
-        spin[w] = s
-    nbr_spin = spin[nbr]
-    lb, mlg = log_beta[edge], -log_gamma[edge]
-    slots = _Slots(nbr, np.where(nbr_spin == 0, lb, mlg), nbr_spin >= 0,
-                   (nbr_spin == -1) & (nbr >= 0), edge, lb, mlg,
-                   np.array(system.log_lambda, float))
-    children = (nbr >= 0).sum(0) - (np.arange(n) != v)
 
     nodes = 1
     walks = np.full((1, 1), v, np.int32)
@@ -715,7 +682,8 @@ def Phi(x: float, pp: PotentialParams, lam: float) -> float:
 def decay_factor(x: Sequence[float], lambda_u: float,
                  edge_params: Sequence[tuple[float, float]],
                  pp: PotentialParams, lam: float) -> float:
-    """phi(F_u(x)) * sum_i |dF_u/dx_i| / phi(x_i) at a strictly interior x;
+    """phi(F_u(x)) * sum_i |dF_u/dx_i| / phi(x_i) at a strictly interior x,
+    where F_u(x) = lambda_u prod_i (beta_i x_i + 1)/(x_i + gamma_i) and
     dF_u/dx_i = F_u (beta_i gamma_i - 1)/((beta_i x_i + 1)(x_i + gamma_i))."""
     if len(x) != len(edge_params):
         raise InputError("x and edge params disagree in length")
@@ -724,7 +692,8 @@ def decay_factor(x: Sequence[float], lambda_u: float,
             raise InputError(f"decay factor needs interior x, got {xi}")
     if not x:
         return 0.0
-    value = tree_recursion_step(lambda_u, edge_params, x)
+    value = math.prod(((b * xi + 1.0) / (xi + g)
+                       for (b, g), xi in zip(edge_params, x)), start=lambda_u)
     if not (0.0 <= value < lam):
         raise InputError(f"recursion value {value} escapes [0, lambda)")
     total = sum(abs(b * g - 1.0) / ((b * xi + 1.0) * (xi + g))

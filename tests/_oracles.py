@@ -11,8 +11,9 @@ tuple of n ints in {0, 1}.
 
 The linear walk-tree recursion, `evaluate_ratios`, is the library's own
 route as it stood before it folded log R: it reads the package's stored tree
-and system, multiplies `tree_recursion_step` factors in linear scale, and
-raises the package's errors where a factor leaves the float range.
+and system, multiplies the factors of its own linear step,
+`recursion_step`, in linear scale, and raises the package's errors where a
+factor leaves the float range.
 
 One exception is the multiplicative reversiblization, a dense matrix
 product on numpy arrays.  The other is the reference chain at the end: the
@@ -52,7 +53,6 @@ from scipy.special import logsumexp
 
 from ferrospin.errors import InputError, NumericError
 from ferrospin.exact import _add_heatbath, _then_heatbath, _weights
-from ferrospin.sawtree import tree_recursion_step
 
 
 def all_configs(n):
@@ -470,6 +470,20 @@ def verify_tree_invariants(tree, system):
                 f"node {u}: unexplained leaf (degree {g_deg})")
 
 
+def recursion_step(lambda_u, edge_params, child_ratios):
+    """lambda_u * prod (beta x + 1)/(x + gamma) in linear scale, with the
+    limits x = inf -> beta and x = 0 -> 1/gamma taken exactly."""
+    out = lambda_u
+    for (beta, gamma), x in zip(edge_params, child_ratios, strict=True):
+        if math.isinf(x):
+            out *= beta
+        elif x == 0.0:
+            out *= 1.0 / gamma
+        else:
+            out *= (beta * x + 1.0) / (x + gamma)
+    return out
+
+
 def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
                     ratio_pin: dict[int, float] | None = None,
                     fields: dict[int, float] | None = None) -> dict[int, float]:
@@ -477,8 +491,7 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
     library's recursion before it folded log R, kept as the reference.
 
     `ratio_pin` pins nodes to ratio values in [0, inf] (their subtrees are
-    skipped); spin pinnings on the tree give ratio inf for spin 0 and 0 for
-    spin 1; `fields` overrides per-node lambda.
+    skipped); `fields` overrides per-node lambda, in linear scale.
     """
     ratio_pin = ratio_pin or {}
     fields = fields or {}
@@ -487,8 +500,7 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
     active[0] = True
     for u in range(1, len(tree)):
         par = tree.parent[u]
-        active[u] = (active[par] and par not in ratio_pin
-                     and par not in tree.pinned_spin)
+        active[u] = active[par] and par not in ratio_pin
     R: dict[int, float] = {}
     for u in range(len(tree) - 1, -1, -1):
         if not active[u]:
@@ -498,9 +510,6 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
             if not (val >= 0.0):  # rejects nan and negatives
                 raise InputError(f"pinned ratio at node {u} must be in [0, inf]")
             R[u] = val
-            continue
-        if u in tree.pinned_spin:
-            R[u] = math.inf if tree.pinned_spin[u] == 0 else 0.0
             continue
         try:
             lam_u = fields.get(
@@ -529,7 +538,7 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
                 f"edge {e} ({a},{b}): {name} = exp({x!r}) overflows the "
                 f"linear-scale walk-tree recursion") from None
         try:
-            R[u] = tree_recursion_step(lam_u, params, ratios)
+            R[u] = recursion_step(lam_u, params, ratios)
         except ZeroDivisionError:  # a ratio-0 child over an underflowed gamma
             e = next(tree.edge_to_parent[c] for c, (_, g), x in
                      zip(tree.children[u], params, ratios) if g == x == 0.0)

@@ -57,6 +57,7 @@ from ferrospin.regions import (
     is_good_tree_boundary,
     monotone_potential_slack,
     ratio_dominance_slack,
+    universal_pinning,
     verify_region,
 )
 from ferrospin.samplers import (
@@ -506,7 +507,8 @@ def _tree_dominance_slacks(system, leaves, pc):
     tree = build_saw_tree(system, 0, frozenset(leaves))
     lam_nodes = [u for u in range(len(tree))
                  if tree.boundary_copy[u] and tree.is_leaf(u)]
-    params = RegionParams(d1=2, d2=9)
+    sigma_star = universal_pinning(tree, system, RegionParams(d1=2, d2=9),
+                                   n=21)
     worst_mix, worst_pot = math.inf, math.inf
     for mask in range(2 ** len(lam_nodes)):
         spins = {u: (mask >> i) & 1 for i, u in enumerate(lam_nodes)}
@@ -517,10 +519,10 @@ def _tree_dominance_slacks(system, leaves, pc):
             for k in range(1, tree.depth[w] + 1):
                 for c in (0.0, math.inf):
                     worst_mix = min(worst_mix, ratio_dominance_slack(
-                        tree, system, ratio, k, w, c, params, n=21))
+                        tree, system, ratio, sigma_star, k, w, c))
             rho = {u: r for u, r in ratio.items() if u != w}
             worst_pot = min(worst_pot, monotone_potential_slack(
-                tree, system, pc, w, rho, params, n=21))
+                tree, system, pc, w, rho, sigma_star))
     return worst_mix, worst_pot
 
 

@@ -258,7 +258,7 @@ def test_each_exact_route_builds_one_table(monkeypatch, tmp_path):
         10, [0.3] * 10, [(0, leaf, 1.0, 2.5) for leaf in range(1, 10)])
     region = Region(center=0, members=frozenset({0}),
                     boundary=frozenset(range(1, 10)), d1=1, d2=9)
-    assm_sum(system, region, GoodBoundarySpec.build(system, region, 21))
+    assm_sum(system, GoodBoundarySpec.build(system, region, 21))
     assert builds == [10]
     builds.clear()
     all_to_one_influence(system, 0)

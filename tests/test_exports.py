@@ -197,9 +197,10 @@ LAB_API = {
                        "samplers are checked against",
     "instance_dict": "gate 13, the instance files of the byte-identical "
                      "CLI runs",
-    "is_good_tree_boundary": "gate 08, good walk-tree boundaries",
-    "ratio_dominance_slack": "gate 08, ratio dominance on the walk tree",
-    "monotone_potential_slack": "gate 08, the monotone potential",
+    "is_good_tree_boundary": "gate 09, good walk-tree boundaries",
+    "universal_pinning": "gate 09, the worst good walk-tree boundary",
+    "ratio_dominance_slack": "gate 09, ratio dominance on the walk tree",
+    "monotone_potential_slack": "gate 09, the monotone potential",
     "check_one_step_relation": "gate 09, worst-boundary dominance",
     "influence_a_u": "the influence of one boundary vertex on the centre",
     "assm_sum": "the aggregate influence at the centre (target 1/20)",

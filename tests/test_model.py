@@ -34,10 +34,13 @@ from ferrospin.model import (
     surviving_vertices,
     tilt,
 )
-from ferrospin.regions import RegionParams, construct_region
+from ferrospin.regions import (GoodBoundarySpec, Region, RegionParams,
+                               construct_region, is_good_tree_boundary,
+                               monotone_potential_slack, ratio_dominance_slack,
+                               universal_pinning)
 from ferrospin.samplers import (ChainState, UpdateSchedule, trajectory_csv,
                                 warm_start_check)
-from ferrospin.sawtree import saw_marginal
+from ferrospin.sawtree import build_saw_tree, saw_marginal
 
 import _oracles as oracle
 
@@ -588,6 +591,34 @@ def test_numpy_integer_pin_is_the_python_int_pin():
     assert state == ChainState((1, 0)) and type(state.config[0]) is int
 
 
+def _star3():
+    """A star with centre 0 and leaves 1-3, and its walk tree from the centre
+    with the leaves on the boundary: node i is a copy of leaf i."""
+    return make(4, [1.0] * 4, [(0, leaf, 1.0, 2.0) for leaf in (1, 2, 3)])
+
+
+def _star3_tree():
+    return build_saw_tree(_star3(), 0, {1, 2, 3})
+
+
+def _star3_spec(n):
+    region = Region(center=0, members=frozenset({0}),
+                    boundary=frozenset({1, 2, 3}), d1=1, d2=3)
+    return GoodBoundarySpec.build(_star3(), region, n)
+
+
+def _dominance(k, w):
+    return ratio_dominance_slack(_star3_tree(), _star3(), {},
+                                 {1: math.inf, 2: math.inf, 3: math.inf}, k,
+                                 w, 0.0)
+
+
+def _potential(w):
+    return monotone_potential_slack(_star3_tree(), _star3(),
+                                    ParamClass(1.0, 2.0, 1.0), w, {},
+                                    {1: math.inf, 2: math.inf, 3: math.inf})
+
+
 @pytest.mark.parametrize("call, fragment", [
     (lambda: conditional_marginal(_path5(), Pinning({1: 1.0}), 0),
      "pinned vertex 1: spin must be an integer, got 1.0"),
@@ -620,11 +651,42 @@ def test_numpy_integer_pin_is_the_python_int_pin():
     (lambda: wilson_upper(True, 3),
      "failure count must be an integer, got True"),
     (lambda: ChainState((0, 1), 2.5), "step must be an integer, got 2.5"),
+    (lambda: _star3_spec(2.5),
+     "global vertex count must be an integer, got 2.5"),
+    (lambda: _star3_spec(math.nan),
+     "global vertex count must be an integer, got nan"),
+    (lambda: universal_pinning(_star3_tree(), _star3(),
+                               RegionParams(d1=1, d2=3), 2.5),
+     "global vertex count must be an integer, got 2.5"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: 1, 2: 1, 3: 1}, 3, 2.5),
+     "global vertex count must be an integer, got 2.5"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: 5, 2: 0, 3: 0}, 3, 21),
+     "spin 5 out of range"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: True, 2: 0, 3: 0}, 3,
+                                   21),
+     "spin must be an integer, got True"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: 1.0, 2: 0, 3: 0}, 3,
+                                   21),
+     "spin must be an integer, got 1.0"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: -3, 2: 0, 3: 0}, 3, 21),
+     "spin -3 out of range"),
+    (lambda: _potential(-1), "tree node -1 out of range"),
+    (lambda: _potential(True), "tree node must be an integer, got True"),
+    (lambda: _potential(99), "tree node 99 out of range"),
+    (lambda: _dominance(1, 0), "node 0 is not a boundary copy leaf"),
+    (lambda: _dominance(1, 99), "tree node 99 out of range"),
+    (lambda: _dominance(2.5, 1), "level must be an integer, got 2.5"),
+    (lambda: _dominance(True, 1), "level must be an integer, got True"),
 ], ids=["pin-spin", "pin-vertex", "failure-trials", "failure-trials-bool",
         "failure-t", "family-n", "tree-n", "suite-trials", "config-max-n",
         "system-n", "rbm-n1", "region-d1", "region-from-n", "block-bool",
         "censor-float", "wilson-trials", "wilson-failures-bool",
-        "chain-step"])
+        "chain-step", "spec-n", "spec-n-nan", "universal-n", "tree-boundary-n",
+        "tree-spin-5", "tree-spin-bool", "tree-spin-float",
+        "tree-spin-negative",
+        "potential-w-negative", "potential-w-bool", "potential-w-past",
+        "dominance-w-root", "dominance-w-past", "dominance-k-float",
+        "dominance-k-bool"])
 def test_integer_arguments_refused_with_their_name_and_value(call, fragment):
     with pytest.raises(InputError, match=fragment):
         call()

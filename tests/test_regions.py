@@ -478,7 +478,7 @@ def test_influence_single_edge_example():
     region = Region(center=0, members=frozenset({0}),
                     boundary=frozenset({1}), d1=1, d2=3)
     spec = GoodBoundarySpec.build(system, region, n=2)
-    assert influence_a_u(system, region, 1, spec) == pytest.approx(1 / 6)
+    assert influence_a_u(system, 1, spec) == pytest.approx(1 / 6)
 
 
 def test_influence_disconnected_vertex_is_zero():
@@ -487,9 +487,9 @@ def test_influence_disconnected_vertex_is_zero():
     region = Region(center=0, members=frozenset({0}),
                     boundary=frozenset({1, 2}), d1=1, d2=9)
     spec = GoodBoundarySpec.build(system, region, n=3)
-    assert influence_a_u(system, region, 2, spec) == 0.0
+    assert influence_a_u(system, 2, spec) == 0.0
     with pytest.raises(InputError):
-        influence_a_u(system, region, 0, spec)
+        influence_a_u(system, 0, spec)
 
 
 def test_influence_matches_whole_graph_oracle():
@@ -509,7 +509,7 @@ def test_influence_matches_whole_graph_oracle():
         spec = GoodBoundarySpec.build(adj, region, n)
         bset = sorted(region.boundary)
         for u in bset:
-            got = influence_a_u(system, region, u, spec)
+            got = influence_a_u(system, u, spec)
             want = 0.0
             for mask in range(2 ** len(bset)):
                 sigma = Pinning({v: (mask >> i) & 1
@@ -554,9 +554,9 @@ def test_influence_a_u_matches_the_per_configuration_reference():
                                     relabel[u], good)
                  for u in sorted(region.boundary)]
         for u, want in zip(sorted(region.boundary), wants):
-            assert influence_a_u(system, region, u, spec) == pytest.approx(
+            assert influence_a_u(system, u, spec) == pytest.approx(
                 want, abs=1e-12)
-        assert assm_sum(system, region, spec) == pytest.approx(
+        assert assm_sum(system, spec) == pytest.approx(
             sum(wants), abs=1e-12)
     assert nontrivial >= 100
 
@@ -566,7 +566,7 @@ def test_assm_sum_isolated_region():
     region = Region(center=0, members=frozenset({0}), boundary=frozenset(),
                     d1=1, d2=1)
     spec = GoodBoundarySpec.build(system, region, n=2)
-    assert assm_sum(system, region, spec) == 0.0
+    assert assm_sum(system, spec) == 0.0
 
 
 def test_assm_sum_decreases_with_gamma():
@@ -577,7 +577,7 @@ def test_assm_sum_decreases_with_gamma():
         region = Region(center=0, members=frozenset({0}),
                         boundary=frozenset(range(1, 10)), d1=1, d2=9)
         spec = GoodBoundarySpec.build(adj, region, 21)
-        sums.append(assm_sum(system, region, spec))
+        sums.append(assm_sum(system, spec))
     assert all(s > 0 for s in sums)
     assert all(a > b for a, b in zip(sums, sums[1:]))
 
@@ -588,9 +588,9 @@ def test_assm_sum_on_one_edge():
     region = Region(center=0, members=frozenset({0}),
                     boundary=frozenset({1}), d1=1, d2=3)
     spec = GoodBoundarySpec.build(system, region, n=2)
-    total = assm_sum(system, region, spec)
+    total = assm_sum(system, spec)
     assert total == pytest.approx(1 / 6)
-    assert total == influence_a_u(system, region, 1, spec)
+    assert total == influence_a_u(system, 1, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +714,8 @@ def test_universal_pinning_maximizes_root_ratio():
 def test_ratio_dominance_exhaustive():
     system, boundary = two_layer_tree_system(jitter=23)
     tree = build_saw_tree(system, 0, boundary)
-    params = RegionParams(d1=1, d2=9)
+    sigma_star = universal_pinning(tree, system, RegionParams(d1=1, d2=9),
+                                   n=21)
     lam_leaves = [u for u in range(len(tree))
                   if tree.boundary_copy[u] and tree.is_leaf(u)]
     rng = random.Random(0)
@@ -727,7 +728,7 @@ def test_ratio_dominance_exhaustive():
             for k in (1, tree.depth[w]):
                 for c in (0.0, math.inf):
                     worst = min(worst, ratio_dominance_slack(
-                        tree, system, ratio, k, w, c, params, n=21))
+                        tree, system, ratio, sigma_star, k, w, c))
     assert worst >= -1e-10
 
 
@@ -738,16 +739,17 @@ def test_monotone_potential_trivia_and_regime():
     pc = ParamClass(1.0, 4.0, 1.0)
     w = next(u for u in range(len(tree))
              if tree.boundary_copy[u] and tree.is_leaf(u))
-    params = RegionParams(d1=1, d2=9)
-    assert monotone_potential_slack(tree, system, pc, w, {}, params,
-                                    n=21) == 0.0
-    assert (monotone_potential_slack(tree, system, pc, w, {}, params, n=21)
+    sigma_star = universal_pinning(tree, system, RegionParams(d1=1, d2=9),
+                                   n=21)
+    assert monotone_potential_slack(tree, system, pc, w, {},
+                                    sigma_star) == 0.0
+    assert (monotone_potential_slack(tree, system, pc, w, {}, sigma_star)
             >= -constants.POTENTIAL_SLACK)
     hot = ParamClass(1.0, 4.0, 2.5)  # lambda above sqrt(gamma/beta) = 2
     with pytest.raises(InputError):
-        monotone_potential_slack(tree, system, hot, w, {}, params, n=21)
+        monotone_potential_slack(tree, system, hot, w, {}, sigma_star)
     with pytest.raises(InputError):
-        monotone_potential_slack(tree, system, pc, 0, {}, params, n=21)
+        monotone_potential_slack(tree, system, pc, 0, {}, sigma_star)
 
 
 def test_monotone_potential_exhaustive_depth_two():
@@ -756,7 +758,8 @@ def test_monotone_potential_exhaustive_depth_two():
     system, boundary = two_layer_tree_system(lam=lam, jitter=41)
     pc = ParamClass(1.0, 4.0, lam * 1.0001)
     tree = build_saw_tree(system, 0, boundary)
-    params = RegionParams(d1=1, d2=9)
+    sigma_star = universal_pinning(tree, system, RegionParams(d1=1, d2=9),
+                                   n=21)
     lam_leaves = [u for u in range(len(tree))
                   if tree.boundary_copy[u] and tree.is_leaf(u)]
     rng = random.Random(1)
@@ -767,7 +770,7 @@ def test_monotone_potential_exhaustive_depth_two():
         for w in lam_leaves:
             rho_w = {u: r for u, r in ratio.items() if u != w}
             worst = min(worst, monotone_potential_slack(
-                tree, system, pc, w, rho_w, params, n=21))
+                tree, system, pc, w, rho_w, sigma_star))
     assert worst >= -1e-10
 
 

@@ -3,7 +3,6 @@ tree and brute force, the ratio recursion, and the potential apparatus."""
 
 import math
 import random
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -37,7 +36,6 @@ from ferrospin.sawtree import (
     _fold,
     _roots,
     saw_marginal,
-    tree_recursion_step,
 )
 
 
@@ -76,8 +74,8 @@ def test_triangle_tree_shape():
     # one walk returns 0-1-2-0, the other 0-2-1-0: the copy reached through
     # the larger neighbour pins 1, through the smaller pins 0
     assert sorted(tree.cycle_spin[u] for u in closers) == [0, 1]
-    pinned = pin_saw_tree(tree, Pinning({}))
-    assert pinned.pinned_spin == {u: tree.cycle_spin[u] for u in closers}
+    assert pin_saw_tree(tree, Pinning({})) == {
+        u: math.inf if tree.cycle_spin[u] == 0 else 0.0 for u in closers}
     ora.verify_tree_invariants(tree, TRIANGLE)
 
 
@@ -86,8 +84,7 @@ def test_square_with_boundary_stops_at_copies():
     assert not any(tree.cycle_closing)
     copies = [u for u in range(len(tree)) if tree.boundary_copy[u]]
     assert len(copies) == 2
-    pinned = pin_saw_tree(tree, Pinning({2: 1}))
-    assert pinned.pinned_spin == {u: 1 for u in copies}
+    assert pin_saw_tree(tree, Pinning({2: 1})) == {u: 0.0 for u in copies}
     with pytest.raises(InputError, match="missing"):
         pin_saw_tree(tree, Pinning({}))
     assert all(tree.preimage[u] == 2 and tree.is_leaf(u) for u in copies)
@@ -220,64 +217,75 @@ def test_prune_field_updates():
     for s in (0, 1):
         assert saw_marginal(sys2, 0, Pinning({1: s})) == pytest.approx(
             (1 / 3, 2 / 3, 2), rel=1e-15)
-        reduced, fields = prune_pinned_leaves(
-            pin_saw_tree(tree, Pinning({1: s})), sys2)
-        assert fields == {0: pytest.approx(0.5, rel=1e-15)}
-        assert reduced.children[0] == [] and reduced.pinned_spin == {}
+        reduced, log_fields = prune_pinned_leaves(
+            tree, sys2, pin_saw_tree(tree, Pinning({1: s})))
+        assert log_fields == {0: pytest.approx(math.log(0.5), rel=1e-15)}
+        assert reduced.children[0] == []
     with pytest.raises(InputError, match="not a leaf"):
-        prune_pinned_leaves(replace(tree, pinned_spin={0: 0}), sys2)
+        prune_pinned_leaves(tree, sys2, {0: math.inf})
+    solo = TwoSpinSystem.from_params(1, [2.0], [])
+    with pytest.raises(InputError, match="not a leaf below the root"):
+        prune_pinned_leaves(build_saw_tree(solo, 0), solo, {0: math.inf})
+    # node -1 once folded node 1 into the root and left it attached
+    for u in (-1, 2, True):
+        with pytest.raises(InputError, match="tree node"):
+            prune_pinned_leaves(tree, sys2, {u: 0.0})
+    # only a spin leaf folds: ratio inf or 0
+    with pytest.raises(InputError, match="must be 0 or inf to fold, got 2.0"):
+        prune_pinned_leaves(tree, sys2, {1: 2.0})
 
 
 def test_prune_overflowing_field_is_a_numeric_error():
     # a star, centre 0 with log lambda 800, leaves 1-4 on the boundary, log
-    # gamma 800 on edge (0,1): spin-0 leaves leave the centre's field at
-    # exp(800), past the float range, which the ratio recursion on the same
-    # tree reports too
+    # gamma 800 on edge (0,1): spin-0 leaves leave the centre's log field at
+    # 800, past the float range as a ratio, which the ratio recursion
+    # reports on the pruned tree as on the unpruned one
     system = TwoSpinSystem(
         n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)), log_beta=(0.0,) * 4,
         log_gamma=(800.0, 1.0, 0.5, 2.0), log_lambda=(800.0,) + (0.0,) * 4)
-    tree = pin_saw_tree(build_saw_tree(system, 0, {1, 2, 3, 4}),
-                        Pinning({v: 0 for v in range(1, 5)}))
-    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\)"):
-        prune_pinned_leaves(tree, system)
-    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\): ratio = "
-                       r"exp\(800\.0\) overflows"):
-        evaluate_ratios(tree, system)
+    tree = build_saw_tree(system, 0, {1, 2, 3, 4})
+    zeros = pin_saw_tree(tree, Pinning({v: 0 for v in range(1, 5)}))
+    reduced, log_fields = prune_pinned_leaves(tree, system, zeros)
+    assert log_fields == {0: 800.0}
+    overflow = r"node 0 \(vertex 0\): ratio = exp\(800\.0\) overflows"
+    with pytest.raises(NumericError, match=overflow):
+        evaluate_ratios(tree, system, zeros)
+    with pytest.raises(NumericError, match=overflow):
+        evaluate_ratios(reduced, system, log_fields=log_fields)
     with pytest.raises(NumericError, match="vertex 0: lambda"):
-        ora.evaluate_ratios(tree, system)
-    # spin-1 leaves fold in log space, exp(800 - 800 - 1 - 0.5 - 2)
-    one = pin_saw_tree(build_saw_tree(system, 0, {1, 2, 3, 4}),
-                       Pinning({1: 1, 2: 1, 3: 1, 4: 1}))
-    assert prune_pinned_leaves(one, system)[1] == {
-        0: pytest.approx(math.exp(-3.5), rel=1e-12)}
+        ora.evaluate_ratios(tree, system, zeros)
+    # spin-1 leaves fold in log space, 800 - 800 - 1 - 0.5 - 2
+    ones = pin_saw_tree(tree, Pinning({1: 1, 2: 1, 3: 1, 4: 1}))
+    assert prune_pinned_leaves(tree, system, ones)[1] == {
+        0: pytest.approx(-3.5, rel=1e-12)}
     # the log fold evaluates the tree whose lambda overflows linear scale
     with pytest.raises(NumericError, match="vertex 0: lambda"):
-        ora.evaluate_ratios(one, system)
-    r = evaluate_ratios(one, system)[0]
+        ora.evaluate_ratios(tree, system, ones)
+    r = evaluate_ratios(tree, system, ones)[0]
     assert r == pytest.approx(math.exp(-3.5), rel=1e-12)
     got = saw_marginal(system, 0, Pinning({1: 1, 2: 1, 3: 1, 4: 1}))
     assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-15)
 
 
-
-def test_prune_underflowing_field_is_a_numeric_error():
+def test_prune_keeps_a_field_below_the_float_range_in_log_space():
     # a star, centre 0 with log lambda 0: spin-1 boundary leaves 1 and 2
-    # over log gamma 400 each fold the centre's field to exp(-800), below
-    # the float range, where it once read 0.0 and gave a pruned root ratio
-    # of 0; leaf 3 (log lambda -1000, log gamma -1000) lifts the true
-    # ratio to exp(200) / 2
+    # over log gamma 400 each fold the centre's log field to -800, a field
+    # below the float range, which once read 0.0 or raised; leaf 3 (log
+    # lambda -1000, log gamma -1000) lifts the true ratio to exp(200) / 2
     system = TwoSpinSystem(
         n=4, edges=((0, 1), (0, 2), (0, 3)), log_beta=(0.0,) * 3,
         log_gamma=(400.0, 400.0, -1000.0), log_lambda=(0.0,) * 3 + (-1000.0,))
-    tree = pin_saw_tree(build_saw_tree(system, 0, {1, 2}),
-                        Pinning({1: 1, 2: 1}))
-    with pytest.raises(NumericError, match=r"node 0 \(vertex 0\): field = "
-                       r"exp\(-800\.0\) falls below the normal float range"):
-        prune_pinned_leaves(tree, system)
-    r = evaluate_ratios(tree, system)[0]
+    tree = build_saw_tree(system, 0, {1, 2})
+    ones = pin_saw_tree(tree, Pinning({1: 1, 2: 1}))
+    reduced, log_fields = prune_pinned_leaves(tree, system, ones)
+    assert log_fields == {0: -800.0}
+    r = evaluate_ratios(tree, system, ones)[0]
     assert r == pytest.approx(math.exp(200.0) / 2.0, rel=1e-12)
+    pruned = evaluate_ratios(reduced, system, log_fields=log_fields)[0]
+    assert pruned == pytest.approx(r, rel=1e-12)
     got = saw_marginal(system, 0, Pinning({1: 1, 2: 1}))
     assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-12)
+
 
 def test_prune_preserves_root_ratio():
     # the spin leaves evaluated in place, folded into fields, and as ratio
@@ -288,10 +296,11 @@ def test_prune_preserves_root_ratio():
             want = reference_marginal(system, v)
             assert got[:2] == pytest.approx(want[:2], rel=1e-14)
             assert got.tree_nodes == want[2]
-            pinned = pin_saw_tree(build_saw_tree(system, v), Pinning({}))
-            direct = evaluate_ratios(pinned, system)[0]
-            reduced, fields = prune_pinned_leaves(pinned, system)
-            pruned = evaluate_ratios(reduced, system, fields=fields)[0]
+            tree = build_saw_tree(system, v)
+            pins = pin_saw_tree(tree, Pinning({}))
+            direct = evaluate_ratios(tree, system, pins)[0]
+            reduced, log_fields = prune_pinned_leaves(tree, system, pins)
+            pruned = evaluate_ratios(reduced, system, log_fields=log_fields)[0]
             for r in (direct, pruned):
                 assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-14)
 
@@ -317,8 +326,9 @@ def test_saw_marginal_matches_the_stored_tree_recursion():
         want = reference_marginal(system, root, pin)
         assert got == pytest.approx(want, rel=1e-12)
         tree = build_saw_tree(system, root, pin.domain)
-        reduced, fields = prune_pinned_leaves(pin_saw_tree(tree, pin), system)
-        r = evaluate_ratios(reduced, system, fields=fields)[0]
+        reduced, log_fields = prune_pinned_leaves(tree, system,
+                                                  pin_saw_tree(tree, pin))
+        r = evaluate_ratios(reduced, system, log_fields=log_fields)[0]
         assert got.p1 == pytest.approx(1.0 / (1.0 + r), rel=1e-12)
         for u in range(len(tree)):
             if tree.is_leaf(u):
@@ -524,19 +534,22 @@ def test_fold_folds_every_finished_frame_into_its_parent():
 # recursion
 
 def test_recursion_step_values():
-    assert tree_recursion_step(0.7, [], []) == 0.7
-    assert tree_recursion_step(1.0, [(1.0, 2.0)], [1.0]) == pytest.approx(2 / 3)
-    assert tree_recursion_step(1.0, [(0.5, 2.0)], [math.inf]) == 0.5  # exact
-    assert tree_recursion_step(1.0, [(0.5, 2.0)], [0.0]) == 0.5       # 1/gamma
-    with pytest.raises(InputError):
-        tree_recursion_step(1.0, [(1.0, 2.0)], [1.0, 2.0])
+    # the oracle's linear step, the reference of `evaluate_ratios`
+    step = ora.recursion_step
+    assert step(0.7, [], []) == 0.7
+    assert step(1.0, [(1.0, 2.0)], [1.0]) == pytest.approx(2 / 3)
+    assert step(1.0, [(0.5, 2.0)], [math.inf]) == 0.5  # exact
+    assert step(1.0, [(0.5, 2.0)], [0.0]) == 0.5       # 1/gamma
+    with pytest.raises(ValueError):
+        step(1.0, [(1.0, 2.0)], [1.0, 2.0])
 
 
 def test_evaluate_ratios_matches_the_linear_reference():
     # 320 stored trees on random graphs, n 2-8, random boundaries: ratio pins
     # from {0, inf, finite}, spin pins through `pin_saw_tree` on every other
-    # tree, and fields.  Every evaluated node agrees with the linear
-    # recursion of the oracles, and every pinned node comes back as its pin.
+    # tree (a ratio pin wins), and fields, in log space for the library.
+    # Every evaluated node agrees with the linear recursion of the oracles,
+    # and every pinned node comes back as its pin.
     rng = random.Random(47)
     seen = set()
     for trial in range(320):
@@ -545,23 +558,26 @@ def test_evaluate_ratios_matches_the_linear_reference():
         root = rng.randrange(n)
         boundary = {v for v in range(n) if v != root and rng.random() < 0.3}
         tree = build_saw_tree(system, root, boundary)
+        spin_pin = {}
         if trial % 2:
-            tree = pin_saw_tree(tree, Pinning(
+            spin_pin = pin_saw_tree(tree, Pinning(
                 {v: rng.randint(0, 1) for v in boundary}))
         ratio_pin = {u: rng.choice([0.0, math.inf, rng.uniform(0.01, 20.0)])
                      for u in range(1, len(tree)) if rng.random() < 0.15}
         fields = {u: rng.uniform(0.01, 3.0) for u in range(len(tree))
                   if rng.random() < 0.2}
-        got = evaluate_ratios(tree, system, ratio_pin, fields)
-        want = ora.evaluate_ratios(tree, system, ratio_pin, fields)
+        pins = spin_pin | ratio_pin
+        got = evaluate_ratios(tree, system, pins,
+                              {u: math.log(f) for u, f in fields.items()})
+        want = ora.evaluate_ratios(tree, system, pins, fields)
         assert got.keys() == want.keys()
         for u, r in got.items():
             if u in ratio_pin:
                 assert r == ratio_pin[u]
                 seen.add(("ratio", r if r in (0.0, math.inf) else "finite"))
-            elif u in tree.pinned_spin:
-                assert r == (math.inf if tree.pinned_spin[u] == 0 else 0.0)
-                seen.add(("spin", tree.pinned_spin[u]))
+            elif u in spin_pin:
+                assert r == spin_pin[u]
+                seen.add(("spin", r))
             else:
                 assert r == pytest.approx(want[u], rel=constants.REL_TOL)
                 seen.add("field" if u in fields else "lambda")
@@ -945,7 +961,7 @@ def test_decay_partials_match_recursion_gradient(seed, d):
     edges = sample_admissible_edges(rng, pc, d)
     lam_u = rng.uniform(0.05, lam * 0.9)
     x = [rng.uniform(0.05 * lam, 0.9 * lam) for _ in range(d)]
-    value = tree_recursion_step(lam_u, edges, x)
+    value = ora.recursion_step(lam_u, edges, x)
     i = rng.randrange(d)
     beta_i, gamma_i = edges[i]
     via_value = value * (beta_i * gamma_i - 1.0) / (
@@ -958,7 +974,7 @@ def test_decay_partials_match_recursion_gradient(seed, d):
     eps = 1e-7
     xp = list(x)
     xp[i] += eps
-    fd = (tree_recursion_step(lam_u, edges, xp) - value) / eps
+    fd = (ora.recursion_step(lam_u, edges, xp) - value) / eps
     assert closed == pytest.approx(fd, rel=1e-4)
 
 
@@ -990,7 +1006,7 @@ def test_single_terms_below_trivial_bound(seed, d):
     edges = sample_admissible_edges(rng, pc, d)
     lam_u = rng.uniform(1e-3, lam * (1 - 1e-9))
     x = [rng.uniform(lam * 1e-4, lam * (1 - 1e-4)) for _ in range(d)]
-    value = tree_recursion_step(lam_u, edges, x)
+    value = ora.recursion_step(lam_u, edges, x)
     bound = trivial_term_bound(lam_u, d, pp, pc)
     factors = [(b * xi + 1.0) / (xi + g) for (b, g), xi in zip(edges, x)]
     for i, ((b, g), xi) in enumerate(zip(edges, x)):
