@@ -22,7 +22,9 @@ Only a failing walk replays its neighbours in adjacency order, to name the
 first failing leaf as the witness.
 
 Pinnings on walk-tree leaves below are *ratio* pinnings: value inf stands
-for spin 0 and value 0.0 for spin 1.
+for spin 0 and value 0.0 for spin 1.  The dominance slacks take every good
+boundary of a walk tree in one call, as rows of 0/1 spins, and read their
+ratios from `sawtree._ratio_rows`: they only subtract, take abs and minima.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import constants, exact
 from .errors import CapacityError, FerrospinError, InputError
 from .model import (Pinning, TwoSpinSystem, ParamClass, _integer,
                     induced_subsystem, lambda0)
-from .sawtree import SawTree, _walks, evaluate_ratios
+from .sawtree import SawTree, _ratio_rows, _walks
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,11 @@ class Region:
     d2: int
 
     def __post_init__(self) -> None:
-        if self.center not in self.members:
+        if _integer(self.center, "centre vertex") not in self.members:
             raise InputError("centre must belong to the region")
         if self.members & self.boundary:
             raise InputError("region and boundary overlap")
-        if self.d1 < 1 or self.d2 < self.d1:
-            raise InputError("need 1 <= d1 <= d2")
+        RegionParams(self.d1, self.d2)
 
 
 def adjacency_map(graph) -> Mapping[int, tuple[int, ...]]:
@@ -262,12 +263,10 @@ class GoodBoundarySpec:
     @classmethod
     def build(cls, graph, region: Region, n: int) -> "GoodBoundarySpec":
         adj = adjacency_map(graph)
-        rows = []
-        for u in sorted(region.members):
-            nbrs = tuple(w for w in adj[u] if w in region.boundary)
-            if nbrs:
-                rows.append((u, nbrs))
-        return cls(region=region, n=n, boundary_neighbors=tuple(rows))
+        rows = [(u, tuple(w for w in adj[u] if w in region.boundary))
+                for u in sorted(region.members)]
+        return cls(region=region, n=n,
+                   boundary_neighbors=tuple(row for row in rows if row[1]))
 
 
 def _log_n(n: int) -> float:
@@ -283,12 +282,9 @@ def is_good_boundary(spec: GoodBoundarySpec, sigma: Pinning) -> bool:
     if set(sigma.domain) != set(spec.region.boundary):
         raise InputError("configuration must cover exactly the boundary")
     log_n = math.log(spec.n)
-    for u, nbrs in spec.boundary_neighbors:
-        if len(nbrs) > spec.region.d2 / 3:
-            ones = sum(sigma[w] for w in nbrs)
-            if ones < len(nbrs) / log_n + 2:
-                return False
-    return True
+    return all(len(nbrs) <= spec.region.d2 / 3
+               or sum(sigma[w] for w in nbrs) >= len(nbrs) / log_n + 2
+               for _, nbrs in spec.boundary_neighbors)
 
 
 # number of set bits of every byte value
@@ -318,26 +314,24 @@ def _good_masks(spec: GoodBoundarySpec) -> np.ndarray:
     return masks[good].astype(np.int64)
 
 
+def _boundary_leaves(tree: SawTree) -> list[int]:
+    """The boundary copies that are leaves, in node order."""
+    return [u for u in range(len(tree))
+            if tree.boundary_copy[u] and tree.is_leaf(u)]
+
+
 def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
                           n: int) -> bool:
     """Walk-tree analogue: every non-leaf node with more than d2/3 children
     among the boundary copies needs at least (count / ln n) + 1 of them at
     spin 1."""
-    log_n = _log_n(n)
-    lam_nodes = {u for u in range(len(tree))
-                 if tree.boundary_copy[u] and tree.is_leaf(u)}
-    if set(spins) != lam_nodes:
+    log_n, d2 = _log_n(n), RegionParams(1, d2).d2
+    if set(spins) != set(_boundary_leaves(tree)):
         raise InputError("spins must cover exactly the boundary copies")
     spins = {u: _integer(s, "spin", 2) for u, s in spins.items()}
-    for u in range(len(tree)):
-        if tree.is_leaf(u):
-            continue
-        kids = [c for c in tree.children[u] if c in lam_nodes]
-        if len(kids) > d2 / 3:
-            ones = sum(spins[c] for c in kids)
-            if ones < len(kids) / log_n + 1:
-                return False
-    return True
+    kids = ([c for c in cs if c in spins] for cs in tree.children)
+    return all(len(k) <= d2 / 3
+               or sum(spins[c] for c in k) >= len(k) / log_n + 1 for k in kids)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +421,8 @@ def shortest_path_closure_check(spec: GoodBoundarySpec, sigma: Pinning,
 # ---------------------------------------------------------------------------
 # universal worst-case pinning on the walk tree
 
-def universal_pinning(tree: SawTree, system: TwoSpinSystem,
-                      params: RegionParams, n: int) -> dict[int, float]:
+def universal_pinning(tree: SawTree, system: TwoSpinSystem, d2: int,
+                      n: int) -> dict[int, float]:
     """Ratio pinning on the boundary copies that maximizes the root ratio
     among good configurations.
 
@@ -436,90 +430,89 @@ def universal_pinning(tree: SawTree, system: TwoSpinSystem,
     inf; otherwise sort by increasing edge log beta + log gamma (ties by node
     id) and pin the first floor(count / ln n) to ratio 0, the rest to inf.
     """
-    log_n = _log_n(n)
+    log_n, d2 = _log_n(n), RegionParams(1, d2).d2
+    leaves = set(_boundary_leaves(tree))
+    e, lb, lg = tree.edge_to_parent, system.log_beta, system.log_gamma
     sigma: dict[int, float] = {}
-    for u in range(len(tree)):
-        if tree.is_leaf(u):
-            continue
-        kids = [c for c in tree.children[u]
-                if tree.boundary_copy[c] and tree.is_leaf(c)]
-        if not kids:
-            continue
-        if len(kids) <= params.d2 / 3:
-            for c in kids:
-                sigma[c] = math.inf
-        else:
-            def edge_strength(c: int) -> tuple[float, int]:
-                e = tree.edge_to_parent[c]
-                return (system.log_beta[e] + system.log_gamma[e], c)
-            ordered = sorted(kids, key=edge_strength)
-            cut = math.floor(len(kids) / log_n)
-            for c in ordered[:cut]:
-                sigma[c] = 0.0
-            for c in ordered[cut:]:
-                sigma[c] = math.inf
+    for children in tree.children:
+        kids = sorted((c for c in children if c in leaves),
+                      key=lambda c: (lb[e[c]] + lg[e[c]], c))
+        cut = math.floor(len(kids) / log_n) if len(kids) > d2 / 3 else 0
+        sigma |= {c: 0.0 if i < cut else math.inf for i, c in enumerate(kids)}
     return sigma
-
-
-def level_mixture_pinning(tree: SawTree, sigma_ratio: Mapping[int, float],
-                          sigma_star: Mapping[int, float], k: int,
-                          w: int) -> dict[int, float]:
-    """The dominating pinning: sigma_star strictly above level k, the given
-    configuration at level k and below, with node w left out."""
-    tau: dict[int, float] = {}
-    for u, val in sigma_ratio.items():
-        if u == w:
-            continue
-        tau[u] = sigma_star[u] if tree.depth[u] < k else val
-    return tau
 
 
 def _boundary_leaf(tree: SawTree, w) -> int:
     """Tree node w, which must be a boundary copy leaf."""
     w = _integer(w, "tree node", len(tree))
-    if not (tree.boundary_copy[w] and tree.is_leaf(w)):
+    if w not in _boundary_leaves(tree):
         raise InputError(f"node {w} is not a boundary copy leaf")
     return w
 
 
+def _mixture_ratios(tree: SawTree, system: TwoSpinSystem,
+                    boundaries: np.ndarray, sigma_star: Mapping[int, float],
+                    w: int, levels: list[int]) -> np.ndarray:
+    """R at every node, as an array (level, c, boundary, node): each
+    boundary (a row of 0/1 spins of `boundaries`, one column per boundary
+    copy leaf in node order) with the universal pinning `sigma_star` on the
+    leaves strictly above each level of `levels` (level 0 leaves the
+    boundary as it is), and the boundary copy leaf w at ratio c = 0, inf."""
+    leaves = _boundary_leaves(tree)
+    spins = np.asarray(boundaries)
+    if (spins.ndim != 2 or spins.shape[1] != len(leaves)
+            or spins.dtype.kind not in "iu"):
+        raise InputError(f"boundaries must be integers of shape (count, "
+                         f"{len(leaves)}), got {spins.dtype} {spins.shape}")
+    bad = spins[(spins != 0) & (spins != 1)]
+    if bad.size:
+        raise InputError(f"boundary spin {bad[0]} out of range")
+    above = (np.array([tree.depth[u] for u in leaves])
+             < np.array(levels)[:, None])
+    star = np.array([sigma_star[u] for u in leaves])
+    pins = np.full((len(levels), 2, len(spins), len(tree)), math.nan)
+    pins[..., leaves] = np.where(above[:, None, None], star,
+                                 np.where(spins == 0, math.inf, 0.0))
+    pins[..., w] = [[0.0], [math.inf]]
+    return _ratio_rows(tree, system, pins.reshape(-1, len(tree))).reshape(
+        pins.shape)
+
+
 def ratio_dominance_slack(tree: SawTree, system: TwoSpinSystem,
-                          sigma_ratio: Mapping[int, float],
-                          sigma_star: Mapping[int, float], k: int, w: int,
-                          c: float) -> float:
-    """min over non-leaf nodes u of R^{tau, w<-c}_u - R^{sigma, w<-c}_u,
-    where tau mixes the universal pinning `sigma_star` of the tree above
-    level k into sigma, and w is a boundary copy leaf.  Nonnegative when
-    the universal pinning dominates."""
+                          boundaries: np.ndarray,
+                          sigma_star: Mapping[int, float],
+                          w: int) -> np.ndarray:
+    """min over non-leaf nodes u of R^{tau, w<-c}_u - R^{sigma, w<-c}_u for
+    every boundary sigma (a row of `boundaries`, 0/1 spins over the boundary
+    copy leaves in node order), level k = 1, ..., depth of w and c = 0, inf,
+    as an array (boundary, k - 1, c): tau mixes the universal pinning
+    `sigma_star` of the tree above level k into sigma, and w is a boundary
+    copy leaf.  Nonnegative when the universal pinning dominates."""
     w = _boundary_leaf(tree, w)
-    tau = level_mixture_pinning(tree, sigma_ratio, sigma_star,
-                                _integer(k, "level"), w)
-    r_s = evaluate_ratios(tree, system, {**sigma_ratio, w: c})
-    r_t = evaluate_ratios(tree, system, tau | {w: c})
-    return min((r_t[u] - r_s[u] for u in range(len(tree))
-                if not tree.is_leaf(u)), default=math.inf)
+    R = _mixture_ratios(tree, system, boundaries, sigma_star, w,
+                        list(range(tree.depth[w] + 1)))
+    inner = [u for u in range(len(tree)) if not tree.is_leaf(u)]
+    slack = R[1:, ..., inner] - R[:1, ..., inner]
+    return slack.min(axis=3).transpose(2, 0, 1)
 
 
 def monotone_potential_slack(tree: SawTree, system: TwoSpinSystem,
-                             pc: ParamClass, w: int,
-                             rho_w: Mapping[int, float],
-                             sigma_star: Mapping[int, float]) -> float:
-    """Slack of the worst-pinning inequality at the root:
-    |R^{sigma_w, w<-inf} - R^{sigma_w, w<-0}| - |R^{rho_w, w<-inf} - R^{rho_w, w<-0}|,
-    where sigma_w replaces rho_w by the universal pinning `sigma_star` of
-    the tree strictly above w's level.  Requires lambda strictly below
+                             pc: ParamClass, w: int, boundaries: np.ndarray,
+                             sigma_star: Mapping[int, float]) -> np.ndarray:
+    """Slack of the worst-pinning inequality at the root for every boundary
+    rho (a row of `boundaries`, as in `ratio_dominance_slack`):
+    |R^{sigma_w, w<-inf} - R^{sigma_w, w<-0}| - |R^{rho, w<-inf} - R^{rho, w<-0}|,
+    where sigma_w replaces rho by the universal pinning `sigma_star` of the
+    tree strictly above w's level.  Requires lambda strictly below
     sqrt(gamma/beta)."""
     if not pc.lambda_bound < lambda0(pc):
         raise InputError(
             "worst-pinning dominance needs lambda below sqrt(gamma/beta)")
     w = _boundary_leaf(tree, w)
-    sigma_w = level_mixture_pinning(tree, rho_w, sigma_star, tree.depth[w], w)
-
-    def spread(pin):  # |R^{pin, w<-inf} - R^{pin, w<-0}| at the root
-        return abs(evaluate_ratios(tree, system, pin | {w: math.inf})[0]
-                   - evaluate_ratios(tree, system, pin | {w: 0.0})[0])
-
-    return spread(sigma_w) - spread(
-        {u: val for u, val in rho_w.items() if u != w})
+    R = _mixture_ratios(tree, system, boundaries, sigma_star, w,
+                        [tree.depth[w], 0])
+    spread = abs(R[:, 1, :, 0] - R[:, 0, :, 0])
+    return spread[0] - spread[1]
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,11 @@ does only the IEEE +, -, abs and comparisons of the array route; its exp
 and log1p differ from libm's in the last bit (in about 5% of arguments),
 so the route calls `math.exp` and `math.log1p` on each element.
 
-`evaluate_ratios` folds log R the same way, bottom-up over a tree
-`build_saw_tree` stored, under a ratio pinning; `pin_saw_tree` gives the
-spin leaves' (spin 0 is ratio inf, spin 1 ratio 0), and
-`prune_pinned_leaves` folds them into their parents' log fields.
+`_ratio_rows` folds log R the same way over a tree `build_saw_tree` stored,
+for a rows x nodes array of ratio pins at once (spin 0 is ratio inf, spin 1
+ratio 0, as `pin_saw_tree` gives them): `evaluate_ratios` is one row, the
+dominance slacks of `regions` all good boundaries of a tree.
+`prune_pinned_leaves` folds spin leaves into their parents' log fields.
 
 The second half of the module builds the contraction potential for a
 parameter class: the edge functions g, the threshold x0, the exponent alpha,
@@ -164,14 +165,10 @@ def build_saw_tree(system: TwoSpinSystem, root: int,
         if nid >= node_cap:
             raise CapacityError(f"saw tree of vertex {root} reached "
                                 f"{nid + 1} nodes, over node cap {node_cap}")
-        tree.preimage.append(pre)
-        tree.parent.append(par)
-        tree.children.append([])
-        tree.depth.append(dep)
-        tree.boundary_copy.append(bc)
-        tree.cycle_closing.append(cc)
-        tree.cycle_spin.append(spin)
-        tree.edge_to_parent.append(eidx)
+        # one value per `SawTree` field, in field order
+        for column, value in zip(vars(tree).values(),
+                                 (pre, par, [], dep, bc, cc, spin, eidx)):
+            column.append(value)
         tree.children[par].append(nid)
         return nid
 
@@ -236,8 +233,7 @@ def prune_pinned_leaves(tree: SawTree, system: TwoSpinSystem,
         if x != math.inf and x != 0.0:
             raise InputError(f"pinned ratio at node {u} must be 0 or inf to "
                              f"fold, got {x!r}")
-        par = tree.parent[u]
-        e = tree.edge_to_parent[u]
+        par, e = tree.parent[u], tree.edge_to_parent[u]
         base = log_fields.get(par, system.log_lambda[tree.preimage[par]])
         log_fields[par] = (base + system.log_beta[e] if x else
                            base - system.log_gamma[e])
@@ -250,55 +246,65 @@ def evaluate_ratios(tree: SawTree, system: TwoSpinSystem,
                     ratio_pin: dict[int, float] | None = None,
                     log_fields: dict[int, float] | None = None
                     ) -> dict[int, float]:
-    """Bottom-up ratio at every evaluated node, folded on log R.
+    """Ratio at every evaluated node, one row of `_ratio_rows`: `ratio_pin`
+    maps tree nodes to ratios in [0, inf] (a pinned node's subtree is
+    skipped), `log_fields` tree nodes to the log lambda they override."""
+    pins = np.full((1, len(tree)), math.nan)
+    for u, x in (ratio_pin or {}).items():
+        if not (x >= 0.0):  # rejects nan and negatives
+            raise InputError(f"pinned ratio at node {u} must be in [0, inf]")
+        pins[0, _integer(u, "tree node", len(tree))] = x
+    row = _ratio_rows(tree, system, pins, log_fields)[0].tolist()
+    return {u: r for u, r in enumerate(row) if not math.isnan(r)}
 
-    `ratio_pin` pins nodes to ratio values in [0, inf] (their subtrees are
-    skipped), as `pin_saw_tree` gives them for spins; `log_fields` overrides
-    per-node log lambda.  A pinned node comes back as its pin exactly.  A
-    child at ratio inf adds exactly log beta_e, one at 0 exactly -log
-    gamma_e, and `_fold` folds in any other.  A ratio past the float range
-    on the way out raises NumericError naming the node, its vertex and
-    log R.
-    """
-    pins = ratio_pin or {}
-    log_fields = log_fields or {}
+
+def _ratio_rows(tree: SawTree, system: TwoSpinSystem, pins: np.ndarray,
+                log_fields: dict[int, float] | None = None) -> np.ndarray:
+    """R at every node under each row of `pins` (rows x nodes ratio pins in
+    [0, inf], nan where unpinned), folded on log R bottom-up.
+
+    A node's log R starts at its log field (log lambda of its preimage
+    unless `log_fields` overrides it) and gains its children's terms in
+    child order: exactly log beta_e for a child at ratio inf, -log gamma_e
+    for one at 0, and the `_fold_terms` term, `_fold`'s to the bit, for
+    any other.  A pinned node reads its pin, a node below a pin or detached
+    by `prune_pinned_leaves` nan.  A ratio past the float range raises
+    NumericError naming the node, its vertex and log R."""
+    pins = np.ascontiguousarray(pins.T)  # a row per node
+    pinned = ~np.isnan(pins)
+    # log R, at a pin inf and -inf exactly and any other through math.log
+    log_r = np.where(pins > 0.0, math.inf, -math.inf)
+    finite = pinned & (pins > 0.0) & (pins < math.inf)
+    log_r[finite] = [math.log(x) for x in pins[finite].tolist()]
+    base = [system.log_lambda[v] for v in tree.preimage]
+    for u, f in (log_fields or {}).items():
+        base[_integer(u, "tree node", len(tree))] = f
+    # a node is evaluated if the path from the root reaches it unpinned
+    live = np.zeros_like(pinned)
+    live[0] = True
+    for u, children in enumerate(tree.children):  # parents come first
+        live[children] = live[u] & ~pinned[u]
     lb, lg = system.log_beta, system.log_gamma
-    # nodes below a pin are never evaluated; parents come before children
-    order = [0]
-    for u in order:
-        if u not in pins:
-            order.extend(tree.children[u])
-    R: dict[int, float] = {}
-    log_r: dict[int, float] = {}
-    for u in reversed(order):
-        if u in pins:
-            x = pins[u]
-            if not (x >= 0.0):  # rejects nan and negatives
-                raise InputError(
-                    f"pinned ratio at node {u} must be in [0, inf]")
-            R[u], log_r[u] = x, math.log(x) if x > 0.0 else -math.inf
-            continue
-        acc = [log_fields[u] if u in log_fields
-               else system.log_lambda[tree.preimage[u]]]
-        via = [-1]
+    R = np.where(live & pinned, pins, math.nan)
+    for u in reversed(range(len(tree))):
+        acc = np.full(pins.shape[1], base[u])
         for c in tree.children[u]:
             x, e = log_r[c], tree.edge_to_parent[c]
-            if x == math.inf:
-                acc[0] += lb[e]
-            elif x == -math.inf:
-                acc[0] -= lg[e]
-            else:
-                acc.append(x)
-                via.append(e)
-                _fold(acc, via, 1, lb, lg)
-        log_r[u] = acc[0]
+            term = np.where(x > 0.0, lb[e], -lg[e])
+            inner = np.isfinite(x)
+            if inner.any():
+                term[inner] = _fold_terms(x[inner], lb[e], lg[e])
+            acc += term
+        log_r[u] = np.where(pinned[u], log_r[u], acc)
+        free = live[u] & ~pinned[u]
+        logs = acc[free].tolist()
         try:
-            R[u] = math.exp(acc[0])
+            R[u, free] = [math.exp(y) for y in logs]
         except OverflowError:
             raise NumericError(
                 f"node {u} (vertex {tree.preimage[u]}): ratio = exp("
-                f"{acc[0]!r}) overflows the float range") from None
-    return R
+                f"{max(logs)!r}) overflows the float range") from None
+    return R.T
 
 
 def _fold(acc: list[float], via: list[int], depth: int,
@@ -706,7 +712,7 @@ def trivial_term_bound(lambda_u: float, d: int, pp: PotentialParams,
     """Uniform bound on any single term of the decay-factor sum at arity d:
     (c_max/c_min) (beta gamma - 1)/gamma^2 * lambda_u *
     ((beta lambda + 1)/(lambda + gamma))^(d-1)."""
-    if d < 1:
+    if _integer(d, "arity") < 1:
         raise InputError("term bound needs arity d >= 1")
     beta, gamma, lam = pc.beta, pc.gamma, pc.lambda_bound
     c_trl = (pp.c_max / pp.c_min) * (beta * gamma - 1.0) / gamma ** 2

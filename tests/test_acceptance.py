@@ -507,23 +507,17 @@ def _tree_dominance_slacks(system, leaves, pc):
     tree = build_saw_tree(system, 0, frozenset(leaves))
     lam_nodes = [u for u in range(len(tree))
                  if tree.boundary_copy[u] and tree.is_leaf(u)]
-    sigma_star = universal_pinning(tree, system, RegionParams(d1=2, d2=9),
-                                   n=21)
-    worst_mix, worst_pot = math.inf, math.inf
-    for mask in range(2 ** len(lam_nodes)):
-        spins = {u: (mask >> i) & 1 for i, u in enumerate(lam_nodes)}
-        if not is_good_tree_boundary(tree, spins, d2=9, n=21):
-            continue
-        ratio = {u: (math.inf if s == 0 else 0.0) for u, s in spins.items()}
-        for w in lam_nodes:
-            for k in range(1, tree.depth[w] + 1):
-                for c in (0.0, math.inf):
-                    worst_mix = min(worst_mix, ratio_dominance_slack(
-                        tree, system, ratio, sigma_star, k, w, c))
-            rho = {u: r for u, r in ratio.items() if u != w}
-            worst_pot = min(worst_pot, monotone_potential_slack(
-                tree, system, pc, w, rho, sigma_star))
-    return worst_mix, worst_pot
+    sigma_star = universal_pinning(tree, system, 9, n=21)
+    spins = [[(mask >> i) & 1 for i in range(len(lam_nodes))]
+             for mask in range(2 ** len(lam_nodes))]
+    good = np.array([s for s in spins if is_good_tree_boundary(
+        tree, dict(zip(lam_nodes, s)), d2=9, n=21)])
+    worst_mix = min(ratio_dominance_slack(tree, system, good, sigma_star,
+                                          w).min() for w in lam_nodes)
+    worst_pot = min(monotone_potential_slack(tree, system, pc, w, good,
+                                             sigma_star).min()
+                    for w in lam_nodes)
+    return float(worst_mix), float(worst_pot)
 
 
 def test_gate_09_worst_boundary_dominance_on_rooted_trees():

@@ -240,23 +240,49 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not uncalled, uncalled
 
 
-def test_sawtree_takes_no_transcendental_from_numpy():
-    # the level-order fold of `saw_marginal` matches the depth-first one bit
-    # for bit only because both take exp and log1p from math: numpy's
-    # vectorised versions differ from libm in the last bit, which would
-    # move the walk digests
-    path = pathlib.Path(ferrospin.__file__).parent / "sawtree.py"
+def _numpy_transcendentals(label, tree) -> list[str]:
+    """The exp and log family that `tree` (an AST) takes from numpy."""
     banned = {"exp", "log", "log1p", "expm1", "logaddexp"}
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in banned
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy")):
-            found.append(f"sawtree.py:{node.lineno} np.{node.attr}")
+            found.append(f"{label}:{node.lineno} np.{node.attr}")
         elif (isinstance(node, ast.ImportFrom)
               and (node.module or "").split(".")[0] == "numpy"):
-            found += [f"sawtree.py:{node.lineno} from numpy import {a.name}"
+            found += [f"{label}:{node.lineno} from numpy import {a.name}"
                       for a in node.names if a.name in banned | {"*"}]
+    return found
+
+
+def test_sawtree_takes_no_transcendental_from_numpy():
+    # the level-order fold of `saw_marginal` matches the depth-first one bit
+    # for bit, and each row of the stored tree's batched fold matches
+    # `evaluate_ratios`, only because both take exp and log1p from math:
+    # numpy's vectorised versions differ from libm in the last bit, which
+    # would move the walk and lab digests.  The dominance slacks in
+    # `regions`, and every `regions` function they reach, take their ratios
+    # from that fold and only subtract, take abs and take minima.
+    package = pathlib.Path(ferrospin.__file__).parent
+    found = _numpy_transcendentals(
+        "sawtree.py", ast.parse((package / "sawtree.py").read_text()))
+    regions = ast.parse((package / "regions.py").read_text())
+    found += [f for f in _numpy_transcendentals("regions.py", regions)
+              if " from numpy import " in f]
+    defs = {node.name: node for node in regions.body
+            if isinstance(node, ast.FunctionDef)}
+    todo = ["ratio_dominance_slack", "monotone_potential_slack"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Name) and node.id in defs]
+    assert {"_mixture_ratios", "_boundary_leaves"} <= reached
+    for name in sorted(reached):
+        found += _numpy_transcendentals(f"regions.py {name}", defs[name])
     assert not found, found
 
 

@@ -21,6 +21,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 
 if __name__ == "__main__":  # run from a checkout without installing
@@ -29,12 +30,13 @@ if __name__ == "__main__":  # run from a checkout without installing
                                     os.pardir, "src"))
 
 import _oracles as ora  # noqa: E402
+from ferrospin import constants  # noqa: E402
 from test_acceptance import _realize_shape, _tree_shapes  # noqa: E402
 from ferrospin.model import (  # noqa: E402
     ParamClass, Pinning, TwoSpinSystem, lambda0)
 from ferrospin.regions import (  # noqa: E402
-    RegionParams, is_good_tree_boundary, monotone_potential_slack,
-    ratio_dominance_slack, universal_pinning)
+    is_good_tree_boundary, monotone_potential_slack, ratio_dominance_slack,
+    universal_pinning)
 from ferrospin.sawtree import (  # noqa: E402
     build_saw_tree, decay_factor, derive_potential, evaluate_ratios,
     pin_saw_tree)
@@ -81,40 +83,49 @@ def _gate_09_family():
     return family
 
 
-def _dominance_text():
-    """Per gate-09 tree: the universal pinning, the number of good
-    boundaries, and both slacks at every boundary leaf of three seeded good
-    boundaries, every level and both end values."""
-    pc = ParamClass(0.9, 2.5, 1.5 + 1e-9)
-    lam = 0.9 * lambda0(pc)
-    params = RegionParams(d1=2, d2=9)
+DOMINANCE_CLASS = ParamClass(0.9, 2.5, 1.5 + 1e-9)
+
+
+def _dominance_cases():
+    """Per gate-09 tree: the tree, its system, its boundary copy leaves, the
+    universal pinning, the number of good boundaries and three seeded good
+    boundaries, a row of 0/1 spins over the leaves each."""
+    lam = 0.9 * lambda0(DOMINANCE_CLASS)
     rng = random.Random(909)
-    lines = []
     for shape in _gate_09_family():
         system, leaves = _realize_shape(shape, 0.8, (2.5, 2.63, 2.71, 2.8),
                                         lam)
         tree = build_saw_tree(system, 0, frozenset(leaves))
         lam_nodes = [u for u in range(len(tree))
                      if tree.boundary_copy[u] and tree.is_leaf(u)]
-        sigma_star = universal_pinning(tree, system, params, 21)
+        sigma_star = universal_pinning(tree, system, 9, 21)
         good = []
         for mask in range(2 ** len(lam_nodes)):
             spins = {u: (mask >> i) & 1 for i, u in enumerate(lam_nodes)}
             if is_good_tree_boundary(tree, spins, d2=9, n=21):
                 good.append(spins)
-        lines.append(repr((sorted(sigma_star.items()), len(good))))
-        for spins in rng.sample(good, min(3, len(good))):
-            ratio = {u: (math.inf if s == 0 else 0.0)
-                     for u, s in spins.items()}
-            for w in lam_nodes:
-                mix = [ratio_dominance_slack(tree, system, ratio, sigma_star,
-                                             k, w, c)
-                       for k in range(1, tree.depth[w] + 1)
-                       for c in (0.0, math.inf)]
-                rho = {u: r for u, r in ratio.items() if u != w}
-                pot = monotone_potential_slack(tree, system, pc, w, rho,
-                                               sigma_star)
-                lines.append(repr((w, mix, pot)))
+        sample = np.array([[spins[u] for u in lam_nodes] for spins
+                           in rng.sample(good, min(3, len(good)))])
+        yield tree, system, lam_nodes, sigma_star, len(good), sample
+
+
+def _dominance_text():
+    """Per gate-09 tree: the universal pinning, the number of good
+    boundaries, and both slacks at every boundary leaf of three seeded good
+    boundaries, every level and both end values."""
+    lines = []
+    for tree, system, lam_nodes, sigma_star, count, sample in (
+            _dominance_cases()):
+        lines.append(repr((sorted(sigma_star.items()), count)))
+        mix = [ratio_dominance_slack(tree, system, sample, sigma_star, w)
+               for w in lam_nodes]
+        pot = [monotone_potential_slack(tree, system, DOMINANCE_CLASS, w,
+                                        sample, sigma_star)
+               for w in lam_nodes]
+        for b in range(len(sample)):
+            # per leaf w: k = 1, ..., depth of w, each at c = 0, inf
+            for w, m, p in zip(lam_nodes, mix, pot):
+                lines.append(repr((w, m[b].ravel().tolist(), p[b].item())))
     return "\n".join(lines)
 
 
@@ -182,6 +193,43 @@ def test_the_lab_cases_reach_their_branches():
                 if line.startswith("([")]
     assert len(pinnings) == 64
     assert any(", 0.0)" in line for line in pinnings)
+
+
+def test_dominance_slacks_match_the_linear_reference():
+    # the sampled boundaries' slacks, rebuilt from the oracle's linear
+    # recursion on each mixture pinning, to REL_TOL of the largest ratio
+    def ratios(tree, system, ratio, sigma_star, w, k, c):
+        # sigma_star strictly above level k, the boundary below, w <- c
+        return ora.evaluate_ratios(tree, system, {
+            u: sigma_star[u] if tree.depth[u] < k else x
+            for u, x in ratio.items()} | {w: c})
+
+    checked = 0
+    for tree, system, lam_nodes, sigma_star, _, sample in _dominance_cases():
+        inner = [u for u in range(len(tree)) if not tree.is_leaf(u)]
+        for w in lam_nodes:
+            mix = ratio_dominance_slack(tree, system, sample, sigma_star, w)
+            pot = monotone_potential_slack(tree, system, DOMINANCE_CLASS, w,
+                                           sample, sigma_star)
+            for spins, m, p in zip(sample.tolist(), mix.tolist(),
+                                   pot.tolist()):
+                ratio = {u: math.inf if s == 0 else 0.0
+                         for u, s in zip(lam_nodes, spins)}
+                r = {(k, c): ratios(tree, system, ratio, sigma_star, w, k, c)
+                     for k in range(tree.depth[w] + 1)
+                     for c in (0.0, math.inf)}
+                scale = max(r[key][u] for key in r for u in inner)
+                want = [min(r[k, c][u] - r[0, c][u] for u in inner)
+                        for k in range(1, tree.depth[w] + 1)
+                        for c in (0.0, math.inf)]
+                assert sum(m, []) == pytest.approx(
+                    want, abs=constants.REL_TOL * scale)
+                dw = tree.depth[w]
+                want = (abs(r[dw, math.inf][0] - r[dw, 0.0][0])
+                        - abs(r[0, math.inf][0] - r[0, 0.0][0]))
+                assert p == pytest.approx(want, abs=constants.REL_TOL * scale)
+                checked += 1
+    assert checked > 300
 
 
 def _pins_block(digests) -> str:

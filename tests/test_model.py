@@ -40,7 +40,8 @@ from ferrospin.regions import (GoodBoundarySpec, Region, RegionParams,
                                universal_pinning)
 from ferrospin.samplers import (ChainState, UpdateSchedule, trajectory_csv,
                                 warm_start_check)
-from ferrospin.sawtree import build_saw_tree, saw_marginal
+from ferrospin.sawtree import (build_saw_tree, derive_potential, saw_marginal,
+                               trivial_term_bound)
 
 import _oracles as oracle
 
@@ -607,16 +608,22 @@ def _star3_spec(n):
     return GoodBoundarySpec.build(_star3(), region, n)
 
 
-def _dominance(k, w):
-    return ratio_dominance_slack(_star3_tree(), _star3(), {},
-                                 {1: math.inf, 2: math.inf, 3: math.inf}, k,
-                                 w, 0.0)
+def _dominance(w, boundaries=((1, 1, 1),)):
+    return ratio_dominance_slack(_star3_tree(), _star3(),
+                                 np.array(boundaries),
+                                 {1: math.inf, 2: math.inf, 3: math.inf}, w)
 
 
-def _potential(w):
+def _potential(w, boundaries=((1, 1, 1),)):
     return monotone_potential_slack(_star3_tree(), _star3(),
-                                    ParamClass(1.0, 2.0, 1.0), w, {},
+                                    ParamClass(1.0, 2.0, 1.0), w,
+                                    np.array(boundaries),
                                     {1: math.inf, 2: math.inf, 3: math.inf})
+
+
+def _term_bound(d):
+    pc = ParamClass(1.0, 4.0, 1.0)
+    return trivial_term_bound(0.5, d, derive_potential(pc), pc)
 
 
 @pytest.mark.parametrize("call, fragment", [
@@ -655,9 +662,10 @@ def _potential(w):
      "global vertex count must be an integer, got 2.5"),
     (lambda: _star3_spec(math.nan),
      "global vertex count must be an integer, got nan"),
-    (lambda: universal_pinning(_star3_tree(), _star3(),
-                               RegionParams(d1=1, d2=3), 2.5),
+    (lambda: universal_pinning(_star3_tree(), _star3(), 3, 2.5),
      "global vertex count must be an integer, got 2.5"),
+    (lambda: universal_pinning(_star3_tree(), _star3(), 2.5, 21),
+     "d2 must be an integer, got 2.5"),
     (lambda: is_good_tree_boundary(_star3_tree(), {1: 1, 2: 1, 3: 1}, 3, 2.5),
      "global vertex count must be an integer, got 2.5"),
     (lambda: is_good_tree_boundary(_star3_tree(), {1: 5, 2: 0, 3: 0}, 3, 21),
@@ -673,20 +681,51 @@ def _potential(w):
     (lambda: _potential(-1), "tree node -1 out of range"),
     (lambda: _potential(True), "tree node must be an integer, got True"),
     (lambda: _potential(99), "tree node 99 out of range"),
-    (lambda: _dominance(1, 0), "node 0 is not a boundary copy leaf"),
-    (lambda: _dominance(1, 99), "tree node 99 out of range"),
-    (lambda: _dominance(2.5, 1), "level must be an integer, got 2.5"),
-    (lambda: _dominance(True, 1), "level must be an integer, got True"),
+    (lambda: _dominance(0), "node 0 is not a boundary copy leaf"),
+    (lambda: _dominance(99), "tree node 99 out of range"),
+    (lambda: _dominance(1, [[1, 1, 1.0]]),
+     r"boundaries must be integers of shape \(count, 3\), got float64 "
+     r"\(1, 3\)"),
+    (lambda: _dominance(1, [[1, 2, 1]]), "boundary spin 2 out of range"),
+    (lambda: _potential(1, [[True, True, True]]),
+     r"boundaries must be integers of shape \(count, 3\), got bool"),
+    (lambda: _potential(1, [1, 1, 1]),
+     r"boundaries must be integers of shape \(count, 3\), got int\d+ "
+     r"\(3,\)"),
+    (lambda: Region(center=True, members=frozenset({1}),
+                    boundary=frozenset({0, 2}), d1=1, d2=2),
+     "centre vertex must be an integer, got True"),
+    (lambda: Region(center=1, members=frozenset({1}),
+                    boundary=frozenset({0, 2}), d1=1.5, d2=2),
+     "d1 must be an integer, got 1.5"),
+    (lambda: Region(center=1, members=frozenset({1}),
+                    boundary=frozenset({0, 2}), d1=1, d2=2.5),
+     "d2 must be an integer, got 2.5"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: 1, 2: 1, 3: 1}, True,
+                                   21),
+     "d2 must be an integer, got True"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: 1, 2: 1, 3: 1}, 2.5,
+                                   21),
+     "d2 must be an integer, got 2.5"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {1: 1, 2: 1, 3: 1}, -3,
+                                   21),
+     r"need 1 <= d1 <= d2"),
+    (lambda: _term_bound(2.5), "arity must be an integer, got 2.5"),
+    (lambda: _term_bound(True), "arity must be an integer, got True"),
 ], ids=["pin-spin", "pin-vertex", "failure-trials", "failure-trials-bool",
         "failure-t", "family-n", "tree-n", "suite-trials", "config-max-n",
         "system-n", "rbm-n1", "region-d1", "region-from-n", "block-bool",
         "censor-float", "wilson-trials", "wilson-failures-bool",
-        "chain-step", "spec-n", "spec-n-nan", "universal-n", "tree-boundary-n",
+        "chain-step", "spec-n", "spec-n-nan", "universal-n", "universal-d2-float",
+        "tree-boundary-n",
         "tree-spin-5", "tree-spin-bool", "tree-spin-float",
         "tree-spin-negative",
         "potential-w-negative", "potential-w-bool", "potential-w-past",
-        "dominance-w-root", "dominance-w-past", "dominance-k-float",
-        "dominance-k-bool"])
+        "dominance-w-root", "dominance-w-past", "dominance-boundary-float",
+        "dominance-boundary-2", "potential-boundary-bool",
+        "potential-boundary-1d", "region-centre-bool", "region-d1-float",
+        "region-d2-float", "tree-boundary-d2-bool", "tree-boundary-d2-float",
+        "tree-boundary-d2-negative", "term-arity-float", "term-arity-bool"])
 def test_integer_arguments_refused_with_their_name_and_value(call, fragment):
     with pytest.raises(InputError, match=fragment):
         call()

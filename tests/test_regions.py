@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +31,6 @@ from ferrospin.regions import (
     influence_a_u,
     is_good_boundary,
     is_good_tree_boundary,
-    level_mixture_pinning,
     monotone_potential_slack,
     one_step_ratio_factor,
     ratio_dominance_slack,
@@ -649,7 +649,7 @@ def two_layer_tree_system(lam=1.7, gamma=4.0, jitter=None):
 def test_universal_pinning_small_degree_branch():
     system = uniform_system(path_graph(5), 1.0, 4.0, 1.0)
     tree = build_saw_tree(system, 0, frozenset({4}))
-    sigma = universal_pinning(tree, system, RegionParams(d1=1, d2=9), n=21)
+    sigma = universal_pinning(tree, system, d2=9, n=21)
     lam_leaves = [u for u in range(len(tree))
                   if tree.boundary_copy[u] and tree.is_leaf(u)]
     assert sigma == {u: math.inf for u in lam_leaves}
@@ -658,7 +658,7 @@ def test_universal_pinning_small_degree_branch():
 def test_universal_pinning_counting_branch():
     system, boundary = two_layer_tree_system(jitter=3)
     tree = build_saw_tree(system, 0, boundary)
-    sigma = universal_pinning(tree, system, RegionParams(d1=1, d2=9), n=21)
+    sigma = universal_pinning(tree, system, d2=9, n=21)
     # ln 21 ~ 3.04: node 1 has 4 boundary children -> floor(4/3.04) = 1 zero;
     # node 2 has 5 -> floor(5/3.04) = 1 zero
     for parent_pre, want_zero in ((1, 1), (2, 1)):
@@ -682,7 +682,7 @@ def test_universal_pinning_reads_log_parameters():
         log_beta=(0.0, 0.0, 0.0, -0.1), log_gamma=(800.0, 1.0, 0.5, 2.0),
         log_lambda=(0.0,) * 5)
     tree = build_saw_tree(system, 0, frozenset({1, 2, 3, 4}))
-    sigma = universal_pinning(tree, system, RegionParams(d1=1, d2=9), n=21)
+    sigma = universal_pinning(tree, system, d2=9, n=21)
     # floor(4 / ln 21) = 1 zero, on the weakest edge (0,3); node i is leaf i
     assert sigma == {1: math.inf, 2: math.inf, 3: 0.0, 4: math.inf}
 
@@ -703,8 +703,7 @@ def to_ratio(spins):
 def test_universal_pinning_maximizes_root_ratio():
     system, boundary = two_layer_tree_system(jitter=11)
     tree = build_saw_tree(system, 0, boundary)
-    params = RegionParams(d1=1, d2=9)
-    sigma_star = universal_pinning(tree, system, params, n=21)
+    sigma_star = universal_pinning(tree, system, d2=9, n=21)
     r_star = evaluate_ratios(tree, system, ratio_pin=sigma_star)[0]
     best = max(evaluate_ratios(tree, system, ratio_pin=to_ratio(s))[0]
                for s in good_tree_spin_configs(tree, d2=9, n=21))
@@ -714,21 +713,17 @@ def test_universal_pinning_maximizes_root_ratio():
 def test_ratio_dominance_exhaustive():
     system, boundary = two_layer_tree_system(jitter=23)
     tree = build_saw_tree(system, 0, boundary)
-    sigma_star = universal_pinning(tree, system, RegionParams(d1=1, d2=9),
-                                   n=21)
+    sigma_star = universal_pinning(tree, system, d2=9, n=21)
     lam_leaves = [u for u in range(len(tree))
                   if tree.boundary_copy[u] and tree.is_leaf(u)]
     rng = random.Random(0)
     configs = list(good_tree_spin_configs(tree, d2=9, n=21))
     sampled = rng.sample(configs, 60)
-    worst = math.inf
-    for spins in sampled:
-        ratio = to_ratio(spins)
-        for w in lam_leaves:
-            for k in (1, tree.depth[w]):
-                for c in (0.0, math.inf):
-                    worst = min(worst, ratio_dominance_slack(
-                        tree, system, ratio, sigma_star, k, w, c))
+    good = np.array([[spins[u] for u in lam_leaves] for spins in sampled])
+    # every leaf sits at depth 2, so the slacks span levels 1 and 2
+    assert {tree.depth[w] for w in lam_leaves} == {2}
+    worst = min(ratio_dominance_slack(tree, system, good, sigma_star,
+                                      w).min() for w in lam_leaves)
     assert worst >= -1e-10
 
 
@@ -739,17 +734,18 @@ def test_monotone_potential_trivia_and_regime():
     pc = ParamClass(1.0, 4.0, 1.0)
     w = next(u for u in range(len(tree))
              if tree.boundary_copy[u] and tree.is_leaf(u))
-    sigma_star = universal_pinning(tree, system, RegionParams(d1=1, d2=9),
-                                   n=21)
-    assert monotone_potential_slack(tree, system, pc, w, {},
-                                    sigma_star) == 0.0
-    assert (monotone_potential_slack(tree, system, pc, w, {}, sigma_star)
-            >= -constants.POTENTIAL_SLACK)
+    sigma_star = universal_pinning(tree, system, d2=9, n=21)
+    # either spin of the one leaf leaves rho, the boundary without w, empty
+    both = [[0], [1]]
+    assert monotone_potential_slack(tree, system, pc, w, both,
+                                    sigma_star).tolist() == [0.0, 0.0]
+    assert (monotone_potential_slack(tree, system, pc, w, both, sigma_star)
+            >= -constants.POTENTIAL_SLACK).all()
     hot = ParamClass(1.0, 4.0, 2.5)  # lambda above sqrt(gamma/beta) = 2
     with pytest.raises(InputError):
-        monotone_potential_slack(tree, system, hot, w, {}, sigma_star)
+        monotone_potential_slack(tree, system, hot, w, both, sigma_star)
     with pytest.raises(InputError):
-        monotone_potential_slack(tree, system, pc, 0, {}, sigma_star)
+        monotone_potential_slack(tree, system, pc, 0, both, sigma_star)
 
 
 def test_monotone_potential_exhaustive_depth_two():
@@ -758,19 +754,15 @@ def test_monotone_potential_exhaustive_depth_two():
     system, boundary = two_layer_tree_system(lam=lam, jitter=41)
     pc = ParamClass(1.0, 4.0, lam * 1.0001)
     tree = build_saw_tree(system, 0, boundary)
-    sigma_star = universal_pinning(tree, system, RegionParams(d1=1, d2=9),
-                                   n=21)
+    sigma_star = universal_pinning(tree, system, d2=9, n=21)
     lam_leaves = [u for u in range(len(tree))
                   if tree.boundary_copy[u] and tree.is_leaf(u)]
     rng = random.Random(1)
     configs = rng.sample(list(good_tree_spin_configs(tree, d2=9, n=21)), 50)
-    worst = math.inf
-    for spins in configs:
-        ratio = to_ratio(spins)
-        for w in lam_leaves:
-            rho_w = {u: r for u, r in ratio.items() if u != w}
-            worst = min(worst, monotone_potential_slack(
-                tree, system, pc, w, rho_w, sigma_star))
+    good = np.array([[spins[u] for u in lam_leaves] for spins in configs])
+    worst = min(monotone_potential_slack(tree, system, pc, w, good,
+                                         sigma_star).min()
+                for w in lam_leaves)
     assert worst >= -1e-10
 
 

@@ -34,6 +34,7 @@ from ferrospin.sawtree import (
     pin_saw_tree,
     prune_pinned_leaves,
     _fold,
+    _ratio_rows,
     _roots,
     saw_marginal,
 )
@@ -230,6 +231,16 @@ def test_prune_field_updates():
     for u in (-1, 2, True):
         with pytest.raises(InputError, match="tree node"):
             prune_pinned_leaves(tree, sys2, {u: 0.0})
+    # node 99 once left the tree unpinned, root ratio 0.5 and all
+    for u in (99, True):
+        with pytest.raises(InputError, match="tree node"):
+            evaluate_ratios(tree, sys2, {u: 0.0})
+        with pytest.raises(InputError, match="tree node"):
+            evaluate_ratios(tree, sys2, log_fields={u: 0.0})
+    # every pin is checked, also one below another pin
+    for pins in ({1: math.nan}, {0: 1.0, 1: -0.5}):
+        with pytest.raises(InputError, match=r"must be in \[0, inf\]"):
+            evaluate_ratios(tree, sys2, pins)
     # only a spin leaf folds: ratio inf or 0
     with pytest.raises(InputError, match="must be 0 or inf to fold, got 2.0"):
         prune_pinned_leaves(tree, sys2, {1: 2.0})
@@ -582,6 +593,47 @@ def test_evaluate_ratios_matches_the_linear_reference():
                 assert r == pytest.approx(want[u], rel=constants.REL_TOL)
                 seen.add("field" if u in fields else "lambda")
     assert len(seen) == 7, seen
+
+
+def test_ratio_rows_match_the_linear_reference_row_by_row():
+    # 320 stored trees, n 2-8, random boundaries, 8 to 12 rows of pins each
+    # at 0, inf and finite values on any node below the root, internal
+    # nodes included, and one set of fields per tree, in log space for the
+    # fold.  Every row agrees with the oracle's linear recursion node by
+    # node, a pinned node reads its pin, and a node the oracle does not
+    # evaluate reads nan.
+    rng = random.Random(2626)
+    seen = set()
+    for trial in range(320):
+        n = rng.randint(2, 8)
+        system = to_system(ora.random_instance(rng, n, p=rng.uniform(0, 0.6)))
+        root = rng.randrange(n)
+        boundary = {v for v in range(n) if v != root and rng.random() < 0.3}
+        tree = build_saw_tree(system, root, boundary)
+        fields = {u: rng.uniform(0.01, 3.0) for u in range(len(tree))
+                  if rng.random() < 0.2}
+        rows = [{u: rng.choice([0.0, math.inf, rng.uniform(0.01, 20.0)])
+                 for u in range(1, len(tree)) if rng.random() < 0.2}
+                for _ in range(rng.randint(8, 12))]
+        pins = np.full((len(rows), len(tree)), math.nan)
+        for i, row in enumerate(rows):
+            pins[i, list(row)] = list(row.values())
+        got = _ratio_rows(tree, system, pins,
+                          {u: math.log(f) for u, f in fields.items()})
+        assert got.shape == pins.shape
+        for row, r in zip(rows, got.tolist()):
+            want = ora.evaluate_ratios(tree, system, row, fields)
+            assert {u for u, x in enumerate(r) if not math.isnan(x)} == (
+                want.keys())
+            for u, x in want.items():
+                if u in row:
+                    assert r[u] == x
+                    kind = x if x in (0.0, math.inf) else "finite"
+                    seen.add((kind, "leaf" if tree.is_leaf(u) else "inner"))
+                else:
+                    assert r[u] == pytest.approx(x, rel=constants.REL_TOL)
+                    seen.add("field" if u in fields else "lambda")
+    assert len(seen) == 8, seen
 
 
 def test_root_ratio_single_node_and_result_range():
