@@ -10,6 +10,18 @@ sigma in {0,1}^V has unnormalized weight
 
 All parameters are stored in natural-log space; linear values appear only at
 API boundaries (gamma_e = exp(w_uv) can overflow for large RBM weights).
+
+A system is checked once, where its values come in from outside: the
+constructor, `TwoSpinSystem.from_params` and the loaders.  Each check screens
+all the values at once (types, ranges, order, repeats, positive finite
+values) and walks them one by one only to name the first fault, with the
+message and precedence of the per-edge rule.  The loaders read every JSON
+field by one integer rule and one number rule, so a JSON string or bool is
+refused where a number belongs.  Systems derived from a checked one
+(`induced_subsystem`, `apply_pinning`, `tilt`, and `rbm_to_two_spin` from
+checked RBM parameters) are trusted: they come through one private
+constructor that checks only the values they compute, and `tilt` keeps its
+parent's cached adjacency.
 """
 
 from __future__ import annotations
@@ -18,8 +30,9 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -70,33 +83,14 @@ class TwoSpinSystem:
     log_lambda: tuple[float, ...]
 
     def __post_init__(self):
-        if _integer(self.n, "vertex count") < 1:
-            raise InputError(f"vertex count must be >= 1, got {self.n}")
-        if len(self.log_lambda) != self.n:
-            raise InputError(
-                f"lambda has {len(self.log_lambda)} entries for n={self.n}")
-        if not (len(self.edges) == len(self.log_beta) == len(self.log_gamma)):
+        _check_counts(self.n, len(self.log_lambda))
+        if not len(self.edges) == len(self.log_beta) == len(self.log_gamma):
             raise InputError("edge arrays have mismatched lengths")
-        seen = set()
-        for i, (u, v) in enumerate(self.edges):
-            try:
-                _integer(u, "vertex", self.n)
-                _integer(v, "vertex", self.n)
-            except InputError as exc:
-                raise InputError(f"edge {i} ({u},{v}): {exc}") from None
-            if u == v:
-                raise InputError(f"edge {i} ({u},{v}): self-loop")
-            if u > v:
-                raise InputError(f"edge {i} ({u},{v}): not in canonical (min,max) order")
-            if (u, v) in seen:
-                raise InputError(f"edge {i} ({u},{v}): parallel edge")
-            seen.add((u, v))
+        _check_edges(self.n, self.edges)
         for name, arr in (("log_beta", self.log_beta),
                           ("log_gamma", self.log_gamma),
                           ("log_lambda", self.log_lambda)):
-            for i, x in enumerate(arr):
-                if math.isnan(x) or math.isinf(x):
-                    raise InputError(f"{name}[{i}] is not finite")
+            _check_finite(name, arr)
 
     @classmethod
     def from_params(cls, n: int,
@@ -107,21 +101,9 @@ class TwoSpinSystem:
         `edges` yields (u, v, beta_e, gamma_e) tuples; orientation and order
         are normalized here.
         """
-        canon = []
-        for (u, v, beta, gamma) in edges:
-            a, b = (u, v) if u <= v else (v, u)
-            canon.append(((a, b),
-                          _finite_log(beta, "beta of edge ({},{})", u, v),
-                          _finite_log(gamma, "gamma of edge ({},{})", u, v)))
-        canon.sort(key=lambda item: item[0])
-        return cls(
-            n=n,
-            edges=tuple(pair for pair, _, _ in canon),
-            log_beta=tuple(lb for _, lb, _ in canon),
-            log_gamma=tuple(lg for _, _, lg in canon),
-            log_lambda=tuple(_finite_log(x, "lambda of vertex {}", i)
-                             for i, x in enumerate(lam)),
-        )
+        columns = tuple(zip(*[(u, v, beta, gamma)
+                              for u, v, beta, gamma in edges]))
+        return _from_columns(n, tuple(lam), *(columns or ((),) * 4))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -136,14 +118,129 @@ class TwoSpinSystem:
     def _neighbor_map(self) -> dict[int, tuple[int, ...]]:
         """{vertex: neighbours increasing}, the graph as `regions` reads it;
         `regions.adjacency_map` hands it out behind a read-only view."""
-        return {v: tuple([w for w, _ in nbrs])
-                for v, nbrs in enumerate(self.adjacency)}
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return {v: tuple(sorted(ws)) for v, ws in enumerate(nbrs)}
 
     @cached_property
     def _sampler_kernels(self) -> dict:
         """{schedule: compiled kernel} for the samplers' one-step calls,
         filled and bounded by `samplers._kernel`."""
         return {}
+
+
+# ---------------------------------------------------------------------------
+# the public route's checks, each outside value once
+
+_INT_TYPES = frozenset({int})  # a Python int: no bool, no numpy integer
+_NUMBER_TYPES = frozenset({int, float})  # what JSON decodes a number to
+
+# the cached properties of a system that depend on n and its edges alone
+_GRAPH_CACHES = ("adjacency", "_neighbor_map")
+
+
+def _derived_system(n: int, edges: tuple[tuple[int, int], ...],
+                    log_beta: tuple[float, ...], log_gamma: tuple[float, ...],
+                    log_lambda: tuple[float, ...],
+                    same_graph: TwoSpinSystem | None = None) -> TwoSpinSystem:
+    """A system whose vertex count, edges and finite logs have been checked
+    already, by the public route or as parts of a checked system, built
+    without checking them again; it keeps the graph caches of
+    `same_graph`, a system with the same n and edges."""
+    system = object.__new__(TwoSpinSystem)
+    caches = {} if same_graph is None else same_graph.__dict__
+    system.__dict__.update(
+        {name: caches[name] for name in _GRAPH_CACHES if name in caches},
+        n=n, edges=edges, log_beta=log_beta, log_gamma=log_gamma,
+        log_lambda=log_lambda)
+    return system
+
+
+def _check_counts(n, n_lambda: int) -> None:
+    """An input error unless n is a vertex count and there are n fields."""
+    if _integer(n, "vertex count") < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    if n_lambda != n:
+        raise InputError(f"lambda has {n_lambda} entries for n={n}")
+
+
+def _check_edges(n: int, edges: Sequence) -> None:
+    """An input error naming the first of `edges`, in their order, that is
+    not a pair of vertices below n in canonical (min, max) order, or that
+    repeats an earlier edge.  Screens over all the endpoints at once clear
+    the common case; the edges are walked one by one only to name a fault
+    (or when an endpoint is an integer of another type, a numpy one)."""
+    try:
+        us, vs = zip(*edges) if edges else ((), ())
+        if ({2}.issuperset(map(len, edges))
+                and _INT_TYPES.issuperset(chain(map(type, us), map(type, vs)))
+                and (not edges or min(us) >= 0 and max(vs) < n)
+                and all(map(operator.lt, us, vs))
+                and len(set(edges)) == len(edges)):
+            return
+    except (TypeError, ValueError):
+        pass
+    seen = set()
+    for i, (u, v) in enumerate(edges):
+        try:
+            _integer(u, "vertex", n)
+            _integer(v, "vertex", n)
+        except InputError as exc:
+            raise InputError(f"edge {i} ({u},{v}): {exc}") from None
+        if u == v:
+            raise InputError(f"edge {i} ({u},{v}): self-loop")
+        if u > v:
+            raise InputError(f"edge {i} ({u},{v}): not in canonical (min,max) order")
+        if (u, v) in seen:
+            raise InputError(f"edge {i} ({u},{v}): parallel edge")
+        seen.add((u, v))
+
+
+def _check_finite(name: str, values: Sequence[float]) -> None:
+    """An input error naming the first entry of `values` that is NaN or
+    infinite."""
+    finite = list(map(math.isfinite, values))
+    if not all(finite):
+        raise InputError(f"{name}[{finite.index(False)}] is not finite")
+
+
+def _logs(values: Sequence[float]) -> list[float] | None:
+    """[math.log(x) for x in values] if every x is positive and finite, else
+    None."""
+    try:
+        logs = list(map(math.log, values))
+    except (TypeError, ValueError):
+        return None
+    return logs if all(map(math.isfinite, logs)) else None
+
+
+def _from_columns(n, lam: Sequence[float], us: Sequence[int],
+                  vs: Sequence[int], betas: Sequence[float],
+                  gammas: Sequence[float]) -> TwoSpinSystem:
+    """`TwoSpinSystem.from_params` on its edges as four columns: every value
+    checked once, in the order and with the messages of the per-edge rule
+    (beta then gamma of each edge, then each lambda, then the counts, then
+    the canonical pairs in sorted order)."""
+    log_beta, log_gamma = _logs(betas), _logs(gammas)
+    if log_beta is None or log_gamma is None:
+        log_beta, log_gamma = [], []
+        for u, v, beta, gamma in zip(us, vs, betas, gammas):
+            log_beta.append(_finite_log(beta, "beta of edge ({},{})", u, v))
+            log_gamma.append(_finite_log(gamma, "gamma of edge ({},{})", u, v))
+    log_lambda = _logs(lam)
+    if log_lambda is None:
+        log_lambda = [_finite_log(x, "lambda of vertex {}", i)
+                      for i, x in enumerate(lam)]
+    pairs = [(u, v) if u <= v else (v, u) for u, v in zip(us, vs)]
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    edges = tuple([pairs[i] for i in order])
+    _check_counts(n, len(log_lambda))
+    _check_edges(n, edges)
+    return _derived_system(
+        n, edges, tuple([log_beta[i] for i in order]),
+        tuple([log_gamma[i] for i in order]), tuple(log_lambda))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +346,9 @@ def apply_pinning(system: TwoSpinSystem, pin: Pinning) -> TwoSpinSystem:
             pinned, alive = (u, v) if u in values else (v, u)
             log_lambda[remap[alive]] += (-system.log_gamma[e] if values[pinned]
                                          else system.log_beta[e])
-    return replace(sub, log_lambda=tuple(log_lambda))
+    _check_finite("log_lambda", log_lambda)  # a sum can overflow
+    return _derived_system(sub.n, sub.edges, sub.log_beta, sub.log_gamma,
+                           tuple(log_lambda))
 
 
 def tilt(system: TwoSpinSystem, thetas: float | Sequence[float]) -> TwoSpinSystem:
@@ -267,8 +366,10 @@ def tilt(system: TwoSpinSystem, thetas: float | Sequence[float]) -> TwoSpinSyste
         if not (0.0 < th <= 1.0):
             raise InputError(f"theta of vertex {v} must lie in (0,1], got {th!r}")
         log_theta.append(math.log(th))
-    return replace(system, log_lambda=tuple(
-        ll + lt for ll, lt in zip(system.log_lambda, log_theta)))
+    return _derived_system(
+        system.n, system.edges, system.log_beta, system.log_gamma,
+        tuple([ll + lt for ll, lt in zip(system.log_lambda, log_theta)]),
+        same_graph=system)
 
 
 def induced_subsystem(system: TwoSpinSystem,
@@ -279,6 +380,8 @@ def induced_subsystem(system: TwoSpinSystem,
     the old one.
     """
     keep = sorted({_integer(v, "vertex", system.n) for v in vertices})
+    if not keep:
+        raise InputError("vertex count must be >= 1, got 0")
     remap = {v: i for i, v in enumerate(keep)}
     edges, lb, lg = [], [], []
     for e, (u, v) in enumerate(system.edges):
@@ -286,13 +389,8 @@ def induced_subsystem(system: TwoSpinSystem,
             edges.append((remap[u], remap[v]))
             lb.append(system.log_beta[e])
             lg.append(system.log_gamma[e])
-    sub = TwoSpinSystem(
-        n=len(keep),
-        edges=tuple(edges),
-        log_beta=tuple(lb),
-        log_gamma=tuple(lg),
-        log_lambda=tuple(system.log_lambda[v] for v in keep),
-    )
+    sub = _derived_system(len(keep), tuple(edges), tuple(lb), tuple(lg),
+                          tuple([system.log_lambda[v] for v in keep]))
     return sub, remap
 
 
@@ -398,26 +496,71 @@ def rbm_to_two_spin(params: RbmParams) -> TwoSpinSystem:
                 edges.append((u, v))
                 lb.append(0.0)
                 lg.append(float(w))
-    return TwoSpinSystem(
-        n=n,
-        edges=tuple(edges),
-        log_beta=tuple(lb),
-        log_gamma=tuple(lg),
-        log_lambda=tuple(-float(t) for t in params.theta),
-    )
+    log_lambda = [-float(t) for t in params.theta]
+    # the pairs are canonical, in order and distinct by construction, so
+    # only the values remain to be checked
+    _check_finite("log_gamma", lg)
+    _check_finite("log_lambda", log_lambda)
+    return _derived_system(n, tuple(edges), tuple(lb), tuple(lg),
+                           tuple(log_lambda))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
-def _json_int(doc: dict, key: str, record: int | None = None) -> int:
-    """doc[key] if a JSON integer; else an input error naming the field (and
-    its edge record) and the value, which int() would truncate (3.9, True)."""
-    value = doc[key]
+def _json_int(value, what: str) -> int:
+    """`value` if a JSON integer; else an input error naming the field
+    `what` and the value, which int() would truncate (3.9, True)."""
     if type(value) is not int:
-        where = "" if record is None else f"edge record {record} "
-        raise InputError(f'{where}"{key}" must be a JSON integer, got {value!r}')
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _json_number(value, what: str) -> float:
+    """`value` as a float if a JSON number (an integer or a float); else an
+    input error naming the field `what` and the value, which float() would
+    read ("0.5", True)."""
+    if type(value) is not float and type(value) is not int:
+        raise InputError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, what: str) -> tuple[float, ...]:
+    """The entries of the JSON list `values` as floats, each by
+    `_json_number` and named as entry i of the field `what`."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for i, x in enumerate(values):
+            _json_number(x, f"{what}[{i}]")
+    return tuple(map(float, values))
+
+
+def _edge_columns(records: list) -> list[Sequence]:
+    """The u, v, beta and gamma columns of the instance's edge records, u
+    and v by `_json_int` and beta and gamma by `_json_number`; an input
+    error names the first bad record, its fields read in that order."""
+    try:
+        rows = list(map(operator.itemgetter("u", "v", "beta", "gamma"),
+                        records))
+        us, vs, betas, gammas = zip(*rows) if rows else ((),) * 4
+        if (_INT_TYPES.issuperset(chain(map(type, us), map(type, vs)))
+                and _NUMBER_TYPES.issuperset(
+                    chain(map(type, betas), map(type, gammas)))):
+            return [us, vs, list(map(float, betas)), list(map(float, gammas))]
+    except (KeyError, TypeError, OverflowError):
+        pass
+    columns = [[], [], [], []]
+    for i, rec in enumerate(records):
+        where = f"edge record {i} "
+        try:
+            row = (_json_int(rec["u"], where + '"u"'),
+                   _json_int(rec["v"], where + '"v"'),
+                   _json_number(rec["beta"], where + '"beta"'),
+                   _json_number(rec["gamma"], where + '"gamma"'))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise InputError(f"edge record {i} malformed: {exc}") from exc
+        for column, x in zip(columns, row):
+            column.append(x)
+    return columns
 
 
 def load_instance(path: str) -> TwoSpinSystem:
@@ -432,21 +575,14 @@ def load_instance(path: str) -> TwoSpinSystem:
     if not isinstance(doc, dict):
         raise InputError("instance document must be a JSON object")
     try:
-        n = _json_int(doc, "n")
-        lam = [float(x) for x in doc["lambda"]]
+        n = _json_int(doc["n"], '"n"')
+        lam = _json_numbers(doc["lambda"], '"lambda"')
         raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"instance document malformed: {exc}") from exc
     if not isinstance(raw_edges, list):
         raise InputError("instance edges must be a list of edge records")
-    edges = []
-    for i, rec in enumerate(raw_edges):
-        try:
-            edges.append((_json_int(rec, "u", i), _json_int(rec, "v", i),
-                          float(rec["beta"]), float(rec["gamma"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"edge record {i} malformed: {exc}") from exc
-    return TwoSpinSystem.from_params(n, lam, edges)
+    return _from_columns(n, lam, *_edge_columns(raw_edges))
 
 
 def load_rbm(path: str) -> RbmParams:
@@ -459,10 +595,11 @@ def load_rbm(path: str) -> RbmParams:
     except json.JSONDecodeError as exc:
         raise InputError(f"RBM file {path} is not valid JSON: {exc}") from exc
     try:
-        n0, n1 = _json_int(doc, "n0"), _json_int(doc, "n1")
-        w = tuple(tuple(float(x) for x in row) for row in doc["W"])
-        theta = tuple(float(x) for x in doc["theta"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n0, n1 = _json_int(doc["n0"], '"n0"'), _json_int(doc["n1"], '"n1"')
+        w = tuple(_json_numbers(row, f'"W"[{i}]')
+                  for i, row in enumerate(doc["W"]))
+        theta = _json_numbers(doc["theta"], '"theta"')
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"RBM document malformed: {exc}") from exc
     return RbmParams(n0=n0, n1=n1, interaction=w, theta=theta)
 

@@ -467,9 +467,17 @@ def _mixture_ratios(tree: SawTree, system: TwoSpinSystem,
     bad = spins[(spins != 0) & (spins != 1)]
     if bad.size:
         raise InputError(f"boundary spin {bad[0]} out of range")
+    pinned = {_integer(u, "tree node", len(tree)) for u in sigma_star}
+    if pinned != set(leaves):
+        raise InputError("sigma_star must pin exactly the boundary copy "
+                         "leaves")
+    star = [sigma_star[u] for u in leaves]
+    for ratio in star:
+        if ratio.__class__ is bool or not (ratio == 0.0 or ratio == math.inf):
+            raise InputError(f"sigma_star ratios must be 0.0 or inf, "
+                             f"got {ratio!r}")
     above = (np.array([tree.depth[u] for u in leaves])
              < np.array(levels)[:, None])
-    star = np.array([sigma_star[u] for u in leaves])
     pins = np.full((len(levels), 2, len(spins), len(tree)), math.nan)
     pins[..., leaves] = np.where(above[:, None, None], star,
                                  np.where(spins == 0, math.inf, 0.0))

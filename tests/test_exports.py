@@ -3,8 +3,9 @@ every constant in `constants.py` is read somewhere in the package, every
 defaulted parameter of a public function is passed by some call, the
 package imports exactly its declared runtime dependencies beside the
 standard library, the package and its demos read only log parameters,
-no module checks an integer argument with `isinstance`, and the walk-tree
-module takes no exp or log from numpy."""
+no module checks an integer argument with `isinstance`, the walk-tree
+module takes no exp or log from numpy, and only the builders of `model`
+make a system without the public checks."""
 
 import ast
 import math
@@ -307,3 +308,65 @@ def test_each_module_imports_only_from_lower_layers():
             upward += [f"{name} -> {target}" for target in targets
                        if LAYERS[target.split(".")[0]] >= layer]
     assert not upward, upward
+
+
+def test_only_the_builders_of_model_call_its_private_constructor():
+    # `model._derived_system` builds a system without the public checks, so
+    # only code whose values have passed them may call it: the derived
+    # builders, whose parent system passed them, `rbm_to_two_spin`, whose
+    # checked RBM fixes the edges (it checks the values itself), and
+    # `_from_columns`, the public route of `from_params` and
+    # `load_instance`, after it has checked each value once
+    root = pathlib.Path(__file__).resolve().parents[1]
+    callers = set()
+    for top in ("src", "demos", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                callers.update(
+                    f"{path.stem}.{func.name}" for node in ast.walk(func)
+                    if isinstance(node, ast.Name)
+                    and node.id == "_derived_system")
+    assert callers == {"model.induced_subsystem", "model.apply_pinning",
+                       "model.tilt", "model.rbm_to_two_spin",
+                       "model._from_columns"}
+    assert not hasattr(ferrospin, "_derived_system")
+
+
+def test_derived_builders_run_no_public_check(monkeypatch):
+    from ferrospin import model
+    counts = {}
+
+    def counting(name, check):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return check(*args, **kwargs)
+        return wrapper
+
+    for name in ("_check_counts", "_check_edges", "_check_finite"):
+        monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+    monkeypatch.setattr(model.TwoSpinSystem, "__post_init__",
+                        counting("__post_init__",
+                                 model.TwoSpinSystem.__post_init__))
+    system = model.TwoSpinSystem.from_params(
+        4, [1.0, 0.5, 2.0, 1.0],
+        [(1, 0, 1.0, 2.0), (1, 2, 0.5, 3.0), (3, 2, 1.0, 2.5)])
+    # the public route checks each value once: no second pass in the
+    # constructor
+    assert counts == {"_check_counts": 1, "_check_edges": 1}
+    counts.clear()
+    model.tilt(system, 0.5)
+    model.tilt(system, [0.5, 1.0, 0.25, 1.0])
+    model.induced_subsystem(system, [0, 1, 3])
+    assert counts == {}
+    # pinning checks only the fields its absorbed neighbours changed, and
+    # the RBM map only the values its checked parameters hand it
+    model.apply_pinning(system, model.Pinning({1: 0}))
+    assert counts == {"_check_finite": 1}
+    model.rbm_to_two_spin(model.RbmParams(1, 2, ((0.0, 0.5, 0.2),
+                                                 (0.5, 0.0, 0.0),
+                                                 (0.2, 0.0, 0.0)),
+                                          (0.1, -0.3, 0.2)))
+    assert counts == {"_check_finite": 3}

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
@@ -6,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ferrospin.errors import InputError, NumericError
 from ferrospin.exact import (censored_glauber_matrix, conditional_marginal,
@@ -739,3 +741,355 @@ def test_numpy_scalar_theta_runs_every_field_route():
                            20, 4).splitlines()[6:]
             for theta in (np.float32(0.5), 0.5)]
     assert rows[0] == rows[1]
+
+
+# ---------------------------------------------------------------------------
+# one check at the boundary: the public route checks each outside value
+# once, and derived systems are built without a second check
+
+def _reference_from_params(n, lam, edges):
+    """The per-edge loop that the one-pass check replaced, kept as the
+    reference for the values, their order and the first message: canonical
+    pairs sorted, each positive finite value logged, then the system checked
+    edge by edge."""
+    canon = []
+    for u, v, beta, gamma in edges:
+        a, b = (u, v) if u <= v else (v, u)
+        for what, x in (("beta", beta), ("gamma", gamma)):
+            if not (x > 0.0) or math.isinf(x):
+                raise InputError(f"{what} of edge ({u},{v}) must be positive "
+                                 f"and finite, got {x!r}")
+        canon.append(((a, b), math.log(beta), math.log(gamma)))
+    canon.sort(key=lambda item: item[0])
+    log_lambda = []
+    for i, x in enumerate(lam):
+        if not (x > 0.0) or math.isinf(x):
+            raise InputError(f"lambda of vertex {i} must be positive and "
+                             f"finite, got {x!r}")
+        log_lambda.append(math.log(x))
+    if type(n) is bool or not isinstance(n, int):
+        raise InputError(f"vertex count must be an integer, got {n!r}")
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    if len(log_lambda) != n:
+        raise InputError(f"lambda has {len(log_lambda)} entries for n={n}")
+    seen = set()
+    for i, ((u, v), _, _) in enumerate(canon):
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise InputError(f"edge {i} ({u},{v}): vertex {x} out of range")
+        if u == v:
+            raise InputError(f"edge {i} ({u},{v}): self-loop")
+        if (u, v) in seen:
+            raise InputError(f"edge {i} ({u},{v}): parallel edge")
+        seen.add((u, v))
+    return (n, tuple(pair for pair, _, _ in canon),
+            tuple(lb for _, lb, _ in canon), tuple(lg for _, _, lg in canon),
+            tuple(log_lambda))
+
+
+def _fields(system):
+    return (system.n, system.edges, system.log_beta, system.log_gamma,
+            system.log_lambda)
+
+
+def _bits(system):
+    """Each entry of each field of `system` as (type, value), a float by its
+    hex form, so that equal bits are asserted and not equal values."""
+    def entry(x):
+        return type(x).__name__, x.hex() if type(x) is float else x
+    return ([entry(system.n)], [tuple(map(entry, e)) for e in system.edges],
+            *[list(map(entry, field)) for field in _fields(system)[2:]])
+
+
+_VALUES = st.sampled_from([0.5, 1.0, 2.5, 1e-300, 1e300, 0.0, -1.0,
+                           math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 5), st.lists(_VALUES, max_size=6),
+       st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5), _VALUES,
+                          _VALUES), max_size=8))
+def test_from_params_matches_the_per_edge_loop(n, lam, edges):
+    # every system the loop builds is built bit for bit, and every input it
+    # refuses is refused with its first message
+    try:
+        expected = _reference_from_params(n, lam, edges)
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            TwoSpinSystem.from_params(n, lam, edges)
+        assert str(caught.value) == str(exc)
+        return
+    system = TwoSpinSystem.from_params(n, lam, edges)
+    assert _fields(system) == expected
+    assert _bits(system) == _bits(TwoSpinSystem(*expected))
+
+
+@pytest.mark.parametrize("u, message", [
+    (np.int64(1), None), (1.0, "edge 0 (0,1.0): vertex must be an integer, "
+                               "got 1.0"),
+    (True, "edge 0 (0,True): vertex must be an integer, got True"),
+    (2 ** 70, f"edge 0 (0,{2 ** 70}): vertex {2 ** 70} out of range")])
+def test_endpoints_that_are_no_python_int_take_the_per_edge_rule(u, message):
+    # the screens pass only Python ints; a numpy integer is walked and kept,
+    # anything else is named by the per-edge rule
+    edges = [(0, u, 1.0, 2.0), (1, 2, 1.0, 2.0)]
+    if message is None:
+        system = TwoSpinSystem.from_params(3, [1.0] * 3, edges)
+        assert system == make(3, [1.0] * 3, [(0, 1, 1.0, 2.0),
+                                             (1, 2, 1.0, 2.0)])
+        return
+    for route in (lambda: TwoSpinSystem.from_params(3, [1.0] * 3, edges),
+                  lambda: TwoSpinSystem(3, ((0, u), (1, 2)), (0.0, 0.0),
+                                        (0.5, 0.5), (0.0,) * 3)):
+        with pytest.raises(InputError) as caught:
+            route()
+        assert str(caught.value) == message
+
+
+# (n, lambda, edges as (u, v, beta, gamma), the message every route gives)
+MALFORMED_SYSTEMS = [
+    (0, [], [], "vertex count must be >= 1, got 0"),
+    (3, [1.0, 1.0], [], "lambda has 2 entries for n=3"),
+    (3, [1.0] * 3, [(0, 1, 1.0, 2.0), (1, 3, 1.0, 2.0)],
+     r"edge 1 (1,3): vertex 3 out of range"),
+    (3, [1.0] * 3, [(-1, 1, 1.0, 2.0)], r"edge 0 (-1,1): vertex -1 out of range"),
+    (3, [1.0] * 3, [(0, 1, 1.0, 2.0), (2, 2, 1.0, 2.0)],
+     r"edge 1 (2,2): self-loop"),
+    (3, [1.0] * 3, [(0, 1, 1.0, 2.0), (0, 1, 0.5, 3.0)],
+     r"edge 1 (0,1): parallel edge"),
+    # two bad edges: the first in edge order is named, whatever its fault
+    (4, [1.0] * 4, [(0, 1, 1.0, 2.0), (1, 1, 1.0, 2.0), (2, 9, 1.0, 2.0)],
+     r"edge 1 (1,1): self-loop"),
+    (4, [1.0] * 4, [(0, 2, 1.0, 2.0), (0, 2, 1.0, 2.0), (1, 1, 1.0, 2.0)],
+     r"edge 1 (0,2): parallel edge"),
+    # a size fault comes before every edge fault
+    (0, [], [(0, 0, 1.0, 2.0)], "vertex count must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("n, lam, edges, message", MALFORMED_SYSTEMS)
+def test_malformed_systems_get_one_message_on_every_route(tmp_path, n, lam,
+                                                          edges, message):
+    from ferrospin.cli import main
+    routes = {
+        "constructor": lambda: TwoSpinSystem(
+            n=n, edges=tuple((u, v) for u, v, _, _ in edges),
+            log_beta=tuple(math.log(b) for _, _, b, _ in edges),
+            log_gamma=tuple(math.log(g) for _, _, _, g in edges),
+            log_lambda=tuple(math.log(x) for x in lam)),
+        "from_params": lambda: TwoSpinSystem.from_params(n, lam, edges),
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": n, "lambda": lam,
+        "edges": [{"u": u, "v": v, "beta": b, "gamma": g}
+                  for u, v, b, g in edges]}))
+    routes["load_instance"] = lambda: load_instance(str(path))
+    for name, route in routes.items():
+        with pytest.raises(InputError) as caught:
+            route()
+        assert str(caught.value) == message, name
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["exact", "--instance", str(path)])
+    assert (code, err.getvalue()) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("where", ["beta", "gamma", "lambda"])
+def test_bad_values_name_their_edge_or_vertex_on_every_route(tmp_path, where,
+                                                             value):
+    # the second edge (2,1) and vertex 1 carry the value; the linear routes
+    # name the edge as given
+    lam = [1.0, value if where == "lambda" else 1.0, 1.0]
+    edges = [(0, 1, 1.0, 2.0),
+             (2, 1, value if where == "beta" else 1.0,
+              value if where == "gamma" else 2.0)]
+    label = "vertex 1" if where == "lambda" else "edge (2,1)"
+    message = (f"{where} of {label} must be positive and finite, "
+               f"got {value!r}")
+    with pytest.raises(InputError) as caught:
+        TwoSpinSystem.from_params(3, lam, edges)
+    assert str(caught.value) == message
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 3, "lambda": lam,
+        "edges": [{"u": u, "v": v, "beta": b, "gamma": g}
+                  for u, v, b, g in edges]}))
+    with pytest.raises(InputError) as caught:
+        load_instance(str(path))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"lambda": ["1.5", 1.0]}, r'"lambda"[0] must be a JSON number, got '
+                               r"'1.5'"),
+    ({"lambda": [1.0, True]}, r'"lambda"[1] must be a JSON number, got True'),
+    ({"lambda": "12"}, r'"lambda"[0] must be a JSON number, got '
+                       r"'1'"),
+    ({"lambda": [1.0, None]}, r'"lambda"[1] must be a JSON number, got None'),
+    ({"edges": [{"u": 0, "v": 1, "beta": "0.5", "gamma": 3.0}]},
+     r'edge record 0 "beta" must be a JSON number, got '
+     r"'0.5'"),
+    ({"edges": [{"u": 0, "v": 1, "beta": 0.5, "gamma": 3.0},
+                {"u": 0, "v": 2, "beta": 0.5, "gamma": False}]},
+     r'edge record 1 "gamma" must be a JSON number, got False'),
+    ({"edges": [{"u": 0, "v": 1, "beta": [0.5], "gamma": 3.0}]},
+     r'edge record 0 "beta" must be a JSON number, got [0.5]'),
+    # the first bad record is named, its fields read in order
+    ({"edges": [{"u": 0, "v": 1, "beta": 1.0, "gamma": "3"},
+                {"u": 0.5, "v": 1, "beta": 1.0, "gamma": 2.0}]},
+     r'edge record 0 "gamma" must be a JSON number, got '
+     r"'3'"),
+    ({"edges": [{"u": 0, "v": 1, "beta": 1.0, "gamma": 2.0},
+                {"u": 0, "v": 2, "beta": 1.0}]},
+     r"edge record 1 malformed: 'gamma'"),
+    ({"edges": [{"u": 0, "v": 1, "beta": 1.0, "gamma": 2.0}, [0, 2]]},
+     "edge record 1 malformed: list indices must be integers or slices, "
+     "not str"),
+    ({"edges": [{"u": 0, "v": 1, "beta": 10 ** 400, "gamma": 2.0}]},
+     "edge record 0 malformed: int too large to convert to float"),
+    ({"lambda": 5}, "instance document malformed: 'int' object is not "
+                    "iterable"),
+])
+def test_instance_loader_reads_numbers_by_the_json_number_rule(tmp_path, doc,
+                                                               message):
+    # a JSON string or bool is no number: float() would read "0.5" and True
+    base = {"n": 3, "lambda": [1.0, 0.5, 0.25],
+            "edges": [{"u": 0, "v": 1, "beta": 0.5, "gamma": 3.0}]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(base, **doc)))
+    with pytest.raises(InputError) as caught:
+        load_instance(str(path))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"W": [[0.0, "0.5"], [0.5, 0.0]]},
+     r'"W"[0][1] must be a JSON number, got '
+     r"'0.5'"),
+    ({"W": [[0.0, 0.5], [0.5, False]]},
+     r'"W"[1][1] must be a JSON number, got False'),
+    ({"theta": [True, 0.1]}, r'"theta"[0] must be a JSON number, got True'),
+    ({"theta": [0.0, "0.1"]}, r'"theta"[1] must be a JSON number, got '
+                              r"'0.1'"),
+    ({"W": [[0.0, 0.5], 7]}, "RBM document malformed: 'int' object is not "
+                             "iterable"),
+])
+def test_rbm_loader_reads_numbers_by_the_json_number_rule(tmp_path, doc,
+                                                          message):
+    base = {"n0": 1, "n1": 1, "W": [[0.0, 0.7], [0.7, 0.0]],
+            "theta": [0.0, 0.1]}
+    path = tmp_path / "rbm.json"
+    path.write_text(json.dumps(dict(base, **doc)))
+    with pytest.raises(InputError) as caught:
+        load_rbm(str(path))
+    assert str(caught.value) == message
+
+
+def test_json_integers_load_as_the_floats_they_name(tmp_path):
+    # a JSON integer is a number: 2 reads as 2.0, bit for bit
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 2, "lambda": [1, 0.5],
+        "edges": [{"u": 1, "v": 0, "beta": 1, "gamma": 3}]}))
+    system = load_instance(str(path))
+    assert _bits(system) == _bits(
+        TwoSpinSystem.from_params(2, [1.0, 0.5], [(1, 0, 1.0, 3.0)]))
+
+
+def test_derived_systems_are_their_public_construction():
+    # a derived system skips the checks, so it must be exactly the system
+    # the public constructor builds from its values: field by field, type by
+    # type and bit for bit, with any adjacency it kept equal to a fresh one
+    rng = random.Random(27)
+    for i in range(60):
+        n = 2 + i % 9
+        pairs = oracle.random_connected_graph(rng, n, rng.choice([0.3, 0.7]))
+        system = make(n, [rng.choice(_DERIVED_VALUES) for _ in range(n)],
+                      [(v, u, rng.choice(_DERIVED_VALUES),
+                        rng.choice(_DERIVED_VALUES)) for u, v in pairs])
+        system.adjacency, system._neighbor_map  # cached, for tilt to keep
+        pin = Pinning({v: rng.randint(0, 1) for v in range(n)
+                       if rng.random() < 0.3 and v})
+        theta = [rng.choice([1e-200, 0.3, 1.0]) for _ in range(n)]
+        weights = [[0.0] * n for _ in range(n)]
+        for u, v in pairs:
+            if (u < n // 2) != (v < n // 2):
+                weights[u][v] = weights[v][u] = rng.choice([-2.0, 0.5, 3.0])
+        rbm = RbmParams(n // 2, n - n // 2, tuple(map(tuple, weights)),
+                        tuple(rng.choice([-1.0, 0.0, 2.0]) for _ in range(n)))
+        derived = [apply_pinning(system, pin), tilt(system, theta),
+                   tilt(system, 0.5),
+                   induced_subsystem(system, [v for v in range(n)
+                                              if rng.random() < 0.6] or [0])[0],
+                   rbm_to_two_spin(rbm)]
+        # a tilt keeps its parent's graph, cached maps and all
+        for tilted in derived[1:3]:
+            assert tilted.adjacency is system.adjacency
+            assert tilted._neighbor_map is system._neighbor_map
+        for d in derived:
+            public = TwoSpinSystem(*_fields(d))
+            assert d == public and _bits(d) == _bits(public)
+            assert d.adjacency == public.adjacency
+            assert d._neighbor_map == public._neighbor_map
+            assert d._sampler_kernels == {}
+
+
+def test_derived_systems_keep_the_checks_of_their_new_values():
+    s = make(3, [1.0, 1.0, 1.0], [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0)])
+    with pytest.raises(InputError, match="^vertex count must be >= 1, got 0$"):
+        apply_pinning(s, Pinning({0: 0, 1: 1, 2: 0}))
+    with pytest.raises(InputError, match="^vertex count must be >= 1, got 0$"):
+        induced_subsystem(s, [])
+    # a field that absorbs its pinned neighbours can overflow a float
+    huge = TwoSpinSystem(n=3, edges=((0, 1), (1, 2)), log_beta=(1e308, 1e308),
+                         log_gamma=(0.0, 0.0), log_lambda=(0.0, 1e308, 0.0))
+    with pytest.raises(InputError, match=r"^log_lambda\[0\] is not finite$"):
+        apply_pinning(huge, Pinning({0: 0, 2: 0}))
+    with pytest.raises(InputError, match="theta of vertex 0 must lie in"):
+        tilt(s, 1.5)
+    # an RBM weight or bias past the float range is no finite log
+    for w, theta, name in ((math.inf, 0.0, "log_gamma"),
+                           (0.5, -math.inf, "log_lambda")):
+        rbm = RbmParams(1, 1, ((0.0, w), (w, 0.0)), (0.0, theta))
+        with pytest.raises(InputError, match=rf"^{name}\[\d\] is not finite$"):
+            rbm_to_two_spin(rbm)
+
+
+@pytest.mark.parametrize("sigma_star, message", [
+    ({1: math.inf, 2: math.inf},
+     "sigma_star must pin exactly the boundary copy leaves"),
+    ({0: math.inf, 1: math.inf, 2: math.inf, 3: 0.0},
+     "sigma_star must pin exactly the boundary copy leaves"),
+    ({1: math.inf, 2: math.inf, 3: 7.5},
+     "sigma_star ratios must be 0.0 or inf, got 7.5"),
+    ({1: -math.inf, 2: math.inf, 3: 0.0},
+     "sigma_star ratios must be 0.0 or inf, got -inf"),
+    ({1: math.nan, 2: math.inf, 3: 0.0},
+     "sigma_star ratios must be 0.0 or inf, got nan"),
+    ({1: True, 2: math.inf, 3: 0.0},
+     "sigma_star ratios must be 0.0 or inf, got True"),
+    ({True: math.inf, 2: math.inf, 3: 0.0},
+     "tree node must be an integer, got True"),
+])
+def test_dominance_slacks_refuse_what_is_no_universal_pinning(sigma_star,
+                                                              message):
+    # a missing leaf raised a raw KeyError, and 7.5 was folded as a ratio
+    tree, system, rows = _star3_tree(), _star3(), np.array([[1, 1, 1]])
+    for call in (
+            lambda: ratio_dominance_slack(tree, system, rows, sigma_star, 1),
+            lambda: monotone_potential_slack(
+                tree, system, ParamClass(1.0, 2.0, 1.0), 1, rows,
+                sigma_star)):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == message
+    # the universal pinning itself, and 0 and inf spelled as ints and
+    # numpy floats, pass
+    for star in (universal_pinning(tree, system, 3, 21),
+                 {1: np.float64(math.inf), 2: 0, 3: math.inf}):
+        assert ratio_dominance_slack(tree, system, rows, star, 1).shape \
+            == (1, 1, 2)
