@@ -168,21 +168,22 @@ def _check_counts(n, n_lambda: int) -> None:
 
 def _check_edges(n: int, edges: Sequence) -> None:
     """An input error naming the first of `edges`, in their order, that is
-    not a pair of vertices below n in canonical (min, max) order, or that
-    repeats an earlier edge.  Screens over all the endpoints at once clear
-    the common case; the edges are walked one by one only to name a fault
-    (or when an endpoint is an integer of another type, a numpy one)."""
+    not a pair of vertices below n in canonical (min, max) order, that
+    repeats an earlier edge, or that comes out of sorted order.  Screens
+    over all the endpoints at once clear the common case; the edges are
+    walked one by one only to name a fault (or when an endpoint is an
+    integer of another type, a numpy one)."""
     try:
         us, vs = zip(*edges) if edges else ((), ())
         if ({2}.issuperset(map(len, edges))
                 and _INT_TYPES.issuperset(chain(map(type, us), map(type, vs)))
                 and (not edges or min(us) >= 0 and max(vs) < n)
                 and all(map(operator.lt, us, vs))
-                and len(set(edges)) == len(edges)):
+                and all(map(operator.lt, edges, edges[1:]))):
             return
     except (TypeError, ValueError):
         pass
-    seen = set()
+    seen, last = set(), None
     for i, (u, v) in enumerate(edges):
         try:
             _integer(u, "vertex", n)
@@ -195,7 +196,11 @@ def _check_edges(n: int, edges: Sequence) -> None:
             raise InputError(f"edge {i} ({u},{v}): not in canonical (min,max) order")
         if (u, v) in seen:
             raise InputError(f"edge {i} ({u},{v}): parallel edge")
-        seen.add((u, v))
+        if last is not None and (u, v) < last:
+            raise InputError(f"edge {i} ({u},{v}): out of sorted order after "
+                             f"({last[0]},{last[1]})")
+        last = (u, v)
+        seen.add(last)
 
 
 def _check_finite(name: str, values: Sequence[float]) -> None:

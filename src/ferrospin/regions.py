@@ -326,7 +326,8 @@ def is_good_tree_boundary(tree: SawTree, spins: Mapping[int, int], d2: int,
     among the boundary copies needs at least (count / ln n) + 1 of them at
     spin 1."""
     log_n, d2 = _log_n(n), RegionParams(1, d2).d2
-    if set(spins) != set(_boundary_leaves(tree)):
+    if ({_integer(u, "tree node", len(tree)) for u in spins}
+            != set(_boundary_leaves(tree))):
         raise InputError("spins must cover exactly the boundary copies")
     spins = {u: _integer(s, "spin", 2) for u, s in spins.items()}
     kids = ([c for c in cs if c in spins] for cs in tree.children)

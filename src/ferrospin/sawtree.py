@@ -26,17 +26,23 @@ result, bit for bit:
   bottom-up: each node's leaf terms in neighbour order, then its children's
   `_fold` terms in child order, as the pass adds them.
 
-The pass runs first.  On reaching `_ARRAY_NODES` (2048) nodes it estimates
-the size of its tree from the share it has finished, and hands a tree
-estimated at 2.5 times that or more to the arrays.  On random regular
-graphs (2-core Xeon, CPU time, best of repeats) the arrays alone took 4 to
-7 times as long as the pass on trees of 230 nodes or fewer, 1.0 against
-0.9 ms at 1,500 nodes, 1.9 against 1.7 ms at 3,000, 2.7 against 4.9 ms at
-5,700 and 15 against 45 ms at 75,000; a tree handed over pays the pass to
-2048 nodes as well, about 1.2 ms, so the arrays break even at about 5,500
-nodes (3,000 nodes: 3.0 against 1.7 ms).  The estimate assumes sibling
-subtrees alike; on the benchmark's regular graphs and RBMs it lay within
-20% of the true size.  The budget grows with n past 16 vertices, since the
+The pass runs first.  It checks its route on passing a quarter, a half
+and all of its budget of `_ARRAY_NODES` (2048) nodes: each time it
+estimates the size of its tree from the share it has finished, and hands a
+tree estimated at 2.5 times the budget or more to the arrays; past the last
+check it finishes the tree.  On random regular graphs (2-core Xeon, CPU
+time, best of 7) the pass took 0.56 against the arrays' 0.79 ms on a
+1,186-node tree, 1.3 against 1.1 ms at 2,462 nodes, 2.7 against 1.8 ms at
+5,406, 8.5 against 3.2 ms at 20,615 and 23 against 9 ms at 65,429, and the
+arrays alone took 4 to 7 times as long as the pass on trees of 230 nodes or
+fewer.  A tree handed over at the first check pays the pass to 512 nodes as
+well, about 0.25 ms: the 6,209-node tree of a 4-regular bipartite graph
+took 1.5 ms, against 1.3 ms as arrays alone and 2.1 ms with a first check
+at 2,048 nodes.  The estimate assumes sibling subtrees alike; at the
+first check, on the 89 trees of the benchmark's walk queries (seeds 1 to 5)
+that reach it, it read 0.83 to 1.34 of the true size.  A tree whose pass
+walks a thin branch first reads low there, and a later check hands it over.
+The budget, and so every check, grows with n past 16 vertices, since the
 tree has up to n levels and each costs the arrays a fixed time.  numpy
 does only the IEEE +, -, abs and comparisons of the array route; its exp
 and log1p differ from libm's in the last bit (in about 5% of arguments),
@@ -328,13 +334,13 @@ def _fold(acc: list[float], via: list[int], depth: int,
                     - (d if d > c else c) - log1p(exp(-abs(c - d))))
 
 
-# The depth-first pass that reaches this many nodes estimates its tree's
-# size, and hands a tree estimated at 2.5 times as many nodes or more to the
-# level-order arrays (`_level_fold`); the budget scales with n/_ARRAY_LEVELS
-# past _ARRAY_LEVELS vertices: the tree has at most n levels, and each
-# costs the arrays a fixed time, so a deep narrow tree stays depth first (a
-# 3000-cycle: 11 ms depth first, 0.8 s as arrays).  See the module
-# docstring.
+# The depth-first pass that passes a quarter, a half or all of this many
+# nodes estimates its tree's size, and hands a tree estimated at 2.5 times
+# as many nodes or more to the level-order arrays (`_level_fold`); the
+# budget scales with n/_ARRAY_LEVELS past _ARRAY_LEVELS vertices: the tree
+# has at most n levels, and each costs the arrays a fixed time, so a deep
+# narrow tree stays depth first (a 3000-cycle: 11 ms depth first, 0.8 s as
+# arrays).  See the module docstring.
 _ARRAY_NODES = 2048
 _ARRAY_LEVELS = 16
 # walk vertices of one level expanded at once by `_level_fold`
@@ -357,9 +363,11 @@ def saw_marginal(system: TwoSpinSystem, v: int,
     boundary or cycle-closing copy adds its spin's factor, read from a
     per-vertex table built once per call.  A walk of length d shows that the
     frames from depth d - 1 on are finished, and `_fold` folds each into its
-    parent.  A tree past the budget of `_ARRAY_NODES` and estimated at 2.5
-    times it ends the pass and is folded again, bit for bit, by
-    `_level_fold`.  Over `REGION_NODE_CAP` nodes raise CapacityError.
+    parent.  On passing a quarter, a half and all of the budget of
+    `_ARRAY_NODES`, the pass estimates the tree's size; a tree estimated at
+    2.5 times the budget ends the pass and is folded again, bit for bit, by
+    `_level_fold`, and past the last check the pass finishes the tree.
+    Over `REGION_NODE_CAP` nodes raise CapacityError.
     """
     if v in spin_pin:
         raise InputError(f"vertex {v} is pinned")
@@ -375,13 +383,17 @@ def saw_marginal(system: TwoSpinSystem, v: int,
     children = [len(nbrs) - (u != v) for u, nbrs in enumerate(system.adjacency)]
     node_cap = constants.REGION_NODE_CAP
     budget = _ARRAY_NODES * max(1.0, system.n / _ARRAY_LEVELS)
-    limit = min(node_cap, budget)
+    # the pass checks its route on passing a quarter, a half and all of the
+    # budget, then runs to the cap; `checks` holds the limits, last first
+    checks = [node_cap, budget, budget / 2, budget / 4]
+    limit = min(node_cap, checks.pop())
+    handed = False
     acc: list[float] = []
     via: list[int] = []  # via[i]: edge from walk[i - 1] to walk[i]
     nodes = 1
 
     def expand(walk, pos, e):
-        nonlocal nodes, limit
+        nonlocal nodes, limit, handed
         d = len(walk)
         if len(acc) >= d:
             _fold(acc, via, d - 1, lb, lg)
@@ -392,8 +404,9 @@ def saw_marginal(system: TwoSpinSystem, v: int,
                 raise CapacityError(f"saw tree of vertex {v} reached {nodes} "
                                     f"nodes, over node cap {node_cap}")
             if nodes > 2.5 * budget * _finished_share(walk, pos, table):
+                handed = True
                 return None  # `_level_fold` takes the tree
-            limit = node_cap  # the pass finishes it
+            limit = min(node_cap, checks.pop())
         prev = walk[-2] if d > 1 else -1
         log_r = log_lam[p]
         descend = []
@@ -411,7 +424,7 @@ def saw_marginal(system: TwoSpinSystem, v: int,
         return descend
 
     _walks(v, -1, expand)
-    if nodes > limit:
+    if handed:
         log_r, nodes = _level_fold(system, v, table, children, node_cap)
     else:
         _fold(acc, via, 1, lb, lg)

@@ -83,6 +83,27 @@ def test_rejects_self_loop_and_parallel():
         make(2, [1.0, 1.0], [(0, 1, 1.0, 2.0), (1, 0, 1.0, 2.0)])
 
 
+@pytest.mark.parametrize("edges, message", [
+    (((1, 2), (0, 1)), "edge 1 (0,1): out of sorted order after (1,2)"),
+    (((np.int64(1), 2), (0, 1)),
+     "edge 1 (0,1): out of sorted order after (1,2)"),
+    # the rules checked before it keep their precedence
+    (((0, 1), (0, 2), (0, 1)), "edge 2 (0,1): parallel edge"),
+    (((1, 2), (1, 0)), "edge 1 (1,0): not in canonical (min,max) order"),
+    (((1, 2), (0, 0)), "edge 1 (0,0): self-loop"),
+])
+def test_constructor_refuses_edges_out_of_sorted_order(edges, message):
+    # `from_params` and `load_instance` sort the edges; the constructor
+    # takes them as given, so it refuses a second order of the same graph,
+    # which would number the edges and hash the instance differently
+    with pytest.raises(InputError) as caught:
+        TwoSpinSystem(3, edges, (0.0,) * len(edges), (0.5,) * len(edges),
+                      (0.0,) * 3)
+    assert str(caught.value) == message
+    assert make(3, [1.0] * 3, [(1, 2, 1.0, 2.0), (0, 1, 1.0, 2.0)]).edges == (
+        (0, 1), (1, 2))
+
+
 def test_rejects_nonpositive_params():
     with pytest.raises(InputError):
         make(1, [0.0], [])
@@ -680,6 +701,9 @@ def _term_bound(d):
      "spin must be an integer, got 1.0"),
     (lambda: is_good_tree_boundary(_star3_tree(), {1: -3, 2: 0, 3: 0}, 3, 21),
      "spin -3 out of range"),
+    (lambda: is_good_tree_boundary(_star3_tree(), {True: 1, 2: 1, 3: 1}, 3,
+                                   21),
+     "tree node must be an integer, got True"),
     (lambda: _potential(-1), "tree node -1 out of range"),
     (lambda: _potential(True), "tree node must be an integer, got True"),
     (lambda: _potential(99), "tree node 99 out of range"),
@@ -721,7 +745,7 @@ def _term_bound(d):
         "chain-step", "spec-n", "spec-n-nan", "universal-n", "universal-d2-float",
         "tree-boundary-n",
         "tree-spin-5", "tree-spin-bool", "tree-spin-float",
-        "tree-spin-negative",
+        "tree-spin-negative", "tree-node-bool",
         "potential-w-negative", "potential-w-bool", "potential-w-past",
         "dominance-w-root", "dominance-w-past", "dominance-boundary-float",
         "dominance-boundary-2", "potential-boundary-bool",

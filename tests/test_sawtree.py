@@ -1,6 +1,7 @@
 """Walk-tree construction, the log-space marginal pass against the stored
 tree and brute force, the ratio recursion, and the potential apparatus."""
 
+import itertools
 import math
 import random
 
@@ -450,28 +451,85 @@ def _route_system(rng, kind):
                                      theta=tuple(theta)))
 
 
+class _RouteSpy:
+    """Spy on `saw_marginal`'s route, one `run` at a time: `estimates` holds
+    each estimate of the tree's size as (the pass's node count, the
+    estimate), and `handed` whether `_level_fold` took the tree."""
+
+    def __init__(self, monkeypatch):
+        walks = sawtree._walks
+        finished_share = sawtree._finished_share
+        level_fold = sawtree._level_fold
+
+        def counted_walks(root, state, expand):
+            def counted(walk, pos, e):  # the pass's node count, as it keeps it
+                self.nodes += (len(self.system.adjacency[walk[-1]])
+                               - (len(walk) > 1))
+                return expand(walk, pos, e)
+            return walks(root, state, counted)
+
+        def share(*args):
+            s = finished_share(*args)
+            self.estimates.append(
+                (self.nodes, self.nodes / s if s else math.inf))
+            return s
+
+        def fold(*args):
+            self.handed = True
+            return level_fold(*args)
+
+        monkeypatch.setattr(sawtree, "_walks", counted_walks)
+        monkeypatch.setattr(sawtree, "_finished_share", share)
+        monkeypatch.setattr(sawtree, "_level_fold", fold)
+
+    def run(self, system, v, pin=Pinning()):
+        self.system, self.nodes, self.estimates = system, 1, []
+        self.handed = False
+        return saw_marginal(system, v, pin)
+
+
 def test_level_order_fold_is_the_depth_first_fold_bit_for_bit(monkeypatch):
     # a budget of 0 sends every tree to the level-order arrays, one of inf
-    # none, one of 64 the trees past it estimated at 160 nodes or more, and
-    # the pass finishes the others; repr tells apart every float bit, also
-    # of -0.0, which == does not
+    # none, one of 64 the trees past 16, 32 or 64 nodes estimated at 160
+    # nodes or more, and the pass finishes the others; repr tells apart
+    # every float bit, also of -0.0, which == does not
+    spy = _RouteSpy(monkeypatch)
+    checks = set()  # the checks that handed a tree over at budget 64
+
     def answer(budget, cap, system, v, pin):
         monkeypatch.setattr(sawtree, "_ARRAY_NODES", budget)
         monkeypatch.setattr(constants, "REGION_NODE_CAP", cap)
         try:
-            return repr(tuple(saw_marginal(system, v, pin)))
+            return repr(tuple(spy.run(system, v, pin)))
         except CapacityError:
             return "CapacityError"
+        finally:
+            if budget == 64 and spy.handed:
+                checks.add(len(spy.estimates))
 
     rng = random.Random(47)
+
+    def cases():
+        for trial in range(240):
+            system = _route_system(rng, trial % 3)
+            v = rng.randrange(system.n)
+            yield system, v, Pinning(_random_pin(rng, system.n, v)
+                                     if trial % 2 else {})
+        # the path 0-1-2, then a 4- or 5-clique on the root: the pass walks
+        # the path first, so the first estimate is low and the second or
+        # third check hands the tree over
+        for m in (4, 5):
+            clique = range(3, 3 + m)
+            pairs = [(0, 1), (1, 2), *((0, c) for c in clique),
+                     *itertools.combinations(clique, 2)]
+            yield to_system((3 + m, [1.0] * (3 + m),
+                             [(u, w, 1.0, 2.0) for u, w in pairs])), 0, Pinning()
+
     full = constants.REGION_NODE_CAP
     sizes, answers = [], set()
-    for trial in range(240):
-        system = _route_system(rng, trial % 3)
-        v = rng.randrange(system.n)
-        pin = Pinning(_random_pin(rng, system.n, v) if trial % 2 else {})
+    for system, v, pin in cases():
         monkeypatch.setattr(constants, "REGION_NODE_CAP", full)
-        size = saw_marginal(system, v, pin).tree_nodes
+        size = spy.run(system, v, pin).tree_nodes
         sizes.append(size)
         for cap in (full, size - 1, size // 2, 1):
             if cap:
@@ -479,32 +537,83 @@ def test_level_order_fold_is_the_depth_first_fold_bit_for_bit(monkeypatch):
                 assert answer(0, cap, system, v, pin) == want
                 assert answer(64, cap, system, v, pin) == want
                 answers.add(want[:1])
-    # answers and raised caps, on trees of 1 to thousands of nodes
+    # answers and raised caps, on trees of 1 to thousands of nodes, and
+    # hand-overs at the first check and at a later one
     assert answers == {"(", "C"}
     assert min(sizes) == 1 and max(sizes) > 1000
+    assert 1 in checks and checks & {2, 3}
 
 
 def test_the_pass_keeps_small_and_deep_trees_and_hands_over_wide_ones(
         monkeypatch):
-    handed = []
-    level_fold = sawtree._level_fold
-    monkeypatch.setattr(sawtree, "_level_fold",
-                        lambda *args: handed.append(args[1]) or level_fold(*args))
+    spy = _RouteSpy(monkeypatch)
 
     def bipartite(a, b):
         return to_system((a + b, [1.0] * (a + b),
                           [(u, a + w, 1.0, 2.0)
                            for u in range(a) for w in range(b)]))
 
-    # K(3,9) has a 3,628-node tree, under the 5,500 where the arrays start to
-    # pay, K(5,5) a 44,586-node one; a 3000-cycle's 6,001 nodes lie on
-    # 3,000 levels
-    assert saw_marginal(bipartite(3, 9), 0).tree_nodes == 3628
-    assert saw_marginal(bipartite(5, 5), 1).tree_nodes == 44586
+    # K(3,9) has a 3,628-node tree, under the hand-over threshold of 5,120,
+    # and stays in the pass through all three checks
+    assert spy.run(bipartite(3, 9), 0).tree_nodes == 3628
+    assert (len(spy.estimates), spy.handed) == (3, False)
+    # K(5,5) has a 44,586-node one, handed over at the first check, within
+    # one walk's children (4 below the root) past 512 nodes
+    assert spy.run(bipartite(5, 5), 1).tree_nodes == 44586
+    assert (len(spy.estimates), spy.handed) == (1, True)
+    assert 512 < spy.estimates[0][0] <= 512 + 4
+    # a 3000-cycle's 6,001 nodes lie on 3,000 levels; the budget, and so
+    # every check, scales with n/16, so the pass never checks it
     cycle = to_system((3000, [1.0] * 3000,
                        [(i, (i + 1) % 3000, 2.0, 3.0) for i in range(3000)]))
-    assert saw_marginal(cycle, 2).tree_nodes == 6001
-    assert handed == [1]
+    assert spy.run(cycle, 2).tree_nodes == 6001
+    assert (spy.estimates, spy.handed) == ([], False)
+
+
+def _random_regular(rng, n, d, bipartite):
+    """A connected simple d-regular graph by random stub pairing, as the
+    benchmark draws its saw queries' graphs; a bipartite one joins 0..n/2-1
+    to n/2..n-1, as an RBM's."""
+    while True:
+        if bipartite:
+            right = [w for w in range(n // 2, n) for _ in range(d)]
+            rng.shuffle(right)
+            pairs = zip([u for u in range(n // 2) for _ in range(d)], right)
+        else:
+            stubs = [u for u in range(n) for _ in range(d)]
+            rng.shuffle(stubs)
+            pairs = zip(stubs[::2], stubs[1::2])
+        edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+        reached = {0}
+        for _ in range(n):
+            reached |= {a + b - u for a, b in edges for u in (a, b)
+                        if u in reached}
+        if len(edges) == n * d // 2 and len(reached) == n:
+            return sorted(edges)
+
+
+def test_the_first_estimate_lies_near_the_tree_size(monkeypatch):
+    # at the first check, 512 nodes scaled by n/16 past 16 vertices, the
+    # nodes over the finished share estimate the tree within [0.75, 1.5] of
+    # its size on the benchmark's kinds of graph: 3- and 4-regular, and
+    # bipartite regular as an RBM's (the estimate reads the graph alone)
+    spy = _RouteSpy(monkeypatch)
+    rng = random.Random(53)
+    ratios = []
+    for d, bipartite, sizes in ((3, False, (10, 12, 14, 16, 18)),
+                                (4, False, (10, 12, 14)),
+                                (3, True, (10, 12, 14, 16, 18)),
+                                (4, True, (10, 12, 14))):
+        for n in sizes * 2:
+            system = to_system((n, [1.0] * n, [
+                (u, w, 1.0, 2.0)
+                for u, w in _random_regular(rng, n, d, bipartite)]))
+            for v in rng.sample(range(n), 2):
+                size = spy.run(system, v).tree_nodes
+                if spy.estimates:
+                    ratios.append(spy.estimates[0][1] / size)
+    assert len(ratios) > 50
+    assert 0.75 <= min(ratios) and max(ratios) <= 1.5
 
 
 def _log_edge_factor(log_x, lb, lg):
