@@ -76,8 +76,11 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _load_system(args) -> TwoSpinSystem:

@@ -30,23 +30,24 @@ The pass runs first.  It checks its route on passing a quarter, a half
 and all of its budget of `_ARRAY_NODES` (2048) nodes: each time it
 estimates the size of its tree from the share it has finished, and hands a
 tree estimated at 2.5 times the budget or more to the arrays; past the last
-check it finishes the tree.  On random regular graphs (2-core Xeon, CPU
-time, best of 7) the pass took 0.56 against the arrays' 0.79 ms on a
-1,186-node tree, 1.3 against 1.1 ms at 2,462 nodes, 2.7 against 1.8 ms at
-5,406, 8.5 against 3.2 ms at 20,615 and 23 against 9 ms at 65,429, and the
-arrays alone took 4 to 7 times as long as the pass on trees of 230 nodes or
-fewer.  A tree handed over at the first check pays the pass to 512 nodes as
-well, about 0.25 ms: the 6,209-node tree of a 4-regular bipartite graph
-took 1.5 ms, against 1.3 ms as arrays alone and 2.1 ms with a first check
-at 2,048 nodes.  The estimate assumes sibling subtrees alike; at the
-first check, on the 89 trees of the benchmark's walk queries (seeds 1 to 5)
-that reach it, it read 0.83 to 1.34 of the true size.  A tree whose pass
-walks a thin branch first reads low there, and a later check hands it over.
-The budget, and so every check, grows with n past 16 vertices, since the
-tree has up to n levels and each costs the arrays a fixed time.  numpy
-does only the IEEE +, -, abs and comparisons of the array route; its exp
-and log1p differ from libm's in the last bit (in about 5% of arguments),
-so the route calls `math.exp` and `math.log1p` on each element.
+check it finishes the tree.  On random regular graphs with random
+ferromagnetic parameters (2-core Xeon, CPU time, least of 54 runs) the pass
+took 0.80 against the arrays' 1.13 ms on a 1,186-node tree, 1.70 against
+1.55 ms at 2,462 nodes, 3.6 against 2.2 ms at 5,406, 9.7 against 3.2 ms at
+20,615 and 36 against 11 ms at 79,745, and the arrays alone took about 4
+times as long as the pass on a 218-node tree.  A tree handed over at the
+first check pays the pass to 512 nodes as well, about 0.25 ms: the
+6,209-node tree of a 4-regular bipartite graph took 1.7 ms, against 1.4 ms
+as arrays alone and 2.4 ms with a first check at 2,048 nodes.  The
+estimate assumes sibling subtrees alike; at the first check, on the 89
+trees of the benchmark's walk queries (seeds 1 to 5) that reach it, it read
+0.83 to 1.34 of the true size.  A tree whose pass walks a thin branch
+first reads low there, and a later check hands it over.  The budget, and so
+every check, grows with n past 16 vertices, since the tree has up to n
+levels and each costs the arrays a fixed time.  numpy does only the IEEE +,
+-, abs and comparisons of the array route; its exp and log1p differ from
+libm's in the last bit (in about 5% of arguments), so the route calls
+`math.exp` and `math.log1p`, once per distinct argument of a level.
 
 `_ratio_rows` folds log R the same way over a tree `build_saw_tree` stored,
 for a rows x nodes array of ratio pins at once (spin 0 is ratio inf, spin 1
@@ -463,10 +464,11 @@ def _level_fold(system: TwoSpinSystem, v: int, table: list[tuple],
     follow in neighbour order, so a parent's children are contiguous.  A
     walk's log R starts at log lambda of its endpoint, gains its boundary
     and cycle-closing leaf terms in neighbour order, then its children's
-    `_fold` terms in child order: the sums of the depth-first pass, in its
-    order.  The node count of a level's children is summed before the level
-    is expanded, so the cap fires on exactly the trees it fires on in the
-    depth-first pass.  `table` and `children` are `saw_marginal`'s.
+    `_fold` terms in child order, by one ordered scatter per level: the sums
+    of the depth-first pass, in its order.  The node count of a level's
+    children is summed before the level is expanded, so the cap fires on
+    exactly the trees it fires on in the depth-first pass.  `table` and
+    `children` are `saw_marginal`'s.
     """
     n = system.n
     width = max(map(len, table))
@@ -498,22 +500,24 @@ def _level_fold(system: TwoSpinSystem, v: int, table: list[tuple],
             raise CapacityError(f"saw tree of vertex {v} reached {nodes} "
                                 f"nodes, over node cap {node_cap}")
         chunk = max(1, _CELLS // len(walks))
-        parts = [_expand(walks[:, lo:lo + chunk], lo, slots)
-                 for lo in range(0, walks.shape[1], chunk)]
-        levels.append((np.concatenate([q[0] for q in parts]), up, via))
-        walks = np.concatenate([q[1] for q in parts], 1)
-        up, via = (np.concatenate([q[i] for q in parts]) for i in (2, 3))
+        if walks.shape[1] <= chunk:
+            log_r, walks, cols, edges = _expand(walks, 0, slots)
+        else:
+            parts = [_expand(walks[:, lo:lo + chunk], lo, slots)
+                     for lo in range(0, walks.shape[1], chunk)]
+            log_r, walks, cols, edges = (
+                np.concatenate(q, axis)
+                for q, axis in zip(zip(*parts), (0, 1, 0, 0)))
+        levels.append((log_r, up, via))
+        up, via = cols, edges
 
     for depth in range(len(levels) - 1, 0, -1):
         x, up, via = levels[depth]
-        terms = _fold_terms(x, log_beta[via], log_gamma[via])
-        target = levels[depth - 1][0]
-        # a parent's children are contiguous, in the pass's order: add every
-        # first child, then every second, and so on
-        rank = np.arange(len(up)) - np.searchsorted(up, up)
-        for r in range(rank.max() + 1):
-            sel = rank == r
-            target[up[sel]] += terms[sel]
+        # add.at is unbuffered and goes in index order, and a parent's
+        # children are contiguous, in the pass's order: each parent gains
+        # its children's terms in child order
+        np.add.at(levels[depth - 1][0], up,
+                  _fold_terms(x, log_beta[via], log_gamma[via]))
     return float(levels[0][0][0]), nodes
 
 
@@ -546,16 +550,18 @@ def _expand(walks: np.ndarray, lo: int, slots: _Slots) -> tuple[np.ndarray, ...]
         # the copy of walk[i] that closes a cycle has spin 0 if walk[i + 1]
         # is larger than the endpoint
         spin0 = (hit & (walks[1:] > p)).any(1)
-        leaf = np.where(closing, np.where(spin0, slots.lb.take(p, 1),
-                                          slots.mlg.take(p, 1)), leaf)
+        np.copyto(leaf, np.where(spin0, slots.lb.take(p, 1),
+                                 slots.mlg.take(p, 1)), where=closing)
         has |= closing
         step &= ~closing
     log_r = slots.log_lam[p]
     for k in range(len(nbr)):
         np.add(log_r, leaf[k], out=log_r, where=has[k])
     cols, ks = np.nonzero(step.T)
-    return (log_r, np.vstack((walks.take(cols, 1), nbr[ks, cols])), cols + lo,
-            slots.edge[ks, p[cols]])
+    grown = np.empty((len(walks) + 1, len(cols)), np.int32)
+    np.take(walks, cols, 1, out=grown[:-1])
+    grown[-1] = nbr[ks, cols]
+    return log_r, grown, cols + lo, slots.edge[ks, p[cols]]
 
 
 def _fold_terms(x: np.ndarray, log_beta: np.ndarray,
@@ -563,17 +569,19 @@ def _fold_terms(x: np.ndarray, log_beta: np.ndarray,
     """`_fold`'s term for each finished subtree log R = x over its edge.
 
     numpy does only the IEEE +, -, abs and comparisons; exp and log1p are
-    math's, element by element, since numpy's differ from libm in the last
-    bit.  So each term is `_fold`'s to the bit.
+    math's, one call per distinct gap, read back for every equal one, since
+    numpy's differ from libm in the last bit.  So each term is `_fold`'s to
+    the bit.
     """
     big = x > 0.0
     a = np.where(big, log_beta, 0.0)
     b = np.where(big, -x, log_beta + x)
     c = np.where(big, 0.0, x)
     d = np.where(big, log_gamma - x, log_gamma)
-    gaps = -np.abs(np.concatenate((a - b, c - d)))
+    gaps, inverse = np.unique(-np.abs(np.concatenate((a - b, c - d))),
+                              return_inverse=True)
     soft = np.fromiter(map(math.log1p, map(math.exp, gaps.tolist())), float,
-                       len(gaps))
+                       len(gaps))[inverse]
     m = len(x)
     return np.where(b > a, b, a) + soft[:m] - np.where(d > c, d, c) - soft[m:]
 

@@ -449,6 +449,24 @@ def test_the_library_range_checks_keep_the_exit_contract(path5, argv, line):
     assert "Traceback" not in proc.stderr
 
 
+def test_an_unwritable_out_path_keeps_the_exit_contract(path5, tmp_path):
+    # --out onto a directory, or below a regular file, is an input error
+    # naming the path, not an OSError traceback
+    (tmp_path / "file").write_text("x")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    for out in (tmp_path, tmp_path / "file" / "x.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ferrospin.cli", "saw", "--instance",
+             str(path5), "--center", "0", "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 1, (out, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: cannot write output file {out}: "), (out, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
 def test_no_subcommand_loads_scipy(path5, tmp_path):
     # the library needs numpy only: scipy is a test dependency, and loading
     # it would cost every process its import time and a second BLAS

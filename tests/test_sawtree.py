@@ -492,12 +492,15 @@ def test_level_order_fold_is_the_depth_first_fold_bit_for_bit(monkeypatch):
     # a budget of 0 sends every tree to the level-order arrays, one of inf
     # none, one of 64 the trees past 16, 32 or 64 nodes estimated at 160
     # nodes or more, and the pass finishes the others; repr tells apart
-    # every float bit, also of -0.0, which == does not
+    # every float bit, also of -0.0, which == does not.  At budget 0 the
+    # arrays also run with 8 cells a chunk, so most levels split into
+    # several chunks, some of one walk each
     spy = _RouteSpy(monkeypatch)
     checks = set()  # the checks that handed a tree over at budget 64
 
-    def answer(budget, cap, system, v, pin):
+    def answer(budget, cap, system, v, pin, cells=sawtree._CELLS):
         monkeypatch.setattr(sawtree, "_ARRAY_NODES", budget)
+        monkeypatch.setattr(sawtree, "_CELLS", cells)
         monkeypatch.setattr(constants, "REGION_NODE_CAP", cap)
         try:
             return repr(tuple(spy.run(system, v, pin)))
@@ -524,6 +527,14 @@ def test_level_order_fold_is_the_depth_first_fold_bit_for_bit(monkeypatch):
                      *itertools.combinations(clique, 2)]
             yield to_system((3 + m, [1.0] * (3 + m),
                              [(u, w, 1.0, 2.0) for u, w in pairs])), 0, Pinning()
+        # K(2,10): the root's 10 children, and each depth-2 walk's 9, fold
+        # into one parent through one scatter
+        pairs = [(u, w) for u in range(2) for w in range(2, 12)]
+        fan = to_system((12, [rng.uniform(0.05, 2.0) for _ in range(12)],
+                         ora.random_ferro_params(rng, pairs)))
+        assert len(fan.adjacency[0]) == 10  # the root's children
+        yield fan, 0, Pinning()
+        yield fan, 2, Pinning({5: 0, 7: 1})
 
     full = constants.REGION_NODE_CAP
     sizes, answers = [], set()
@@ -535,6 +546,7 @@ def test_level_order_fold_is_the_depth_first_fold_bit_for_bit(monkeypatch):
             if cap:
                 want = answer(math.inf, cap, system, v, pin)
                 assert answer(0, cap, system, v, pin) == want
+                assert answer(0, cap, system, v, pin, cells=8) == want
                 assert answer(64, cap, system, v, pin) == want
                 answers.add(want[:1])
     # answers and raised caps, on trees of 1 to thousands of nodes, and
@@ -622,6 +634,23 @@ def _log_edge_factor(log_x, lb, lg):
     _fold(acc, [-1, 0], 1, (lb,), (lg,))
     assert len(acc) == 1
     return acc[0]
+
+
+def test_fold_terms_are_the_fold_terms_bit_for_bit():
+    # one libm call per distinct gap gives every element `_fold`'s own
+    # term, also where gaps repeat: x at +-0.0, +-inf, subnormal, on both
+    # sides of x > 0, each value three times on a few edges
+    rng = random.Random(61)
+    xs = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.5, -0.5, 1.7,
+          -1.7, 700.0, -700.0, 1e4, -1e4,
+          *(rng.uniform(-40.0, 40.0) for _ in range(30))] * 3
+    rng.shuffle(xs)
+    edges = [rng.choice(((0.0, 0.7), (-0.3, 2.0), (800.0, -800.0),
+                         (math.log(0.6), math.log(3.0)))) for _ in xs]
+    lb, lg = (np.array(e) for e in zip(*edges))
+    terms = sawtree._fold_terms(np.array(xs), lb, lg)
+    assert [repr(t) for t in terms.tolist()] == [
+        repr(_log_edge_factor(x, b, g)) for x, (b, g) in zip(xs, edges)]
 
 
 def test_log_edge_factor_limits_and_values():
